@@ -1,33 +1,11 @@
-"""Hot numeric kernels with optional numba acceleration.
-
-Each kernel has a pure-numpy implementation (``*_numpy``) and, when numba is
-importable, an ``@njit`` twin (``*_numba``). The public names (``tableau_pivot``,
-``interp_many``) are bound to one or the other at import time; set the
-environment variable ``GRIDOPT_NO_NUMBA=1`` to force the numpy path.
-Both paths compute identical results (see tests/test_kernels.py and
-benchmarks/bench_kernels.py).
-"""
+"""Numeric kernels on the solve path: the tableau pivot and batch interpolation."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLE = os.environ.get("GRIDOPT_NO_NUMBA", "").lower() in ("1", "true", "yes")
 
-if not _DISABLE:
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a soft dependency
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
-
-
-def tableau_pivot_numpy(T: np.ndarray, r: int, j: int) -> None:
+def tableau_pivot(T: np.ndarray, r: int, j: int) -> None:
     """Gauss-Jordan pivot of dense tableau ``T`` on entry (r, j), in place."""
     piv = T[r, j]
     T[r, :] /= piv
@@ -39,7 +17,7 @@ def tableau_pivot_numpy(T: np.ndarray, r: int, j: int) -> None:
     T[r, j] = 1.0
 
 
-def interp_many_numpy(
+def interp_many(
     axes_flat: np.ndarray,
     offsets: np.ndarray,
     strides: np.ndarray,
@@ -71,64 +49,3 @@ def interp_many_numpy(
             idx += (cell[:, j] + bit) * strides[j]
         out += lam * values[idx]
     return out
-
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def tableau_pivot_numba(T, r, j):  # pragma: no cover - exercised via tests
-        m, ncol = T.shape
-        piv = T[r, j]
-        for q in range(ncol):
-            T[r, q] /= piv
-        for i in range(m):
-            if i == r:
-                continue
-            f = T[i, j]
-            if f != 0.0:
-                for q in range(ncol):
-                    T[i, q] -= f * T[r, q]
-        for i in range(m):
-            T[i, j] = 0.0
-        T[r, j] = 1.0
-
-    @njit(cache=True)
-    def interp_many_numba(axes_flat, offsets, strides, values, points):  # pragma: no cover
-        npts, n = points.shape
-        out = np.zeros(npts)
-        cell = np.empty(n, dtype=np.int64)
-        frac = np.empty(n)
-        for p in range(npts):
-            for j in range(n):
-                lo = offsets[j]
-                hi = offsets[j + 1]
-                x = points[p, j]
-                k = np.searchsorted(axes_flat[lo:hi], x, side="right") - 1
-                if k < 0:
-                    k = 0
-                if k > hi - lo - 2:
-                    k = hi - lo - 2
-                cell[j] = k
-                frac[j] = (x - axes_flat[lo + k]) / (
-                    axes_flat[lo + k + 1] - axes_flat[lo + k]
-                )
-            acc = 0.0
-            for corner in range(1 << n):
-                lam = 1.0
-                idx = 0
-                for j in range(n):
-                    bit = (corner >> j) & 1
-                    if bit:
-                        lam *= frac[j]
-                    else:
-                        lam *= 1.0 - frac[j]
-                    idx += (cell[j] + bit) * strides[j]
-                acc += lam * values[idx]
-            out[p] = acc
-        return out
-
-    tableau_pivot = tableau_pivot_numba
-    interp_many = interp_many_numba
-else:
-    tableau_pivot = tableau_pivot_numpy
-    interp_many = interp_many_numpy

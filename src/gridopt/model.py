@@ -70,13 +70,6 @@ class ProblemIR:
     maximize: bool = False  # objective was negated from a maximization input
     name: str = ""
 
-    def var(self, vid: int) -> VarRef:
-        return self._by_id[vid]
-
-    @property
-    def _by_id(self) -> dict[int, VarRef]:
-        return {v.id: v for v in self.variables}
-
     @property
     def binary_ids(self) -> tuple[int, ...]:
         return tuple(v.id for v in self.variables if v.kind == BINARY)

@@ -9,6 +9,7 @@ the relaxation becomes infeasible, which proves optimality.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -164,24 +165,14 @@ def _enumerate_fixings(ir: ProblemIR, limit: int):
             else:
                 cell_ranges.append([None])
         fixings.extend(
-            Fixing(segments=tuple(choice), y=y, binary_ids=bin_ids)
-            for choice in _product(cell_ranges)
+            Fixing(segments=choice, y=y, binary_ids=bin_ids)
+            for choice in itertools.product(*cell_ranges)
         )
     return fixings
 
 
 def _all_cells(shape):
-    ranges = [range(K - 1) for K in shape]
-    return [tuple(t) for t in _product([list(r) for r in ranges])]
-
-
-def _product(lists):
-    if not lists:
-        yield ()
-        return
-    for head in lists[0]:
-        for rest in _product(lists[1:]):
-            yield (head,) + tuple(rest)
+    return list(itertools.product(*(range(K - 1) for K in shape)))
 
 
 def solve_by_enumeration(ir: ProblemIR, limit: int = ENUM_LIMIT) -> RfeResult:

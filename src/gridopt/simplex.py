@@ -4,6 +4,24 @@ Two-phase method with artificial variables, Dantzig pricing, and a Bland
 fallback after a run of degenerate pivots. The tableau is dense and refactorized
 periodically from the basis; inputs beyond ~5e4 constraint nonzeros are refused.
 Solver state is per call, so independent solves may run concurrently.
+
+Pivot choice, exactly (pricing and ratio test are array operations, and they
+choose the same pivots as a column-by-column / row-by-row scan):
+
+- Pricing. A column is eligible if it is nonbasic, not fixed (lo < hi), and its
+  reduced cost d_j is below -1e-9 while it may increase (at its lower bound or
+  free) or above 1e-9 while it may decrease (at its upper bound or free).
+  Dantzig pricing takes the largest |d_j|, the lowest index on ties. Bland's
+  rule takes the lowest eligible index.
+- Ratio test. A basic row can block if |pivot| > 1e-7 and the bound it moves
+  toward is finite; its ratio is clamped at 0. The step starts at the entering
+  column's range hi - lo (a bound flip, no leaving row). The blocking rows are
+  then taken in row order, and row i with ratio t replaces the current choice
+  if t < step - 1e-12, or if t < step + 1e-12 and its |pivot| is larger; step
+  becomes t. This is not "minimum ratio, then largest pivot within 1e-12": the
+  window moves with each replacement, and from step >= 2**14 on, step + 1e-12
+  rounds to step in float64, so of rows tied at the minimum the first is kept
+  whatever its pivot.
 """
 
 from __future__ import annotations
@@ -24,6 +42,9 @@ UNBOUNDED = "Unbounded"
 MAX_NONZEROS = 50_000
 
 _AT_LO, _AT_UP, _BASIC, _FREE = 0, 1, 2, 3
+# indexed by vstat: may a nonbasic column at that status increase / decrease
+_CAN_RISE = np.array([True, False, False, True])
+_CAN_FALL = np.array([False, True, False, True])
 
 _RC_TOL = 1e-9
 _PIV_TOL = 1e-7  # pivots below this are numerically unsafe to enter the basis
@@ -82,7 +103,6 @@ class LpResult:
     x: Optional[np.ndarray] = None
     objective: float = np.inf
     duals: Optional[np.ndarray] = None
-    reduced_costs: Optional[np.ndarray] = None
     iterations: int = 0
 
 
@@ -103,16 +123,10 @@ class _Tableau:
             # EQ keeps the slack fixed at 0
         self.xval = np.zeros(self.N)
         self.vstat = np.full(self.N, _AT_LO, dtype=np.int8)
-        for j in range(n + m):
-            if np.isfinite(self.lo[j]):
-                self.xval[j] = self.lo[j]
-                self.vstat[j] = _AT_LO
-            elif np.isfinite(self.hi[j]):
-                self.xval[j] = self.hi[j]
-                self.vstat[j] = _AT_UP
-            else:
-                self.xval[j] = 0.0
-                self.vstat[j] = _FREE
+        lo_s, hi_s = self.lo[: n + m], self.hi[: n + m]
+        has_lo, has_hi = np.isfinite(lo_s), np.isfinite(hi_s)
+        self.xval[: n + m] = np.where(has_lo, lo_s, np.where(has_hi, hi_s, 0.0))
+        self.vstat[: n + m] = np.where(has_lo, _AT_LO, np.where(has_hi, _AT_UP, _FREE))
         r = lp.rhs - lp.A @ self.xval[:n] - self.xval[n : n + m]
         self.sigma = np.where(r >= 0.0, 1.0, -1.0)
         self.basis = np.arange(n + m, n + 2 * m)
@@ -150,54 +164,33 @@ class _Tableau:
 
 def _price(tab: _Tableau, cost: np.ndarray, bland: bool):
     """Pick an entering column; returns (col, direction) or None at optimum."""
-    z = cost[tab.basis] @ tab.T
-    d = cost - z
-    best = None
-    best_viol = _RC_TOL
-    for j in range(tab.N):
-        st = tab.vstat[j]
-        if st == _BASIC or tab.lo[j] == tab.hi[j]:
-            continue
-        if (st == _AT_LO or st == _FREE) and d[j] < -best_viol:
-            cand = (j, 1.0)
-            viol = -d[j]
-        elif (st == _AT_UP or st == _FREE) and d[j] > best_viol:
-            cand = (j, -1.0)
-            viol = d[j]
-        else:
-            continue
-        if bland:
-            return cand
-        best, best_viol = cand, viol
-    return best
+    d = cost - cost[tab.basis] @ tab.T
+    movable = tab.lo != tab.hi
+    ok = movable & np.where(d < 0.0, _CAN_RISE[tab.vstat], _CAN_FALL[tab.vstat])
+    viol = np.where(ok, np.abs(d), 0.0)
+    j = int((viol > _RC_TOL if bland else viol).argmax())
+    if not viol[j] > _RC_TOL:
+        return None
+    return j, (1.0 if d[j] < 0.0 else -1.0)
 
 
 def _ratio_test(tab: _Tableau, j: int, direction: float):
     """Max step for entering column j; returns (step, leaving row or -1)."""
-    w = tab.T[:, j]
+    coef = direction * tab.T[:, j]
+    bound = np.where(coef > 0.0, tab.lo[tab.basis], tab.hi[tab.basis])
+    rows = ((np.abs(coef) > _PIV_TOL) & np.isfinite(bound)).nonzero()[0]
+    t = (tab.xB[rows] - bound[rows]) / coef[rows]
+    t[t < 0.0] = 0.0
     step = np.inf
-    row = -1
     if np.isfinite(tab.lo[j]) and np.isfinite(tab.hi[j]):
-        step = tab.hi[j] - tab.lo[j]  # bound flip
+        step = float(tab.hi[j] - tab.lo[j])  # bound flip
+    # The tie rule depends on row order (see the module docstring), so it is
+    # applied in order, to the rows that can block only.
+    row = -1
     best_piv = 0.0
-    for i in range(tab.m):
-        coef = direction * w[i]
-        b = tab.basis[i]
-        if coef > _PIV_TOL:
-            if not np.isfinite(tab.lo[b]):
-                continue
-            t = (tab.xB[i] - tab.lo[b]) / coef
-        elif coef < -_PIV_TOL:
-            if not np.isfinite(tab.hi[b]):
-                continue
-            t = (tab.xB[i] - tab.hi[b]) / coef
-        else:
-            continue
-        t = max(t, 0.0)
-        if t < step - 1e-12 or (t < step + 1e-12 and abs(coef) > best_piv):
-            step = t
-            row = i
-            best_piv = abs(coef)
+    for i, ti, piv in zip(rows.tolist(), t.tolist(), np.abs(coef[rows]).tolist()):
+        if ti < step - 1e-12 or (ti < step + 1e-12 and piv > best_piv):
+            step, row, best_piv = ti, i, piv
     return step, row
 
 
@@ -252,16 +245,15 @@ def _drive_out_artificials(tab: _Tableau) -> None:
         if b < n + m:
             continue
         # basic artificial at value ~0: replace by any usable column
-        for j in range(n + m):
-            if tab.vstat[j] != _BASIC and abs(tab.T[i, j]) > 1e-7:
-                enter_val = tab.xval[j]
-                tab.xval[b] = 0.0
-                tab.vstat[b] = _AT_LO
-                tab.basis[i] = j
-                tab.vstat[j] = _BASIC
-                tab.xB[i] = enter_val
-                _kernels.tableau_pivot(tab.T, i, j)
-                break
+        usable = (tab.vstat[: n + m] != _BASIC) & (np.abs(tab.T[i, : n + m]) > 1e-7)
+        if usable.any():
+            j = int(np.argmax(usable))
+            tab.xval[b] = 0.0
+            tab.vstat[b] = _AT_LO
+            tab.basis[i] = j
+            tab.vstat[j] = _BASIC
+            tab.xB[i] = tab.xval[j]
+            _kernels.tableau_pivot(tab.T, i, j)
         # no pivot found: the row is redundant; the artificial stays basic at 0
 
 
@@ -313,7 +305,6 @@ def solve_lp(
     # duals from the artificial block: B^-1 = T[:, art] * sigma (columnwise)
     Binv = tab.T[:, n + m :] * tab.sigma[None, :]
     y = cost[tab.basis] @ Binv
-    rc = np.concatenate([lp.obj, np.zeros(m)]) - y @ np.hstack([lp.A, np.eye(m)])
     resid = lp.A @ x[:n] + x[n : n + m] - lp.rhs
     if np.max(np.abs(resid), initial=0.0) > 1e-6:
         tab.refactorize()
@@ -327,6 +318,5 @@ def solve_lp(
         x=x[:n].copy(),
         objective=obj,
         duals=y,
-        reduced_costs=rc[: n + m],
         iterations=tab.pivots,
     )

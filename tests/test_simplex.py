@@ -2,10 +2,12 @@
 
 Small LPs are checked against brute-force vertex enumeration; random LPs with
 mixed senses and bound patterns against scipy's HiGHS; duals via weak duality
-and complementary slackness spot checks.
+and complementary slackness spot checks. The array-based pricing and ratio test
+are checked call by call against the scalar loops they replaced.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,11 +15,19 @@ from scipy.optimize import linprog
 
 from gridopt.errors import ProblemTooLarge
 from gridopt.simplex import (
+    _AT_LO,
+    _AT_UP,
+    _BASIC,
+    _FREE,
+    _PIV_TOL,
+    _RC_TOL,
     INFEASIBLE,
     MAX_NONZEROS,
     OPTIMAL,
     UNBOUNDED,
     LpProblem,
+    _price,
+    _ratio_test,
     solve_lp,
 )
 
@@ -204,3 +214,187 @@ class TestDuals:
         assert res.objective == pytest.approx(1.0)
         # equality row's dual equals the objective sensitivity d(obj)/d(rhs) = 1
         assert res.duals[0] == pytest.approx(1.0, abs=1e-8)
+
+
+# The scalar loops the simplex used before pricing and the ratio test became
+# array operations, kept verbatim as the reference for every pivot choice.
+
+
+def _price_loop(tab, cost: np.ndarray, bland: bool):
+    """Pick an entering column; returns (col, direction) or None at optimum."""
+    z = cost[tab.basis] @ tab.T
+    d = cost - z
+    best = None
+    best_viol = _RC_TOL
+    for j in range(tab.N):
+        st = tab.vstat[j]
+        if st == _BASIC or tab.lo[j] == tab.hi[j]:
+            continue
+        if (st == _AT_LO or st == _FREE) and d[j] < -best_viol:
+            cand = (j, 1.0)
+            viol = -d[j]
+        elif (st == _AT_UP or st == _FREE) and d[j] > best_viol:
+            cand = (j, -1.0)
+            viol = d[j]
+        else:
+            continue
+        if bland:
+            return cand
+        best, best_viol = cand, viol
+    return best
+
+
+def _ratio_test_loop(tab, j: int, direction: float):
+    """Max step for entering column j; returns (step, leaving row or -1)."""
+    w = tab.T[:, j]
+    step = np.inf
+    row = -1
+    if np.isfinite(tab.lo[j]) and np.isfinite(tab.hi[j]):
+        step = tab.hi[j] - tab.lo[j]  # bound flip
+    best_piv = 0.0
+    for i in range(tab.m):
+        coef = direction * w[i]
+        b = tab.basis[i]
+        if coef > _PIV_TOL:
+            if not np.isfinite(tab.lo[b]):
+                continue
+            t = (tab.xB[i] - tab.lo[b]) / coef
+        elif coef < -_PIV_TOL:
+            if not np.isfinite(tab.hi[b]):
+                continue
+            t = (tab.xB[i] - tab.hi[b]) / coef
+        else:
+            continue
+        t = max(t, 0.0)
+        if t < step - 1e-12 or (t < step + 1e-12 and abs(coef) > best_piv):
+            step = t
+            row = i
+            best_piv = abs(coef)
+    return step, row
+
+
+def _lattice_tableau(rng, m: int, N: int):
+    """Simplex state whose entries lie on a coarse lattice, so exact ties in
+    reduced costs and in ratios are common. Bounds mix finite, infinite and
+    fixed; nonbasic columns sit at a lower bound, an upper bound, or are free.
+    """
+    T = rng.integers(-3, 4, size=(m, N)) * 0.5
+    T[rng.random((m, N)) < 0.3] = 0.0
+    T[rng.random((m, N)) < 0.05] = 1e-8  # below the pivot tolerance
+    lo = rng.integers(-2, 1, size=N).astype(float)
+    hi = lo + rng.integers(0, 3, size=N)  # width 0 makes a fixed column
+    lo[rng.random(N) < 0.25] = -np.inf
+    hi[rng.random(N) < 0.25] = np.inf
+    vstat = np.where(
+        np.isfinite(lo), _AT_LO, np.where(np.isfinite(hi), _AT_UP, _FREE)
+    ).astype(np.int8)
+    boxed = np.isfinite(lo) & np.isfinite(hi) & (rng.random(N) < 0.5)
+    vstat[boxed] = _AT_UP
+    basis = rng.choice(N, size=m, replace=False)
+    vstat[basis] = _BASIC
+    base = np.where(np.isfinite(lo[basis]), lo[basis], hi[basis])
+    base[~np.isfinite(base)] = 0.0
+    xB = base + rng.integers(-1, 5, size=m) * 0.5  # some below lo: clamped ratios
+    return SimpleNamespace(T=T, basis=basis, vstat=vstat, lo=lo, hi=hi, xB=xB, m=m, N=N)
+
+
+def _lattice_cost(rng, N: int):
+    cost = rng.integers(-2, 3, size=N) * 0.5
+    cost[rng.random(N) < 0.3] = 0.0
+    return cost
+
+
+class TestPivotRulesMatchLoops:
+    def test_price_matches_loop(self):
+        rng = np.random.default_rng(7)
+        seen = {"none": 0, "rise": 0, "fall": 0, "free": 0, "bland_differs": 0, "tied": 0}
+        for _ in range(1500):
+            tab = _lattice_tableau(rng, int(rng.integers(1, 8)), int(rng.integers(8, 20)))
+            cost = _lattice_cost(rng, tab.N)
+            for bland in (False, True):
+                got = _price(tab, cost, bland)
+                assert got == _price_loop(tab, cost, bland)
+                if got is None:
+                    seen["none"] += 1
+                    continue
+                j, direction = got
+                seen["rise" if direction > 0 else "fall"] += 1
+                seen["free"] += int(tab.vstat[j] == _FREE)
+            dantzig, first = _price(tab, cost, False), _price(tab, cost, True)
+            seen["bland_differs"] += int(dantzig != first)
+            if dantzig is not None:
+                d = np.abs(cost - cost[tab.basis] @ tab.T)
+                d[tab.vstat == _BASIC] = 0.0
+                seen["tied"] += int(np.count_nonzero(d == d[dantzig[0]]) > 1)
+        assert min(seen.values()) > 0, seen
+
+    def test_ratio_test_matches_loop(self):
+        rng = np.random.default_rng(8)
+        seen = {"flip": 0, "row": 0, "unbounded": 0, "tied": 0, "flip_tied": 0, "zero": 0}
+        for _ in range(1500):
+            tab = _lattice_tableau(rng, int(rng.integers(1, 12)), int(rng.integers(12, 20)))
+            for _ in range(4):
+                j = int(rng.integers(tab.N))
+                direction = float(rng.choice([-1.0, 1.0]))
+                step, row = _ratio_test(tab, j, direction)
+                assert (step, row) == _ratio_test_loop(tab, j, direction)
+                if not np.isfinite(step):
+                    seen["unbounded"] += 1
+                    continue
+                seen["flip" if row == -1 else "row"] += 1
+                seen["zero"] += int(step == 0.0)
+                coef = direction * tab.T[:, j]
+                bound = np.where(coef > 0, tab.lo[tab.basis], tab.hi[tab.basis])
+                ok = (np.abs(coef) > _PIV_TOL) & np.isfinite(bound)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    t = np.maximum((tab.xB - bound) / coef, 0.0)
+                seen["tied"] += int(np.count_nonzero(ok & (t == step)) > 1)
+                flip = tab.hi[j] - tab.lo[j]
+                seen["flip_tied"] += int(row >= 0 and flip == step)
+        assert min(seen.values()) > 0, seen
+
+    def _one_column(self, xB, col, lo_b, hi_b, lo_j=0.0, hi_j=np.inf):
+        m = len(xB)
+        T = np.zeros((m, m + 1))
+        T[:, :m] = np.eye(m)
+        T[:, m] = col
+        return SimpleNamespace(
+            T=T, basis=np.arange(m),
+            vstat=np.array([_BASIC] * m + [_AT_LO], dtype=np.int8),
+            lo=np.array(list(lo_b) + [lo_j]), hi=np.array(list(hi_b) + [hi_j]),
+            xB=np.array(xB, dtype=float), m=m, N=m + 1,
+        )
+
+    def test_tie_at_large_ratio_keeps_first_row(self):
+        # From step >= 2**14, step + 1e-12 rounds to step: the loop keeps the
+        # first of rows tied at the minimum ratio, even with a smaller pivot.
+        tab = self._one_column(
+            [17000.0, 34000.0, 51000.0], [1.0, 2.0, 3.0], [0.0] * 3, [np.inf] * 3
+        )
+        assert _ratio_test_loop(tab, 3, 1.0) == (17000.0, 0)
+        assert _ratio_test(tab, 3, 1.0) == (17000.0, 0)
+        # below 2**14 the same tie goes to the largest pivot
+        tab.xB = tab.xB / 4
+        assert _ratio_test_loop(tab, 3, 1.0) == (4250.0, 2)
+        assert _ratio_test(tab, 3, 1.0) == (4250.0, 2)
+
+    def test_near_ties_chain_in_row_order(self):
+        # Each row is within 1e-12 of the previous choice and has a larger
+        # pivot, so the choice walks to the last row although its ratio is
+        # more than 1e-12 above the minimum.
+        xB = [1.0, 2.0 * (1.0 + 0.6e-12), 3.0 * (1.0 + 1.2e-12)]
+        tab = self._one_column(xB, [1.0, 2.0, 3.0], [0.0] * 3, [np.inf] * 3)
+        expected = _ratio_test_loop(tab, 3, 1.0)
+        assert expected[1] == 2 and expected[0] - 1.0 > 1e-12
+        assert _ratio_test(tab, 3, 1.0) == expected
+
+    def test_bound_flip_against_rows(self):
+        # decreasing direction: rows block at their upper bounds
+        tab = self._one_column([1.0, 1.0], [1.0, 2.0], [-np.inf] * 2, [3.0, 2.0], 0.0, 1.0)
+        for lo_j, hi_j in ((0.0, 0.25), (0.0, 0.5), (0.0, 0.5 + 1e-13), (0.0, 2.0)):
+            tab.lo[2], tab.hi[2] = lo_j, hi_j
+            assert _ratio_test(tab, 2, -1.0) == _ratio_test_loop(tab, 2, -1.0)
+        tab.hi[2] = 0.25
+        assert _ratio_test(tab, 2, -1.0) == (0.25, -1)
+        tab.hi[2] = 0.5  # tied with row 1: the row wins
+        assert _ratio_test(tab, 2, -1.0) == (0.5, 1)
