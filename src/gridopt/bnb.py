@@ -2,7 +2,10 @@
 
 Best-first search on the LP bound over the bounded-variable simplex. Branching
 fixes the most fractional binary (lowest column index on ties) to 0 and 1 via
-bound overrides, so every node shares the same immutable LP data.
+bound overrides, so every node shares the same immutable LP data. A node keeps
+its bounds, LP solution and final simplex basis; each child is warm-started
+from its parent's basis by the dual simplex, and the root from the caller's
+``basis`` (in RFE, the previous round's root, before its cut was appended).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, solve_lp
+from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpBasis, LpProblem, solve_lp
 
 GAP_LIMIT = "GapLimit"
 TIME_LIMIT = "TimeLimit"
@@ -32,6 +35,7 @@ class MipResult:
     bound: float = -np.inf
     nodes: int = 0
     lp_iterations: int = 0
+    root_basis: Optional[LpBasis] = None  # the root LP's final basis
 
 
 def _rel_gap(incumbent: float, bound: float) -> float:
@@ -46,12 +50,14 @@ def solve_milp(
     rel_gap: float = REL_GAP,
     time_limit: Optional[float] = None,
     node_limit: Optional[int] = None,
+    basis: Optional[LpBasis] = None,
 ) -> MipResult:
     """Minimize over ``lp`` with the listed columns restricted to {0, 1}.
 
     Returns the proven optimum, or the best incumbent with status GapLimit /
     TimeLimit when a limit stops the search first. Deterministic for identical
-    input and limits (up to wall-clock cutoffs).
+    input and limits (up to wall-clock cutoffs). ``basis`` warm-starts the root
+    LP; it may come from ``lp`` with fewer rows (see ``simplex.solve_lp``).
     """
     t0 = time.monotonic()
     binary_cols = sorted(int(c) for c in binary_cols)
@@ -64,7 +70,7 @@ def solve_milp(
     lp_iters = 0
     tick = itertools.count()  # FIFO tie-break keeps the heap deterministic
 
-    root = solve_lp(lp, lo0, hi0)
+    root = solve_lp(lp, lo0, hi0, basis=basis)
     lp_iters += root.iterations
     nodes += 1
     if root.status == INFEASIBLE:
@@ -75,7 +81,7 @@ def solve_milp(
             nodes=nodes, lp_iterations=lp_iters,
         )
 
-    heap: list = [(root.objective, next(tick), lo0, hi0, root)]
+    heap: list = [(root.objective, next(tick), lo0, hi0, root.x, root.basis)]
     bound = root.objective
 
     def out(status: str) -> MipResult:
@@ -86,17 +92,17 @@ def solve_milp(
             bound=bound,
             nodes=nodes,
             lp_iterations=lp_iters,
+            root_basis=root.basis,
         )
 
     while heap:
-        node_bound, _, lo, hi, res = heapq.heappop(heap)
+        node_bound, _, lo, hi, x, start = heapq.heappop(heap)
         bound = node_bound
         if np.isfinite(best_obj) and best_obj - bound <= rel_gap * max(
             1.0, abs(best_obj)
         ):
             bound = best_obj
             return out(OPTIMAL)
-        x = res.x
         # most fractional binary; ties go to the lowest column index
         frac_col = -1
         frac_best = INT_TOL
@@ -106,8 +112,8 @@ def solve_milp(
                 frac_best = f
                 frac_col = c
         if frac_col < 0:
-            if res.objective < best_obj - 1e-12:
-                best_obj = res.objective
+            if node_bound < best_obj - 1e-12:
+                best_obj = node_bound
                 best_x = x.copy()
                 for c in binary_cols:
                     best_x[c] = round(best_x[c])
@@ -120,7 +126,7 @@ def solve_milp(
             clo = lo.copy()
             chi = hi.copy()
             clo[frac_col] = chi[frac_col] = val
-            child = solve_lp(lp, clo, chi)
+            child = solve_lp(lp, clo, chi, basis=start)
             lp_iters += child.iterations
             nodes += 1
             if child.status != OPTIMAL:
@@ -130,10 +136,14 @@ def solve_milp(
             ):
                 continue
             heapq.heappush(
-                heap, (child.objective, next(tick), clo, chi, child)
+                heap,
+                (child.objective, next(tick), clo, chi, child.x, child.basis),
             )
 
     if best_x is None:
-        return MipResult(status=INFEASIBLE, nodes=nodes, lp_iterations=lp_iters)
+        return MipResult(
+            status=INFEASIBLE, nodes=nodes, lp_iterations=lp_iters,
+            root_basis=root.basis,
+        )
     bound = best_obj
     return out(OPTIMAL)

@@ -73,6 +73,7 @@ def solve_rfe(
     subs = 0
     nodes = 0
     log: list = []
+    basis = None  # previous round's root basis; this round adds one cut row
 
     def out(status: str) -> RfeResult:
         return RfeResult(
@@ -94,8 +95,9 @@ def solve_rfe(
                 return out(TIME_LIMIT)
         mres = solve_milp(
             milp.to_lp(), milp.binary_cols(),
-            rel_gap=milp_rel_gap, time_limit=remaining,
+            rel_gap=milp_rel_gap, time_limit=remaining, basis=basis,
         )
+        basis = mres.root_basis
         nodes += mres.nodes
         if mres.status == INFEASIBLE:
             # every discrete assignment has been explored

@@ -1,9 +1,25 @@
-"""Dense primal simplex for linear programs with bounded variables.
+"""Dense simplex for linear programs with bounded variables.
 
-Two-phase method with artificial variables, Dantzig pricing, and a Bland
-fallback after a run of degenerate pivots. The tableau is dense and refactorized
-periodically from the basis; inputs beyond ~5e4 constraint nonzeros are refused.
-Solver state is per call, so independent solves may run concurrently.
+A cold solve is the two-phase primal method with artificial variables, Dantzig
+pricing, and a Bland fallback after a run of degenerate pivots. A warm solve
+starts a bounded dual simplex from the basis of an earlier optimal solve, then
+runs the primal phase 2 as a clean-up pass that certifies optimality. The
+tableau is dense and refactorized every 150 loop pivots from the basis; inputs
+beyond ~5e4 constraint nonzeros are refused. Solver state is per call, so
+independent solves may run concurrently. ``LpResult.iterations`` counts every
+pivot, those that drive artificials out after phase 1 included; those do not
+advance the refactorization cadence.
+
+Warm start (``solve_lp(..., basis=res.basis)``). Between the two solves the
+column bounds may change and rows may be appended; the columns and the earlier
+rows must stay as they were (this is not checked). Appended rows enter the
+basis with their slack, so a cut that the old optimum violates is the one
+infeasible row. Nonbasic columns take the bound their status names under the
+new bounds; a free one that gained a bound takes it. The solve falls back to
+the cold path, keeping the pivots already spent in ``iterations``, when the
+shapes do not fit (another column count, or fewer rows), a nonbasic column
+would sit at an infinite bound, the basis is singular, or the dual loop hits
+its iteration or degeneracy limit.
 
 Pivot choice, exactly (pricing and ratio test are array operations, and they
 choose the same pivots as a column-by-column / row-by-row scan):
@@ -22,11 +38,21 @@ choose the same pivots as a column-by-column / row-by-row scan):
   window moves with each replacement, and from step >= 2**14 on, step + 1e-12
   rounds to step in float64, so of rows tied at the minimum the first is kept
   whatever its pivot.
+- Dual simplex. The leaving row is the basic variable with the largest bound
+  violation above 1e-7, the lowest row on ties. Entering candidates are the
+  movable nonbasic columns whose move toward their allowed side pushes that
+  variable toward its violated bound, with |alpha_rj| > 1e-7; the one with the
+  minimum |d_j| / |alpha_rj| enters, and of those within 1e-12 of the minimum
+  the largest |alpha_rj|, then the lowest index. A violated row with no
+  candidate is a Farkas certificate of infeasibility, whatever the reduced
+  costs, unless the entries too small to pivot on (but above 1e-12) could
+  close the violation over their columns' ranges; then the solve falls back.
 """
+
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -49,6 +75,7 @@ _CAN_FALL = np.array([False, True, False, True])
 _RC_TOL = 1e-9
 _PIV_TOL = 1e-7  # pivots below this are numerically unsafe to enter the basis
 _FEAS_TOL = 1e-7
+_ZERO_TOL = 1e-12  # tableau entries below this are round-off of exact zeros
 _REFACTOR_EVERY = 150
 
 
@@ -97,13 +124,26 @@ class LpProblem:
         return self.rhs.size
 
 
+@dataclass(frozen=True, eq=False)
+class LpBasis:
+    """Final basis of an optimal solve: basic column per row and every column's status.
+
+    Columns are numbered as in the tableau: structural, then one slack and one
+    artificial per row.
+    """
+
+    basis: np.ndarray
+    vstat: np.ndarray
+
+
 @dataclass
 class LpResult:
     status: str
     x: Optional[np.ndarray] = None
     objective: float = np.inf
     duals: Optional[np.ndarray] = None
-    iterations: int = 0
+    iterations: int = 0  # every pivot, including those of an abandoned warm start
+    basis: Optional[LpBasis] = None  # set when Optimal
 
 
 class _Tableau:
@@ -121,6 +161,14 @@ class _Tableau:
             elif s == GE:
                 self.lo[n + i] = -np.inf
             # EQ keeps the slack fixed at 0
+        self.sigma = np.ones(m)
+        self.lp = lp
+        self.pivots = 0  # every pivot, reported as LpResult.iterations
+        self.eta = 0  # simplex-loop pivots since the last refactorization
+
+    def start_cold(self) -> None:
+        """Slack basis, with an artificial per row absorbing the residual."""
+        n, m, lp = self.n, self.m, self.lp
         self.xval = np.zeros(self.N)
         self.vstat = np.full(self.N, _AT_LO, dtype=np.int8)
         lo_s, hi_s = self.lo[: n + m], self.hi[: n + m]
@@ -137,8 +185,43 @@ class _Tableau:
         self.T[:, n : n + m] = np.eye(m)
         self.T[:, n + m :] = np.diag(self.sigma)
         self.T *= self.sigma[:, None]
-        self.lp = lp
-        self.pivots = 0
+
+    def start_warm(self, start: LpBasis) -> bool:
+        """Take ``start``'s basis under the current bounds; False if unusable.
+
+        Rows beyond those ``start`` was taken on enter the basis with their
+        slack. Artificials are fixed at 0, as in phase 2.
+        """
+        n, m = self.n, self.m
+        m0 = start.basis.size
+        if m0 > m or start.vstat.size != n + 2 * m0:
+            return False
+        # artificials move up by the number of new rows
+        old = np.where(start.basis >= n + m0, start.basis + (m - m0), start.basis)
+        basis = np.concatenate([old, np.arange(n + m0, n + m)])
+        vstat = np.concatenate([
+            start.vstat[: n + m0],
+            np.full(m - m0, _BASIC, dtype=np.int8),
+            start.vstat[n + m0 :],
+            np.full(m - m0, _AT_LO, dtype=np.int8),
+        ])
+        self.lo[n + m :] = 0.0
+        self.hi[n + m :] = 0.0
+        has_lo, has_hi = np.isfinite(self.lo), np.isfinite(self.hi)
+        # a free nonbasic column has d_j = 0, so it may take a bound it gained
+        free = vstat == _FREE
+        vstat[free & has_lo] = _AT_LO
+        vstat[free & ~has_lo & has_hi] = _AT_UP
+        at_lo, at_up = vstat == _AT_LO, vstat == _AT_UP
+        if np.any((at_lo & ~has_lo) | (at_up & ~has_hi)):
+            return False
+        self.xval = np.where(at_lo, self.lo, np.where(at_up, self.hi, 0.0))
+        self.basis, self.vstat = basis, vstat
+        try:
+            self.refactorize()
+        except NumericalFailure:
+            return False
+        return True
 
     def refactorize(self) -> None:
         """Rebuild the tableau and basic values from the basis columns."""
@@ -155,6 +238,15 @@ class _Tableau:
         nb_mask = self.vstat != _BASIC
         resid = self.lp.rhs - Afull[:, nb_mask] @ self.xval[nb_mask]
         self.xB = np.linalg.solve(B, resid)
+        self.eta = 0
+
+    def pivot(self, row: int, j: int) -> None:
+        """Pivot on (row, j), refactorizing every _REFACTOR_EVERY loop pivots."""
+        _kernels.tableau_pivot(self.T, row, j)
+        self.pivots += 1
+        self.eta += 1
+        if self.eta == _REFACTOR_EVERY:
+            self.refactorize()
 
     def solution(self) -> np.ndarray:
         x = self.xval.copy()
@@ -225,10 +317,7 @@ def _iterate(tab: _Tableau, cost: np.ndarray, max_iter: int) -> str:
             tab.basis[row] = j
             tab.vstat[j] = _BASIC
             tab.xB[row] = enter_val
-            _kernels.tableau_pivot(tab.T, row, j)
-            tab.pivots += 1
-            if tab.pivots % _REFACTOR_EVERY == 0:
-                tab.refactorize()
+            tab.pivot(row, j)
         if step <= 1e-12:
             degen += 1
             if degen > degen_limit:
@@ -236,6 +325,63 @@ def _iterate(tab: _Tableau, cost: np.ndarray, max_iter: int) -> str:
         else:
             degen = 0
     raise NumericalFailure("simplex iteration limit exceeded")
+
+
+def _dual_iterate(tab: _Tableau, cost: np.ndarray, max_iter: int) -> Optional[str]:
+    """Dual simplex until the basis is primal feasible.
+
+    Returns Optimal (primal feasible), Infeasible (a row certifies it), or
+    None to fall back: the iteration or degeneracy limit is hit, or a row's
+    infeasibility is not proven.
+    """
+    degen = 0
+    degen_limit = 2 * (tab.m + tab.N)
+    movable = tab.lo != tab.hi
+    span = tab.hi - tab.lo
+    for _ in range(max_iter):
+        lo_b, hi_b = tab.lo[tab.basis], tab.hi[tab.basis]
+        viol = np.maximum(lo_b - tab.xB, tab.xB - hi_b)
+        r = int(viol.argmax())
+        if not viol[r] > _FEAS_TOL:
+            return OPTIMAL
+        rise = tab.xB[r] < lo_b[r]  # the leaving variable must increase
+        target = lo_b[r] if rise else hi_b[r]
+        # orient the row so that a column helps when it moves against alpha
+        alpha = tab.T[r] if rise else -tab.T[r]
+        right = movable & (
+            (_CAN_RISE[tab.vstat] & (alpha < 0.0)) | (_CAN_FALL[tab.vstat] & (alpha > 0.0))
+        )
+        elig = right & (np.abs(alpha) > _PIV_TOL)
+        if not elig.any():
+            # Farkas: the row proves infeasibility unless the entries too small
+            # to pivot on, but above round-off, could close the violation
+            small = right & (np.abs(alpha) > _ZERO_TOL)
+            reach = float(np.abs(alpha[small]) @ span[small])
+            return INFEASIBLE if reach + _FEAS_TOL < viol[r] else None
+        cols = elig.nonzero()[0]
+        d = cost - cost[tab.basis] @ tab.T
+        size = np.abs(alpha[cols])
+        ratio = np.abs(d[cols]) / size
+        tmin = ratio.min()
+        q = int(cols[np.where(ratio <= tmin + 1e-12, size, -1.0).argmax()])
+        w = tab.T[:, q]
+        dx = (tab.xB[r] - target) / w[r]
+        enter_val = tab.xval[q] + dx
+        tab.xB -= dx * w
+        leave = tab.basis[r]
+        tab.xval[leave] = target
+        tab.vstat[leave] = _AT_LO if rise else _AT_UP
+        tab.basis[r] = q
+        tab.vstat[q] = _BASIC
+        tab.xB[r] = enter_val
+        tab.pivot(r, q)
+        if tmin <= 1e-12:
+            degen += 1
+            if degen > degen_limit:
+                return None
+        else:
+            degen = 0
+    return None
 
 
 def _drive_out_artificials(tab: _Tableau) -> None:
@@ -253,50 +399,15 @@ def _drive_out_artificials(tab: _Tableau) -> None:
             tab.basis[i] = j
             tab.vstat[j] = _BASIC
             tab.xB[i] = tab.xval[j]
+            # counted, but kept out of the refactorization cadence
             _kernels.tableau_pivot(tab.T, i, j)
+            tab.pivots += 1
         # no pivot found: the row is redundant; the artificial stays basic at 0
 
 
-def solve_lp(
-    lp: LpProblem,
-    lo_override: Optional[np.ndarray] = None,
-    hi_override: Optional[np.ndarray] = None,
-) -> LpResult:
-    """Solve min obj @ x subject to the rows and bounds of ``lp``.
-
-    ``lo_override``/``hi_override`` replace the column bounds without mutating
-    the problem (used by branch-and-bound nodes). Deterministic for identical
-    input.
-    """
-    nnz = int(np.count_nonzero(lp.A))
-    if nnz > MAX_NONZEROS:
-        raise ProblemTooLarge(f"{nnz} nonzeros exceeds dense limit {MAX_NONZEROS}")
-    lo = np.asarray(lo_override if lo_override is not None else lp.lo, dtype=float)
-    hi = np.asarray(hi_override if hi_override is not None else lp.hi, dtype=float)
-    if np.any(lo > hi + 1e-12):
-        return LpResult(status=INFEASIBLE)
-    # collapse crossing bounds from round-off
-    hi = np.maximum(hi, lo)
-
-    tab = _Tableau(lp, lo, hi)
-    n, m = tab.n, tab.m
-    max_iter = 5000 + 200 * (m + tab.N)
-
-    phase1_cost = np.zeros(tab.N)
-    phase1_cost[n + m :] = 1.0
-    status = _iterate(tab, phase1_cost, max_iter)
-    if status == UNBOUNDED:  # cannot happen: phase-1 objective is bounded below
-        raise NumericalFailure("phase-1 reported unbounded")
-    art_sum = float(np.sum(tab.solution()[n + m :]))
-    if art_sum > _FEAS_TOL:
-        return LpResult(status=INFEASIBLE, iterations=tab.pivots)
-    _drive_out_artificials(tab)
-    # artificials may not re-enter
-    tab.lo[n + m :] = 0.0
-    tab.hi[n + m :] = 0.0
-
-    cost = np.zeros(tab.N)
-    cost[:n] = lp.obj
+def _phase2(tab: _Tableau, cost: np.ndarray, max_iter: int) -> LpResult:
+    """Primal simplex from a feasible basis with artificials fixed at 0."""
+    n, m, lp = tab.n, tab.m, tab.lp
     status = _iterate(tab, cost, max_iter)
     if status == UNBOUNDED:
         return LpResult(status=UNBOUNDED, objective=-np.inf, iterations=tab.pivots)
@@ -319,4 +430,62 @@ def solve_lp(
         objective=obj,
         duals=y,
         iterations=tab.pivots,
+        basis=LpBasis(tab.basis, tab.vstat),
     )
+
+
+def solve_lp(
+    lp: LpProblem,
+    lo_override: Optional[np.ndarray] = None,
+    hi_override: Optional[np.ndarray] = None,
+    basis: Optional[LpBasis] = None,
+) -> LpResult:
+    """Solve min obj @ x subject to the rows and bounds of ``lp``.
+
+    ``lo_override``/``hi_override`` replace the column bounds without mutating
+    the problem (used by branch-and-bound nodes). ``basis``, from an earlier
+    optimal solve, warm-starts the dual simplex (see the module docstring).
+    Deterministic for identical input.
+    """
+    nnz = int(np.count_nonzero(lp.A))
+    if nnz > MAX_NONZEROS:
+        raise ProblemTooLarge(f"{nnz} nonzeros exceeds dense limit {MAX_NONZEROS}")
+    lo = np.asarray(lo_override if lo_override is not None else lp.lo, dtype=float)
+    hi = np.asarray(hi_override if hi_override is not None else lp.hi, dtype=float)
+    if np.any(lo > hi + 1e-12):
+        return LpResult(status=INFEASIBLE)
+    # collapse crossing bounds from round-off
+    hi = np.maximum(hi, lo)
+
+    n, m = lp.ncols, lp.nrows
+    N = n + 2 * m
+    max_iter = 5000 + 200 * (m + N)
+    cost = np.zeros(N)
+    cost[:n] = lp.obj
+    spent = 0  # pivots of an abandoned warm start
+    if basis is not None:
+        tab = _Tableau(lp, lo, hi)
+        if tab.start_warm(basis):
+            status = _dual_iterate(tab, cost, max_iter)
+            if status == INFEASIBLE:
+                return LpResult(status=INFEASIBLE, iterations=tab.pivots)
+            if status == OPTIMAL:
+                return _phase2(tab, cost, max_iter)
+        spent = tab.pivots
+
+    tab = _Tableau(lp, lo, hi)
+    tab.start_cold()
+    tab.pivots = spent
+    phase1_cost = np.zeros(N)
+    phase1_cost[n + m :] = 1.0
+    status = _iterate(tab, phase1_cost, max_iter)
+    if status == UNBOUNDED:  # cannot happen: phase-1 objective is bounded below
+        raise NumericalFailure("phase-1 reported unbounded")
+    art_sum = float(np.sum(tab.solution()[n + m :]))
+    if art_sum > _FEAS_TOL:
+        return LpResult(status=INFEASIBLE, iterations=tab.pivots)
+    _drive_out_artificials(tab)
+    # artificials may not re-enter
+    tab.lo[n + m :] = 0.0
+    tab.hi[n + m :] = 0.0
+    return _phase2(tab, cost, max_iter)

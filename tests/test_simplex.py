@@ -3,9 +3,12 @@
 Small LPs are checked against brute-force vertex enumeration; random LPs with
 mixed senses and bound patterns against scipy's HiGHS; duals via weak duality
 and complementary slackness spot checks. The array-based pricing and ratio test
-are checked call by call against the scalar loops they replaced.
+are checked call by call against the scalar loops they replaced. Warm starts
+from an earlier optimal basis, after a bound change or an appended row, are
+checked against HiGHS on the changed LP.
 """
 
+import dataclasses
 import itertools
 from types import SimpleNamespace
 
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from gridopt import _kernels, simplex
 from gridopt.errors import ProblemTooLarge
 from gridopt.simplex import (
     _AT_LO,
@@ -25,6 +29,7 @@ from gridopt.simplex import (
     MAX_NONZEROS,
     OPTIMAL,
     UNBOUNDED,
+    LpBasis,
     LpProblem,
     _price,
     _ratio_test,
@@ -398,3 +403,177 @@ class TestPivotRulesMatchLoops:
         assert _ratio_test(tab, 2, -1.0) == (0.25, -1)
         tab.hi[2] = 0.5  # tied with row 1: the row wins
         assert _ratio_test(tab, 2, -1.0) == (0.5, 1)
+
+
+def _with_row(lp: LpProblem, a, sense: str, b: float) -> LpProblem:
+    return dataclasses.replace(
+        lp, A=np.vstack([lp.A, a]), senses=lp.senses + [sense], rhs=np.append(lp.rhs, b)
+    )
+
+
+def _optimal_lps(rng, count: int):
+    """The first ``count`` random LPs with an optimal solution, solved cold."""
+    while count:
+        lp = _random_lp(rng)
+        res = solve_lp(lp)
+        if res.status == OPTIMAL:
+            count -= 1
+            yield lp, res
+
+
+@pytest.fixture
+def dual_outcomes(monkeypatch):
+    """Every return value of the dual simplex loop (None: fell back to cold)."""
+    seen = []
+    dual = simplex._dual_iterate
+
+    def spy(*args):
+        seen.append(dual(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(simplex, "_dual_iterate", spy)
+    return seen
+
+
+def _assert_matches_scipy(res, lp: LpProblem) -> str:
+    ref = _scipy_solve(lp)
+    if ref.status == 0:
+        assert res.status == OPTIMAL
+        assert res.objective == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
+        return OPTIMAL
+    assert ref.status == 2 and res.status == INFEASIBLE
+    return INFEASIBLE
+
+
+class TestWarmStart:
+    def test_tightened_or_fixed_bound(self, dual_outcomes):
+        rng = np.random.default_rng(31)
+        seen = {OPTIMAL: 0, INFEASIBLE: 0}
+        for k, (lp, res) in enumerate(_optimal_lps(rng, 100)):
+            j = int(rng.integers(lp.ncols))
+            lo, hi = lp.lo.copy(), lp.hi.copy()
+            v = float(np.clip(res.x[j] + 2.0 * rng.normal(), lo[j], hi[j]))
+            if k % 2:
+                lo[j] = hi[j] = v
+            else:
+                hi[j] = max(v, lo[j])
+            dual_outcomes.clear()
+            got = solve_lp(lp, lo, hi, basis=res.basis)
+            status = _assert_matches_scipy(got, dataclasses.replace(lp, lo=lo, hi=hi))
+            # the dual phase itself reaches the answer, infeasibility included
+            assert dual_outcomes == [status]
+            seen[status] += 1
+        assert min(seen.values()) > 0, seen
+
+    def test_appended_row_cuts_off_optimum(self, dual_outcomes):
+        rng = np.random.default_rng(32)
+        seen = {OPTIMAL: 0, INFEASIBLE: 0}
+        for lp, res in _optimal_lps(rng, 100):
+            a = rng.normal(size=lp.ncols)
+            cut = _with_row(lp, a, ">=", float(a @ res.x) + 0.1 + abs(rng.normal()))
+            dual_outcomes.clear()
+            got = solve_lp(cut, basis=res.basis)
+            status = _assert_matches_scipy(got, cut)
+            assert dual_outcomes == [status]
+            seen[status] += 1
+        assert min(seen.values()) > 0, seen
+
+    def test_infeasible_tightening_reported_by_dual(self, dual_outcomes):
+        # min x0 + x1 s.t. x0 + x1 >= 1: fixing both columns at 0 is infeasible
+        lp = LpProblem.from_rows(
+            2, [1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [([(0, 1.0), (1, 1.0)], ">=", 1.0)]
+        )
+        res = solve_lp(lp)
+        assert res.status == OPTIMAL
+        got = solve_lp(lp, np.zeros(2), np.zeros(2), basis=res.basis)
+        assert got.status == INFEASIBLE
+        assert dual_outcomes == [INFEASIBLE]
+
+    def test_unchanged_lp_takes_no_pivot(self):
+        rng = np.random.default_rng(33)
+        for lp, res in _optimal_lps(rng, 40):
+            again = solve_lp(lp, basis=res.basis)
+            assert again.status == OPTIMAL
+            assert again.iterations == 0
+            assert again.objective == pytest.approx(res.objective, abs=1e-9)
+
+    def test_other_shape_falls_back_to_cold(self, dual_outcomes):
+        rng = np.random.default_rng(34)
+        lp5, res5 = next(_optimal_lps(rng, 1))
+        for other in (_random_lp(rng, n=6), _random_lp(rng, n=5, m=3)):
+            cold = solve_lp(other)
+            warm = solve_lp(other, basis=res5.basis)
+            assert warm.status == cold.status
+            assert warm.objective == cold.objective
+            assert warm.iterations == cold.iterations
+            np.testing.assert_array_equal(warm.x, cold.x)
+        assert dual_outcomes == []
+
+    def test_basic_artificial_renumbered_past_appended_row(self, dual_outcomes):
+        # Drive-out leaves an artificial basic only when its row has no entry
+        # above 1e-7, so such a basis is written by hand: columns x0, x1, the
+        # slack (3rd) and the artificial (4th) of the row x0 + x1 = 1. The
+        # appended row's slack takes the 4th number, the artificial the 5th.
+        lp = LpProblem.from_rows(
+            2, [-1.0, -2.0], [0.0, 0.0], [1.0, 1.0], [([(0, 1.0), (1, 1.0)], "=", 1.0)]
+        )
+        start = LpBasis(
+            basis=np.array([3]), vstat=np.array([_AT_LO, _AT_LO, _AT_LO, _BASIC], dtype=np.int8)
+        )
+        cut = _with_row(lp, [0.0, 1.0], "<=", 0.25)
+        got = solve_lp(cut, basis=start)
+        assert got.status == OPTIMAL
+        assert got.objective == pytest.approx(-1.25)
+        assert dual_outcomes == [OPTIMAL]  # a clash of numbers would be singular
+
+
+class TestIterationsCountEveryPivot:
+    @pytest.fixture
+    def pivots(self, monkeypatch):
+        calls = []
+        pivot = _kernels.tableau_pivot
+
+        def counted(*args):
+            calls.append(args[1:])
+            pivot(*args)
+
+        monkeypatch.setattr(_kernels, "tableau_pivot", counted)
+        return calls
+
+    def test_cold_and_warm(self, pivots):
+        rng = np.random.default_rng(35)
+        checked = 0
+        for _ in range(60):
+            lp = _random_lp(rng)
+            pivots.clear()
+            res = solve_lp(lp)
+            assert res.iterations == len(pivots)
+            if res.status != OPTIMAL:
+                continue
+            a = rng.normal(size=lp.ncols)
+            cut = _with_row(lp, a, ">=", float(a @ res.x) + 0.5)
+            pivots.clear()
+            assert solve_lp(cut, basis=res.basis).iterations == len(pivots)
+            checked += 1
+        assert checked > 0
+
+    def test_pivots_driving_out_artificials(self, pivots, monkeypatch):
+        # -x0 - x1 = 0 holds at the start and no column at its lower bound
+        # can lower its artificial, so phase 1 ends with it basic at 0
+        driven = []
+        drive = simplex._drive_out_artificials
+
+        def spy(tab):
+            before = len(pivots)
+            drive(tab)
+            driven.append(len(pivots) - before)
+
+        monkeypatch.setattr(simplex, "_drive_out_artificials", spy)
+        lp = LpProblem.from_rows(
+            3, [-1.0, -1.0, -1.0], [0.0] * 3, [5.0] * 3,
+            [([(0, -1.0), (1, -1.0)], "=", 0.0), ([(2, 1.0)], "<=", 2.0)],
+        )
+        res = solve_lp(lp)
+        assert res.status == OPTIMAL and res.objective == pytest.approx(-2.0)
+        assert driven[0] > 0
+        assert res.iterations == len(pivots)
