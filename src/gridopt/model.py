@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -69,6 +70,11 @@ class ProblemIR:
     objective: tuple[tuple[float, int], ...]  # minimization
     maximize: bool = False  # objective was negated from a maximization input
     name: str = ""
+
+    @cached_property
+    def var_pos(self) -> dict[int, int]:
+        """Position in ``variables`` of each variable id."""
+        return {v.id: i for i, v in enumerate(self.variables)}
 
     @property
     def binary_ids(self) -> tuple[int, ...]:

@@ -301,7 +301,7 @@ def add_no_good_cut(milp: MilpModel, fixing: Fixing) -> int:
 
 def build_subproblem(ir: ProblemIR, fixing: Fixing) -> BoxNlp:
     """Confine every interpolant input to its fixed cell and pin the binaries."""
-    pos = {v.id: i for i, v in enumerate(ir.variables)}
+    pos = ir.var_pos
     var_lo = np.array([v.lo for v in ir.variables], dtype=float)
     var_hi = np.array([v.hi for v in ir.variables], dtype=float)
     for vid, val in zip(fixing.binary_ids, fixing.y):

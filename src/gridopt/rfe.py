@@ -74,6 +74,7 @@ def solve_rfe(
     nodes = 0
     log: list = []
     basis = None  # previous round's root basis; this round adds one cut row
+    nlp_basis = None  # previous subproblem's root basis
 
     def out(status: str) -> RfeResult:
         return RfeResult(
@@ -116,7 +117,9 @@ def solve_rfe(
             return out(OPTIMAL)
         fixing = extract_fixing(milp, mres.x)
         sub = build_subproblem(ir, fixing)
-        sres = solve_box_nlp(sub)
+        sres = solve_box_nlp(sub, basis=nlp_basis)
+        if sres.root_basis is not None:
+            nlp_basis = sres.root_basis
         subs += 1
         if sres.status == OPTIMAL and sres.objective < best_obj - 1e-15:
             best_obj = sres.objective
@@ -187,9 +190,12 @@ def solve_by_enumeration(ir: ProblemIR, limit: int = ENUM_LIMIT) -> RfeResult:
     best_x = None
     best_obj = np.inf
     subs = 0
+    basis = None  # previous subproblem's root basis
     for fixing in fixings:
         sub = build_subproblem(ir, fixing)
-        res = solve_box_nlp(sub)
+        res = solve_box_nlp(sub, basis=basis)
+        if res.root_basis is not None:
+            basis = res.root_basis
         subs += 1
         if res.status == OPTIMAL and res.objective < best_obj - 1e-15:
             best_obj = res.objective

@@ -11,15 +11,20 @@ pivot, those that drive artificials out after phase 1 included; those do not
 advance the refactorization cadence.
 
 Warm start (``solve_lp(..., basis=res.basis)``). Between the two solves the
-column bounds may change and rows may be appended; the columns and the earlier
-rows must stay as they were (this is not checked). Appended rows enter the
-basis with their slack, so a cut that the old optimum violates is the one
-infeasible row. Nonbasic columns take the bound their status names under the
-new bounds; a free one that gained a bound takes it. The solve falls back to
+column bounds, the objective, the coefficients and right-hand sides of the
+existing rows may change, and rows may be appended; the column count must
+stay. The tableau is refactorized from the new rows, so nothing of the old
+values is kept but the basis: a row the dual simplex finds infeasible is a
+Farkas certificate whatever the reduced costs, and a start that is not dual
+feasible is made optimal by the primal clean-up pass. Appended rows enter
+the basis with their slack, so a cut that the old optimum violates is the
+one infeasible row. Nonbasic columns take the bound their status names under
+the new bounds; a free one that gained a bound takes it. The solve falls back to
 the cold path, keeping the pivots already spent in ``iterations``, when the
 shapes do not fit (another column count, or fewer rows), a nonbasic column
-would sit at an infinite bound, the basis is singular, or the dual loop hits
-its iteration or degeneracy limit.
+would sit at an infinite bound, the dual loop hits its iteration or
+degeneracy limit, or the warm attempt raises ``NumericalFailure`` anywhere (a
+singular basis, or one too ill-conditioned for the residual check).
 
 Pivot choice, exactly (pricing and ratio test are array operations, and they
 choose the same pivots as a column-by-column / row-by-row scan):
@@ -190,7 +195,8 @@ class _Tableau:
         """Take ``start``'s basis under the current bounds; False if unusable.
 
         Rows beyond those ``start`` was taken on enter the basis with their
-        slack. Artificials are fixed at 0, as in phase 2.
+        slack. Artificials are fixed at 0, as in phase 2. Raises
+        NumericalFailure if the basis is singular.
         """
         n, m = self.n, self.m
         m0 = start.basis.size
@@ -217,10 +223,7 @@ class _Tableau:
             return False
         self.xval = np.where(at_lo, self.lo, np.where(at_up, self.hi, 0.0))
         self.basis, self.vstat = basis, vstat
-        try:
-            self.refactorize()
-        except NumericalFailure:
-            return False
+        self.refactorize()
         return True
 
     def refactorize(self) -> None:
@@ -334,6 +337,8 @@ def _dual_iterate(tab: _Tableau, cost: np.ndarray, max_iter: int) -> Optional[st
     None to fall back: the iteration or degeneracy limit is hit, or a row's
     infeasibility is not proven.
     """
+    if tab.m == 0:
+        return OPTIMAL  # no basic variable to violate a bound
     degen = 0
     degen_limit = 2 * (tab.m + tab.N)
     movable = tab.lo != tab.hi
@@ -465,12 +470,15 @@ def solve_lp(
     spent = 0  # pivots of an abandoned warm start
     if basis is not None:
         tab = _Tableau(lp, lo, hi)
-        if tab.start_warm(basis):
-            status = _dual_iterate(tab, cost, max_iter)
-            if status == INFEASIBLE:
-                return LpResult(status=INFEASIBLE, iterations=tab.pivots)
-            if status == OPTIMAL:
-                return _phase2(tab, cost, max_iter)
+        try:
+            if tab.start_warm(basis):
+                status = _dual_iterate(tab, cost, max_iter)
+                if status == INFEASIBLE:
+                    return LpResult(status=INFEASIBLE, iterations=tab.pivots)
+                if status == OPTIMAL:
+                    return _phase2(tab, cost, max_iter)
+        except NumericalFailure:
+            pass  # the cold path below starts afresh
         spent = tab.pivots
 
     tab = _Tableau(lp, lo, hi)

@@ -7,7 +7,13 @@ of degree >= 2 built as a chain of bilinear products, and relaxes every product
 with its four McCormick inequalities over the current theta box. Spatial
 branch-and-bound splits the widest theta interval at its midpoint; feasible
 candidates are recovered by fixing theta and repairing the remaining linear
-part, then improved by coordinate descent (each single-theta step is an LP).
+part, then improved by coordinate descent (each step frees one theta
+coordinate per interpolant and is an LP).
+
+Every node LP of one subproblem has the same rows and columns; a child box
+changes only coefficients, right-hand sides and bounds. So each child LP is
+warm-started from its parent's final basis by the dual simplex, and the root
+LP from the caller's ``basis`` (in RFE, the previous subproblem's root).
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 
 from .model import EQ, ProblemIR
 from .relax import BoxNlp
-from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, solve_lp
+from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpBasis, LpProblem, solve_lp
 
 MIN_BOX_WIDTH = 1e-9
 ABS_TOL = 1e-8
@@ -35,6 +41,7 @@ class NlpResult:
     objective: float = np.inf
     bound: float = -np.inf
     nodes: int = 0
+    root_basis: Optional[LpBasis] = None  # the root LP's final basis
 
 
 @dataclass
@@ -70,7 +77,7 @@ def _monomial_coefficients(corners: np.ndarray, n: int) -> dict[frozenset, float
 
 
 def _prepare_blocks(nlp: BoxNlp) -> tuple[list[_Block], int]:
-    pos = {v.id: i for i, v in enumerate(nlp.ir.variables)}
+    pos = nlp.ir.var_pos
     blocks: list[_Block] = []
     off = 0
     for i, (itp, cell) in enumerate(zip(nlp.ir.interpolants, nlp.cells)):
@@ -123,7 +130,7 @@ def _build_node_lp(
     """LP relaxation over (ir vars, theta, monomial aux) for one theta box."""
     ir = nlp.ir
     nv = len(ir.variables)
-    pos = {v.id: i for i, v in enumerate(ir.variables)}
+    pos = ir.var_pos
     lo = list(nlp.var_lo)
     hi = list(nlp.var_hi)
     lo += list(tlo)
@@ -196,24 +203,32 @@ def _build_node_lp(
     return lp, ncols
 
 
+def _pin_block(lo, hi, blk: _Block, th: np.ndarray) -> None:
+    """Fix a block's inputs at theta and its output at f(theta) within its bounds.
+
+    An f(theta) outside the output's bounds leaves lo > hi, so the LP is
+    infeasible.
+    """
+    xin = blk.a_lo + th * blk.width
+    for j, p in enumerate(blk.input_pos):
+        lo[p] = hi[p] = xin[j]
+    fval = sum(cv * float(np.prod([th[j] for j in ss])) for ss, cv in blk.coef.items())
+    p = blk.output_pos
+    lo[p] = max(lo[p], fval)
+    hi[p] = min(hi[p], fval)
+
+
 def _candidate_from_theta(
     nlp: BoxNlp, blocks: list[_Block], theta: np.ndarray
 ) -> Optional[tuple[np.ndarray, float]]:
     """Fix theta, pin the interpolant columns, repair the linear remainder."""
     ir = nlp.ir
     nv = len(ir.variables)
-    pos = {v.id: i for i, v in enumerate(ir.variables)}
+    pos = ir.var_pos
     lo = nlp.var_lo.copy()
     hi = nlp.var_hi.copy()
     for blk in blocks:
-        th = theta[blk.theta_off : blk.theta_off + blk.n]
-        xin = blk.a_lo + th * blk.width
-        fval = 0.0
-        for sset, cval in blk.coef.items():
-            fval += cval * float(np.prod([th[j] for j in sset])) if sset else cval
-        for j, p in enumerate(blk.input_pos):
-            lo[p] = hi[p] = xin[j]
-        lo[blk.output_pos] = hi[blk.output_pos] = fval
+        _pin_block(lo, hi, blk, theta[blk.theta_off : blk.theta_off + blk.n])
     rows = [
         ([(pos[v], cf) for cf, v in c.terms], c.sense, c.rhs)
         for c in ir.constraints
@@ -235,71 +250,59 @@ def _coordinate_descent(
     thi: np.ndarray,
     best: tuple[np.ndarray, float],
 ) -> tuple[np.ndarray, tuple[np.ndarray, float]]:
-    """Improve a candidate by re-optimizing one theta coordinate at a time.
+    """Improve a candidate by re-optimizing one theta coordinate per block at a time.
 
-    With all other coordinates fixed, every interpolant output is affine in the
-    free coordinate, so each step is an exact LP.
+    Step j frees coordinate j of every block that has one, as its own column,
+    and fixes the others. Each interpolant output is then affine in its
+    block's free coordinate, so the step is an exact LP, and blocks coupled
+    by a linear row move together.
     """
     ir = nlp.ir
     nv = len(ir.variables)
-    pos = {v.id: i for i, v in enumerate(ir.variables)}
-    obj = np.zeros(nv + 1)
-    for cf, v in ir.objective:
-        obj[pos[v]] += cf
+    pos = ir.var_pos
     base_rows = [
         ([(pos[v], cf) for cf, v in c.terms], c.sense, c.rhs)
         for c in ir.constraints
     ]
     for _ in range(3):
         improved = False
-        for blk in blocks:
-            for jfree in range(blk.n):
-                k = blk.theta_off + jfree
-                lo = list(nlp.var_lo) + [tlo[k]]
-                hi = list(nlp.var_hi) + [thi[k]]
-                rows = list(base_rows)
-                for b2 in blocks:
-                    th = theta[b2.theta_off : b2.theta_off + b2.n]
-                    if b2 is not blk:
-                        xin = b2.a_lo + th * b2.width
-                        fval = sum(
-                            cv * float(np.prod([th[j] for j in ss]))
-                            for ss, cv in b2.coef.items()
+        for jfree in range(max((blk.n for blk in blocks), default=0)):
+            free = [blk.theta_off + jfree for blk in blocks if jfree < blk.n]
+            lo = list(nlp.var_lo) + [tlo[k] for k in free]
+            hi = list(nlp.var_hi) + [thi[k] for k in free]
+            rows = list(base_rows)
+            col = nv
+            for blk in blocks:
+                th = theta[blk.theta_off : blk.theta_off + blk.n]
+                if jfree >= blk.n:
+                    _pin_block(lo, hi, blk, th)
+                    continue
+                for j, p in enumerate(blk.input_pos):
+                    if j == jfree:
+                        rows.append(
+                            ([(p, 1.0), (col, -blk.width[j])], EQ, float(blk.a_lo[j]))
                         )
-                        for j, p in enumerate(b2.input_pos):
-                            lo[p] = hi[p] = xin[j]
-                        lo[b2.output_pos] = hi[b2.output_pos] = fval
-                        continue
-                    for j, p in enumerate(blk.input_pos):
-                        if j == jfree:
-                            rows.append(
-                                (
-                                    [(p, 1.0), (nv, -blk.width[j])],
-                                    EQ,
-                                    float(blk.a_lo[j]),
-                                )
-                            )
-                        else:
-                            lo[p] = hi[p] = blk.a_lo[j] + th[j] * blk.width[j]
-                    slope = 0.0
-                    const = 0.0
-                    for ss, cv in blk.coef.items():
-                        rest = float(
-                            np.prod([th[j] for j in ss if j != jfree])
-                        )
-                        if jfree in ss:
-                            slope += cv * rest
-                        else:
-                            const += cv * rest
-                    rows.append(
-                        ([(blk.output_pos, 1.0), (nv, -slope)], EQ, const)
-                    )
-                res = solve_lp(LpProblem.from_rows(nv + 1, obj, lo, hi, rows))
-                if res.status == OPTIMAL and res.objective < best[1] - 1e-12:
-                    theta = theta.copy()
-                    theta[k] = res.x[nv]
-                    best = (res.x[:nv].copy(), res.objective)
-                    improved = True
+                    else:
+                        lo[p] = hi[p] = blk.a_lo[j] + th[j] * blk.width[j]
+                slope = 0.0
+                const = 0.0
+                for ss, cv in blk.coef.items():
+                    rest = float(np.prod([th[j] for j in ss if j != jfree]))
+                    if jfree in ss:
+                        slope += cv * rest
+                    else:
+                        const += cv * rest
+                rows.append(([(blk.output_pos, 1.0), (col, -slope)], EQ, const))
+                col += 1
+            obj = np.zeros(col)
+            for cf, v in ir.objective:
+                obj[pos[v]] += cf
+            res = solve_lp(LpProblem.from_rows(col, obj, lo, hi, rows))
+            if res.status == OPTIMAL and res.objective < best[1] - 1e-12:
+                theta = theta.copy()
+                theta[free] = res.x[nv:]
+                best = (res.x[:nv].copy(), res.objective)
+                improved = True
         if not improved:
             break
     return theta, best
@@ -310,8 +313,13 @@ def solve_box_nlp(
     abs_tol: float = ABS_TOL,
     rel_tol: float = REL_TOL,
     node_limit: int = 100_000,
+    basis: Optional[LpBasis] = None,
 ) -> NlpResult:
-    """Globally minimize the IR objective over one cell assignment."""
+    """Globally minimize the IR objective over one cell assignment.
+
+    ``basis`` warm-starts the root LP; it may come from another subproblem
+    (``solve_lp`` falls back to a cold start when it does not fit).
+    """
     if np.any(nlp.var_lo > nlp.var_hi + 1e-12):
         return NlpResult(status=INFEASIBLE)
     blocks, nth = _prepare_blocks(nlp)
@@ -339,7 +347,7 @@ def solve_box_nlp(
             best = cand
 
     lp, _ = _build_node_lp(nlp, blocks, nth, tlo0, thi0)
-    root = solve_lp(lp)
+    root = solve_lp(lp, basis=basis)
     nodes += 1
     if root.status == INFEASIBLE:
         return NlpResult(status=INFEASIBLE, nodes=nodes)
@@ -348,14 +356,15 @@ def solve_box_nlp(
     nv = len(nlp.ir.variables)
     try_theta(root.x[nv : nv + nth], tlo0, thi0)
 
-    heap: list = [(root.objective, next(tick), tlo0, thi0, root.x)]
+    heap: list = [(root.objective, next(tick), tlo0, thi0, root.x, root.basis)]
     bound = root.objective
     while heap:
-        node_bound, _, tlo, thi, xrel = heapq.heappop(heap)
+        node_bound, _, tlo, thi, xrel, start = heapq.heappop(heap)
         bound = node_bound
         if best is not None and bound >= best[1] - max(abs_tol, rel_tol * abs(best[1])):
             return NlpResult(
-                status=OPTIMAL, x=best[0], objective=best[1], bound=best[1], nodes=nodes
+                status=OPTIMAL, x=best[0], objective=best[1], bound=best[1],
+                nodes=nodes, root_basis=root.basis,
             )
         if nodes >= node_limit:
             break
@@ -372,7 +381,7 @@ def solve_box_nlp(
             else:
                 clo[k] = mid
             lp, _ = _build_node_lp(nlp, blocks, nth, clo, chi)
-            res = solve_lp(lp)
+            res = solve_lp(lp, basis=start)
             nodes += 1
             if res.status != OPTIMAL:
                 continue
@@ -381,10 +390,11 @@ def solve_box_nlp(
                 abs_tol, rel_tol * abs(best[1])
             ):
                 continue
-            heapq.heappush(heap, (res.objective, next(tick), clo, chi, res.x))
+            heapq.heappush(heap, (res.objective, next(tick), clo, chi, res.x, res.basis))
 
     if best is None:
-        return NlpResult(status=INFEASIBLE, nodes=nodes)
+        return NlpResult(status=INFEASIBLE, nodes=nodes, root_basis=root.basis)
     return NlpResult(
-        status=OPTIMAL, x=best[0], objective=best[1], bound=bound, nodes=nodes
+        status=OPTIMAL, x=best[0], objective=best[1], bound=bound, nodes=nodes,
+        root_basis=root.basis,
     )

@@ -4,8 +4,9 @@ Small LPs are checked against brute-force vertex enumeration; random LPs with
 mixed senses and bound patterns against scipy's HiGHS; duals via weak duality
 and complementary slackness spot checks. The array-based pricing and ratio test
 are checked call by call against the scalar loops they replaced. Warm starts
-from an earlier optimal basis, after a bound change or an appended row, are
-checked against HiGHS on the changed LP.
+from an earlier optimal basis, after a bound change, an appended row, or new
+coefficients and right-hand sides in the existing rows, are checked against
+HiGHS on the changed LP.
 """
 
 import dataclasses
@@ -17,7 +18,7 @@ import pytest
 from scipy.optimize import linprog
 
 from gridopt import _kernels, simplex
-from gridopt.errors import ProblemTooLarge
+from gridopt.errors import NumericalFailure, ProblemTooLarge
 from gridopt.simplex import (
     _AT_LO,
     _AT_UP,
@@ -525,6 +526,66 @@ class TestWarmStart:
         assert got.status == OPTIMAL
         assert got.objective == pytest.approx(-1.25)
         assert dual_outcomes == [OPTIMAL]  # a clash of numbers would be singular
+
+    def test_changed_rows_match_cold_and_scipy(self, dual_outcomes):
+        # new coefficients and right-hand sides in every row: the old basis is
+        # refactorized from them, and is in general neither primal nor dual
+        # feasible
+        rng = np.random.default_rng(36)
+        seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+        for lp, res in _optimal_lps(rng, 100):
+            moved = dataclasses.replace(
+                lp,
+                A=lp.A + 0.3 * rng.normal(size=lp.A.shape),
+                rhs=lp.rhs + 0.3 * rng.normal(size=lp.nrows),
+            )
+            dual_outcomes.clear()
+            got = solve_lp(moved, basis=res.basis)
+            cold = solve_lp(moved)
+            assert got.status == cold.status
+            if _scipy_solve(moved).status == 3:
+                assert got.status == UNBOUNDED
+            else:
+                _assert_matches_scipy(got, moved)
+            if got.status == OPTIMAL:
+                assert got.objective == pytest.approx(cold.objective, abs=1e-9, rel=1e-9)
+            assert dual_outcomes in ([OPTIMAL], [INFEASIBLE])  # no fallback
+            seen[got.status] += 1
+        assert min(seen.values()) > 0, seen
+
+    def test_zero_rows(self, dual_outcomes):
+        lp = LpProblem.from_rows(3, [1.0, -2.0, 0.5], [0.0, -1.0, 2.0], [4.0, 3.0, 5.0], [])
+        res = solve_lp(lp)
+        assert res.status == OPTIMAL and res.objective == pytest.approx(-5.0)
+        got = solve_lp(lp, np.array([1.0, -1.0, 2.0]), np.array([4.0, 2.0, 5.0]), basis=res.basis)
+        assert got.status == OPTIMAL
+        assert got.objective == pytest.approx(-2.0)
+        np.testing.assert_allclose(got.x, [1.0, 2.0, 2.0])
+        assert dual_outcomes == [OPTIMAL]
+
+    @pytest.mark.parametrize("stage", ["_dual_iterate", "_phase2"])
+    def test_numerical_failure_falls_back_to_cold(self, monkeypatch, stage):
+        rng = np.random.default_rng(37)
+        lp, res = next(_optimal_lps(rng, 1))
+        a = rng.normal(size=lp.ncols)
+        cut = _with_row(lp, a, ">=", float(a @ res.x) + 0.5)
+        cold = solve_lp(cut)
+        real = getattr(simplex, stage)
+        calls = []
+
+        def fail_first(tab, *args):
+            calls.append(tab.pivots)
+            if len(calls) == 1:
+                raise NumericalFailure("ill-conditioned warm basis")
+            return real(tab, *args)
+
+        monkeypatch.setattr(simplex, stage, fail_first)
+        got = solve_lp(cut, basis=res.basis)
+        assert got.status == cold.status
+        assert got.objective == cold.objective
+        np.testing.assert_array_equal(got.x, cold.x)
+        # the pivots of the abandoned warm attempt stay counted
+        assert got.iterations == cold.iterations + calls[0]
 
 
 class TestIterationsCountEveryPivot:

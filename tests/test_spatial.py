@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gridopt import rfe, spatial
 from gridopt.gridtab import CellIndex, interpolate, make_grid, make_table, product_table
 from gridopt.model import (
     CONTINUOUS,
@@ -11,9 +12,11 @@ from gridopt.model import (
     VarRef,
     build_problem,
 )
-from gridopt.relax import BoxNlp
+from gridopt.relax import BoxNlp, build_subproblem
 from gridopt.simplex import INFEASIBLE, OPTIMAL
 from gridopt.spatial import _monomial_coefficients, solve_box_nlp
+
+from _random_instances import random_instance
 
 
 def _single_cell_nlp(table, constraints=(), objective=None, out_bounds=(-100, 100)):
@@ -154,3 +157,55 @@ class TestEdgeCases:
         res = solve_box_nlp(nlp)
         assert res.status == OPTIMAL
         assert res.objective == pytest.approx(0.0)
+
+    def test_candidate_respects_output_bounds(self):
+        # f reaches 2.5 and -3.9 at two corners, outside y's range [-0.5, 0.5];
+        # pinning y to f(theta) regardless of that range once returned an
+        # "optimal" y = 1.086 with objective -0.4106
+        g = make_grid([[0.0, 1.0], [0.0, 1.0]])
+        tab = make_table(g, [1.0, 2.5, 1.0, -3.9])
+        nlp = _single_cell_nlp(
+            tab, objective=[(0.9, 0), (0.4, 1), (-0.5, 2)], out_bounds=(-0.5, 0.5)
+        )
+        for res in (solve_box_nlp(nlp), rfe.solve_rfe(nlp.ir)):
+            assert res.status == OPTIMAL
+            x = res.x
+            assert np.all(x >= nlp.var_lo - 1e-9) and np.all(x <= nlp.var_hi + 1e-9)
+            assert x[2] == pytest.approx(interpolate(tab, x[:2]), abs=1e-9)
+            assert res.objective == pytest.approx(0.9 * x[0] + 0.4 * x[1] - 0.5 * x[2])
+            # the best point of a 401 x 401 grid of feasible inputs
+            assert res.objective <= 0.2966 + 1e-6
+
+
+class TestWarmNodeLps:
+    def test_warm_nodes_match_cold_with_fewer_pivots(self, monkeypatch):
+        """Every cell of the first random-pool instances, root LP cold in both runs."""
+        solve_lp = spatial.solve_lp
+        cold = [False]
+        pivots = {False: 0, True: 0}  # node and root LPs only, by cold
+
+        def counted(lp, *args, **kwargs):
+            node_lp = "basis" in kwargs
+            if cold[0]:
+                kwargs.pop("basis", None)
+            res = solve_lp(lp, *args, **kwargs)
+            if node_lp:
+                pivots[cold[0]] += res.iterations
+            return res
+
+        monkeypatch.setattr(spatial, "solve_lp", counted)
+        cells = 0
+        for seed in range(12):
+            ir = random_instance(seed)
+            for fixing in rfe._enumerate_fixings(ir, rfe.ENUM_LIMIT):
+                nlp = build_subproblem(ir, fixing)
+                cold[0] = True
+                ref = solve_box_nlp(nlp)
+                cold[0] = False
+                got = solve_box_nlp(nlp)
+                assert got.status == ref.status
+                if ref.status == OPTIMAL:
+                    assert got.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
+                cells += 1
+        assert cells > 100
+        assert pivots[False] < 0.7 * pivots[True], pivots
