@@ -9,9 +9,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Optional
+
+# One BLAS/OpenMP thread, set before numpy is imported: on a small machine an
+# unpinned OpenBLAS can make a single small np.linalg.solve many times slower,
+# and every warm-started simplex solve refactorizes with one.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 

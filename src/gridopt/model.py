@@ -186,35 +186,6 @@ def build_problem(
     )
 
 
-def validate(ir: ProblemIR) -> list[str]:
-    """Diagnostic sweep over the IR invariants; empty list means all hold."""
-    report: list[str] = []
-    ids = {v.id for v in ir.variables}
-    for v in ir.variables:
-        if v.lo > v.hi:
-            report.append(f"variable {v.id}: lo > hi")
-        if v.kind == BINARY and (v.lo, v.hi) != (0.0, 1.0):
-            report.append(f"variable {v.id}: binary bounds not [0, 1]")
-    for c in ir.constraints:
-        seen = set()
-        for coef, vid in c.terms:
-            if vid not in ids:
-                report.append(f"constraint {c.name or '?'}: undeclared variable {vid}")
-            if vid in seen:
-                report.append(f"constraint {c.name or '?'}: repeated variable {vid}")
-            seen.add(vid)
-            if not math.isfinite(coef):
-                report.append(f"constraint {c.name or '?'}: non-finite coefficient")
-    used = {vid for c in ir.constraints for _, vid in c.terms}
-    used |= {vid for _, vid in ir.objective}
-    for idx, itp in enumerate(ir.interpolants):
-        if not np.all(np.isfinite(itp.table.values)):
-            report.append(f"interpolant {idx}: non-finite table value")
-        if itp.output not in used:
-            report.append(f"interpolant {idx}: output {itp.output} unused")
-    return report
-
-
 def problem_size(ir: ProblemIR) -> SizeRecord:
     """Deterministic size of the relaxation that build_relaxation will create.
 

@@ -1,19 +1,20 @@
 """Deterministic global solver for cell-restricted multilinear subproblems.
 
-Inside one grid cell each interpolant is a multilinear polynomial of the
-normalized cell coordinates theta in [0, 1]^n. The solver expands that
-polynomial in the monomial basis, introduces one auxiliary column per monomial
-of degree >= 2 built as a chain of bilinear products, and relaxes every product
-with its four McCormick inequalities over the current theta box. Spatial
-branch-and-bound splits the widest theta interval at its midpoint; feasible
-candidates are recovered by fixing theta and repairing the remaining linear
-part, then improved by coordinate descent (each step frees one theta
-coordinate per interpolant and is an LP).
+Inside one grid cell each interpolant is a multilinear function of the
+normalized cell coordinates theta in [0, 1]^n. A multilinear function is
+vertex-polyhedral, so over any theta box the convex hull of its graph is the
+set of convex combinations of its 2^n box corners (Rikun 1997). The node LP
+relaxes each interpolant by exactly that hull: one weight per box corner,
+with the inputs and the output the weighted sums of the corners and of the
+function values there. Spatial branch-and-bound splits the widest theta
+interval at its midpoint; feasible candidates are recovered by fixing theta
+and repairing the remaining linear part, then improved by coordinate descent
+(each step frees one theta coordinate per interpolant and is an LP).
 
 Every node LP of one subproblem has the same rows and columns; a child box
-changes only coefficients, right-hand sides and bounds. So each child LP is
-warm-started from its parent's final basis by the dual simplex, and the root
-LP from the caller's ``basis`` (in RFE, the previous subproblem's root).
+changes only the coefficients of the corner-weight columns. So each child LP
+is warm-started from its parent's final basis by the dual simplex, and the
+root LP from the caller's ``basis`` (in RFE, the previous subproblem's root).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import EQ, ProblemIR
+from .model import EQ
 from .relax import BoxNlp
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpBasis, LpProblem, solve_lp
 
@@ -46,34 +47,24 @@ class NlpResult:
 
 @dataclass
 class _Block:
-    """One active interpolant: cell geometry and monomial expansion."""
+    """One active interpolant: cell geometry and cell corner values."""
 
     itp_index: int
     input_pos: list[int]  # positions in ir.variables
     output_pos: int
     a_lo: np.ndarray  # cell lower corner per axis
     width: np.ndarray  # cell edge length per axis
-    coef: dict[frozenset, float]  # monomial coefficients over theta
+    corners: np.ndarray  # f at the 2^n cell corners; corner bit j indexes axis j
     theta_off: int  # first theta index of this block
     n: int
 
-
-def _monomial_coefficients(corners: np.ndarray, n: int) -> dict[frozenset, float]:
-    """Expand sum_b v_b prod_j (theta_j if b_j else 1-theta_j) in monomials."""
-    coef: dict[frozenset, float] = {}
-    for S in range(1 << n):
-        sset = frozenset(j for j in range(n) if (S >> j) & 1)
-        total = 0.0
-        b = S
-        while True:  # all submasks of S
-            sign = -1.0 if (bin(S ^ b).count("1") % 2) else 1.0
-            total += sign * corners[b]
-            if b == 0:
-                break
-            b = (b - 1) & S
-        if total != 0.0 or not sset:
-            coef[sset] = total
-    return coef
+    def f(self, theta: np.ndarray) -> np.ndarray:
+        """f at theta of shape (..., n): corner weights dotted with the values."""
+        w = np.ones(theta.shape[:-1] + (1,))
+        for j in range(self.n):
+            t = theta[..., j : j + 1]
+            w = np.concatenate([w * (1.0 - t), w * t], axis=-1)
+        return w @ self.corners
 
 
 def _prepare_blocks(nlp: BoxNlp) -> tuple[list[_Block], int]:
@@ -86,7 +77,6 @@ def _prepare_blocks(nlp: BoxNlp) -> tuple[list[_Block], int]:
         grid = itp.table.grid
         a_lo = np.array([grid.axes[j][cell.t[j]] for j in range(grid.n)])
         a_hi = np.array([grid.axes[j][cell.t[j] + 1] for j in range(grid.n)])
-        corners = itp.table.cell_corner_values(cell)
         blocks.append(
             _Block(
                 itp_index=i,
@@ -94,7 +84,7 @@ def _prepare_blocks(nlp: BoxNlp) -> tuple[list[_Block], int]:
                 output_pos=pos[itp.output],
                 a_lo=a_lo,
                 width=a_hi - a_lo,
-                coef=_monomial_coefficients(corners, grid.n),
+                corners=itp.table.cell_corner_values(cell),
                 theta_off=off,
                 n=grid.n,
             )
@@ -105,102 +95,55 @@ def _prepare_blocks(nlp: BoxNlp) -> tuple[list[_Block], int]:
 
 def _theta_start(nlp: BoxNlp, blk: _Block) -> tuple[np.ndarray, np.ndarray]:
     """Initial theta box: the cell intersected with the variable bounds."""
-    lo = np.zeros(blk.n)
-    hi = np.ones(blk.n)
-    for j, p in enumerate(blk.input_pos):
-        if blk.width[j] <= 0:
-            continue
-        lo[j] = max(0.0, (nlp.var_lo[p] - blk.a_lo[j]) / blk.width[j])
-        hi[j] = min(1.0, (nlp.var_hi[p] - blk.a_lo[j]) / blk.width[j])
+    lo = np.maximum(0.0, (nlp.var_lo[blk.input_pos] - blk.a_lo) / blk.width)
+    hi = np.minimum(1.0, (nlp.var_hi[blk.input_pos] - blk.a_lo) / blk.width)
     return lo, hi
 
 
-def _interval_mul(al, ah, bl, bh) -> tuple[float, float]:
-    p = (al * bl, al * bh, ah * bl, ah * bh)
-    return min(p), max(p)
-
-
 def _build_node_lp(
-    nlp: BoxNlp,
-    blocks: list[_Block],
-    nth: int,
-    tlo: np.ndarray,
-    thi: np.ndarray,
-) -> tuple[LpProblem, int]:
-    """LP relaxation over (ir vars, theta, monomial aux) for one theta box."""
+    nlp: BoxNlp, blocks: list[_Block], tlo: np.ndarray, thi: np.ndarray
+) -> LpProblem:
+    """LP relaxation over (ir vars, corner weights) for one theta box.
+
+    Each block gets one weight per corner of its theta box; the inputs and
+    the output are the weighted sums of the corners and of f there, which
+    is the convex hull of f's graph over the box.
+    """
     ir = nlp.ir
-    nv = len(ir.variables)
     pos = ir.var_pos
     lo = list(nlp.var_lo)
     hi = list(nlp.var_hi)
-    lo += list(tlo)
-    hi += list(thi)
-    ncols = nv + nth
-
-    rows: list[tuple[list[tuple[int, float]], str, float]] = []
-    for c in ir.constraints:
-        rows.append(([(pos[v], cf) for cf, v in c.terms], c.sense, c.rhs))
-
-    aux_bounds: list[tuple[float, float]] = []
+    rows: list[tuple[list[tuple[int, float]], str, float]] = [
+        ([(pos[v], cf) for cf, v in c.terms], c.sense, c.rhs) for c in ir.constraints
+    ]
+    col = len(ir.variables)
     for blk in blocks:
-        tcol = lambda j: nv + blk.theta_off + j  # noqa: E731
+        k = 1 << blk.n
+        bits = (np.arange(k)[:, None] >> np.arange(blk.n)) & 1
+        s = slice(blk.theta_off, blk.theta_off + blk.n)
+        theta = np.where(bits, thi[s], tlo[s])  # box corners, (2^n, n)
+        xs = blk.a_lo + theta * blk.width
+        lam = list(range(col, col + k))
         for j, p in enumerate(blk.input_pos):
-            rows.append(
-                ([(p, 1.0), (tcol(j), -blk.width[j])], EQ, float(blk.a_lo[j]))
-            )
-        # auxiliary chain: column and interval per monomial of degree >= 2
-        aux_col: dict[frozenset, int] = {}
-        iv: dict[frozenset, tuple[float, float]] = {
-            frozenset([j]): (tlo[blk.theta_off + j], thi[blk.theta_off + j])
-            for j in range(blk.n)
-        }
-        for size in range(2, blk.n + 1):
-            for S in itertools.combinations(range(blk.n), size):
-                sset = frozenset(S)
-                if not any(sset <= T for T in blk.coef if len(T) >= size):
-                    continue  # not needed by any monomial
-                prefix = frozenset(S[:-1])
-                last = S[-1]
-                ucol = tcol(S[0]) if size == 2 else aux_col[prefix]
-                ul, uh = iv[prefix] if size > 2 else iv[frozenset([S[0]])]
-                wl, wh = iv[frozenset([last])]
-                pl, ph = _interval_mul(ul, uh, wl, wh)
-                col = ncols + len(aux_bounds)
-                aux_bounds.append((pl, ph))
-                aux_col[sset] = col
-                iv[sset] = (pl, ph)
-                wcol = tcol(last)
-                rows.append(
-                    ([(col, 1.0), (ucol, -wl), (wcol, -ul)], ">=", -ul * wl)
-                )
-                rows.append(
-                    ([(col, 1.0), (ucol, -wh), (wcol, -uh)], ">=", -uh * wh)
-                )
-                rows.append(
-                    ([(col, 1.0), (ucol, -wh), (wcol, -ul)], "<=", -ul * wh)
-                )
-                rows.append(
-                    ([(col, 1.0), (ucol, -wl), (wcol, -uh)], "<=", -uh * wl)
-                )
-        out_terms: list[tuple[int, float]] = [(blk.output_pos, 1.0)]
-        const = 0.0
-        for sset, cval in blk.coef.items():
-            if not sset:
-                const += cval
-            elif len(sset) == 1:
-                out_terms.append((tcol(next(iter(sset))), -cval))
-            else:
-                out_terms.append((aux_col[sset], -cval))
-        rows.append((out_terms, EQ, const))
-
-    for pl, ph in aux_bounds:
-        lo.append(pl)
-        hi.append(ph)
-    obj = np.zeros(ncols + len(aux_bounds))
+            rows.append(([(p, 1.0)] + list(zip(lam, -xs[:, j])), EQ, 0.0))
+        rows.append(([(c, 1.0) for c in lam], EQ, 1.0))
+        rows.append(([(blk.output_pos, 1.0)] + list(zip(lam, -blk.f(theta))), EQ, 0.0))
+        lo += [0.0] * k
+        hi += [1.0] * k
+        col += k
+    obj = np.zeros(col)
     for cf, v in ir.objective:
         obj[pos[v]] += cf
-    lp = LpProblem.from_rows(ncols + len(aux_bounds), obj, lo, hi, rows)
-    return lp, ncols
+    return LpProblem.from_rows(col, obj, lo, hi, rows)
+
+
+def _theta_of(blocks: list[_Block], x: np.ndarray, nth: int) -> np.ndarray:
+    """Every block's theta at the inputs of x."""
+    theta = np.empty(nth)
+    for blk in blocks:
+        s = slice(blk.theta_off, blk.theta_off + blk.n)
+        theta[s] = (x[blk.input_pos] - blk.a_lo) / blk.width
+    return theta
 
 
 def _pin_block(lo, hi, blk: _Block, th: np.ndarray) -> None:
@@ -212,7 +155,7 @@ def _pin_block(lo, hi, blk: _Block, th: np.ndarray) -> None:
     xin = blk.a_lo + th * blk.width
     for j, p in enumerate(blk.input_pos):
         lo[p] = hi[p] = xin[j]
-    fval = sum(cv * float(np.prod([th[j] for j in ss])) for ss, cv in blk.coef.items())
+    fval = float(blk.f(th))
     p = blk.output_pos
     lo[p] = max(lo[p], fval)
     hi[p] = min(hi[p], fval)
@@ -284,14 +227,10 @@ def _coordinate_descent(
                         )
                     else:
                         lo[p] = hi[p] = blk.a_lo[j] + th[j] * blk.width[j]
-                slope = 0.0
-                const = 0.0
-                for ss, cv in blk.coef.items():
-                    rest = float(np.prod([th[j] for j in ss if j != jfree]))
-                    if jfree in ss:
-                        slope += cv * rest
-                    else:
-                        const += cv * rest
+                ends = np.repeat(th[None, :], 2, axis=0)
+                ends[:, jfree] = (0.0, 1.0)
+                const, at_one = blk.f(ends)
+                slope = at_one - const
                 rows.append(([(blk.output_pos, 1.0), (col, -slope)], EQ, const))
                 col += 1
             obj = np.zeros(col)
@@ -346,15 +285,14 @@ def solve_box_nlp(
         if best is None or cand[1] < best[1] - 1e-15:
             best = cand
 
-    lp, _ = _build_node_lp(nlp, blocks, nth, tlo0, thi0)
+    lp = _build_node_lp(nlp, blocks, tlo0, thi0)
     root = solve_lp(lp, basis=basis)
     nodes += 1
     if root.status == INFEASIBLE:
         return NlpResult(status=INFEASIBLE, nodes=nodes)
     if root.status == UNBOUNDED:
         return NlpResult(status=OPTIMAL, objective=-np.inf, bound=-np.inf, nodes=nodes)
-    nv = len(nlp.ir.variables)
-    try_theta(root.x[nv : nv + nth], tlo0, thi0)
+    try_theta(_theta_of(blocks, root.x, nth), tlo0, thi0)
 
     heap: list = [(root.objective, next(tick), tlo0, thi0, root.x, root.basis)]
     bound = root.objective
@@ -380,12 +318,12 @@ def solve_box_nlp(
                 chi[k] = mid
             else:
                 clo[k] = mid
-            lp, _ = _build_node_lp(nlp, blocks, nth, clo, chi)
+            lp = _build_node_lp(nlp, blocks, clo, chi)
             res = solve_lp(lp, basis=start)
             nodes += 1
             if res.status != OPTIMAL:
                 continue
-            try_theta(res.x[nv : nv + nth], clo, chi)
+            try_theta(_theta_of(blocks, res.x, nth), clo, chi)
             if best is not None and res.objective >= best[1] - max(
                 abs_tol, rel_tol * abs(best[1])
             ):

@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, determinism, reports, exports."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gridopt
 from gridopt import instancefile
 from gridopt.cli import main
 from gridopt.gridtab import make_grid, make_table
@@ -158,3 +162,15 @@ class TestBench:
         rows = json.loads(out_json.read_text())
         assert rows[0]["rfe"]["status"] == "Optimal"
         assert rows[1]["rfe"]["status"] == "Infeasible"
+
+
+class TestBlasThreads:
+    def test_cli_import_pins_one_thread(self):
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(gridopt.__file__))
+        code = f"import os, gridopt.cli; print([os.environ.get(k) for k in {names!r}])"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == str(["1", "1", "1"])

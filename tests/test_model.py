@@ -13,7 +13,6 @@ from gridopt.model import (
     VarRef,
     build_problem,
     problem_size,
-    validate,
 )
 from gridopt.relax import build_relaxation
 
@@ -90,9 +89,6 @@ class TestBuildProblem:
     def test_duplicate_variable_id(self):
         with pytest.raises(ValueError):
             build_problem([VarRef(0, CONTINUOUS, 0, 1), VarRef(0, CONTINUOUS, 0, 1)])
-
-    def test_validate_clean(self):
-        assert validate(_simple_ir()) == []
 
 
 class TestProblemSize:

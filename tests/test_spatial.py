@@ -14,7 +14,7 @@ from gridopt.model import (
 )
 from gridopt.relax import BoxNlp, build_subproblem
 from gridopt.simplex import INFEASIBLE, OPTIMAL
-from gridopt.spatial import _monomial_coefficients, solve_box_nlp
+from gridopt.spatial import _prepare_blocks, solve_box_nlp
 
 from _random_instances import random_instance
 
@@ -37,28 +37,24 @@ def _single_cell_nlp(table, constraints=(), objective=None, out_bounds=(-100, 10
     return BoxNlp(ir, lo, hi, (CellIndex((0,) * n),))
 
 
-class TestMonomialExpansion:
-    def test_bilinear_expansion(self):
-        # corners ordered by bitmask: 00, 01(axis1 high... bit j = axis j)
-        corners = np.array([1.0, 2.0, 3.0, 5.0])  # v00, v10, v01, v11 by bit order
-        coef = _monomial_coefficients(corners, 2)
-        # f = 1 + (2-1)t0 + (3-1)t1 + (5-3-2+1) t0 t1
-        assert coef[frozenset()] == 1.0
-        assert coef[frozenset([0])] == 1.0
-        assert coef[frozenset([1])] == 2.0
-        assert coef[frozenset([0, 1])] == 1.0
-
-    def test_expansion_reproduces_values(self):
+class TestCornerEvaluator:
+    def test_matches_interpolate(self):
+        """f at theta equals the table's interpolant at the mapped point."""
         rng = np.random.default_rng(4)
         for n in (1, 2, 3, 4):
-            corners = rng.normal(size=1 << n)
-            coef = _monomial_coefficients(corners, n)
-            for b in range(1 << n):
-                theta = [(b >> j) & 1 for j in range(n)]
-                val = sum(
-                    c * np.prod([theta[j] for j in S]) for S, c in coef.items()
-                )
-                assert val == pytest.approx(corners[b], abs=1e-12)
+            g = make_grid([np.sort(rng.uniform(-5, 5, size=3)) for _ in range(n)])
+            tab = make_table(g, rng.normal(size=g.num_corners))
+            cell = CellIndex(tuple(int(t) for t in rng.integers(0, 2, size=n)))
+            nlp = _single_cell_nlp(tab)
+            (blk,), _ = _prepare_blocks(BoxNlp(nlp.ir, nlp.var_lo, nlp.var_hi, (cell,)))
+            box_corners = [[(b >> j) & 1 for j in range(n)] for b in range(1 << n)]
+            for theta in np.vstack([box_corners, rng.uniform(0, 1, size=(20, n))]):
+                x = blk.a_lo + theta * blk.width
+                assert blk.f(theta) == pytest.approx(interpolate(tab, x), abs=1e-12)
+            # and many points at once
+            thetas = rng.uniform(0, 1, size=(5, n))
+            want = [interpolate(tab, blk.a_lo + t * blk.width) for t in thetas]
+            np.testing.assert_allclose(blk.f(thetas), want, atol=1e-12)
 
 
 class TestKnownOptima:
@@ -84,6 +80,18 @@ class TestKnownOptima:
             res = solve_box_nlp(_single_cell_nlp(tab))
             assert res.status == OPTIMAL
             assert res.objective == pytest.approx(vals.min(), abs=1e-8)
+
+    def test_pure_multilinear_cell_closes_at_root(self):
+        """The node LP is the hull of f, so the root closes a cell with no rows."""
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 3, 4):
+            g = make_grid([[0.0, 1.0]] * n)
+            for _ in range(20):
+                vals = rng.normal(size=1 << n)
+                res = solve_box_nlp(_single_cell_nlp(make_table(g, vals)))
+                assert res.status == OPTIMAL
+                assert res.nodes == 1
+                assert res.objective == vals.min()
 
     def test_trilinear_constrained_vs_sampling(self):
         rng = np.random.default_rng(21)
@@ -179,19 +187,32 @@ class TestEdgeCases:
 
 class TestWarmNodeLps:
     def test_warm_nodes_match_cold_with_fewer_pivots(self, monkeypatch):
-        """Every cell of the first random-pool instances, root LP cold in both runs."""
+        """Every cell of the first random-pool instances, root LP cold in both runs.
+
+        Only child node LPs, the ones the warm run starts from a parent basis,
+        count towards the pivots: the cold roots would otherwise dominate the
+        sum, since most cells close at the root.
+        """
         solve_lp = spatial.solve_lp
         cold = [False]
-        pivots = {False: 0, True: 0}  # node and root LPs only, by cold
+        node_lps = [0]  # node LPs of the current solve; the first is the root
+        pivots = {False: 0, True: 0}  # child node LPs only, by cold
 
         def counted(lp, *args, **kwargs):
             node_lp = "basis" in kwargs
+            child_lp = node_lp and node_lps[0] > 0
+            node_lps[0] += node_lp
             if cold[0]:
                 kwargs.pop("basis", None)
             res = solve_lp(lp, *args, **kwargs)
-            if node_lp:
+            if child_lp:
                 pivots[cold[0]] += res.iterations
             return res
+
+        def solve(nlp, as_cold):
+            cold[0] = as_cold
+            node_lps[0] = 0
+            return solve_box_nlp(nlp)
 
         monkeypatch.setattr(spatial, "solve_lp", counted)
         cells = 0
@@ -199,10 +220,8 @@ class TestWarmNodeLps:
             ir = random_instance(seed)
             for fixing in rfe._enumerate_fixings(ir, rfe.ENUM_LIMIT):
                 nlp = build_subproblem(ir, fixing)
-                cold[0] = True
-                ref = solve_box_nlp(nlp)
-                cold[0] = False
-                got = solve_box_nlp(nlp)
+                ref = solve(nlp, True)
+                got = solve(nlp, False)
                 assert got.status == ref.status
                 if ref.status == OPTIMAL:
                     assert got.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
