@@ -14,7 +14,7 @@ from gridopt.model import (
 )
 from gridopt.relax import BoxNlp, build_subproblem
 from gridopt.simplex import INFEASIBLE, OPTIMAL
-from gridopt.spatial import _prepare_blocks, solve_box_nlp
+from gridopt.spatial import _Block, _prepare_blocks, solve_box_nlp
 
 from _random_instances import random_instance
 
@@ -35,6 +35,49 @@ def _single_cell_nlp(table, constraints=(), objective=None, out_bounds=(-100, 10
     lo = np.array([v.lo for v in ir.variables])
     hi = np.array([v.hi for v in ir.variables])
     return BoxNlp(ir, lo, hi, (CellIndex((0,) * n),))
+
+
+def _unit_block(corners):
+    """A block on the unit cell whose f is the multilinear form of the corners."""
+    n = int(np.log2(len(corners)))
+    return _Block(0, list(range(n)), n, np.zeros(n), np.ones(n), np.asarray(corners), 0, n)
+
+
+def _monomials(corners, n):
+    """Moebius inversion: the coefficient of prod_{j in S} theta_j per subset S."""
+    return {
+        S: sum((-1) ** bin(S & ~T).count("1") * corners[T] for T in range(1 << n) if T & ~S == 0)
+        for S in range(1 << n)
+    }
+
+
+class TestMonomialExpansion:
+    """The corner-weight evaluator equals the monomial form of the multilinear f."""
+
+    def test_bilinear_expansion(self):
+        # corners ordered by bitmask, bit j = axis j: v00, v10, v01, v11
+        blk = _unit_block([1.0, 2.0, 3.0, 5.0])
+        # f = 1 + (2-1)t0 + (3-1)t1 + (5-3-2+1) t0 t1
+        rng = np.random.default_rng(3)
+        for t0, t1 in np.vstack([[[0, 0], [1, 0], [0, 1], [1, 1]], rng.uniform(size=(10, 2))]):
+            want = 1.0 + t0 + 2.0 * t1 + t0 * t1
+            assert blk.f(np.array([t0, t1])) == pytest.approx(want, abs=1e-12)
+
+    def test_expansion_reproduces_values(self):
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 3, 4):
+            corners = rng.normal(size=1 << n)
+            blk = _unit_block(corners)
+            coef = _monomials(corners, n)
+            for b in range(1 << n):
+                theta = np.array([(b >> j) & 1 for j in range(n)], dtype=float)
+                assert blk.f(theta) == pytest.approx(corners[b], abs=1e-12)
+            thetas = rng.uniform(size=(10, n))
+            want = [
+                sum(c * np.prod([t[j] for j in range(n) if S >> j & 1]) for S, c in coef.items())
+                for t in thetas
+            ]
+            np.testing.assert_allclose(blk.f(thetas), want, atol=1e-12)
 
 
 class TestCornerEvaluator:
