@@ -2,7 +2,7 @@
 
 Exit codes (stable contract): 0 solved to optimality (or proven unbounded),
 2 invalid input (bad scenario, unreadable or malformed instance, unsupported
-format), 3 proven infeasible, 4 stopped at a time or iteration limit.
+format), 3 proven infeasible, 4 stopped at a time, iteration or node limit.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def _status_exit(status: str) -> int:
         return EXIT_OK
     if status == "Infeasible":
         return EXIT_INFEASIBLE
-    return EXIT_LIMIT  # TimeLimit / IterationLimit
+    return EXIT_LIMIT  # TimeLimit / IterationLimit / NodeLimit
 
 
 def cmd_generate(args) -> int:

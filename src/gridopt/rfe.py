@@ -5,6 +5,10 @@ cell-restricted subproblems (feasible candidates). Each round the relaxation's
 discrete assignment is excluded with a no-good cut, so the bound can only
 tighten; the loop stops when the bound meets the incumbent within tolerance or
 the relaxation becomes infeasible, which proves optimality.
+
+A subproblem that stops unproven (``NodeLimit``) is still excluded, but its
+bound stays a floor under the global bound: while that floor is below the
+incumbent, the result is ``NodeLimit``, never ``Optimal`` or ``Infeasible``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .gridtab import CellIndex
 from .model import ProblemIR
 from .relax import BoxNlp, Fixing, add_no_good_cut, build_relaxation, build_subproblem, extract_fixing
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
-from .spatial import solve_box_nlp
+from .spatial import NODE_LIMIT, solve_box_nlp
 
 ABS_TOL = 1e-6
 REL_TOL = 1e-6
@@ -32,7 +36,7 @@ ENUM_LIMIT = 10_000
 
 @dataclass
 class RfeResult:
-    status: str  # Optimal | Infeasible | Unbounded | TimeLimit | IterationLimit
+    status: str  # Optimal | Infeasible | Unbounded | TimeLimit | IterationLimit | NodeLimit
     x: Optional[np.ndarray] = None  # by position in ir.variables
     objective: float = np.inf  # in the problem's original sense
     bound: float = np.inf  # valid bound in the original sense
@@ -53,6 +57,11 @@ def _closed(incumbent: float, bound: float) -> bool:
     return bound >= incumbent - max(ABS_TOL, REL_TOL * abs(incumbent))
 
 
+def _unclosed(incumbent: float, floor: float) -> bool:
+    """An excluded subproblem with bound ``floor`` may hold a better point."""
+    return floor < np.inf and not _closed(incumbent, floor)
+
+
 def solve_rfe(
     ir: ProblemIR,
     max_iterations: int = 200,
@@ -70,6 +79,7 @@ def solve_rfe(
     best_x: Optional[np.ndarray] = None
     best_obj = np.inf  # minimization sense
     bound = -np.inf
+    floor = np.inf  # least bound of an excluded subproblem that did not close
     subs = 0
     nodes = 0
     log: list = []
@@ -102,6 +112,9 @@ def solve_rfe(
         nodes += mres.nodes
         if mres.status == INFEASIBLE:
             # every discrete assignment has been explored
+            if _unclosed(best_obj, floor):
+                bound = max(bound, floor)
+                return out(NODE_LIMIT)
             bound = best_obj
             return out(OPTIMAL if best_x is not None else INFEASIBLE)
         if mres.status == UNBOUNDED:
@@ -109,10 +122,13 @@ def solve_rfe(
         if mres.status == TIME_LIMIT:
             return out(TIME_LIMIT)
         # the MILP carries all cuts, so it bounds only the unexplored
-        # assignments; the incumbent's value bounds the explored ones exactly
+        # assignments; the incumbent's value bounds the closed explored ones
+        # and the floor the others
         milp_bound = mres.bound if mres.status == GAP_LIMIT else mres.objective
-        bound = max(bound, min(milp_bound, best_obj))
+        bound = max(bound, min(milp_bound, best_obj, floor))
         if _closed(best_obj, milp_bound):
+            if _unclosed(best_obj, floor):
+                return out(NODE_LIMIT)
             bound = best_obj
             return out(OPTIMAL)
         fixing = extract_fixing(milp, mres.x)
@@ -121,7 +137,9 @@ def solve_rfe(
         if sres.root_basis is not None:
             nlp_basis = sres.root_basis
         subs += 1
-        if sres.status == OPTIMAL and sres.objective < best_obj - 1e-15:
+        if sres.status == NODE_LIMIT:
+            floor = min(floor, sres.bound)
+        if sres.x is not None and sres.objective < best_obj - 1e-15:
             best_obj = sres.objective
             best_x = sres.x.copy()
         log.append(
@@ -189,6 +207,7 @@ def solve_by_enumeration(ir: ProblemIR, limit: int = ENUM_LIMIT) -> RfeResult:
     fixings = _enumerate_fixings(ir, limit)
     best_x = None
     best_obj = np.inf
+    floor = np.inf  # least bound of a subproblem that did not close
     subs = 0
     basis = None  # previous subproblem's root basis
     for fixing in fixings:
@@ -197,15 +216,21 @@ def solve_by_enumeration(ir: ProblemIR, limit: int = ENUM_LIMIT) -> RfeResult:
         if res.root_basis is not None:
             basis = res.root_basis
         subs += 1
-        if res.status == OPTIMAL and res.objective < best_obj - 1e-15:
+        if res.status == NODE_LIMIT:
+            floor = min(floor, res.bound)
+        if res.x is not None and res.objective < best_obj - 1e-15:
             best_obj = res.objective
             best_x = res.x.copy()
-    if best_x is None:
+    if _unclosed(best_obj, floor):
+        status, bound = NODE_LIMIT, floor
+    elif best_x is None:
         return RfeResult(status=INFEASIBLE, subproblems_solved=subs)
+    else:
+        status, bound = OPTIMAL, best_obj
     return RfeResult(
-        status=OPTIMAL,
+        status=status,
         x=best_x,
         objective=_user_sense(ir, best_obj),
-        bound=_user_sense(ir, best_obj),
+        bound=_user_sense(ir, bound),
         subproblems_solved=subs,
     )

@@ -6,10 +6,22 @@ vertex-polyhedral, so over any theta box the convex hull of its graph is the
 set of convex combinations of its 2^n box corners (Rikun 1997). The node LP
 relaxes each interpolant by exactly that hull: one weight per box corner,
 with the inputs and the output the weighted sums of the corners and of the
-function values there. Spatial branch-and-bound splits the widest theta
-interval at its midpoint; feasible candidates are recovered by fixing theta
-and repairing the remaining linear part, then improved by coordinate descent
-(each step frees one theta coordinate per interpolant and is an LP).
+function values there.
+
+Spatial branch-and-bound branches where the hull is wrong: it picks the
+interpolant whose output is furthest from f at the node LP point's theta and
+splits that interpolant's widest theta interval at the LP's theta, clamped to
+the middle 60 % of the interval (Belotti et al. 2009; Tawarmalani & Sahinidis
+2005). A node LP point whose outputs already equal f(theta) within
+``EXACT_TOL`` is itself the candidate when it meets the linear rows; otherwise
+a candidate is recovered by fixing theta and repairing the remaining linear
+part, then improved by coordinate descent (each step frees one theta
+coordinate per interpolant and is an LP). A child whose bound cannot beat the
+incumbent is pruned before any heuristic runs.
+
+A node limit, or a box too narrow to split whose bound is below the
+incumbent, ends the search unproven: the result is ``NodeLimit`` with the
+least bound of every open or exhausted box.
 
 Every node LP of one subproblem has the same rows and columns; a child box
 changes only the coefficients of the corner-weight columns. So each child LP
@@ -26,18 +38,22 @@ from typing import Optional
 
 import numpy as np
 
-from .model import EQ
+from .model import EQ, GE, LE
 from .relax import BoxNlp
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpBasis, LpProblem, solve_lp
 
 MIN_BOX_WIDTH = 1e-9
 ABS_TOL = 1e-8
 REL_TOL = 1e-8
+SPLIT_CLAMP = 0.2  # the split point stays this fraction of the width inside
+EXACT_TOL = 1e-9  # |y - f(theta)| and row slack for an LP point to be a candidate
+
+NODE_LIMIT = "NodeLimit"
 
 
 @dataclass
 class NlpResult:
-    status: str  # Optimal | Infeasible
+    status: str  # Optimal | Infeasible | NodeLimit (x: best found, if any)
     x: Optional[np.ndarray] = None  # by position in ir.variables
     objective: float = np.inf
     bound: float = -np.inf
@@ -146,6 +162,72 @@ def _theta_of(blocks: list[_Block], x: np.ndarray, nth: int) -> np.ndarray:
     return theta
 
 
+def _split(
+    blocks: list[_Block], x: np.ndarray, tlo: np.ndarray, thi: np.ndarray
+) -> Optional[tuple[int, float]]:
+    """Theta index and split point of a node, or None if no box can be split.
+
+    Blocks are tried by decreasing |y - f(theta)| at the node LP point x, ties
+    to the lowest block; the first one with a theta interval wider than
+    MIN_BOX_WIDTH is split along its widest interval (ties to the lowest
+    index) at the LP's theta, clamped to the middle of the interval.
+    """
+    theta = _theta_of(blocks, x, len(tlo))
+    viol = [
+        abs(x[blk.output_pos] - float(blk.f(theta[blk.theta_off : blk.theta_off + blk.n])))
+        for blk in blocks
+    ]
+    for i in sorted(range(len(blocks)), key=lambda i: -viol[i]):
+        blk = blocks[i]
+        s = slice(blk.theta_off, blk.theta_off + blk.n)
+        widths = thi[s] - tlo[s]
+        j = int(np.argmax(widths))
+        if widths[j] > MIN_BOX_WIDTH:
+            k = blk.theta_off + j
+            margin = SPLIT_CLAMP * widths[j]
+            return k, float(np.clip(theta[k], tlo[k] + margin, thi[k] - margin))
+    return None
+
+
+def _ir_lp(nlp: BoxNlp) -> LpProblem:
+    """The IR's linear part over the IR variables: objective, rows and bounds."""
+    ir = nlp.ir
+    pos = ir.var_pos
+    obj = np.zeros(len(ir.variables))
+    for cf, v in ir.objective:
+        obj[pos[v]] += cf
+    rows = [([(pos[v], cf) for cf, v in c.terms], c.sense, c.rhs) for c in ir.constraints]
+    return LpProblem.from_rows(len(obj), obj, nlp.var_lo, nlp.var_hi, rows)
+
+
+def _exact_candidate(
+    ir_lp: LpProblem, blocks: list[_Block], xrel: np.ndarray
+) -> Optional[tuple[np.ndarray, float]]:
+    """The node LP point as a candidate, if it already satisfies the IR.
+
+    The IR part of xrel is clipped to the variable bounds and each output is
+    set to f(theta); the point is taken when no output moved by more than
+    EXACT_TOL and the output bounds and linear rows still hold within it.
+    The objective is then the IR's at the point, not the LP's.
+    """
+    x = np.clip(xrel[: ir_lp.ncols], ir_lp.lo, ir_lp.hi)
+    for blk in blocks:
+        fval = float(blk.f((x[blk.input_pos] - blk.a_lo) / blk.width))
+        if abs(x[blk.output_pos] - fval) > EXACT_TOL:
+            return None
+        x[blk.output_pos] = fval
+    senses = np.array(ir_lp.senses)
+    excess = ir_lp.A @ x - ir_lp.rhs
+    if (
+        np.any(x < ir_lp.lo - EXACT_TOL)
+        or np.any(x > ir_lp.hi + EXACT_TOL)
+        or np.any(excess[senses != GE] > EXACT_TOL)
+        or np.any(excess[senses != LE] < -EXACT_TOL)
+    ):
+        return None
+    return x, float(ir_lp.obj @ x)
+
+
 def _pin_block(lo, hi, blk: _Block, th: np.ndarray) -> None:
     """Fix a block's inputs at theta and its output at f(theta) within its bounds.
 
@@ -162,24 +244,14 @@ def _pin_block(lo, hi, blk: _Block, th: np.ndarray) -> None:
 
 
 def _candidate_from_theta(
-    nlp: BoxNlp, blocks: list[_Block], theta: np.ndarray
+    ir_lp: LpProblem, blocks: list[_Block], theta: np.ndarray
 ) -> Optional[tuple[np.ndarray, float]]:
     """Fix theta, pin the interpolant columns, repair the linear remainder."""
-    ir = nlp.ir
-    nv = len(ir.variables)
-    pos = ir.var_pos
-    lo = nlp.var_lo.copy()
-    hi = nlp.var_hi.copy()
+    lo = ir_lp.lo.copy()
+    hi = ir_lp.hi.copy()
     for blk in blocks:
         _pin_block(lo, hi, blk, theta[blk.theta_off : blk.theta_off + blk.n])
-    rows = [
-        ([(pos[v], cf) for cf, v in c.terms], c.sense, c.rhs)
-        for c in ir.constraints
-    ]
-    obj = np.zeros(nv)
-    for cf, v in ir.objective:
-        obj[pos[v]] += cf
-    res = solve_lp(LpProblem.from_rows(nv, obj, lo, hi, rows))
+    res = solve_lp(ir_lp, lo, hi)
     if res.status != OPTIMAL:
         return None
     return res.x.copy(), res.objective
@@ -271,17 +343,25 @@ def solve_box_nlp(
     if np.any(tlo0 > thi0 + 1e-12):
         return NlpResult(status=INFEASIBLE)
 
+    ir_lp = _ir_lp(nlp)
     best: Optional[tuple[np.ndarray, float]] = None
     nodes = 0
     tick = itertools.count()
 
-    def try_theta(theta: np.ndarray, tlo: np.ndarray, thi: np.ndarray) -> None:
+    def pruned(node_bound: float) -> bool:
+        return best is not None and node_bound >= best[1] - max(
+            abs_tol, rel_tol * abs(best[1])
+        )
+
+    def try_point(xrel: np.ndarray, tlo: np.ndarray, thi: np.ndarray) -> None:
         nonlocal best
-        theta = np.clip(theta, tlo, thi)
-        cand = _candidate_from_theta(nlp, blocks, theta)
+        cand = _exact_candidate(ir_lp, blocks, xrel)
         if cand is None:
-            return
-        theta2, cand = _coordinate_descent(nlp, blocks, theta, tlo0, thi0, cand)
+            theta = np.clip(_theta_of(blocks, xrel, nth), tlo, thi)
+            cand = _candidate_from_theta(ir_lp, blocks, theta)
+            if cand is None:
+                return
+            _, cand = _coordinate_descent(nlp, blocks, theta, tlo0, thi0, cand)
         if best is None or cand[1] < best[1] - 1e-15:
             best = cand
 
@@ -292,47 +372,48 @@ def solve_box_nlp(
         return NlpResult(status=INFEASIBLE, nodes=nodes)
     if root.status == UNBOUNDED:
         return NlpResult(status=OPTIMAL, objective=-np.inf, bound=-np.inf, nodes=nodes)
-    try_theta(_theta_of(blocks, root.x, nth), tlo0, thi0)
+    try_point(root.x, tlo0, thi0)
 
     heap: list = [(root.objective, next(tick), tlo0, thi0, root.x, root.basis)]
-    bound = root.objective
+    floor = np.inf  # least bound of a box left open: exhausted, or at the node limit
     while heap:
         node_bound, _, tlo, thi, xrel, start = heapq.heappop(heap)
-        bound = node_bound
-        if best is not None and bound >= best[1] - max(abs_tol, rel_tol * abs(best[1])):
-            return NlpResult(
-                status=OPTIMAL, x=best[0], objective=best[1], bound=best[1],
-                nodes=nodes, root_basis=root.basis,
-            )
+        if pruned(node_bound):
+            break  # so is every node still on the heap
         if nodes >= node_limit:
+            floor = min(floor, node_bound)  # no node left on the heap is lower
             break
-        widths = thi - tlo
-        k = int(np.argmax(widths))
-        if widths[k] < MIN_BOX_WIDTH:
-            continue  # box exhausted; its bound stands
-        mid = 0.5 * (tlo[k] + thi[k])
+        split = _split(blocks, xrel, tlo, thi)
+        if split is None:
+            floor = min(floor, node_bound)
+            continue
+        k, at = split
         for half in (0, 1):
             clo = tlo.copy()
             chi = thi.copy()
             if half == 0:
-                chi[k] = mid
+                chi[k] = at
             else:
-                clo[k] = mid
+                clo[k] = at
             lp = _build_node_lp(nlp, blocks, clo, chi)
             res = solve_lp(lp, basis=start)
             nodes += 1
-            if res.status != OPTIMAL:
+            if res.status != OPTIMAL or pruned(res.objective):
                 continue
-            try_theta(_theta_of(blocks, res.x, nth), clo, chi)
-            if best is not None and res.objective >= best[1] - max(
-                abs_tol, rel_tol * abs(best[1])
-            ):
+            try_point(res.x, clo, chi)
+            if pruned(res.objective):
                 continue
             heapq.heappush(heap, (res.objective, next(tick), clo, chi, res.x, res.basis))
 
+    x, objective = best if best is not None else (None, np.inf)
+    if floor < np.inf and not pruned(floor):
+        return NlpResult(
+            status=NODE_LIMIT, x=x, objective=objective, bound=floor, nodes=nodes,
+            root_basis=root.basis,
+        )
     if best is None:
         return NlpResult(status=INFEASIBLE, nodes=nodes, root_basis=root.basis)
     return NlpResult(
-        status=OPTIMAL, x=best[0], objective=best[1], bound=bound, nodes=nodes,
+        status=OPTIMAL, x=x, objective=objective, bound=objective, nodes=nodes,
         root_basis=root.basis,
     )

@@ -1,8 +1,11 @@
 """The fix-and-exclude driver: oracle equivalence and trace invariants."""
 
+import functools
+
 import numpy as np
 import pytest
 
+from gridopt import rfe, spatial
 from gridopt.errors import EnumerationTooLarge
 from gridopt.gridtab import interpolate, make_grid, make_table
 from gridopt.model import (
@@ -12,6 +15,7 @@ from gridopt.model import (
     VarRef,
     build_problem,
 )
+from gridopt.opo import build_opo_instance, get_scenario
 from gridopt.rfe import solve_by_enumeration, solve_rfe
 
 from _random_instances import random_instance
@@ -121,6 +125,25 @@ class TestTraceInvariants:
                     assert out == pytest.approx(val, abs=1e-7)
                 else:
                     assert out == pytest.approx(0.0, abs=1e-7)
+
+
+class TestUnclosedSubproblems:
+    """A subproblem stopped by its node limit keeps its bound under the global one."""
+
+    @pytest.mark.parametrize(
+        "engine, scenario, optimum",
+        [(solve_rfe, "S2", 219.02002935708694), (solve_by_enumeration, "S1", 86.14053596595552)],
+    )
+    @pytest.mark.parametrize("limit", [1, 5])
+    def test_limit_status_with_valid_bound(self, monkeypatch, engine, scenario, optimum, limit):
+        ir = build_opo_instance(get_scenario(scenario, "desk"), 0).ir
+        assert ir.maximize
+        limited = functools.partial(spatial.solve_box_nlp, node_limit=limit)
+        monkeypatch.setattr(rfe, "solve_box_nlp", limited)
+        res = engine(ir)
+        assert res.status == "NodeLimit"
+        assert res.bound >= optimum - 1e-6
+        assert res.x is None or res.objective <= optimum + 1e-6
 
 
 class TestEnumerationGuard:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gridopt import rfe, spatial
+from gridopt.bnb import solve_milp
 from gridopt.gridtab import CellIndex, interpolate, make_grid, make_table, product_table
 from gridopt.model import (
     CONTINUOUS,
@@ -12,9 +13,10 @@ from gridopt.model import (
     VarRef,
     build_problem,
 )
-from gridopt.relax import BoxNlp, build_subproblem
+from gridopt.opo import build_opo_instance, get_scenario
+from gridopt.relax import BoxNlp, build_relaxation, build_subproblem, extract_fixing
 from gridopt.simplex import INFEASIBLE, OPTIMAL
-from gridopt.spatial import _Block, _prepare_blocks, solve_box_nlp
+from gridopt.spatial import NODE_LIMIT, _Block, _prepare_blocks, _split, solve_box_nlp
 
 from _random_instances import random_instance
 
@@ -98,6 +100,91 @@ class TestCornerEvaluator:
             thetas = rng.uniform(0, 1, size=(5, n))
             want = [interpolate(tab, blk.a_lo + t * blk.width) for t in thetas]
             np.testing.assert_allclose(blk.f(thetas), want, atol=1e-12)
+
+
+def _two_blocks():
+    """Two blocks with f = theta0 * theta1 on unit cells; x = (a0, a1, ya, b0, b1, yb)."""
+    corners = np.array([0.0, 0.0, 0.0, 1.0])
+    return [
+        _Block(0, [0, 1], 2, np.zeros(2), np.ones(2), corners, 0, 2),
+        _Block(1, [3, 4], 5, np.zeros(2), np.ones(2), corners, 2, 2),
+    ]
+
+
+def _node_point(ta, va, tb, vb):
+    """LP point with thetas ta, tb and outputs f(theta) + va, f(theta) + vb."""
+    return np.array([*ta, ta[0] * ta[1] + va, *tb, tb[0] * tb[1] + vb])
+
+
+class TestBranchingRule:
+    def test_largest_violation_widest_coordinate_at_lp_theta(self):
+        blocks = _two_blocks()
+        x = _node_point((0.5, 0.5), 0.1, (0.3, 0.6), -0.3)
+        tlo, thi = np.zeros(4), np.array([1.0, 1.0, 0.5, 1.0])
+        assert _split(blocks, x, tlo, thi) == (3, pytest.approx(0.6))
+        # the other block once its violation is the larger one
+        x = _node_point((0.5, 0.4), -0.4, (0.3, 0.6), 0.3)
+        assert _split(blocks, x, tlo, thi) == (0, pytest.approx(0.5))
+
+    def test_split_clamped_to_middle_of_interval(self):
+        blocks = _two_blocks()
+        tlo, thi = np.array([0.0, 0.0, 0.2, 0.2]), np.array([1.0, 1.0, 0.5, 0.7])
+        # interval [0.2, 0.7]: the split stays in [0.3, 0.6]
+        for tb1, want in ((0.68, 0.6), (0.21, 0.3), (0.45, 0.45)):
+            x = _node_point((0.5, 0.5), 0.0, (0.3, tb1), 0.2)
+            assert _split(blocks, x, tlo, thi) == (3, pytest.approx(want))
+
+    def test_ties_go_to_lowest_block_and_coordinate(self):
+        blocks = _two_blocks()
+        tlo, thi = np.zeros(4), np.ones(4)
+        x = _node_point((0.3, 0.6), 0.2, (0.3, 0.6), 0.2)
+        assert _split(blocks, x, tlo, thi) == (0, pytest.approx(0.3))
+        x = _node_point((0.3, 0.6), 0.0, (0.3, 0.6), 0.2)
+        assert _split(blocks, x, tlo, thi) == (2, pytest.approx(0.3))
+
+    def test_narrow_block_passed_over(self):
+        blocks = _two_blocks()
+        x = _node_point((0.3, 0.6), 0.1, (0.3, 0.6), 0.2)
+        tlo = np.array([0.0, 0.0, 0.3, 0.6])
+        thi = np.array([1.0, 1.0, 0.3, 0.6]) + 0.5 * spatial.MIN_BOX_WIDTH
+        assert _split(blocks, x, tlo, thi) == (0, pytest.approx(0.3))
+        thi[:2] = tlo[:2] = (0.3, 0.6)
+        assert _split(blocks, x, tlo, thi) is None
+
+
+DESK_S2_FIRST_CELL_OPT = -219.02002935708694  # minimization sense
+
+
+@pytest.fixture(scope="module")
+def desk_s2_first_cell():
+    """The subproblem of the first RFE round on desk S2 seed 0."""
+    ir = build_opo_instance(get_scenario("S2", "desk"), 0).ir
+    milp = build_relaxation(ir)
+    mres = solve_milp(milp.to_lp(), milp.binary_cols())
+    return build_subproblem(ir, extract_fixing(milp, mres.x))
+
+
+class TestDeskCell:
+    def test_closes_in_few_nodes(self, desk_s2_first_cell):
+        res = solve_box_nlp(desk_s2_first_cell)
+        assert res.status == OPTIMAL
+        assert res.objective == pytest.approx(DESK_S2_FIRST_CELL_OPT, rel=1e-8)
+        # 375 nodes when the widest theta interval was split at its midpoint
+        assert res.nodes <= 100
+
+    @pytest.mark.parametrize("limit", [1, 3, 5])
+    def test_node_limit_keeps_bound(self, desk_s2_first_cell, limit):
+        res = solve_box_nlp(desk_s2_first_cell, node_limit=limit)
+        assert res.status == NODE_LIMIT
+        assert res.bound <= DESK_S2_FIRST_CELL_OPT + 1e-6
+        assert res.x is None or res.objective >= res.bound
+
+    def test_exhausted_box_keeps_bound(self, desk_s2_first_cell, monkeypatch):
+        monkeypatch.setattr(spatial, "MIN_BOX_WIDTH", 2.0)  # no box can be split
+        res = solve_box_nlp(desk_s2_first_cell)
+        assert res.status == NODE_LIMIT
+        assert res.nodes == 1
+        assert res.bound <= DESK_S2_FIRST_CELL_OPT + 1e-6
 
 
 class TestKnownOptima:
