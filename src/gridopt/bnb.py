@@ -38,12 +38,6 @@ class MipResult:
     root_basis: Optional[LpBasis] = None  # the root LP's final basis
 
 
-def _rel_gap(incumbent: float, bound: float) -> float:
-    if not np.isfinite(incumbent) or not np.isfinite(bound):
-        return np.inf
-    return (incumbent - bound) / max(1.0, abs(incumbent))
-
-
 def solve_milp(
     lp: LpProblem,
     binary_cols: Sequence[int],

@@ -3,6 +3,11 @@
 A table stores one value per grid corner, flattened in lexicographic order with
 the *last* axis varying fastest (C order). Grids and tables are immutable after
 construction and safe to share across threads.
+
+There is one evaluator, :func:`multilinear`: inside a cell the interpolant is
+the cell's corner values weighted by the product over axes of theta_j or
+1 - theta_j. :func:`interpolate` locates the cell of a point and applies it;
+the spatial solver applies it to a cell's corner values directly.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .errors import AxisTooShort, NotStrictlyIncreasing, OutOfHull
 
 #: points this far (relative to axis span) outside the hull are clamped,
@@ -150,18 +154,6 @@ def find_segment(axis: np.ndarray, x: float) -> int:
     return min(max(k, 0), axis.size - 2)
 
 
-def weights_1d(axis: Sequence[float], x: float) -> np.ndarray:
-    """Convex-combination weights of x over one axis (two consecutive nonzeros)."""
-    a = np.asarray(axis, dtype=float)
-    x = _clamp(a, x, "x")
-    k = find_segment(a, x)
-    xi = np.zeros(a.size)
-    frac = (x - a[k]) / (a[k + 1] - a[k])
-    xi[k] = 1.0 - frac
-    xi[k + 1] = frac
-    return xi
-
-
 def locate(grid: Grid, x: Sequence[float]) -> tuple[CellIndex, np.ndarray]:
     """Cell containing x and the per-axis fractional coordinates in [0, 1]."""
     x = np.asarray(x, dtype=float)
@@ -178,70 +170,24 @@ def locate(grid: Grid, x: Sequence[float]) -> tuple[CellIndex, np.ndarray]:
     return CellIndex(t=tuple(t)), frac
 
 
-def lambda_weights(grid: Grid, x: Sequence[float]) -> dict[tuple[int, ...], float]:
-    """Corner weights of x: products of the per-axis 1-D weights.
+def multilinear(corners: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Interpolant at theta of shape (..., n) from a cell's 2^n corner values.
 
-    Returns the nonzero weights only, keyed by corner multi-index; the support
-    lies on the corners of a single cell, so there are at most 2^n entries.
+    ``corners`` is ordered as :meth:`LookupTable.cell_corner_values` returns
+    it (corner bit j indexes axis j); theta holds the fractional coordinates
+    in the cell. The corner weights, dotted with the values.
     """
-    cell, frac = locate(grid, x)
-    out: dict[tuple[int, ...], float] = {}
-    n = grid.n
-    for corner in range(1 << n):
-        lam = 1.0
-        k = []
-        for j in range(n):
-            bit = (corner >> j) & 1
-            lam *= frac[j] if bit else 1.0 - frac[j]
-            k.append(cell.t[j] + bit)
-        if lam > 0.0:
-            out[tuple(k)] = lam
-    return out
+    w = np.ones(theta.shape[:-1] + (1,))
+    for j in range(theta.shape[-1]):
+        t = theta[..., j : j + 1]
+        w = np.concatenate([w * (1.0 - t), w * t], axis=-1)
+    return w @ corners
 
 
 def interpolate(table: LookupTable, x: Sequence[float]) -> float:
-    """Multilinear interpolant value at x (product-sum over cell corners)."""
-    return float(interpolate_many(table, np.asarray(x, dtype=float)[None, :])[0])
-
-
-def interpolate_many(table: LookupTable, points: np.ndarray) -> np.ndarray:
-    """Vectorized interpolation of an array of points (P, n)."""
-    grid = table.grid
-    pts = np.array(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != grid.n:
-        raise ValueError("points must have shape (P, n)")
-    for j in range(grid.n):
-        a = grid.axes[j]
-        pts[:, j] = [_clamp(a, float(v), f"x[{j}]") for v in pts[:, j]]
-    axes_flat = np.concatenate(grid.axes)
-    offsets = np.zeros(grid.n + 1, dtype=np.int64)
-    np.cumsum([a.size for a in grid.axes], out=offsets[1:])
-    return _kernels.interp_many(
-        axes_flat, offsets, grid.strides(), np.asarray(table.values), pts
-    )
-
-
-def interpolate_recursive(table: LookupTable, x: Sequence[float]) -> float:
-    """Interpolant value via per-axis recursive reduction.
-
-    Independent of the product-sum path in :func:`interpolate`; the two must
-    agree to machine precision on any in-hull point.
-    """
-    grid = table.grid
-    x = np.asarray(x, dtype=float)
-    vals = np.asarray(table.values).reshape(grid.shape)
-
-    def reduce(axis_j: int, block: np.ndarray) -> np.ndarray:
-        a = grid.axes[axis_j]
-        xj = _clamp(a, float(x[axis_j]), f"x[{axis_j}]")
-        k = find_segment(a, xj)
-        w = (xj - a[k]) / (a[k + 1] - a[k])
-        return (1.0 - w) * block[k] + w * block[k + 1]
-
-    block = vals
-    for j in range(grid.n):
-        block = reduce(j, block)
-    return float(block)
+    """Multilinear interpolant value at x: the cell's corners, weighted."""
+    cell, frac = locate(table.grid, x)
+    return float(multilinear(table.cell_corner_values(cell), frac))
 
 
 def product_table(grid: Grid, monomial: Iterable[int]) -> LookupTable:

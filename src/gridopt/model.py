@@ -1,18 +1,16 @@
 """Intermediate representation of the mixed-integer interpolation problem.
 
-Holds variables, linear constraints, and interpolant bindings, with validation
-and size accounting for the MILP relaxation that will be built from it. The IR
-is immutable after construction.
+Holds variables, linear constraints, and interpolant bindings, validated by
+:func:`build_problem`; the MILP relaxation is built from it. The IR is
+immutable after construction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from .errors import BoundsOutsideHull, DanglingVariable, DimensionMismatch
 from .gridtab import LookupTable
@@ -83,20 +81,6 @@ class ProblemIR:
     @property
     def num_binaries(self) -> int:
         return len(self.binary_ids)
-
-
-@dataclass(frozen=True)
-class SizeRecord:
-    """Column/row accounting of the relaxation induced by an IR."""
-
-    n_xi: int
-    n_lambda: int
-    n_y: int
-    n_segment: int
-    n_vars: int
-    rows: int
-    cols: int
-    nonzeros: int
 
 
 def _norm_terms(terms: Iterable[Sequence]) -> tuple[tuple[float, int], ...]:
@@ -185,41 +169,3 @@ def build_problem(
         name=name,
     )
 
-
-def problem_size(ir: ProblemIR) -> SizeRecord:
-    """Deterministic size of the relaxation that build_relaxation will create.
-
-    Nonzeros are structural: one per stored coefficient, table zeros included.
-    """
-    n_xi = n_lambda = n_seg = 0
-    rows = len(ir.constraints)
-    nnz = sum(len(c.terms) for c in ir.constraints)
-    for itp in ir.interpolants:
-        sizes = itp.table.grid.shape
-        prod = int(np.prod(sizes))
-        act = 1 if itp.activation is not None else 0
-        for K in sizes:
-            n_xi += K
-            n_seg += K - 1
-            rows += 3 + 2 * K
-            nnz += (1 + K)  # linking row
-            nnz += K + act  # convexity row
-            nnz += K + prod  # marginalization rows
-            nnz += (K - 1) + act  # segment-sum row
-            nnz += 3 * K - 2  # xi <= s rows
-        n_lambda += prod
-        rows += 1  # output row
-        nnz += 1 + prod
-    n_vars = len(ir.variables)
-    n_y = ir.num_binaries
-    cols = n_vars + n_xi + n_lambda + n_seg
-    return SizeRecord(
-        n_xi=n_xi,
-        n_lambda=n_lambda,
-        n_y=n_y,
-        n_segment=n_seg,
-        n_vars=n_vars,
-        rows=rows,
-        cols=cols,
-        nonzeros=nnz,
-    )

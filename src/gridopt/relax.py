@@ -92,9 +92,6 @@ class Fixing:
     y: tuple[int, ...]  # by ascending binary variable id
     binary_ids: tuple[int, ...]
 
-    def y_of(self, var_id: int) -> int:
-        return self.y[self.binary_ids.index(var_id)]
-
 
 @dataclass
 class BoxNlp:

@@ -22,9 +22,8 @@ import numpy as np
 
 from .bnb import GAP_LIMIT, TIME_LIMIT, solve_milp
 from .errors import EnumerationTooLarge
-from .gridtab import CellIndex
 from .model import ProblemIR
-from .relax import BoxNlp, Fixing, add_no_good_cut, build_relaxation, build_subproblem, extract_fixing
+from .relax import Fixing, add_no_good_cut, build_relaxation, build_subproblem, extract_fixing
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
 from .spatial import NODE_LIMIT, solve_box_nlp
 

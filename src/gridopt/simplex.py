@@ -64,7 +64,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import NumericalFailure, ProblemTooLarge
-from .model import EQ, GE, LE
+from .model import GE, LE
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"

@@ -38,6 +38,7 @@ from typing import Optional
 
 import numpy as np
 
+from .gridtab import multilinear
 from .model import EQ, GE, LE
 from .relax import BoxNlp
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpBasis, LpProblem, solve_lp
@@ -76,11 +77,7 @@ class _Block:
 
     def f(self, theta: np.ndarray) -> np.ndarray:
         """f at theta of shape (..., n): corner weights dotted with the values."""
-        w = np.ones(theta.shape[:-1] + (1,))
-        for j in range(self.n):
-            t = theta[..., j : j + 1]
-            w = np.concatenate([w * (1.0 - t), w * t], axis=-1)
-        return w @ self.corners
+        return multilinear(self.corners, theta)
 
 
 def _prepare_blocks(nlp: BoxNlp) -> tuple[list[_Block], int]:
@@ -116,8 +113,31 @@ def _theta_start(nlp: BoxNlp, blk: _Block) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+def _ir_lp(nlp: BoxNlp) -> LpProblem:
+    """The IR's linear part over the IR variables: objective, rows and bounds."""
+    ir = nlp.ir
+    pos = ir.var_pos
+    obj = np.zeros(len(ir.variables))
+    for cf, v in ir.objective:
+        obj[pos[v]] += cf
+    rows = [([(pos[v], cf) for cf, v in c.terms], c.sense, c.rhs) for c in ir.constraints]
+    return LpProblem.from_rows(len(obj), obj, nlp.var_lo, nlp.var_hi, rows)
+
+
+def _extend(ir_lp: LpProblem, lo: list, hi: list, rows: list) -> LpProblem:
+    """``ir_lp`` widened to len(lo) columns bounded by lo and hi, ``rows`` appended."""
+    tail = LpProblem.from_rows(len(lo), np.zeros(len(lo)), lo, hi, rows)
+    head = np.zeros((ir_lp.nrows, len(lo)))
+    head[:, : ir_lp.ncols] = ir_lp.A
+    tail.obj[: ir_lp.ncols] = ir_lp.obj
+    return LpProblem(
+        obj=tail.obj, lo=tail.lo, hi=tail.hi, A=np.vstack([head, tail.A]),
+        senses=ir_lp.senses + tail.senses, rhs=np.concatenate([ir_lp.rhs, tail.rhs]),
+    )
+
+
 def _build_node_lp(
-    nlp: BoxNlp, blocks: list[_Block], tlo: np.ndarray, thi: np.ndarray
+    ir_lp: LpProblem, blocks: list[_Block], tlo: np.ndarray, thi: np.ndarray
 ) -> LpProblem:
     """LP relaxation over (ir vars, corner weights) for one theta box.
 
@@ -125,14 +145,10 @@ def _build_node_lp(
     the output are the weighted sums of the corners and of f there, which
     is the convex hull of f's graph over the box.
     """
-    ir = nlp.ir
-    pos = ir.var_pos
-    lo = list(nlp.var_lo)
-    hi = list(nlp.var_hi)
-    rows: list[tuple[list[tuple[int, float]], str, float]] = [
-        ([(pos[v], cf) for cf, v in c.terms], c.sense, c.rhs) for c in ir.constraints
-    ]
-    col = len(ir.variables)
+    lo = list(ir_lp.lo)
+    hi = list(ir_lp.hi)
+    rows = []
+    col = ir_lp.ncols
     for blk in blocks:
         k = 1 << blk.n
         bits = (np.arange(k)[:, None] >> np.arange(blk.n)) & 1
@@ -147,10 +163,7 @@ def _build_node_lp(
         lo += [0.0] * k
         hi += [1.0] * k
         col += k
-    obj = np.zeros(col)
-    for cf, v in ir.objective:
-        obj[pos[v]] += cf
-    return LpProblem.from_rows(col, obj, lo, hi, rows)
+    return _extend(ir_lp, lo, hi, rows)
 
 
 def _theta_of(blocks: list[_Block], x: np.ndarray, nth: int) -> np.ndarray:
@@ -187,17 +200,6 @@ def _split(
             margin = SPLIT_CLAMP * widths[j]
             return k, float(np.clip(theta[k], tlo[k] + margin, thi[k] - margin))
     return None
-
-
-def _ir_lp(nlp: BoxNlp) -> LpProblem:
-    """The IR's linear part over the IR variables: objective, rows and bounds."""
-    ir = nlp.ir
-    pos = ir.var_pos
-    obj = np.zeros(len(ir.variables))
-    for cf, v in ir.objective:
-        obj[pos[v]] += cf
-    rows = [([(pos[v], cf) for cf, v in c.terms], c.sense, c.rhs) for c in ir.constraints]
-    return LpProblem.from_rows(len(obj), obj, nlp.var_lo, nlp.var_hi, rows)
 
 
 def _exact_candidate(
@@ -258,7 +260,7 @@ def _candidate_from_theta(
 
 
 def _coordinate_descent(
-    nlp: BoxNlp,
+    ir_lp: LpProblem,
     blocks: list[_Block],
     theta: np.ndarray,
     tlo: np.ndarray,
@@ -272,20 +274,14 @@ def _coordinate_descent(
     block's free coordinate, so the step is an exact LP, and blocks coupled
     by a linear row move together.
     """
-    ir = nlp.ir
-    nv = len(ir.variables)
-    pos = ir.var_pos
-    base_rows = [
-        ([(pos[v], cf) for cf, v in c.terms], c.sense, c.rhs)
-        for c in ir.constraints
-    ]
+    nv = ir_lp.ncols
     for _ in range(3):
         improved = False
         for jfree in range(max((blk.n for blk in blocks), default=0)):
             free = [blk.theta_off + jfree for blk in blocks if jfree < blk.n]
-            lo = list(nlp.var_lo) + [tlo[k] for k in free]
-            hi = list(nlp.var_hi) + [thi[k] for k in free]
-            rows = list(base_rows)
+            lo = list(ir_lp.lo) + [tlo[k] for k in free]
+            hi = list(ir_lp.hi) + [thi[k] for k in free]
+            rows = []
             col = nv
             for blk in blocks:
                 th = theta[blk.theta_off : blk.theta_off + blk.n]
@@ -305,10 +301,7 @@ def _coordinate_descent(
                 slope = at_one - const
                 rows.append(([(blk.output_pos, 1.0), (col, -slope)], EQ, const))
                 col += 1
-            obj = np.zeros(col)
-            for cf, v in ir.objective:
-                obj[pos[v]] += cf
-            res = solve_lp(LpProblem.from_rows(col, obj, lo, hi, rows))
+            res = solve_lp(_extend(ir_lp, lo, hi, rows))
             if res.status == OPTIMAL and res.objective < best[1] - 1e-12:
                 theta = theta.copy()
                 theta[free] = res.x[nv:]
@@ -361,11 +354,11 @@ def solve_box_nlp(
             cand = _candidate_from_theta(ir_lp, blocks, theta)
             if cand is None:
                 return
-            _, cand = _coordinate_descent(nlp, blocks, theta, tlo0, thi0, cand)
+            _, cand = _coordinate_descent(ir_lp, blocks, theta, tlo0, thi0, cand)
         if best is None or cand[1] < best[1] - 1e-15:
             best = cand
 
-    lp = _build_node_lp(nlp, blocks, tlo0, thi0)
+    lp = _build_node_lp(ir_lp, blocks, tlo0, thi0)
     root = solve_lp(lp, basis=basis)
     nodes += 1
     if root.status == INFEASIBLE:
@@ -395,7 +388,7 @@ def solve_box_nlp(
                 chi[k] = at
             else:
                 clo[k] = at
-            lp = _build_node_lp(nlp, blocks, clo, chi)
+            lp = _build_node_lp(ir_lp, blocks, clo, chi)
             res = solve_lp(lp, basis=start)
             nodes += 1
             if res.status != OPTIMAL or pruned(res.objective):

@@ -12,12 +12,9 @@ import pytest
 from gridopt.bnb import solve_milp
 from gridopt.gridtab import (
     interpolate,
-    interpolate_recursive,
-    lambda_weights,
     make_grid,
     make_table,
     product_table,
-    weights_1d,
     find_segment,
 )
 from gridopt.model import (
@@ -26,13 +23,13 @@ from gridopt.model import (
     InterpolantDef,
     VarRef,
     build_problem,
-    problem_size,
 )
 from gridopt.opo import build_opo_instance, get_scenario, scenario_catalog
 from gridopt.relax import add_no_good_cut, build_relaxation, extract_fixing
 from gridopt.rfe import solve_by_enumeration, solve_rfe
 from gridopt.simplex import INFEASIBLE, OPTIMAL, solve_lp
 
+from _oracles import interpolate_recursive, lambda_weights, problem_size, weights_1d
 from _random_instances import random_instance
 
 N_CRIT1_INSTANCES = 50

@@ -18,8 +18,9 @@ from gridopt.model import (
     LinConstraint,
     VarRef,
     build_problem,
-    problem_size,
 )
+
+from _oracles import problem_size
 
 
 @pytest.fixture

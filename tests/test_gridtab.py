@@ -10,15 +10,13 @@ from gridopt.gridtab import (
     CellIndex,
     find_segment,
     interpolate,
-    interpolate_many,
-    interpolate_recursive,
-    lambda_weights,
     locate,
     make_grid,
     make_table,
     product_table,
-    weights_1d,
 )
+
+from _oracles import interpolate_recursive, lambda_weights, weights_1d
 
 
 def axis_strategy(max_size=5):
@@ -86,6 +84,11 @@ class TestValidation:
         # round-off-level overshoot is clamped instead
         assert interpolate(t, [1.0 + 1e-13]) == pytest.approx(1.0)
 
+    def test_wrong_arity(self):
+        t = make_table(make_grid([[0.0, 1.0], [0.0, 1.0]]), [0.0, 1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            interpolate(t, [0.5])
+
 
 class TestSegments:
     def test_left_closed_cells(self):
@@ -135,14 +138,19 @@ class TestInterpolation:
             x = grid.corner(k)
             assert interpolate(table, x) == table.value_at(k)
 
-    def test_interpolate_many_matches_scalar(self):
-        rng = np.random.default_rng(3)
-        g = make_grid([np.linspace(0, 1, 4), np.linspace(-1, 1, 3)])
-        t = make_table(g, rng.normal(size=12))
-        pts = np.column_stack([rng.uniform(0, 1, 30), rng.uniform(-1, 1, 30)])
-        many = interpolate_many(t, pts)
-        each = [interpolate(t, p) for p in pts]
-        np.testing.assert_allclose(many, each, atol=1e-14)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_affine_table_reproduced(self, n):
+        # a table sampled from an affine function is reproduced to round-off
+        rng = np.random.default_rng(1234 + n)
+        axes = [np.sort(rng.uniform(0, 1, size=rng.integers(2, 5))) for _ in range(n)]
+        for a in axes:
+            a[0], a[-1] = 0.0, 1.0
+        coef = rng.normal(size=n)
+        g = make_grid(axes)
+        mesh = np.meshgrid(*g.axes, indexing="ij")
+        t = make_table(g, (sum(c * m for c, m in zip(coef, mesh)) + 0.5).reshape(-1))
+        for x in rng.uniform(0, 1, size=(40, n)):
+            assert interpolate(t, x) == pytest.approx(coef @ x + 0.5, abs=1e-12)
 
     def test_affine_in_each_variable(self):
         # multilinearity: along any single axis the interpolant is affine

@@ -12,9 +12,10 @@ from gridopt.model import (
     LinConstraint,
     VarRef,
     build_problem,
-    problem_size,
 )
 from gridopt.relax import build_relaxation
+
+from _oracles import problem_size
 
 
 def _table(shape):

@@ -5,7 +5,7 @@ import pytest
 
 from gridopt.bnb import solve_milp
 from gridopt.errors import NoValidSegment
-from gridopt.gridtab import find_segment, lambda_weights, make_grid, make_table, weights_1d
+from gridopt.gridtab import find_segment, make_grid, make_table
 from gridopt.model import (
     BINARY,
     CONTINUOUS,
@@ -13,7 +13,6 @@ from gridopt.model import (
     LinConstraint,
     VarRef,
     build_problem,
-    problem_size,
 )
 from gridopt.relax import (
     add_no_good_cut,
@@ -24,6 +23,7 @@ from gridopt.relax import (
 )
 from gridopt.simplex import INFEASIBLE, OPTIMAL, solve_lp
 
+from _oracles import lambda_weights, problem_size, weights_1d
 from _random_instances import random_instance
 
 
