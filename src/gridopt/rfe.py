@@ -29,6 +29,7 @@ from .spatial import NODE_LIMIT, solve_box_nlp
 
 ABS_TOL = 1e-6
 REL_TOL = 1e-6
+MAX_ITERATIONS = 200  # RFE rounds before the status "IterationLimit"
 
 ENUM_LIMIT = 10_000
 
@@ -63,7 +64,6 @@ def _unclosed(incumbent: float, floor: float) -> bool:
 
 def solve_rfe(
     ir: ProblemIR,
-    max_iterations: int = 200,
     time_limit: Optional[float] = None,
     milp_rel_gap: float = 1e-6,
 ) -> RfeResult:
@@ -97,7 +97,7 @@ def solve_rfe(
             log=log,
         )
 
-    for it in range(max_iterations):
+    for it in range(MAX_ITERATIONS):
         remaining = None
         if time_limit is not None:
             remaining = time_limit - (time.monotonic() - t0)

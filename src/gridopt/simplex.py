@@ -1,14 +1,22 @@
 """Dense simplex for linear programs with bounded variables.
 
-A cold solve is the two-phase primal method with artificial variables, Dantzig
-pricing, and a Bland fallback after a run of degenerate pivots. A warm solve
-starts a bounded dual simplex from the basis of an earlier optimal solve, then
-runs the primal phase 2 as a clean-up pass that certifies optimality. The
-tableau is dense and refactorized every 150 loop pivots from the basis; inputs
-beyond ~5e4 constraint nonzeros are refused. Solver state is per call, so
-independent solves may run concurrently. ``LpResult.iterations`` counts every
-pivot, those that drive artificials out after phase 1 included; those do not
-advance the refactorization cadence.
+The tableau is B^-1 [A I]: n structural columns, then one slack per row
+(a_i x + s_i = b_i), in [0, inf) for a ``<=`` row, (-inf, 0] for ``>=`` and
+[0, 0] for ``=``. The slack block T[:, n:] is B^-1.
+
+A cold solve starts from the slack basis, each structural at its finite lower
+bound, else its finite upper bound, else 0; the slacks take the residuals,
+in their bounds or not. Phase 1 is the primal loop on a cost recomputed before
+every pivot: +1 on a basic above its upper bound by more than 1e-7, -1 on one
+below its lower bound by as much, 0 elsewhere. It ends when no basic is
+violated, or with Infeasible when pricing finds no entering column first.
+Phase 2 is the same loop on the objective. Both use Dantzig pricing with a
+Bland fallback after a run of degenerate pivots. A warm solve starts a bounded
+dual simplex from the basis of an earlier optimal solve, then runs phase 2 as a
+clean-up pass that certifies optimality. The tableau is refactorized every 150
+pivots; inputs beyond ~5e4 constraint nonzeros are refused. Solver state is per
+call, so independent solves may run concurrently. ``LpResult.iterations``
+counts every pivot.
 
 Warm start (``solve_lp(..., basis=res.basis)``). Between the two solves the
 column bounds, the objective, the coefficients and right-hand sides of the
@@ -35,8 +43,10 @@ choose the same pivots as a column-by-column / row-by-row scan):
   Dantzig pricing takes the largest |d_j|, the lowest index on ties. Bland's
   rule takes the lowest eligible index.
 - Ratio test. A basic row can block if |pivot| > 1e-7 and the bound it moves
-  toward is finite; its ratio is clamped at 0. The step starts at the entering
-  column's range hi - lo (a bound flip, no leaving row). The blocking rows are
+  toward is finite; its ratio is clamped at 0. In phase 1 a violated basic
+  blocks only while it moves back toward its bounds, at the bound it violates,
+  and leaves the basis at that bound. The step starts at the entering column's
+  range hi - lo (a bound flip, no leaving row). The blocking rows are
   then taken in row order, and row i with ratio t replaces the current choice
   if t < step - 1e-12, or if t < step + 1e-12 and its |pivot| is larger; step
   becomes t. This is not "minimum ratio, then largest pivot within 1e-12": the
@@ -133,8 +143,8 @@ class LpProblem:
 class LpBasis:
     """Final basis of an optimal solve: basic column per row and every column's status.
 
-    Columns are numbered as in the tableau: structural, then one slack and one
-    artificial per row.
+    Columns are numbered as in the tableau: n structurals, then one slack per
+    row, so ``vstat`` has n + m entries.
     """
 
     basis: np.ndarray
@@ -146,73 +156,54 @@ class LpResult:
     status: str
     x: Optional[np.ndarray] = None
     objective: float = np.inf
-    duals: Optional[np.ndarray] = None
     iterations: int = 0  # every pivot, including those of an abandoned warm start
     basis: Optional[LpBasis] = None  # set when Optimal
 
 
 class _Tableau:
-    """Mutable simplex state over structural + slack + artificial columns."""
+    """Mutable simplex state: the tableau B^-1 [A I] over structurals and slacks."""
 
     def __init__(self, lp: LpProblem, lo: np.ndarray, hi: np.ndarray):
         n, m = lp.ncols, lp.nrows
         self.n, self.m = n, m
-        self.N = n + 2 * m
-        self.lo = np.concatenate([lo, np.zeros(m), np.zeros(m)])
-        self.hi = np.concatenate([hi, np.zeros(m), np.full(m, np.inf)])
+        self.N = n + m
+        self.lo = np.concatenate([lo, np.zeros(m)])
+        self.hi = np.concatenate([hi, np.zeros(m)])
         for i, s in enumerate(lp.senses):
             if s == LE:
                 self.hi[n + i] = np.inf
             elif s == GE:
                 self.lo[n + i] = -np.inf
             # EQ keeps the slack fixed at 0
-        self.sigma = np.ones(m)
         self.lp = lp
         self.pivots = 0  # every pivot, reported as LpResult.iterations
-        self.eta = 0  # simplex-loop pivots since the last refactorization
+        self.eta = 0  # pivots since the last refactorization
 
     def start_cold(self) -> None:
-        """Slack basis, with an artificial per row absorbing the residual."""
+        """Slack basis; the slacks take the residuals, in bounds or not."""
         n, m, lp = self.n, self.m, self.lp
+        lo, hi = self.lo[:n], self.hi[:n]
+        has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
         self.xval = np.zeros(self.N)
-        self.vstat = np.full(self.N, _AT_LO, dtype=np.int8)
-        lo_s, hi_s = self.lo[: n + m], self.hi[: n + m]
-        has_lo, has_hi = np.isfinite(lo_s), np.isfinite(hi_s)
-        self.xval[: n + m] = np.where(has_lo, lo_s, np.where(has_hi, hi_s, 0.0))
-        self.vstat[: n + m] = np.where(has_lo, _AT_LO, np.where(has_hi, _AT_UP, _FREE))
-        r = lp.rhs - lp.A @ self.xval[:n] - self.xval[n : n + m]
-        self.sigma = np.where(r >= 0.0, 1.0, -1.0)
-        self.basis = np.arange(n + m, n + 2 * m)
-        self.vstat[self.basis] = _BASIC
-        self.xB = np.abs(r)
-        self.T = np.empty((m, self.N))
-        self.T[:, :n] = lp.A
-        self.T[:, n : n + m] = np.eye(m)
-        self.T[:, n + m :] = np.diag(self.sigma)
-        self.T *= self.sigma[:, None]
+        self.xval[:n] = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
+        self.vstat = np.full(self.N, _BASIC, dtype=np.int8)
+        self.vstat[:n] = np.where(has_lo, _AT_LO, np.where(has_hi, _AT_UP, _FREE))
+        self.basis = np.arange(n, n + m)
+        self.xB = lp.rhs - lp.A @ self.xval[:n]
+        self.T = np.hstack([lp.A, np.eye(m)])
 
     def start_warm(self, start: LpBasis) -> bool:
         """Take ``start``'s basis under the current bounds; False if unusable.
 
         Rows beyond those ``start`` was taken on enter the basis with their
-        slack. Artificials are fixed at 0, as in phase 2. Raises
-        NumericalFailure if the basis is singular.
+        slack. Raises NumericalFailure if the basis is singular.
         """
         n, m = self.n, self.m
         m0 = start.basis.size
-        if m0 > m or start.vstat.size != n + 2 * m0:
+        if m0 > m or start.vstat.size != n + m0:
             return False
-        # artificials move up by the number of new rows
-        old = np.where(start.basis >= n + m0, start.basis + (m - m0), start.basis)
-        basis = np.concatenate([old, np.arange(n + m0, n + m)])
-        vstat = np.concatenate([
-            start.vstat[: n + m0],
-            np.full(m - m0, _BASIC, dtype=np.int8),
-            start.vstat[n + m0 :],
-            np.full(m - m0, _AT_LO, dtype=np.int8),
-        ])
-        self.lo[n + m :] = 0.0
-        self.hi[n + m :] = 0.0
+        basis = np.concatenate([start.basis, np.arange(n + m0, n + m)])
+        vstat = np.concatenate([start.vstat, np.full(m - m0, _BASIC, dtype=np.int8)])
         has_lo, has_hi = np.isfinite(self.lo), np.isfinite(self.hi)
         # a free nonbasic column has d_j = 0, so it may take a bound it gained
         free = vstat == _FREE
@@ -228,11 +219,7 @@ class _Tableau:
 
     def refactorize(self) -> None:
         """Rebuild the tableau and basic values from the basis columns."""
-        n, m = self.n, self.m
-        Afull = np.empty((m, self.N))
-        Afull[:, :n] = self.lp.A
-        Afull[:, n : n + m] = np.eye(m)
-        Afull[:, n + m :] = np.diag(self.sigma)
+        Afull = np.hstack([self.lp.A, np.eye(self.m)])
         B = Afull[:, self.basis]
         try:
             self.T = np.linalg.solve(B, Afull)
@@ -244,7 +231,7 @@ class _Tableau:
         self.eta = 0
 
     def pivot(self, row: int, j: int) -> None:
-        """Pivot on (row, j), refactorizing every _REFACTOR_EVERY loop pivots."""
+        """Pivot on (row, j), refactorizing every _REFACTOR_EVERY pivots."""
         _kernels.tableau_pivot(self.T, row, j)
         self.pivots += 1
         self.eta += 1
@@ -269,10 +256,15 @@ def _price(tab: _Tableau, cost: np.ndarray, bland: bool):
     return j, (1.0 if d[j] < 0.0 else -1.0)
 
 
-def _ratio_test(tab: _Tableau, j: int, direction: float):
-    """Max step for entering column j; returns (step, leaving row or -1)."""
+def _ratio_test(tab: _Tableau, j: int, direction: float, viol: Optional[np.ndarray] = None):
+    """Max step for entering column j; returns (step, leaving row or -1, whether
+    it leaves at its upper bound). ``viol``: phase 1's +1/-1/0 per row, or None."""
     coef = direction * tab.T[:, j]
     bound = np.where(coef > 0.0, tab.lo[tab.basis], tab.hi[tab.basis])
+    if viol is not None:
+        # a violated basic blocks only on its way back, at the bound it violates
+        back = np.where(viol > 0.0, tab.hi[tab.basis], tab.lo[tab.basis])
+        bound = np.where(viol == 0.0, bound, np.where(viol * coef > 0.0, back, np.inf))
     rows = ((np.abs(coef) > _PIV_TOL) & np.isfinite(bound)).nonzero()[0]
     t = (tab.xB[rows] - bound[rows]) / coef[rows]
     t[t < 0.0] = 0.0
@@ -286,19 +278,31 @@ def _ratio_test(tab: _Tableau, j: int, direction: float):
     for i, ti, piv in zip(rows.tolist(), t.tolist(), np.abs(coef[rows]).tolist()):
         if ti < step - 1e-12 or (ti < step + 1e-12 and piv > best_piv):
             step, row, best_piv = ti, i, piv
-    return step, row
+    if row >= 0 and viol is not None and viol[row] != 0.0:
+        return step, row, bool(viol[row] > 0.0)
+    return step, row, row >= 0 and bool(coef[row] < 0.0)
 
 
-def _iterate(tab: _Tableau, cost: np.ndarray, max_iter: int) -> str:
+def _iterate(tab: _Tableau, cost: Optional[np.ndarray], max_iter: int) -> str:
+    """Primal simplex on ``cost``, or phase 1 (see the module docstring) if None."""
+    phase1 = cost is None
+    viol = None
     degen = 0
     bland = False
     degen_limit = 2 * (tab.m + tab.N)
     for _ in range(max_iter):
+        if phase1:
+            lo_b, hi_b = tab.lo[tab.basis], tab.hi[tab.basis]
+            viol = (tab.xB > hi_b + _FEAS_TOL).astype(float) - (tab.xB < lo_b - _FEAS_TOL)
+            if not viol.any():
+                return OPTIMAL
+            cost = np.zeros(tab.N)
+            cost[tab.basis] = viol
         pick = _price(tab, cost, bland)
         if pick is None:
-            return OPTIMAL
+            return INFEASIBLE if phase1 else OPTIMAL
         j, direction = pick
-        step, row = _ratio_test(tab, j, direction)
+        step, row, up = _ratio_test(tab, j, direction, viol)
         if not np.isfinite(step):
             return UNBOUNDED
         w = tab.T[:, j]
@@ -311,12 +315,8 @@ def _iterate(tab: _Tableau, cost: np.ndarray, max_iter: int) -> str:
             enter_val = tab.xval[j] + direction * step
             tab.xB -= direction * step * w
             leave = tab.basis[row]
-            if direction * w[row] > 0:
-                tab.xval[leave] = tab.lo[leave]
-                tab.vstat[leave] = _AT_LO
-            else:
-                tab.xval[leave] = tab.hi[leave]
-                tab.vstat[leave] = _AT_UP
+            tab.xval[leave] = tab.hi[leave] if up else tab.lo[leave]
+            tab.vstat[leave] = _AT_UP if up else _AT_LO
             tab.basis[row] = j
             tab.vstat[j] = _BASIC
             tab.xB[row] = enter_val
@@ -328,8 +328,6 @@ def _iterate(tab: _Tableau, cost: np.ndarray, max_iter: int) -> str:
         else:
             degen = 0
     raise NumericalFailure("simplex iteration limit exceeded")
-
-
 def _dual_iterate(tab: _Tableau, cost: np.ndarray, max_iter: int) -> Optional[str]:
     """Dual simplex until the basis is primal feasible.
 
@@ -389,43 +387,19 @@ def _dual_iterate(tab: _Tableau, cost: np.ndarray, max_iter: int) -> Optional[st
     return None
 
 
-def _drive_out_artificials(tab: _Tableau) -> None:
-    n, m = tab.n, tab.m
-    for i in range(m):
-        b = tab.basis[i]
-        if b < n + m:
-            continue
-        # basic artificial at value ~0: replace by any usable column
-        usable = (tab.vstat[: n + m] != _BASIC) & (np.abs(tab.T[i, : n + m]) > 1e-7)
-        if usable.any():
-            j = int(np.argmax(usable))
-            tab.xval[b] = 0.0
-            tab.vstat[b] = _AT_LO
-            tab.basis[i] = j
-            tab.vstat[j] = _BASIC
-            tab.xB[i] = tab.xval[j]
-            # counted, but kept out of the refactorization cadence
-            _kernels.tableau_pivot(tab.T, i, j)
-            tab.pivots += 1
-        # no pivot found: the row is redundant; the artificial stays basic at 0
-
-
 def _phase2(tab: _Tableau, cost: np.ndarray, max_iter: int) -> LpResult:
-    """Primal simplex from a feasible basis with artificials fixed at 0."""
-    n, m, lp = tab.n, tab.m, tab.lp
+    """Primal simplex from a primal feasible basis."""
+    n, lp = tab.n, tab.lp
     status = _iterate(tab, cost, max_iter)
     if status == UNBOUNDED:
         return LpResult(status=UNBOUNDED, objective=-np.inf, iterations=tab.pivots)
 
     x = tab.solution()
-    # duals from the artificial block: B^-1 = T[:, art] * sigma (columnwise)
-    Binv = tab.T[:, n + m :] * tab.sigma[None, :]
-    y = cost[tab.basis] @ Binv
-    resid = lp.A @ x[:n] + x[n : n + m] - lp.rhs
+    resid = lp.A @ x[:n] + x[n:] - lp.rhs
     if np.max(np.abs(resid), initial=0.0) > 1e-6:
         tab.refactorize()
         x = tab.solution()
-        resid = lp.A @ x[:n] + x[n : n + m] - lp.rhs
+        resid = lp.A @ x[:n] + x[n:] - lp.rhs
         if np.max(np.abs(resid), initial=0.0) > 1e-6:
             raise NumericalFailure("primal residual too large after refactorization")
     obj = float(lp.obj @ x[:n])
@@ -433,7 +407,6 @@ def _phase2(tab: _Tableau, cost: np.ndarray, max_iter: int) -> LpResult:
         status=OPTIMAL,
         x=x[:n].copy(),
         objective=obj,
-        duals=y,
         iterations=tab.pivots,
         basis=LpBasis(tab.basis, tab.vstat),
     )
@@ -463,7 +436,7 @@ def solve_lp(
     hi = np.maximum(hi, lo)
 
     n, m = lp.ncols, lp.nrows
-    N = n + 2 * m
+    N = n + m
     max_iter = 5000 + 200 * (m + N)
     cost = np.zeros(N)
     cost[:n] = lp.obj
@@ -484,16 +457,9 @@ def solve_lp(
     tab = _Tableau(lp, lo, hi)
     tab.start_cold()
     tab.pivots = spent
-    phase1_cost = np.zeros(N)
-    phase1_cost[n + m :] = 1.0
-    status = _iterate(tab, phase1_cost, max_iter)
-    if status == UNBOUNDED:  # cannot happen: phase-1 objective is bounded below
+    status = _iterate(tab, None, max_iter)
+    if status == UNBOUNDED:  # cannot happen: the violation is bounded below
         raise NumericalFailure("phase-1 reported unbounded")
-    art_sum = float(np.sum(tab.solution()[n + m :]))
-    if art_sum > _FEAS_TOL:
+    if status == INFEASIBLE:
         return LpResult(status=INFEASIBLE, iterations=tab.pivots)
-    _drive_out_artificials(tab)
-    # artificials may not re-enter
-    tab.lo[n + m :] = 0.0
-    tab.hi[n + m :] = 0.0
     return _phase2(tab, cost, max_iter)

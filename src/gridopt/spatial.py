@@ -314,8 +314,6 @@ def _coordinate_descent(
 
 def solve_box_nlp(
     nlp: BoxNlp,
-    abs_tol: float = ABS_TOL,
-    rel_tol: float = REL_TOL,
     node_limit: int = 100_000,
     basis: Optional[LpBasis] = None,
 ) -> NlpResult:
@@ -342,9 +340,7 @@ def solve_box_nlp(
     tick = itertools.count()
 
     def pruned(node_bound: float) -> bool:
-        return best is not None and node_bound >= best[1] - max(
-            abs_tol, rel_tol * abs(best[1])
-        )
+        return best is not None and node_bound >= best[1] - max(ABS_TOL, REL_TOL * abs(best[1]))
 
     def try_point(xrel: np.ndarray, tlo: np.ndarray, thi: np.ndarray) -> None:
         nonlocal best

@@ -1,12 +1,11 @@
 """Bounded-variable simplex against independent references.
 
 Small LPs are checked against brute-force vertex enumeration; random LPs with
-mixed senses and bound patterns against scipy's HiGHS; duals via weak duality
-and complementary slackness spot checks. The array-based pricing and ratio test
-are checked call by call against the scalar loops they replaced. Warm starts
-from an earlier optimal basis, after a bound change, an appended row, or new
-coefficients and right-hand sides in the existing rows, are checked against
-HiGHS on the changed LP.
+mixed senses and bound patterns against scipy's HiGHS. The array-based pricing
+and ratio test, the latter in both phases, are checked call by call against
+scalar loops. Warm starts from an earlier optimal basis, after a bound change,
+an appended row, or new coefficients and right-hand sides in the existing rows,
+are checked against HiGHS on the changed LP.
 """
 
 import dataclasses
@@ -23,6 +22,7 @@ from gridopt.simplex import (
     _AT_LO,
     _AT_UP,
     _BASIC,
+    _FEAS_TOL,
     _FREE,
     _PIV_TOL,
     _RC_TOL,
@@ -190,40 +190,9 @@ class TestAgainstScipy:
         assert min(statuses.values()) > 0
 
 
-class TestDuals:
-    def test_weak_duality_and_row_activity(self):
-        rng = np.random.default_rng(5)
-        for _ in range(40):
-            lp = _random_lp(rng, n=4, m=3)
-            res = solve_lp(lp)
-            if res.status != OPTIMAL:
-                continue
-            y = res.duals
-            assert y is not None and y.shape == (lp.nrows,)
-            # dual signs: <= rows need y <= 0, >= rows y >= 0 (min form,
-            # slack convention A x + s = b with s >= 0 for <=)
-            act = lp.A @ res.x
-            for i, s in enumerate(lp.senses):
-                if s == "<=" and abs(y[i]) > 1e-7:
-                    assert act[i] == pytest.approx(lp.rhs[i], abs=1e-6)
-                if s == ">=" and abs(y[i]) > 1e-7:
-                    assert act[i] == pytest.approx(lp.rhs[i], abs=1e-6)
-
-    def test_known_dual_value(self):
-        # min x + y s.t. x + y = 1, x - y >= 0; optimum at x = y = 0.5
-        lp = LpProblem.from_rows(
-            2, [1.0, 1.0], [0.0, 0.0], [np.inf, np.inf],
-            [([(0, 1.0), (1, 1.0)], "=", 1.0), ([(0, 1.0), (1, -1.0)], ">=", 0.0)],
-        )
-        res = solve_lp(lp)
-        assert res.status == OPTIMAL
-        assert res.objective == pytest.approx(1.0)
-        # equality row's dual equals the objective sensitivity d(obj)/d(rhs) = 1
-        assert res.duals[0] == pytest.approx(1.0, abs=1e-8)
-
-
 # The scalar loops the simplex used before pricing and the ratio test became
-# array operations, kept verbatim as the reference for every pivot choice.
+# array operations, kept as the reference for every pivot choice; the ratio
+# test loop has gained phase 1's rule for violated basics.
 
 
 def _price_loop(tab, cost: np.ndarray, bland: bool):
@@ -250,25 +219,34 @@ def _price_loop(tab, cost: np.ndarray, bland: bool):
     return best
 
 
-def _ratio_test_loop(tab, j: int, direction: float):
-    """Max step for entering column j; returns (step, leaving row or -1)."""
+def _ratio_test_loop(tab, j: int, direction: float, viol=None):
+    """Max step for entering column j; returns (step, leaving row or -1, whether
+    it leaves at its upper bound). ``viol``: phase 1's +1/-1/0 per row, or None."""
     w = tab.T[:, j]
     step = np.inf
     row = -1
+    up = False
     if np.isfinite(tab.lo[j]) and np.isfinite(tab.hi[j]):
         step = tab.hi[j] - tab.lo[j]  # bound flip
     best_piv = 0.0
     for i in range(tab.m):
         coef = direction * w[i]
         b = tab.basis[i]
+        lo, hi = tab.lo[b], tab.hi[b]
+        if viol is not None and viol[i] > 0:
+            lo, hi = hi, np.inf  # above its bounds: blocks only falling back to hi
+        elif viol is not None and viol[i] < 0:
+            lo, hi = -np.inf, lo  # below: blocks only rising back to lo
         if coef > _PIV_TOL:
-            if not np.isfinite(tab.lo[b]):
+            if not np.isfinite(lo):
                 continue
-            t = (tab.xB[i] - tab.lo[b]) / coef
+            t = (tab.xB[i] - lo) / coef
+            at_up = viol is not None and viol[i] > 0
         elif coef < -_PIV_TOL:
-            if not np.isfinite(tab.hi[b]):
+            if not np.isfinite(hi):
                 continue
-            t = (tab.xB[i] - tab.hi[b]) / coef
+            t = (tab.xB[i] - hi) / coef
+            at_up = not (viol is not None and viol[i] < 0)
         else:
             continue
         t = max(t, 0.0)
@@ -276,7 +254,19 @@ def _ratio_test_loop(tab, j: int, direction: float):
             step = t
             row = i
             best_piv = abs(coef)
-    return step, row
+            up = at_up
+    return step, row, up
+
+
+def _violation_loop(tab) -> np.ndarray:
+    """Phase 1's row violation: +1 above the upper bound, -1 below the lower."""
+    viol = np.zeros(tab.m)
+    for i, b in enumerate(tab.basis):
+        if tab.xB[i] > tab.hi[b] + _FEAS_TOL:
+            viol[i] = 1.0
+        elif tab.xB[i] < tab.lo[b] - _FEAS_TOL:
+            viol[i] = -1.0
+    return viol
 
 
 def _lattice_tableau(rng, m: int, N: int):
@@ -336,27 +326,37 @@ class TestPivotRulesMatchLoops:
 
     def test_ratio_test_matches_loop(self):
         rng = np.random.default_rng(8)
-        seen = {"flip": 0, "row": 0, "unbounded": 0, "tied": 0, "flip_tied": 0, "zero": 0}
+        seen = {
+            "flip": 0, "row": 0, "unbounded": 0, "tied": 0, "flip_tied": 0, "zero": 0,
+            "up": 0, "violated_block": 0, "violated_passed": 0,
+        }
         for _ in range(1500):
             tab = _lattice_tableau(rng, int(rng.integers(1, 12)), int(rng.integers(12, 20)))
             for _ in range(4):
                 j = int(rng.integers(tab.N))
                 direction = float(rng.choice([-1.0, 1.0]))
-                step, row = _ratio_test(tab, j, direction)
-                assert (step, row) == _ratio_test_loop(tab, j, direction)
-                if not np.isfinite(step):
-                    seen["unbounded"] += 1
-                    continue
-                seen["flip" if row == -1 else "row"] += 1
-                seen["zero"] += int(step == 0.0)
-                coef = direction * tab.T[:, j]
-                bound = np.where(coef > 0, tab.lo[tab.basis], tab.hi[tab.basis])
-                ok = (np.abs(coef) > _PIV_TOL) & np.isfinite(bound)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    t = np.maximum((tab.xB - bound) / coef, 0.0)
-                seen["tied"] += int(np.count_nonzero(ok & (t == step)) > 1)
-                flip = tab.hi[j] - tab.lo[j]
-                seen["flip_tied"] += int(row >= 0 and flip == step)
+                for viol in (None, _violation_loop(tab)):
+                    step, row, up = _ratio_test(tab, j, direction, viol)
+                    assert (step, row, up) == _ratio_test_loop(tab, j, direction, viol)
+                    if not np.isfinite(step):
+                        seen["unbounded"] += 1
+                        continue
+                    seen["flip" if row == -1 else "row"] += 1
+                    seen["up"] += int(up)
+                    coef = direction * tab.T[:, j]
+                    if viol is not None:
+                        seen["violated_block"] += int(row >= 0 and viol[row] != 0.0)
+                        away = (viol * coef < 0.0) & (np.abs(coef) > _PIV_TOL)
+                        seen["violated_passed"] += int(away.any())
+                        continue
+                    seen["zero"] += int(step == 0.0)
+                    bound = np.where(coef > 0, tab.lo[tab.basis], tab.hi[tab.basis])
+                    ok = (np.abs(coef) > _PIV_TOL) & np.isfinite(bound)
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        t = np.maximum((tab.xB - bound) / coef, 0.0)
+                    seen["tied"] += int(np.count_nonzero(ok & (t == step)) > 1)
+                    flip = tab.hi[j] - tab.lo[j]
+                    seen["flip_tied"] += int(row >= 0 and flip == step)
         assert min(seen.values()) > 0, seen
 
     def _one_column(self, xB, col, lo_b, hi_b, lo_j=0.0, hi_j=np.inf):
@@ -377,12 +377,12 @@ class TestPivotRulesMatchLoops:
         tab = self._one_column(
             [17000.0, 34000.0, 51000.0], [1.0, 2.0, 3.0], [0.0] * 3, [np.inf] * 3
         )
-        assert _ratio_test_loop(tab, 3, 1.0) == (17000.0, 0)
-        assert _ratio_test(tab, 3, 1.0) == (17000.0, 0)
+        assert _ratio_test_loop(tab, 3, 1.0) == (17000.0, 0, False)
+        assert _ratio_test(tab, 3, 1.0) == (17000.0, 0, False)
         # below 2**14 the same tie goes to the largest pivot
         tab.xB = tab.xB / 4
-        assert _ratio_test_loop(tab, 3, 1.0) == (4250.0, 2)
-        assert _ratio_test(tab, 3, 1.0) == (4250.0, 2)
+        assert _ratio_test_loop(tab, 3, 1.0) == (4250.0, 2, False)
+        assert _ratio_test(tab, 3, 1.0) == (4250.0, 2, False)
 
     def test_near_ties_chain_in_row_order(self):
         # Each row is within 1e-12 of the previous choice and has a larger
@@ -401,9 +401,9 @@ class TestPivotRulesMatchLoops:
             tab.lo[2], tab.hi[2] = lo_j, hi_j
             assert _ratio_test(tab, 2, -1.0) == _ratio_test_loop(tab, 2, -1.0)
         tab.hi[2] = 0.25
-        assert _ratio_test(tab, 2, -1.0) == (0.25, -1)
+        assert _ratio_test(tab, 2, -1.0) == (0.25, -1, False)
         tab.hi[2] = 0.5  # tied with row 1: the row wins
-        assert _ratio_test(tab, 2, -1.0) == (0.5, 1)
+        assert _ratio_test(tab, 2, -1.0) == (0.5, 1, True)
 
 
 def _with_row(lp: LpProblem, a, sense: str, b: float) -> LpProblem:
@@ -510,23 +510,6 @@ class TestWarmStart:
             np.testing.assert_array_equal(warm.x, cold.x)
         assert dual_outcomes == []
 
-    def test_basic_artificial_renumbered_past_appended_row(self, dual_outcomes):
-        # Drive-out leaves an artificial basic only when its row has no entry
-        # above 1e-7, so such a basis is written by hand: columns x0, x1, the
-        # slack (3rd) and the artificial (4th) of the row x0 + x1 = 1. The
-        # appended row's slack takes the 4th number, the artificial the 5th.
-        lp = LpProblem.from_rows(
-            2, [-1.0, -2.0], [0.0, 0.0], [1.0, 1.0], [([(0, 1.0), (1, 1.0)], "=", 1.0)]
-        )
-        start = LpBasis(
-            basis=np.array([3]), vstat=np.array([_AT_LO, _AT_LO, _AT_LO, _BASIC], dtype=np.int8)
-        )
-        cut = _with_row(lp, [0.0, 1.0], "<=", 0.25)
-        got = solve_lp(cut, basis=start)
-        assert got.status == OPTIMAL
-        assert got.objective == pytest.approx(-1.25)
-        assert dual_outcomes == [OPTIMAL]  # a clash of numbers would be singular
-
     def test_changed_rows_match_cold_and_scipy(self, dual_outcomes):
         # new coefficients and right-hand sides in every row: the old basis is
         # refactorized from them, and is in general neither primal nor dual
@@ -594,9 +577,9 @@ class TestIterationsCountEveryPivot:
         calls = []
         pivot = _kernels.tableau_pivot
 
-        def counted(*args):
-            calls.append(args[1:])
-            pivot(*args)
+        def counted(T, *args):
+            calls.append(T.shape[1])  # the tableau's column count
+            pivot(T, *args)
 
         monkeypatch.setattr(_kernels, "tableau_pivot", counted)
         return calls
@@ -618,23 +601,44 @@ class TestIterationsCountEveryPivot:
             checked += 1
         assert checked > 0
 
-    def test_pivots_driving_out_artificials(self, pivots, monkeypatch):
-        # -x0 - x1 = 0 holds at the start and no column at its lower bound
-        # can lower its artificial, so phase 1 ends with it basic at 0
-        driven = []
-        drive = simplex._drive_out_artificials
-
-        def spy(tab):
-            before = len(pivots)
-            drive(tab)
-            driven.append(len(pivots) - before)
-
-        monkeypatch.setattr(simplex, "_drive_out_artificials", spy)
-        lp = LpProblem.from_rows(
-            3, [-1.0, -1.0, -1.0], [0.0] * 3, [5.0] * 3,
-            [([(0, -1.0), (1, -1.0)], "=", 0.0), ([(2, 1.0)], "<=", 2.0)],
-        )
+    @pytest.mark.parametrize(
+        "rows, cut",
+        [
+            # the second copy holds once the first does
+            ([([(0, 1.0), (1, 1.0)], "=", 1.0)] * 2, ([(1, 1.0)], "<=", 0.25)),
+            # -x0 - x1 = 0 holds at the start, with no column that could lower it
+            (
+                [([(0, -1.0), (1, -1.0)], "=", 0.0), ([(2, 1.0)], "<=", 2.0)],
+                ([(2, 1.0), (0, 1.0)], "<=", 1.0),
+            ),
+        ],
+        ids=["duplicated_equality", "zero_equality"],
+    )
+    def test_rows_holding_at_start(self, pivots, dual_outcomes, rows, cut):
+        n = 3
+        lp = LpProblem.from_rows(n, [-1.0, -2.0, -1.0], [0.0] * n, [5.0] * n, rows)
         res = solve_lp(lp)
-        assert res.status == OPTIMAL and res.objective == pytest.approx(-2.0)
-        assert driven[0] > 0
+        _assert_matches_scipy(res, lp)
         assert res.iterations == len(pivots)
+        pivots.clear()
+        cut_lp = LpProblem.from_rows(n, lp.obj, lp.lo, lp.hi, rows + [cut])
+        got = solve_lp(cut_lp, basis=res.basis)
+        _assert_matches_scipy(got, cut_lp)
+        assert got.iterations == len(pivots)
+        assert dual_outcomes == [OPTIMAL]
+
+    def test_tableau_has_a_column_per_structural_and_row(self, pivots):
+        rng = np.random.default_rng(38)
+        widths = set()
+        for lp, res in _optimal_lps(rng, 20):
+            assert res.basis.vstat.size == lp.ncols + lp.nrows
+            widths |= set(pivots)
+            pivots.clear()
+            a = rng.normal(size=lp.ncols)
+            cut = _with_row(lp, a, ">=", float(a @ res.x) + 0.5)
+            got = solve_lp(cut, basis=res.basis)
+            assert got.basis is None or got.basis.vstat.size == cut.ncols + cut.nrows
+            assert set(pivots) <= {cut.ncols + cut.nrows}
+            pivots.clear()
+        # _random_lp has 5 columns and 4 rows
+        assert widths == {5 + 4}

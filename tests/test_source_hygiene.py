@@ -1,4 +1,5 @@
-"""Source checks that a linter would make: no unused module-level imports."""
+"""Source checks that a linter would make: no unused module-level imports, and
+no private function or method that nothing in ``src/gridopt`` calls."""
 
 import ast
 from pathlib import Path
@@ -51,3 +52,54 @@ def test_no_unused_module_imports(path):
 def test_string_annotations_count_as_use():
     tree = ast.parse("from x import A, B\ndef f(a: 'A') -> 'list[B]': pass\n")
     assert {"A", "B"} <= _used_names(tree)
+
+
+def _private_defs(tree: ast.Module):
+    """Module-level functions and methods of module-level classes whose name
+    starts with one underscore."""
+    defs = []
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        for d in members:
+            if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                d.name.startswith("_") and not d.name.startswith("__")
+            ):
+                defs.append(d)
+    return defs
+
+
+def _uncalled_private(paths: list[Path]) -> list[str]:
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in paths}
+    refs = []  # (path, line, name) of every name loaded and attribute read
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((path, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                refs.append((path, node.lineno, node.attr))
+    uncalled = []
+    for path, tree in trees.items():
+        for d in _private_defs(tree):
+            outside = [
+                r for r in refs
+                if r[2] == d.name and not (r[0] == path and d.lineno <= r[1] <= d.end_lineno)
+            ]
+            if not outside:
+                uncalled.append(f"{path.name}:{d.lineno} {d.name}")
+    return uncalled
+
+
+def test_every_private_function_is_referenced():
+    assert _uncalled_private(SRC) == []
+
+
+def test_self_reference_does_not_count(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "def _used(): pass\n"
+        "def _recursive(k): return _recursive(k - 1)\n"
+        "class C:\n"
+        "    def _method(self): return self._method()\n"
+        "    def __init__(self): _used()\n"
+    )
+    assert _uncalled_private([mod]) == ["mod.py:2 _recursive", "mod.py:4 _method"]
