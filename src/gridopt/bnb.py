@@ -20,7 +20,6 @@ import numpy as np
 
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpBasis, LpProblem, solve_lp
 
-GAP_LIMIT = "GapLimit"
 TIME_LIMIT = "TimeLimit"
 
 INT_TOL = 1e-6
@@ -29,7 +28,7 @@ REL_GAP = 1e-6
 
 @dataclass
 class MipResult:
-    status: str  # Optimal | Infeasible | Unbounded | GapLimit | TimeLimit
+    status: str  # Optimal | Infeasible | Unbounded | TimeLimit
     x: Optional[np.ndarray] = None
     objective: float = np.inf
     bound: float = -np.inf
@@ -43,13 +42,12 @@ def solve_milp(
     binary_cols: Sequence[int],
     rel_gap: float = REL_GAP,
     time_limit: Optional[float] = None,
-    node_limit: Optional[int] = None,
     basis: Optional[LpBasis] = None,
 ) -> MipResult:
     """Minimize over ``lp`` with the listed columns restricted to {0, 1}.
 
-    Returns the proven optimum, or the best incumbent with status GapLimit /
-    TimeLimit when a limit stops the search first. Deterministic for identical
+    Returns the proven optimum, or the best incumbent with status TimeLimit
+    when the time limit stops the search first. Deterministic for identical
     input and limits (up to wall-clock cutoffs). ``basis`` warm-starts the root
     LP; it may come from ``lp`` with fewer rows (see ``simplex.solve_lp``).
     """
@@ -115,8 +113,6 @@ def solve_milp(
         for val in (0.0, 1.0):
             if time_limit is not None and time.monotonic() - t0 > time_limit:
                 return out(TIME_LIMIT)
-            if node_limit is not None and nodes >= node_limit:
-                return out(GAP_LIMIT)
             clo = lo.copy()
             chi = hi.copy()
             clo[frac_col] = chi[frac_col] = val

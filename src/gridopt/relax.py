@@ -35,8 +35,6 @@ class InterpBlock:
     """Column bookkeeping for one interpolant inside the relaxation."""
 
     grid: Grid
-    input_cols: list[int]
-    output_col: int
     activation_col: Optional[int]
     xi_cols: list[list[int]]  # per axis, per breakpoint
     seg_cols: list[list[int]]  # per axis, per segment
@@ -95,7 +93,10 @@ class Fixing:
 
 @dataclass
 class BoxNlp:
-    """Cell-restricted NLP subproblem: every interpolant confined to one cell."""
+    """Cell-restricted NLP subproblem: every interpolant confined to one cell.
+
+    The bounds of each active interpolant's inputs lie within its cell.
+    """
 
     ir: ProblemIR
     var_lo: np.ndarray  # by position in ir.variables
@@ -188,8 +189,6 @@ def build_relaxation(ir: ProblemIR) -> MilpModel:
         blocks.append(
             InterpBlock(
                 grid=grid,
-                input_cols=[var_col[v] for v in itp.inputs],
-                output_col=var_col[itp.output],
                 activation_col=act,
                 xi_cols=xi_cols,
                 seg_cols=seg_cols,

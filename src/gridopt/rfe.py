@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bnb import GAP_LIMIT, TIME_LIMIT, solve_milp
+from .bnb import TIME_LIMIT, solve_milp
 from .errors import EnumerationTooLarge
 from .model import ProblemIR
 from .relax import Fixing, add_no_good_cut, build_relaxation, build_subproblem, extract_fixing
@@ -62,6 +62,55 @@ def _unclosed(incumbent: float, floor: float) -> bool:
     return floor < np.inf and not _closed(incumbent, floor)
 
 
+class _Subproblems:
+    """Solves cell subproblems one after another and keeps what they prove.
+
+    Each root LP starts from the previous subproblem's root basis. Values are
+    in the minimization sense.
+    """
+
+    def __init__(self, ir: ProblemIR) -> None:
+        self.ir = ir
+        self.x: Optional[np.ndarray] = None
+        self.objective = np.inf
+        self.floor = np.inf  # least bound of a subproblem that did not close
+        self.solved = 0
+        self.basis = None  # previous subproblem's root basis
+
+    def solve(self, fixing: Fixing) -> str:
+        """Solve the fixing's subproblem; returns its status."""
+        res = solve_box_nlp(build_subproblem(self.ir, fixing), basis=self.basis)
+        if res.root_basis is not None:
+            self.basis = res.root_basis
+        self.solved += 1
+        if res.status == NODE_LIMIT:
+            self.floor = min(self.floor, res.bound)
+        if res.x is not None and res.objective < self.objective - 1e-15:
+            self.objective = res.objective
+            self.x = res.x.copy()
+        return res.status
+
+    def final(self, bound: float) -> tuple[str, float]:
+        """Status and bound once no unexplored assignment can beat the incumbent.
+
+        ``bound`` is the bound proven so far; it only matters when a
+        subproblem did not close.
+        """
+        if _unclosed(self.objective, self.floor):
+            return NODE_LIMIT, max(bound, self.floor)
+        return (OPTIMAL if self.x is not None else INFEASIBLE), self.objective
+
+    def result(self, status: str, bound: float, **counts) -> RfeResult:
+        return RfeResult(
+            status=status,
+            x=self.x,
+            objective=_user_sense(self.ir, self.objective),
+            bound=_user_sense(self.ir, bound),
+            subproblems_solved=self.solved,
+            **counts,
+        )
+
+
 def solve_rfe(
     ir: ProblemIR,
     time_limit: Optional[float] = None,
@@ -75,27 +124,14 @@ def solve_rfe(
     """
     t0 = time.monotonic()
     milp = build_relaxation(ir)
-    best_x: Optional[np.ndarray] = None
-    best_obj = np.inf  # minimization sense
+    cells = _Subproblems(ir)
     bound = -np.inf
-    floor = np.inf  # least bound of an excluded subproblem that did not close
-    subs = 0
     nodes = 0
     log: list = []
     basis = None  # previous round's root basis; this round adds one cut row
-    nlp_basis = None  # previous subproblem's root basis
 
     def out(status: str) -> RfeResult:
-        return RfeResult(
-            status=status,
-            x=best_x,
-            objective=_user_sense(ir, best_obj),
-            bound=_user_sense(ir, bound),
-            iterations=len(log),
-            subproblems_solved=subs,
-            milp_nodes=nodes,
-            log=log,
-        )
+        return cells.result(status, bound, iterations=len(log), milp_nodes=nodes, log=log)
 
     for it in range(MAX_ITERATIONS):
         remaining = None
@@ -109,49 +145,32 @@ def solve_rfe(
         )
         basis = mres.root_basis
         nodes += mres.nodes
-        if mres.status == INFEASIBLE:
-            # every discrete assignment has been explored
-            if _unclosed(best_obj, floor):
-                bound = max(bound, floor)
-                return out(NODE_LIMIT)
-            bound = best_obj
-            return out(OPTIMAL if best_x is not None else INFEASIBLE)
         if mres.status == UNBOUNDED:
             return out(UNBOUNDED)
         if mres.status == TIME_LIMIT:
             return out(TIME_LIMIT)
-        # the MILP carries all cuts, so it bounds only the unexplored
-        # assignments; the incumbent's value bounds the closed explored ones
-        # and the floor the others
-        milp_bound = mres.bound if mres.status == GAP_LIMIT else mres.objective
-        bound = max(bound, min(milp_bound, best_obj, floor))
-        if _closed(best_obj, milp_bound):
-            if _unclosed(best_obj, floor):
-                return out(NODE_LIMIT)
-            bound = best_obj
-            return out(OPTIMAL)
+        # every discrete assignment has been explored, or none left beats the
+        # incumbent: the MILP carries all cuts, so it bounds only the
+        # unexplored assignments
+        if mres.status == INFEASIBLE or _closed(cells.objective, mres.objective):
+            status, bound = cells.final(bound)
+            return out(status)
+        # the incumbent's value bounds the closed explored assignments and
+        # the floor the others
+        bound = max(bound, min(mres.objective, cells.objective, cells.floor))
         fixing = extract_fixing(milp, mres.x)
-        sub = build_subproblem(ir, fixing)
-        sres = solve_box_nlp(sub, basis=nlp_basis)
-        if sres.root_basis is not None:
-            nlp_basis = sres.root_basis
-        subs += 1
-        if sres.status == NODE_LIMIT:
-            floor = min(floor, sres.bound)
-        if sres.x is not None and sres.objective < best_obj - 1e-15:
-            best_obj = sres.objective
-            best_x = sres.x.copy()
+        sub_status = cells.solve(fixing)
         log.append(
             {
                 "iteration": it,
                 "bound": _user_sense(ir, bound),
-                "incumbent": _user_sense(ir, best_obj) if best_x is not None else None,
+                "incumbent": _user_sense(ir, cells.objective) if cells.x is not None else None,
                 "fixing_segments": fixing.segments,
                 "fixing_y": fixing.y,
-                "subproblem_status": sres.status,
+                "subproblem_status": sub_status,
             }
         )
-        if _closed(best_obj, bound):
+        if _closed(cells.objective, bound):
             return out(OPTIMAL)
         add_no_good_cut(milp, fixing)
     return out("IterationLimit")
@@ -203,33 +222,7 @@ def solve_by_enumeration(ir: ProblemIR, limit: int = ENUM_LIMIT) -> RfeResult:
     Exponential in problem size and guarded by ``limit``; intended as an
     independent check of :func:`solve_rfe` on small instances.
     """
-    fixings = _enumerate_fixings(ir, limit)
-    best_x = None
-    best_obj = np.inf
-    floor = np.inf  # least bound of a subproblem that did not close
-    subs = 0
-    basis = None  # previous subproblem's root basis
-    for fixing in fixings:
-        sub = build_subproblem(ir, fixing)
-        res = solve_box_nlp(sub, basis=basis)
-        if res.root_basis is not None:
-            basis = res.root_basis
-        subs += 1
-        if res.status == NODE_LIMIT:
-            floor = min(floor, res.bound)
-        if res.x is not None and res.objective < best_obj - 1e-15:
-            best_obj = res.objective
-            best_x = res.x.copy()
-    if _unclosed(best_obj, floor):
-        status, bound = NODE_LIMIT, floor
-    elif best_x is None:
-        return RfeResult(status=INFEASIBLE, subproblems_solved=subs)
-    else:
-        status, bound = OPTIMAL, best_obj
-    return RfeResult(
-        status=status,
-        x=best_x,
-        objective=_user_sense(ir, best_obj),
-        bound=_user_sense(ir, bound),
-        subproblems_solved=subs,
-    )
+    cells = _Subproblems(ir)
+    for fixing in _enumerate_fixings(ir, limit):
+        cells.solve(fixing)
+    return cells.result(*cells.final(-np.inf))

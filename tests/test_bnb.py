@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gridopt.bnb import GAP_LIMIT, TIME_LIMIT, solve_milp
+from gridopt.bnb import TIME_LIMIT, solve_milp
 from gridopt.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, solve_lp
 
 
@@ -106,19 +106,6 @@ class TestStatuses:
         lp = _knapsack_lp(values, weights, weights.sum() * 0.5)
         res = solve_milp(lp, list(range(n)), time_limit=0.0)
         assert res.status == TIME_LIMIT
-
-    def test_node_limit_returns_gap_limit(self):
-        rng = np.random.default_rng(2)
-        n = 12
-        lp = _knapsack_lp(
-            rng.uniform(1, 10, n), rng.uniform(1, 10, n), 20.0
-        )
-        res = solve_milp(lp, list(range(n)), node_limit=3)
-        assert res.status in (GAP_LIMIT, OPTIMAL)
-        if res.status == GAP_LIMIT:
-            # the reported bound must still be valid
-            full = solve_milp(lp, list(range(n)))
-            assert res.bound <= full.objective + 1e-8
 
 
 class TestDeterminism:

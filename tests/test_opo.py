@@ -131,6 +131,16 @@ class TestBuildInstance:
         assert sz.n_xi == n_xi
         assert sz.n_lambda == n_lam
 
+    def test_platform_limits_reach_the_rows(self):
+        inst = build_opo_instance(get_scenario("S4"), 2)
+        plat = inst.platform
+        rhs = {c.name: c.rhs for c in inst.ir.constraints}
+        assert rhs["cap_liq"] == plat.q_liq_cap
+        assert rhs["cap_inj"] == plat.q_inj_cap
+        # the pressure big-M exceeds every lift-curve value
+        tables = [w.vlp for w in inst.wells] + [m.vlp for m in inst.manifolds]
+        assert all(plat.big_m >= t.values.max() for t in tables)
+
     def test_all_closed_solution_feasible(self):
         """y = 0 everywhere with all flows zero satisfies every row."""
         inst = build_opo_instance(get_scenario("S5"), 3)

@@ -1,12 +1,15 @@
-"""Source checks that a linter would make: no unused module-level imports, and
-no private function or method that nothing in ``src/gridopt`` calls."""
+"""Source checks that a linter would make: no unused module-level imports, no
+private function or method that nothing in ``src/gridopt`` calls, and no
+dataclass field that nothing reads."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = sorted((Path(__file__).resolve().parents[1] / "src" / "gridopt").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SRC = sorted((ROOT / "src" / "gridopt").glob("*.py"))
+READERS = SRC + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _used_names(tree: ast.AST) -> set[str]:
@@ -103,3 +106,51 @@ def test_self_reference_does_not_count(tmp_path):
         "    def __init__(self): _used()\n"
     )
     assert _uncalled_private([mod]) == ["mod.py:2 _recursive", "mod.py:4 _method"]
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for d in node.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _unread_fields(defining: list[Path], reading: list[Path]) -> list[str]:
+    """Fields of the dataclasses in ``defining`` that no attribute read in
+    ``reading`` names."""
+    reads = {
+        node.attr
+        for path in reading
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for path in defining:
+        for cls in ast.parse(path.read_text(), filename=str(path)).body:
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            for st in cls.body:
+                if isinstance(st, ast.AnnAssign) and st.target.id not in reads:
+                    unread.append(f"{path.name} {cls.name}.{st.target.id}")
+    return unread
+
+
+def test_every_dataclass_field_is_read():
+    assert _unread_fields(SRC, READERS) == []
+
+
+def test_a_field_only_written_is_unread(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class P:\n"
+        "    read: int\n"
+        "    written: int\n"
+        "    def f(self): return self.read\n"
+        "class Plain:\n"
+        "    other: int\n"
+        "def g(p): p.written = 1\n"
+    )
+    assert _unread_fields([mod], [mod]) == ["mod.py P.written"]

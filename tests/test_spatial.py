@@ -14,9 +14,17 @@ from gridopt.model import (
     build_problem,
 )
 from gridopt.opo import build_opo_instance, get_scenario
-from gridopt.relax import BoxNlp, build_relaxation, build_subproblem, extract_fixing
-from gridopt.simplex import INFEASIBLE, OPTIMAL
-from gridopt.spatial import NODE_LIMIT, _Block, _prepare_blocks, _split, solve_box_nlp
+from gridopt.relax import BoxNlp, Fixing, build_relaxation, build_subproblem, extract_fixing
+from gridopt.simplex import INFEASIBLE, OPTIMAL, solve_lp
+from gridopt.spatial import (
+    NODE_LIMIT,
+    _Block,
+    _build_node_lp,
+    _ir_lp,
+    _prepare_blocks,
+    _split,
+    solve_box_nlp,
+)
 
 from _random_instances import random_instance
 
@@ -42,7 +50,7 @@ def _single_cell_nlp(table, constraints=(), objective=None, out_bounds=(-100, 10
 def _unit_block(corners):
     """A block on the unit cell whose f is the multilinear form of the corners."""
     n = int(np.log2(len(corners)))
-    return _Block(0, list(range(n)), n, np.zeros(n), np.ones(n), np.asarray(corners), 0, n)
+    return _Block(list(range(n)), n, np.zeros(n), np.ones(n), np.asarray(corners), n)
 
 
 def _monomials(corners, n):
@@ -84,35 +92,40 @@ class TestMonomialExpansion:
 
 class TestCornerEvaluator:
     def test_matches_interpolate(self):
-        """f at theta equals the table's interpolant at the mapped point."""
+        """f at the inputs equals the table's interpolant there."""
         rng = np.random.default_rng(4)
         for n in (1, 2, 3, 4):
             g = make_grid([np.sort(rng.uniform(-5, 5, size=3)) for _ in range(n)])
             tab = make_table(g, rng.normal(size=g.num_corners))
             cell = CellIndex(tuple(int(t) for t in rng.integers(0, 2, size=n)))
             nlp = _single_cell_nlp(tab)
-            (blk,), _ = _prepare_blocks(BoxNlp(nlp.ir, nlp.var_lo, nlp.var_hi, (cell,)))
+            (blk,) = _prepare_blocks(BoxNlp(nlp.ir, nlp.var_lo, nlp.var_hi, (cell,)))
             box_corners = [[(b >> j) & 1 for j in range(n)] for b in range(1 << n)]
             for theta in np.vstack([box_corners, rng.uniform(0, 1, size=(20, n))]):
                 x = blk.a_lo + theta * blk.width
-                assert blk.f(theta) == pytest.approx(interpolate(tab, x), abs=1e-12)
+                assert blk.f(x) == pytest.approx(interpolate(tab, x), abs=1e-12)
             # and many points at once
-            thetas = rng.uniform(0, 1, size=(5, n))
-            want = [interpolate(tab, blk.a_lo + t * blk.width) for t in thetas]
-            np.testing.assert_allclose(blk.f(thetas), want, atol=1e-12)
+            xs = blk.a_lo + rng.uniform(0, 1, size=(5, n)) * blk.width
+            want = [interpolate(tab, x) for x in xs]
+            np.testing.assert_allclose(blk.f(xs), want, atol=1e-12)
 
 
 def _two_blocks():
-    """Two blocks with f = theta0 * theta1 on unit cells; x = (a0, a1, ya, b0, b1, yb)."""
+    """Two blocks with f = x0 * x1 on unit cells; x = (a0, a1, ya, b0, b1, yb)."""
     corners = np.array([0.0, 0.0, 0.0, 1.0])
     return [
-        _Block(0, [0, 1], 2, np.zeros(2), np.ones(2), corners, 0, 2),
-        _Block(1, [3, 4], 5, np.zeros(2), np.ones(2), corners, 2, 2),
+        _Block([0, 1], 2, np.zeros(2), np.ones(2), corners, 2),
+        _Block([3, 4], 5, np.zeros(2), np.ones(2), corners, 2),
     ]
 
 
+def _box(inputs_lo, inputs_hi):
+    """The variable box with the four inputs (a0, a1, b0, b1) bounded as given."""
+    return np.insert(inputs_lo, [2, 4], 0.0), np.insert(inputs_hi, [2, 4], 1.0)
+
+
 def _node_point(ta, va, tb, vb):
-    """LP point with thetas ta, tb and outputs f(theta) + va, f(theta) + vb."""
+    """LP point with inputs ta, tb and outputs f(ta) + va, f(tb) + vb."""
     return np.array([*ta, ta[0] * ta[1] + va, *tb, tb[0] * tb[1] + vb])
 
 
@@ -120,36 +133,72 @@ class TestBranchingRule:
     def test_largest_violation_widest_coordinate_at_lp_theta(self):
         blocks = _two_blocks()
         x = _node_point((0.5, 0.5), 0.1, (0.3, 0.6), -0.3)
-        tlo, thi = np.zeros(4), np.array([1.0, 1.0, 0.5, 1.0])
-        assert _split(blocks, x, tlo, thi) == (3, pytest.approx(0.6))
+        lo, hi = _box(np.zeros(4), np.array([1.0, 1.0, 0.5, 1.0]))
+        assert _split(blocks, x, lo, hi) == (4, pytest.approx(0.6))
         # the other block once its violation is the larger one
         x = _node_point((0.5, 0.4), -0.4, (0.3, 0.6), 0.3)
-        assert _split(blocks, x, tlo, thi) == (0, pytest.approx(0.5))
+        assert _split(blocks, x, lo, hi) == (0, pytest.approx(0.5))
+
+    def test_widest_in_cell_units(self):
+        """An input's interval counts in widths of its cell axis."""
+        blocks = _two_blocks()
+        blocks[1].width = np.array([1.0, 4.0])
+        blocks[1].corners = np.array([0.0, 0.0, 0.0, 4.0])  # still f = b0 * b1
+        x = _node_point((0.5, 0.5), 0.0, (0.3, 0.6), 0.2)
+        # b1's interval is the wider in x, b0's in cell widths
+        lo, hi = _box(np.zeros(4), np.array([1.0, 1.0, 0.8, 2.0]))
+        assert _split(blocks, x, lo, hi) == (3, pytest.approx(0.3))
 
     def test_split_clamped_to_middle_of_interval(self):
         blocks = _two_blocks()
-        tlo, thi = np.array([0.0, 0.0, 0.2, 0.2]), np.array([1.0, 1.0, 0.5, 0.7])
+        lo, hi = _box(np.array([0.0, 0.0, 0.2, 0.2]), np.array([1.0, 1.0, 0.5, 0.7]))
         # interval [0.2, 0.7]: the split stays in [0.3, 0.6]
         for tb1, want in ((0.68, 0.6), (0.21, 0.3), (0.45, 0.45)):
             x = _node_point((0.5, 0.5), 0.0, (0.3, tb1), 0.2)
-            assert _split(blocks, x, tlo, thi) == (3, pytest.approx(want))
+            assert _split(blocks, x, lo, hi) == (4, pytest.approx(want))
 
     def test_ties_go_to_lowest_block_and_coordinate(self):
         blocks = _two_blocks()
-        tlo, thi = np.zeros(4), np.ones(4)
+        lo, hi = _box(np.zeros(4), np.ones(4))
         x = _node_point((0.3, 0.6), 0.2, (0.3, 0.6), 0.2)
-        assert _split(blocks, x, tlo, thi) == (0, pytest.approx(0.3))
+        assert _split(blocks, x, lo, hi) == (0, pytest.approx(0.3))
         x = _node_point((0.3, 0.6), 0.0, (0.3, 0.6), 0.2)
-        assert _split(blocks, x, tlo, thi) == (2, pytest.approx(0.3))
+        assert _split(blocks, x, lo, hi) == (3, pytest.approx(0.3))
 
     def test_narrow_block_passed_over(self):
         blocks = _two_blocks()
         x = _node_point((0.3, 0.6), 0.1, (0.3, 0.6), 0.2)
-        tlo = np.array([0.0, 0.0, 0.3, 0.6])
-        thi = np.array([1.0, 1.0, 0.3, 0.6]) + 0.5 * spatial.MIN_BOX_WIDTH
-        assert _split(blocks, x, tlo, thi) == (0, pytest.approx(0.3))
-        thi[:2] = tlo[:2] = (0.3, 0.6)
-        assert _split(blocks, x, tlo, thi) is None
+        lo, hi = _box(
+            np.array([0.0, 0.0, 0.3, 0.6]),
+            np.array([1.0, 1.0, 0.3, 0.6]) + 0.5 * spatial.MIN_BOX_WIDTH,
+        )
+        assert _split(blocks, x, lo, hi) == (0, pytest.approx(0.3))
+        hi[:2] = lo[:2] = (0.3, 0.6)
+        assert _split(blocks, x, lo, hi) is None
+
+
+class TestSharedInput:
+    def test_one_split_narrows_every_hull_reading_the_input(self):
+        """x0 feeds both f_a = x0 * x1 and f_b = x0 * x2; max f_a + f_b."""
+        g = make_grid([[0.0, 1.0], [0.0, 1.0]])
+        tab = product_table(g, (0, 1))
+        ir = build_problem(
+            [VarRef(j, CONTINUOUS, 0.0, 1.0) for j in range(5)],
+            [],
+            [InterpolantDef(tab, (0, 1), 3), InterpolantDef(tab, (0, 2), 4)],
+            objective=[(-1.0, 3), (-1.0, 4)],
+        )
+        nlp = BoxNlp(ir, np.zeros(5), np.ones(5), (CellIndex((0, 0)),) * 2)
+        blocks = _prepare_blocks(nlp)
+        ir_lp = _ir_lp(nlp)
+        lo, hi = nlp.var_lo.copy(), nlp.var_hi.copy()
+        assert solve_lp(_build_node_lp(ir_lp, blocks, lo, hi)).objective == pytest.approx(-2.0)
+        hi[0] = 0.5  # the lower child of a split on x0
+        child = solve_lp(_build_node_lp(ir_lp, blocks, lo, hi))
+        # both hulls see x0 <= 0.5; narrowing one interpolant's copy of x0
+        # alone would leave the bound at -1.5
+        assert child.objective == pytest.approx(-1.0)
+        assert max(child.x[3], child.x[4]) <= 0.5 + 1e-9
 
 
 DESK_S2_FIRST_CELL_OPT = -219.02002935708694  # minimization sense
@@ -185,6 +234,24 @@ class TestDeskCell:
         assert res.status == NODE_LIMIT
         assert res.nodes == 1
         assert res.bound <= DESK_S2_FIRST_CELL_OPT + 1e-6
+
+
+DESK_S4_FIRST_CELL = (
+    (0, 0, 1), (0, 1), (1, 0, 1), (1, 1), (0, 0, 1), (0, 1), (0, 0, 1), (0, 1),
+    (0, 1, 0, 1), (0, 1), (0, 1), (0, 0), (0, 0, 1),
+)  # segments of the first RFE round on desk S4 seed 0, every binary 1
+
+
+def test_desk_s4_first_cell_closes_in_few_nodes():
+    """A manifold's q_liq feeds five tables: one split narrows all five hulls."""
+    ir = build_opo_instance(get_scenario("S4", "desk"), 0).ir
+    bin_ids = tuple(sorted(ir.binary_ids))
+    fixing = Fixing(segments=DESK_S4_FIRST_CELL, y=(1,) * len(bin_ids), binary_ids=bin_ids)
+    res = solve_box_nlp(build_subproblem(ir, fixing))
+    assert res.status == OPTIMAL
+    assert res.objective == pytest.approx(-381.3807236619, rel=1e-8)
+    # 203 nodes when each interpolant was split on its own copy of its inputs
+    assert res.nodes <= 60
 
 
 class TestKnownOptima:
