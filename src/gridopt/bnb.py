@@ -23,7 +23,7 @@ from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpBasis, LpProblem, solve_l
 TIME_LIMIT = "TimeLimit"
 
 INT_TOL = 1e-6
-REL_GAP = 1e-6
+REL_GAP = 1e-6  # no looser than rfe's tolerance: rfe takes the MILP optimum as a bound
 
 
 @dataclass
@@ -40,7 +40,6 @@ class MipResult:
 def solve_milp(
     lp: LpProblem,
     binary_cols: Sequence[int],
-    rel_gap: float = REL_GAP,
     time_limit: Optional[float] = None,
     basis: Optional[LpBasis] = None,
 ) -> MipResult:
@@ -90,7 +89,7 @@ def solve_milp(
     while heap:
         node_bound, _, lo, hi, x, start = heapq.heappop(heap)
         bound = node_bound
-        if np.isfinite(best_obj) and best_obj - bound <= rel_gap * max(
+        if np.isfinite(best_obj) and best_obj - bound <= REL_GAP * max(
             1.0, abs(best_obj)
         ):
             bound = best_obj
@@ -121,7 +120,7 @@ def solve_milp(
             nodes += 1
             if child.status != OPTIMAL:
                 continue  # infeasible child; unbounded cannot appear below a bounded root
-            if np.isfinite(best_obj) and child.objective >= best_obj - rel_gap * max(
+            if np.isfinite(best_obj) and child.objective >= best_obj - REL_GAP * max(
                 1.0, abs(best_obj)
             ):
                 continue

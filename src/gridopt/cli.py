@@ -94,12 +94,12 @@ def _load(path: str):
         return None
 
 
-def _solve_one(ir, engine: str, time_limit: Optional[float], gap: float):
+def _solve_one(ir, engine: str, time_limit: Optional[float]):
     t0 = time.monotonic()
     if engine == "oracle":
         res = solve_by_enumeration(ir)
     else:
-        res = solve_rfe(ir, time_limit=time_limit, milp_rel_gap=gap)
+        res = solve_rfe(ir, time_limit=time_limit)
     return res, time.monotonic() - t0
 
 
@@ -109,7 +109,7 @@ def cmd_solve(args) -> int:
         return EXIT_INVALID
     ir, _ = loaded
     try:
-        res, wall = _solve_one(ir, args.engine, args.time_limit, args.gap)
+        res, wall = _solve_one(ir, args.engine, args.time_limit)
     except GridOptError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -157,7 +157,7 @@ def cmd_bench(args) -> int:
         entry = {"instance": path}
         for eng in engines:
             try:
-                res, wall = _solve_one(ir, eng, args.time_limit, args.gap)
+                res, wall = _solve_one(ir, eng, args.time_limit)
                 entry[eng] = _report(eng, ir, res, wall)
                 entry[eng].pop("trace")
             except GridOptError as exc:
@@ -211,7 +211,6 @@ def make_parser() -> argparse.ArgumentParser:
     s.add_argument("instance")
     s.add_argument("--engine", default="rfe", choices=("rfe", "oracle"))
     s.add_argument("--time-limit", type=float, default=None)
-    s.add_argument("--gap", type=float, default=1e-6)
     s.add_argument("--report", help="write a JSON run report here")
     s.set_defaults(func=cmd_solve)
 
@@ -225,7 +224,6 @@ def make_parser() -> argparse.ArgumentParser:
     b.add_argument("instances", nargs="+")
     b.add_argument("--engine", help="comma-separated engines (default: rfe,oracle)")
     b.add_argument("--time-limit", type=float, default=None)
-    b.add_argument("--gap", type=float, default=1e-6)
     b.add_argument("--json", help="write machine-readable results here")
     b.set_defaults(func=cmd_bench)
     return p

@@ -29,10 +29,6 @@ class BoundsOutsideHull(GridOptError):
     """An interpolant input's bounds exceed the breakpoint hull."""
 
 
-class NoValidSegment(GridOptError):
-    """SOS2 weights have support on non-consecutive breakpoints."""
-
-
 class NumericalFailure(GridOptError):
     """LP solve did not converge after refactorization retries."""
 

@@ -5,21 +5,25 @@ envelope: per-axis convex-combination weights, corner weights coupled through
 marginalization rows, and one binary per consecutive-breakpoint segment
 realizing the SOS2 condition. Cuts are plain linear rows appended to the model;
 the model is otherwise immutable once built.
+
+This module is the only one that turns a MILP point into a cell and a cell
+into a subproblem. A fixing reads each axis's segment from the segment
+binaries (Beale & Tomlin 1970), the columns its no-good cut is written on.
+The subproblem confines each active interpolant to its cell and hands the
+spatial solver one ``CellBlock`` per active interpolant: the cell's lower
+corner and widths, and the function values at its corners.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .errors import NoValidSegment
-from .gridtab import CellIndex, Grid
+from .gridtab import CellIndex, Grid, multilinear
 from .model import BINARY, EQ, GE, LE, ProblemIR
 from .simplex import LpProblem
-
-SUPPORT_TOL = 1e-9  # below LP feasibility tolerance
 
 
 @dataclass
@@ -92,6 +96,23 @@ class Fixing:
 
 
 @dataclass
+class CellBlock:
+    """One active interpolant of a subproblem: its cell and the corner values there."""
+
+    input_pos: list[int]  # positions in ir.variables
+    output_pos: int
+    a_lo: np.ndarray  # cell lower corner per axis
+    width: np.ndarray  # cell edge length per axis
+    corners: np.ndarray  # f at the 2^n cell corners; corner bit j indexes axis j
+    n: int
+
+    def f(self, x: np.ndarray) -> np.ndarray:
+        """f at input values x of shape (..., n): the cell's corner weights
+        dotted with its corner values."""
+        return multilinear(self.corners, (x - self.a_lo) / self.width)
+
+
+@dataclass
 class BoxNlp:
     """Cell-restricted NLP subproblem: every interpolant confined to one cell.
 
@@ -101,7 +122,7 @@ class BoxNlp:
     ir: ProblemIR
     var_lo: np.ndarray  # by position in ir.variables
     var_hi: np.ndarray
-    cells: tuple[Optional[CellIndex], ...]  # per interpolant; None = inactive
+    blocks: list[CellBlock]  # the active interpolants, in IR order
 
 
 def build_relaxation(ir: ProblemIR) -> MilpModel:
@@ -218,49 +239,20 @@ def build_relaxation(ir: ProblemIR) -> MilpModel:
     )
 
 
-def segment_from_weights(
-    xi: Sequence[float],
-    seg: Optional[Sequence[float]] = None,
-    tol: float = SUPPORT_TOL,
-) -> int:
-    """Canonical segment covering the support of an SOS2 weight vector.
-
-    Two-point support pins the segment. A singleton support admits two covering
-    segments; the solution's segment binaries (``seg``) disambiguate when
-    available, otherwise the leftmost covering segment is chosen.
-    """
-    xi = np.asarray(xi, dtype=float)
-    K = xi.size
-    support = np.nonzero(xi > tol)[0]
-    if support.size == 0:
-        raise NoValidSegment("weight vector has empty support")
-    lo, hi = int(support[0]), int(support[-1])
-    if hi - lo > 1:
-        raise NoValidSegment(f"support spans non-consecutive breakpoints {support}")
-    if hi > lo:
-        return lo
-    cands = [t for t in (lo - 1, lo) if 0 <= t <= K - 2]
-    if seg is not None:
-        for t in cands:
-            if seg[t] > 0.5:
-                return t
-    return cands[0]
-
-
 def extract_fixing(milp: MilpModel, solution: np.ndarray) -> Fixing:
-    """Read the discrete decisions out of an integral relaxation solution."""
+    """Read the discrete decisions out of an integral relaxation solution.
+
+    Each axis's segment is the one whose binary is set, the same binaries
+    the no-good cut is written on; an interpolant whose activation binary is
+    0 gives None.
+    """
     solution = np.asarray(solution, dtype=float)
     segments: list[Optional[tuple[int, ...]]] = []
     for blk in milp.blocks:
         if blk.activation_col is not None and solution[blk.activation_col] < 0.5:
             segments.append(None)
-            continue
-        segs = []
-        for j in range(blk.grid.n):
-            xi = solution[np.array(blk.xi_cols[j])]
-            sv = solution[np.array(blk.seg_cols[j])] if blk.seg_cols[j] else None
-            segs.append(segment_from_weights(xi, sv))
-        segments.append(tuple(segs))
+        else:
+            segments.append(tuple(int(np.argmax(solution[cols])) for cols in blk.seg_cols))
     bin_ids = tuple(sorted(milp.ir.binary_ids))
     y = tuple(int(round(solution[milp.var_col[b]])) for b in bin_ids)
     return Fixing(segments=tuple(segments), y=y, binary_ids=bin_ids)
@@ -296,28 +288,34 @@ def add_no_good_cut(milp: MilpModel, fixing: Fixing) -> int:
 
 
 def build_subproblem(ir: ProblemIR, fixing: Fixing) -> BoxNlp:
-    """Confine every interpolant input to its fixed cell and pin the binaries."""
+    """Confine every interpolant input to its fixed cell and pin the binaries.
+
+    Each active interpolant's output is bounded by its cell's corner values,
+    and becomes one of the subproblem's blocks.
+    """
     pos = ir.var_pos
     var_lo = np.array([v.lo for v in ir.variables], dtype=float)
     var_hi = np.array([v.hi for v in ir.variables], dtype=float)
     for vid, val in zip(fixing.binary_ids, fixing.y):
         var_lo[pos[vid]] = var_hi[pos[vid]] = float(val)
-    cells: list[Optional[CellIndex]] = []
+    blocks: list[CellBlock] = []
     for itp, segs in zip(ir.interpolants, fixing.segments):
+        out = pos[itp.output]
         if segs is None:
             for vid in itp.inputs:
                 var_lo[pos[vid]] = var_hi[pos[vid]] = 0.0
-            var_lo[pos[itp.output]] = var_hi[pos[itp.output]] = 0.0
-            cells.append(None)
+            var_lo[out] = var_hi[out] = 0.0
             continue
+        grid = itp.table.grid
         cell = CellIndex(t=tuple(segs))
-        cell.validate(itp.table.grid)
-        cells.append(cell)
-        for j, vid in enumerate(itp.inputs):
-            a = itp.table.grid.axes[j]
-            var_lo[pos[vid]] = max(var_lo[pos[vid]], float(a[segs[j]]))
-            var_hi[pos[vid]] = min(var_hi[pos[vid]], float(a[segs[j] + 1]))
+        cell.validate(grid)
+        a_lo = np.array([grid.axes[j][t] for j, t in enumerate(segs)])
+        a_hi = np.array([grid.axes[j][t + 1] for j, t in enumerate(segs)])
+        inputs = [pos[vid] for vid in itp.inputs]  # distinct, as build_problem checks
+        var_lo[inputs] = np.maximum(var_lo[inputs], a_lo)
+        var_hi[inputs] = np.minimum(var_hi[inputs], a_hi)
         corners = itp.table.cell_corner_values(cell)
-        var_lo[pos[itp.output]] = max(var_lo[pos[itp.output]], float(corners.min()))
-        var_hi[pos[itp.output]] = min(var_hi[pos[itp.output]], float(corners.max()))
-    return BoxNlp(ir=ir, var_lo=var_lo, var_hi=var_hi, cells=tuple(cells))
+        var_lo[out] = max(var_lo[out], float(corners.min()))
+        var_hi[out] = min(var_hi[out], float(corners.max()))
+        blocks.append(CellBlock(inputs, out, a_lo, a_hi - a_lo, corners, grid.n))
+    return BoxNlp(ir=ir, var_lo=var_lo, var_hi=var_hi, blocks=blocks)

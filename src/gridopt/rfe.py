@@ -111,11 +111,7 @@ class _Subproblems:
         )
 
 
-def solve_rfe(
-    ir: ProblemIR,
-    time_limit: Optional[float] = None,
-    milp_rel_gap: float = 1e-6,
-) -> RfeResult:
+def solve_rfe(ir: ProblemIR, time_limit: Optional[float] = None) -> RfeResult:
     """Solve the IR to proven global optimality.
 
     Internally minimizes; results are reported in the problem's original sense
@@ -139,10 +135,7 @@ def solve_rfe(
             remaining = time_limit - (time.monotonic() - t0)
             if remaining <= 0:
                 return out(TIME_LIMIT)
-        mres = solve_milp(
-            milp.to_lp(), milp.binary_cols(),
-            rel_gap=milp_rel_gap, time_limit=remaining, basis=basis,
-        )
+        mres = solve_milp(milp.to_lp(), milp.binary_cols(), time_limit=remaining, basis=basis)
         basis = mres.root_basis
         nodes += mres.nodes
         if mres.status == UNBOUNDED:
@@ -176,7 +169,7 @@ def solve_rfe(
     return out("IterationLimit")
 
 
-def _enumerate_fixings(ir: ProblemIR, limit: int):
+def _enumerate_fixings(ir: ProblemIR):
     """All (binary assignment, cell choice) pairs, inactive interpolants collapsed."""
     bin_ids = tuple(sorted(ir.binary_ids))
     act_of = {i: itp.activation for i, itp in enumerate(ir.interpolants)}
@@ -194,9 +187,9 @@ def _enumerate_fixings(ir: ProblemIR, limit: int):
         for i in active:
             combos *= ir.interpolants[i].table.grid.num_cells
         total += combos
-        if total > limit:
+        if total > ENUM_LIMIT:
             raise EnumerationTooLarge(
-                f"{total}+ subproblems exceeds enumeration limit {limit}"
+                f"{total}+ subproblems exceeds enumeration limit {ENUM_LIMIT}"
             )
         cell_ranges = []
         for i in range(len(ir.interpolants)):
@@ -216,13 +209,13 @@ def _all_cells(shape):
     return list(itertools.product(*(range(K - 1) for K in shape)))
 
 
-def solve_by_enumeration(ir: ProblemIR, limit: int = ENUM_LIMIT) -> RfeResult:
+def solve_by_enumeration(ir: ProblemIR) -> RfeResult:
     """Reference global solver: solve every cell/binary subproblem outright.
 
-    Exponential in problem size and guarded by ``limit``; intended as an
-    independent check of :func:`solve_rfe` on small instances.
+    Exponential in problem size and guarded by ``ENUM_LIMIT`` subproblems;
+    intended as an independent check of :func:`solve_rfe` on small instances.
     """
     cells = _Subproblems(ir)
-    for fixing in _enumerate_fixings(ir, limit):
+    for fixing in _enumerate_fixings(ir):
         cells.solve(fixing)
     return cells.result(*cells.final(-np.inf))

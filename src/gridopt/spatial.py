@@ -5,12 +5,16 @@ inputs. A multilinear function is vertex-polyhedral, so over any box of its
 inputs the convex hull of its graph is the set of convex combinations of its
 2^n box corners (Rikun 1997).
 
+The subproblem comes from ``relax.build_subproblem``: the IR variables'
+bounds, already inside the cells, and one ``relax.CellBlock`` per active
+interpolant, which holds its cell and evaluates f there. Spatial reads the
+blocks and adds no cell geometry of its own.
+
 A spatial node's box is the lower and upper bounds of the IR variables; the
-root box is the subproblem's bounds, which already lie inside the cells. The
-node LP takes the box as its column bounds and relaxes each interpolant by
-the hull over its own inputs' bounds: one weight per box corner, with the
-inputs and the output the weighted sums of the corners and of the function
-values there.
+root box is the subproblem's bounds. The node LP takes the box as its column
+bounds and relaxes each interpolant by the hull over its own inputs' bounds:
+one weight per box corner, with the inputs and the output the weighted sums
+of the corners and of the function values there.
 
 Spatial branch-and-bound branches where the hull is wrong: it picks the
 interpolant whose output is furthest from f at the node LP point and splits
@@ -46,9 +50,8 @@ from typing import Optional
 
 import numpy as np
 
-from .gridtab import multilinear
 from .model import EQ, GE, LE
-from .relax import BoxNlp
+from .relax import BoxNlp, CellBlock
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpBasis, LpProblem, solve_lp
 
 MIN_BOX_WIDTH = 1e-9  # in cell widths
@@ -68,45 +71,6 @@ class NlpResult:
     bound: float = -np.inf
     nodes: int = 0
     root_basis: Optional[LpBasis] = None  # the root LP's final basis
-
-
-@dataclass
-class _Block:
-    """One active interpolant: cell geometry and cell corner values."""
-
-    input_pos: list[int]  # positions in ir.variables
-    output_pos: int
-    a_lo: np.ndarray  # cell lower corner per axis
-    width: np.ndarray  # cell edge length per axis
-    corners: np.ndarray  # f at the 2^n cell corners; corner bit j indexes axis j
-    n: int
-
-    def f(self, x: np.ndarray) -> np.ndarray:
-        """f at input values x of shape (..., n): the cell's corner weights
-        dotted with its corner values."""
-        return multilinear(self.corners, (x - self.a_lo) / self.width)
-
-
-def _prepare_blocks(nlp: BoxNlp) -> list[_Block]:
-    pos = nlp.ir.var_pos
-    blocks: list[_Block] = []
-    for itp, cell in zip(nlp.ir.interpolants, nlp.cells):
-        if cell is None:
-            continue
-        grid = itp.table.grid
-        a_lo = np.array([grid.axes[j][cell.t[j]] for j in range(grid.n)])
-        a_hi = np.array([grid.axes[j][cell.t[j] + 1] for j in range(grid.n)])
-        blocks.append(
-            _Block(
-                input_pos=[pos[v] for v in itp.inputs],
-                output_pos=pos[itp.output],
-                a_lo=a_lo,
-                width=a_hi - a_lo,
-                corners=itp.table.cell_corner_values(cell),
-                n=grid.n,
-            )
-        )
-    return blocks
 
 
 def _ir_lp(nlp: BoxNlp) -> LpProblem:
@@ -133,7 +97,7 @@ def _extend(ir_lp: LpProblem, lo, hi, rows: list) -> LpProblem:
 
 
 def _build_node_lp(
-    ir_lp: LpProblem, blocks: list[_Block], lo: np.ndarray, hi: np.ndarray
+    ir_lp: LpProblem, blocks: list[CellBlock], lo: np.ndarray, hi: np.ndarray
 ) -> LpProblem:
     """LP relaxation over (ir vars, corner weights) for the box [lo, hi].
 
@@ -162,7 +126,7 @@ def _build_node_lp(
 
 
 def _split(
-    blocks: list[_Block], x: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    blocks: list[CellBlock], x: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> Optional[tuple[int, float]]:
     """Variable position and split point of a node, or None if no box can be split.
 
@@ -185,7 +149,7 @@ def _split(
 
 
 def _exact_candidate(
-    ir_lp: LpProblem, blocks: list[_Block], xrel: np.ndarray
+    ir_lp: LpProblem, blocks: list[CellBlock], xrel: np.ndarray
 ) -> Optional[tuple[np.ndarray, float]]:
     """The node LP point as a candidate, if it already satisfies the IR.
 
@@ -212,7 +176,7 @@ def _exact_candidate(
     return x, float(ir_lp.obj @ x)
 
 
-def _pin_block(lo: np.ndarray, hi: np.ndarray, blk: _Block, x: np.ndarray) -> None:
+def _pin_block(lo: np.ndarray, hi: np.ndarray, blk: CellBlock, x: np.ndarray) -> None:
     """Fix a block's inputs at x and its output at f there, within its bounds.
 
     An f outside the output's bounds leaves lo > hi, so the LP is infeasible.
@@ -226,7 +190,7 @@ def _pin_block(lo: np.ndarray, hi: np.ndarray, blk: _Block, x: np.ndarray) -> No
 
 
 def _candidate_at(
-    ir_lp: LpProblem, blocks: list[_Block], x: np.ndarray
+    ir_lp: LpProblem, blocks: list[CellBlock], x: np.ndarray
 ) -> Optional[tuple[np.ndarray, float]]:
     """Fix the inputs at x, pin the outputs, repair the linear remainder."""
     lo = ir_lp.lo.copy()
@@ -239,7 +203,7 @@ def _candidate_at(
     return res.x.copy(), res.objective
 
 
-def _descent_steps(blocks: list[_Block]) -> list[set[int]]:
+def _descent_steps(blocks: list[CellBlock]) -> list[set[int]]:
     """The input variables each coordinate-descent step frees.
 
     Step j frees input j of each block in turn, unless a block that reads it
@@ -259,7 +223,7 @@ def _descent_steps(blocks: list[_Block]) -> list[set[int]]:
 
 
 def _coordinate_descent(
-    ir_lp: LpProblem, blocks: list[_Block], best: tuple[np.ndarray, float]
+    ir_lp: LpProblem, blocks: list[CellBlock], best: tuple[np.ndarray, float]
 ) -> tuple[np.ndarray, float]:
     """Improve a candidate by re-optimizing a few input variables at a time.
 
@@ -312,7 +276,7 @@ def solve_box_nlp(
     """
     if np.any(nlp.var_lo > nlp.var_hi + 1e-12):
         return NlpResult(status=INFEASIBLE)
-    blocks = _prepare_blocks(nlp)
+    blocks = nlp.blocks
     ir_lp = _ir_lp(nlp)
     best: Optional[tuple[np.ndarray, float]] = None
     nodes = 0

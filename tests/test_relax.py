@@ -1,10 +1,12 @@
 """The MILP relaxation: validity, tightness, fixing, and cuts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from gridopt import rfe
 from gridopt.bnb import solve_milp
-from gridopt.errors import NoValidSegment
 from gridopt.gridtab import find_segment, make_grid, make_table
 from gridopt.model import (
     BINARY,
@@ -19,7 +21,6 @@ from gridopt.relax import (
     build_relaxation,
     build_subproblem,
     extract_fixing,
-    segment_from_weights,
 )
 from gridopt.simplex import INFEASIBLE, OPTIMAL, solve_lp
 
@@ -123,28 +124,6 @@ class TestEnvelopeTightness:
                 assert sign * res.objective == pytest.approx(mccormick, abs=1e-8)
 
 
-class TestSegmentFromWeights:
-    def test_two_point_support(self):
-        assert segment_from_weights([0.0, 0.3, 0.7, 0.0]) == 1
-
-    def test_singleton_interior_prefers_left(self):
-        assert segment_from_weights([0.0, 1.0, 0.0]) == 0
-
-    def test_singleton_endpoints(self):
-        assert segment_from_weights([1.0, 0.0, 0.0]) == 0
-        assert segment_from_weights([0.0, 0.0, 1.0]) == 1
-
-    def test_singleton_follows_segment_binaries(self):
-        assert segment_from_weights([0.0, 1.0, 0.0], seg=[0.0, 1.0]) == 1
-        assert segment_from_weights([0.0, 1.0, 0.0], seg=[1.0, 0.0]) == 0
-
-    def test_invalid_supports(self):
-        with pytest.raises(NoValidSegment):
-            segment_from_weights([0.5, 0.0, 0.5])
-        with pytest.raises(NoValidSegment):
-            segment_from_weights([0.0, 0.0, 0.0])
-
-
 class TestFixingAndSubproblem:
     def _toy(self):
         g = make_grid([[0.0, 0.5, 1.0]])
@@ -219,6 +198,54 @@ class TestNoGoodCut:
         res3 = solve_milp(milp.to_lp(), milp.binary_cols())
         assert res3.status == INFEASIBLE
         assert len(milp.cuts) == 2
+
+    def test_cut_excludes_point_within_row_tolerance(self):
+        """The fixing follows the segment binaries, which the cut is written on.
+
+        The point sets the binary of segment 1 and puts weight 5e-8 on the
+        breakpoint outside it, within the simplex's 1e-7 row tolerance. A
+        fixing read from the weights' support would be segment 0, and its cut
+        would leave the point feasible.
+        """
+        g = make_grid([[0.0, 0.5, 1.0]])
+        tab = make_table(g, [0.0, 1.0, 0.0])
+        variables = [VarRef(0, CONTINUOUS, 0, 1), VarRef(1, CONTINUOUS, -5, 5)]
+        ir = build_problem(
+            variables, [], [InterpolantDef(tab, (0,), 1)], objective=[(1.0, 1)]
+        )
+        milp = build_relaxation(ir)
+        (blk,) = milp.blocks
+        xi = np.array([5e-8, 1.0 - 5e-8, 0.0])
+        z = np.zeros(milp.ncols)
+        z[blk.xi_cols[0]] = xi
+        z[blk.lam_cols] = xi
+        z[blk.seg_cols[0][1]] = 1.0
+        z[milp.var_col[0]] = xi @ g.axes[0]
+        z[milp.var_col[1]] = xi @ tab.values
+        assert max(row_violation(row, z) for row in milp.rows) <= 1e-7
+        fixing = extract_fixing(milp, z)
+        assert fixing.segments == ((1,),)
+        cut = milp.rows[add_no_good_cut(milp, fixing)]
+        assert row_violation(cut, z) >= 1.0 - 1e-12
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_every_rfe_cut_excludes_its_milp_point(self, seed, monkeypatch):
+        """Each RFE round's cut excludes that round's MILP point.
+
+        The cut is built on a copy of the model, so a round that closes the
+        search without adding its cut is checked too.
+        """
+        violations = []
+
+        def extract(milp, x):
+            fixing = extract_fixing(milp, x)
+            trial = dataclasses.replace(milp, rows=list(milp.rows), cuts=[])
+            violations.append(row_violation(trial.rows[add_no_good_cut(trial, fixing)], x))
+            return fixing
+
+        monkeypatch.setattr(rfe, "extract_fixing", extract)
+        assert rfe.solve_rfe(random_instance(seed)).status == OPTIMAL
+        assert violations and min(violations) >= 1.0 - 1e-9
 
     def test_cut_preserves_other_assignments(self):
         ir = random_instance(3)

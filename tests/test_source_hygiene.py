@@ -1,6 +1,7 @@
 """Source checks that a linter would make: no unused module-level imports, no
-private function or method that nothing in ``src/gridopt`` calls, and no
-dataclass field that nothing reads."""
+private function or method that nothing in ``src/gridopt`` calls, no
+dataclass field that nothing reads, and no exception class that nothing
+raises."""
 
 import ast
 from pathlib import Path
@@ -154,3 +155,46 @@ def test_a_field_only_written_is_unread(tmp_path):
         "def g(p): p.written = 1\n"
     )
     assert _unread_fields([mod], [mod]) == ["mod.py P.written"]
+
+
+def _unraised_errors(errors: Path, paths: list[Path]) -> list[str]:
+    """Exception classes defined in ``errors`` that no ``raise`` in ``paths``
+    names, the base class ``GridOptError`` excepted."""
+    defined = [
+        node.name for node in ast.parse(errors.read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name != "GridOptError"
+    ]
+    raised = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    raised.add(exc.attr)
+    return [name for name in defined if name not in raised]
+
+
+def test_every_error_is_raised():
+    errors = ROOT / "src" / "gridopt" / "errors.py"
+    assert _unraised_errors(errors, SRC) == []
+
+
+def test_an_error_only_defined_is_unraised(tmp_path):
+    errors = tmp_path / "errors.py"
+    errors.write_text(
+        "class GridOptError(Exception): pass\n"
+        "class Raised(GridOptError): pass\n"
+        "class Qualified(GridOptError): pass\n"
+        "class Unraised(GridOptError): pass\n"
+    )
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "from errors import Raised, Unraised\n"
+        "import errors\n"
+        "def f(): raise Raised('x')\n"
+        "def g(): raise errors.Qualified\n"
+        "def h(): return Unraised\n"
+    )
+    assert _unraised_errors(errors, [errors, mod]) == ["Unraised"]

@@ -14,14 +14,12 @@ from gridopt.model import (
     build_problem,
 )
 from gridopt.opo import build_opo_instance, get_scenario
-from gridopt.relax import BoxNlp, Fixing, build_relaxation, build_subproblem, extract_fixing
+from gridopt.relax import CellBlock, Fixing, build_relaxation, build_subproblem, extract_fixing
 from gridopt.simplex import INFEASIBLE, OPTIMAL, solve_lp
 from gridopt.spatial import (
     NODE_LIMIT,
-    _Block,
     _build_node_lp,
     _ir_lp,
-    _prepare_blocks,
     _split,
     solve_box_nlp,
 )
@@ -29,7 +27,13 @@ from gridopt.spatial import (
 from _random_instances import random_instance
 
 
-def _single_cell_nlp(table, constraints=(), objective=None, out_bounds=(-100, 100)):
+def _fixing(*segments):
+    """A fixing of the given per-interpolant segments on an IR without binaries."""
+    return Fixing(segments=segments, y=(), binary_ids=())
+
+
+def _single_cell_nlp(table, constraints=(), objective=None, out_bounds=(-100, 100), cell=None):
+    """One interpolant over all of its table, confined to ``cell`` (default the first)."""
     n = table.grid.n
     variables = [
         VarRef(j, CONTINUOUS, float(table.grid.axes[j][0]), float(table.grid.axes[j][-1]))
@@ -42,15 +46,13 @@ def _single_cell_nlp(table, constraints=(), objective=None, out_bounds=(-100, 10
         [InterpolantDef(table, tuple(range(n)), n)],
         objective=objective or [(1.0, n)],
     )
-    lo = np.array([v.lo for v in ir.variables])
-    hi = np.array([v.hi for v in ir.variables])
-    return BoxNlp(ir, lo, hi, (CellIndex((0,) * n),))
+    return build_subproblem(ir, _fixing(cell.t if cell else (0,) * n))
 
 
 def _unit_block(corners):
     """A block on the unit cell whose f is the multilinear form of the corners."""
     n = int(np.log2(len(corners)))
-    return _Block(list(range(n)), n, np.zeros(n), np.ones(n), np.asarray(corners), n)
+    return CellBlock(list(range(n)), n, np.zeros(n), np.ones(n), np.asarray(corners), n)
 
 
 def _monomials(corners, n):
@@ -98,8 +100,7 @@ class TestCornerEvaluator:
             g = make_grid([np.sort(rng.uniform(-5, 5, size=3)) for _ in range(n)])
             tab = make_table(g, rng.normal(size=g.num_corners))
             cell = CellIndex(tuple(int(t) for t in rng.integers(0, 2, size=n)))
-            nlp = _single_cell_nlp(tab)
-            (blk,) = _prepare_blocks(BoxNlp(nlp.ir, nlp.var_lo, nlp.var_hi, (cell,)))
+            (blk,) = _single_cell_nlp(tab, cell=cell).blocks
             box_corners = [[(b >> j) & 1 for j in range(n)] for b in range(1 << n)]
             for theta in np.vstack([box_corners, rng.uniform(0, 1, size=(20, n))]):
                 x = blk.a_lo + theta * blk.width
@@ -114,8 +115,8 @@ def _two_blocks():
     """Two blocks with f = x0 * x1 on unit cells; x = (a0, a1, ya, b0, b1, yb)."""
     corners = np.array([0.0, 0.0, 0.0, 1.0])
     return [
-        _Block([0, 1], 2, np.zeros(2), np.ones(2), corners, 2),
-        _Block([3, 4], 5, np.zeros(2), np.ones(2), corners, 2),
+        CellBlock([0, 1], 2, np.zeros(2), np.ones(2), corners, 2),
+        CellBlock([3, 4], 5, np.zeros(2), np.ones(2), corners, 2),
     ]
 
 
@@ -188,8 +189,8 @@ class TestSharedInput:
             [InterpolantDef(tab, (0, 1), 3), InterpolantDef(tab, (0, 2), 4)],
             objective=[(-1.0, 3), (-1.0, 4)],
         )
-        nlp = BoxNlp(ir, np.zeros(5), np.ones(5), (CellIndex((0, 0)),) * 2)
-        blocks = _prepare_blocks(nlp)
+        nlp = build_subproblem(ir, _fixing((0, 0), (0, 0)))
+        blocks = nlp.blocks
         ir_lp = _ir_lp(nlp)
         lo, hi = nlp.var_lo.copy(), nlp.var_hi.copy()
         assert solve_lp(_build_node_lp(ir_lp, blocks, lo, hi)).objective == pytest.approx(-2.0)
@@ -356,9 +357,9 @@ class TestEdgeCases:
         ir = build_problem(
             variables, [], [InterpolantDef(tab, (0,), 1)], objective=[(1.0, 1)]
         )
-        lo = np.array([0.0, 0.0])
-        hi = np.array([0.0, 0.0])
-        nlp = BoxNlp(ir, lo, hi, (None,))
+        nlp = build_subproblem(ir, _fixing(None))
+        assert not nlp.blocks
+        assert nlp.var_lo.tolist() == nlp.var_hi.tolist() == [0.0, 0.0]
         res = solve_box_nlp(nlp)
         assert res.status == OPTIMAL
         assert res.objective == pytest.approx(0.0)
@@ -415,7 +416,7 @@ class TestWarmNodeLps:
         cells = 0
         for seed in range(12):
             ir = random_instance(seed)
-            for fixing in rfe._enumerate_fixings(ir, rfe.ENUM_LIMIT):
+            for fixing in rfe._enumerate_fixings(ir):
                 nlp = build_subproblem(ir, fixing)
                 ref = solve(nlp, True)
                 got = solve(nlp, False)
