@@ -1,11 +1,22 @@
-"""Branch-and-bound for linear programs with binary variables.
+"""Branch-and-bound for linear programs with binary variables, resumable.
 
 Best-first search on the LP bound over the bounded-variable simplex. Branching
 fixes the most fractional binary (lowest column index on ties) to 0 and 1 via
 bound overrides, so every node shares the same immutable LP data. A node keeps
 its bounds, LP solution and final simplex basis; each child is warm-started
-from its parent's basis by the dual simplex, and the root from the caller's
-``basis`` (in RFE, the previous round's root, before its cut was appended).
+from its parent's basis by the dual simplex.
+
+One tree serves a sequence of MILPs that differ by appended rows, as RFE's
+rounds do. A call returns its frontier, every node it did not branch: the open
+nodes, those pruned by its own incumbent, and the integral leaves. Appending a
+row only raises a node's LP bound and keeps an infeasible node infeasible, so
+the next call resumes from that frontier instead of the root. A resumed node
+whose x violates an appended row is re-solved warm from its basis, which takes
+the new rows in with their slacks; every other node keeps its bound and x.
+
+``cutoff`` is an outside incumbent that only falls between calls (RFE's best
+cell). A node whose bound is within ``REL_GAP`` of it cannot beat it and is
+pruned for good, so ``Infeasible`` means that nothing lies below the cutoff.
 """
 
 from __future__ import annotations
@@ -13,17 +24,28 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpBasis, LpProblem, solve_lp
+from .model import GE, LE
+from .simplex import FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LpBasis, LpProblem, solve_lp
 
 TIME_LIMIT = "TimeLimit"
 
 INT_TOL = 1e-6
 REL_GAP = 1e-6  # no looser than rfe's tolerance: rfe takes the MILP optimum as a bound
+
+
+class Node(NamedTuple):
+    """An unbranched node: LP bound, column bounds, LP solution and final basis."""
+
+    bound: float
+    lo: np.ndarray
+    hi: np.ndarray
+    x: np.ndarray
+    basis: LpBasis
 
 
 @dataclass
@@ -32,50 +54,69 @@ class MipResult:
     x: Optional[np.ndarray] = None
     objective: float = np.inf
     bound: float = -np.inf
-    nodes: int = 0
+    nodes: int = 0  # LPs solved, re-solved frontier nodes included
     lp_iterations: int = 0
-    root_basis: Optional[LpBasis] = None  # the root LP's final basis
+    frontier: list[Node] = field(default_factory=list)  # every unbranched node
+
+
+def _prune_level(value: float) -> float:
+    """Bounds at or above this cannot beat ``value`` by more than the gap."""
+    if not np.isfinite(value):
+        return np.inf  # inf - REL_GAP * inf is NaN, and every comparison with NaN is false
+    return value - REL_GAP * max(1.0, abs(value))
+
+
+def _violates_new_rows(lp: LpProblem, node: Node) -> bool:
+    """Does the node's x violate a row appended after its basis was taken?"""
+    m0 = node.basis.basis.size
+    if m0 == lp.nrows:
+        return False
+    excess = lp.A[m0:] @ node.x - lp.rhs[m0:]  # positive: above the right-hand side
+    senses = np.asarray(lp.senses[m0:])
+    viol = np.where(senses == LE, excess, np.where(senses == GE, -excess, np.abs(excess)))
+    return bool(np.any(viol > FEAS_TOL))
 
 
 def solve_milp(
     lp: LpProblem,
     binary_cols: Sequence[int],
     time_limit: Optional[float] = None,
-    basis: Optional[LpBasis] = None,
+    cutoff: float = np.inf,
+    frontier: Optional[Sequence[Node]] = None,
 ) -> MipResult:
     """Minimize over ``lp`` with the listed columns restricted to {0, 1}.
 
-    Returns the proven optimum, or the best incumbent with status TimeLimit
-    when the time limit stops the search first. Deterministic for identical
-    input and limits (up to wall-clock cutoffs). ``basis`` warm-starts the root
-    LP; it may come from ``lp`` with fewer rows (see ``simplex.solve_lp``).
+    Returns the proven optimum below ``cutoff``, ``Infeasible`` when nothing
+    lies below it, or the best incumbent with status TimeLimit when the time
+    limit stops the search first; then ``bound`` is the least bound over the
+    unbranched nodes and the incumbent. ``frontier`` is an earlier call's
+    ``MipResult.frontier`` on ``lp`` with fewer rows, or the same ``lp``;
+    without it the search starts at the root LP. Deterministic for identical
+    input and limits (up to wall-clock cutoffs).
     """
     t0 = time.monotonic()
     binary_cols = sorted(int(c) for c in binary_cols)
-    lo0 = np.asarray(lp.lo, dtype=float).copy()
-    hi0 = np.asarray(lp.hi, dtype=float).copy()
+    cut_level = _prune_level(cutoff)
 
     best_x: Optional[np.ndarray] = None
     best_obj = np.inf
     nodes = 0
     lp_iters = 0
     tick = itertools.count()  # FIFO tie-break keeps the heap deterministic
+    heap: list = []  # (bound, tick, node) to branch
+    kept: list = []  # (bound, tick, node) pruned by the incumbent, or integral
 
-    root = solve_lp(lp, lo0, hi0, basis=basis)
-    lp_iters += root.iterations
-    nodes += 1
-    if root.status == INFEASIBLE:
-        return MipResult(status=INFEASIBLE, nodes=nodes, lp_iterations=lp_iters)
-    if root.status == UNBOUNDED:
-        return MipResult(
-            status=UNBOUNDED, objective=-np.inf, bound=-np.inf,
-            nodes=nodes, lp_iterations=lp_iters,
-        )
+    def out_of_time() -> bool:
+        return time_limit is not None and time.monotonic() - t0 > time_limit
 
-    heap: list = [(root.objective, next(tick), lo0, hi0, root.x, root.basis)]
-    bound = root.objective
-
-    def out(status: str) -> MipResult:
+    def out(status: str, *unbranched: tuple) -> MipResult:
+        rest = sorted(itertools.chain(heap, kept, unbranched))
+        if status == OPTIMAL:
+            bound = best_obj
+        elif status == TIME_LIMIT:
+            bound = min([best_obj] + [b for b, _, _ in rest])
+        else:
+            bound = -np.inf
         return MipResult(
             status=status,
             x=best_x,
@@ -83,17 +124,44 @@ def solve_milp(
             bound=bound,
             nodes=nodes,
             lp_iterations=lp_iters,
-            root_basis=root.basis,
+            frontier=[node for _, _, node in rest],
         )
 
+    if frontier is None:
+        root = solve_lp(lp)
+        lp_iters += root.iterations
+        nodes += 1
+        if root.status == UNBOUNDED:
+            return MipResult(
+                status=UNBOUNDED, objective=-np.inf, bound=-np.inf,
+                nodes=nodes, lp_iterations=lp_iters,
+            )
+        frontier = []
+        if root.status == OPTIMAL:
+            lo0 = np.asarray(lp.lo, dtype=float).copy()
+            hi0 = np.asarray(lp.hi, dtype=float).copy()
+            frontier = [Node(root.objective, lo0, hi0, root.x, root.basis)]
+
+    for k, node in enumerate(frontier):
+        if node.bound >= cut_level:
+            continue
+        if _violates_new_rows(lp, node):
+            if out_of_time():
+                return out(TIME_LIMIT, *((n.bound, next(tick), n) for n in frontier[k:]))
+            res = solve_lp(lp, node.lo, node.hi, basis=node.basis)
+            lp_iters += res.iterations
+            nodes += 1
+            if res.status != OPTIMAL or res.objective >= cut_level:
+                continue
+            node = Node(res.objective, node.lo, node.hi, res.x, res.basis)
+        heapq.heappush(heap, (node.bound, next(tick), node))
+
     while heap:
-        node_bound, _, lo, hi, x, start = heapq.heappop(heap)
-        bound = node_bound
-        if np.isfinite(best_obj) and best_obj - bound <= REL_GAP * max(
-            1.0, abs(best_obj)
-        ):
-            bound = best_obj
-            return out(OPTIMAL)
+        entry = heapq.heappop(heap)
+        node = entry[2]
+        if node.bound >= _prune_level(best_obj):
+            return out(OPTIMAL, entry)
+        x = node.x
         # most fractional binary; ties go to the lowest column index
         frac_col = -1
         frac_best = INT_TOL
@@ -103,36 +171,31 @@ def solve_milp(
                 frac_best = f
                 frac_col = c
         if frac_col < 0:
-            if node_bound < best_obj - 1e-12:
-                best_obj = node_bound
+            kept.append(entry)
+            if node.bound < best_obj - 1e-12:
+                best_obj = node.bound
                 best_x = x.copy()
                 for c in binary_cols:
                     best_x[c] = round(best_x[c])
             continue
+        children = []
         for val in (0.0, 1.0):
-            if time_limit is not None and time.monotonic() - t0 > time_limit:
-                return out(TIME_LIMIT)
-            clo = lo.copy()
-            chi = hi.copy()
+            if out_of_time():
+                return out(TIME_LIMIT, entry)  # the children solved so far are dropped
+            clo = node.lo.copy()
+            chi = node.hi.copy()
             clo[frac_col] = chi[frac_col] = val
-            child = solve_lp(lp, clo, chi, basis=start)
+            child = solve_lp(lp, clo, chi, basis=node.basis)
             lp_iters += child.iterations
             nodes += 1
-            if child.status != OPTIMAL:
-                continue  # infeasible child; unbounded cannot appear below a bounded root
-            if np.isfinite(best_obj) and child.objective >= best_obj - REL_GAP * max(
-                1.0, abs(best_obj)
-            ):
-                continue
-            heapq.heappush(
-                heap,
-                (child.objective, next(tick), clo, chi, child.x, child.basis),
-            )
+            # an infeasible child is dropped; unbounded cannot appear below a bounded root
+            if child.status == OPTIMAL and child.objective < cut_level:
+                children.append(Node(child.objective, clo, chi, child.x, child.basis))
+        for child in children:
+            entry = (child.bound, next(tick), child)
+            if child.bound >= _prune_level(best_obj):
+                kept.append(entry)
+            else:
+                heapq.heappush(heap, entry)
 
-    if best_x is None:
-        return MipResult(
-            status=INFEASIBLE, nodes=nodes, lp_iterations=lp_iters,
-            root_basis=root.basis,
-        )
-    bound = best_obj
-    return out(OPTIMAL)
+    return out(OPTIMAL if best_x is not None else INFEASIBLE)

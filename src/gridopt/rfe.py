@@ -3,8 +3,10 @@
 Alternates between the MILP relaxation (a valid bound) and globally solved
 cell-restricted subproblems (feasible candidates). Each round the relaxation's
 discrete assignment is excluded with a no-good cut, so the bound can only
-tighten; the loop stops when the bound meets the incumbent within tolerance or
-the relaxation becomes infeasible, which proves optimality.
+tighten. One branch-and-bound tree serves every round: a round resumes the
+previous round's frontier under its cut, cut off at the incumbent. The loop
+stops when the bound meets the incumbent within tolerance, or when the MILP
+finds nothing below the incumbent, which proves optimality.
 
 A subproblem that stops unproven (``NodeLimit``) is still excluded, but its
 bound stays a floor under the global bound: while that floor is below the
@@ -124,7 +126,7 @@ def solve_rfe(ir: ProblemIR, time_limit: Optional[float] = None) -> RfeResult:
     bound = -np.inf
     nodes = 0
     log: list = []
-    basis = None  # previous round's root basis; this round adds one cut row
+    frontier = None  # the MILP tree's unbranched nodes, resumed each round
 
     def out(status: str) -> RfeResult:
         return cells.result(status, bound, iterations=len(log), milp_nodes=nodes, log=log)
@@ -135,22 +137,24 @@ def solve_rfe(ir: ProblemIR, time_limit: Optional[float] = None) -> RfeResult:
             remaining = time_limit - (time.monotonic() - t0)
             if remaining <= 0:
                 return out(TIME_LIMIT)
-        mres = solve_milp(milp.to_lp(), milp.binary_cols(), time_limit=remaining, basis=basis)
-        basis = mres.root_basis
+        mres = solve_milp(
+            milp.to_lp(), milp.binary_cols(), time_limit=remaining,
+            cutoff=cells.objective, frontier=frontier,
+        )
+        frontier = mres.frontier
         nodes += mres.nodes
         if mres.status == UNBOUNDED:
             return out(UNBOUNDED)
-        if mres.status == TIME_LIMIT:
-            return out(TIME_LIMIT)
-        # every discrete assignment has been explored, or none left beats the
-        # incumbent: the MILP carries all cuts, so it bounds only the
-        # unexplored assignments
-        if mres.status == INFEASIBLE or _closed(cells.objective, mres.objective):
+        # no unexplored assignment beats the incumbent
+        if mres.status == INFEASIBLE:
             status, bound = cells.final(bound)
             return out(status)
-        # the incumbent's value bounds the closed explored assignments and
-        # the floor the others
-        bound = max(bound, min(mres.objective, cells.objective, cells.floor))
+        # the MILP carries all cuts, so it bounds only the unexplored
+        # assignments; the incumbent's value bounds the closed explored ones
+        # and the floor the others
+        bound = max(bound, min(mres.bound, cells.objective, cells.floor))
+        if mres.status == TIME_LIMIT:
+            return out(TIME_LIMIT)
         fixing = extract_fixing(milp, mres.x)
         sub_status = cells.solve(fixing)
         log.append(
@@ -161,6 +165,8 @@ def solve_rfe(ir: ProblemIR, time_limit: Optional[float] = None) -> RfeResult:
                 "fixing_segments": fixing.segments,
                 "fixing_y": fixing.y,
                 "subproblem_status": sub_status,
+                "milp_nodes": mres.nodes,
+                "frontier": len(frontier),
             }
         )
         if _closed(cells.objective, bound):

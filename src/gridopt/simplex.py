@@ -89,7 +89,7 @@ _CAN_FALL = np.array([False, True, False, True])
 
 _RC_TOL = 1e-9
 _PIV_TOL = 1e-7  # pivots below this are numerically unsafe to enter the basis
-_FEAS_TOL = 1e-7
+FEAS_TOL = 1e-7
 _ZERO_TOL = 1e-12  # tableau entries below this are round-off of exact zeros
 _REFACTOR_EVERY = 150
 
@@ -293,7 +293,7 @@ def _iterate(tab: _Tableau, cost: Optional[np.ndarray], max_iter: int) -> str:
     for _ in range(max_iter):
         if phase1:
             lo_b, hi_b = tab.lo[tab.basis], tab.hi[tab.basis]
-            viol = (tab.xB > hi_b + _FEAS_TOL).astype(float) - (tab.xB < lo_b - _FEAS_TOL)
+            viol = (tab.xB > hi_b + FEAS_TOL).astype(float) - (tab.xB < lo_b - FEAS_TOL)
             if not viol.any():
                 return OPTIMAL
             cost = np.zeros(tab.N)
@@ -345,7 +345,7 @@ def _dual_iterate(tab: _Tableau, cost: np.ndarray, max_iter: int) -> Optional[st
         lo_b, hi_b = tab.lo[tab.basis], tab.hi[tab.basis]
         viol = np.maximum(lo_b - tab.xB, tab.xB - hi_b)
         r = int(viol.argmax())
-        if not viol[r] > _FEAS_TOL:
+        if not viol[r] > FEAS_TOL:
             return OPTIMAL
         rise = tab.xB[r] < lo_b[r]  # the leaving variable must increase
         target = lo_b[r] if rise else hi_b[r]
@@ -360,7 +360,7 @@ def _dual_iterate(tab: _Tableau, cost: np.ndarray, max_iter: int) -> Optional[st
             # to pivot on, but above round-off, could close the violation
             small = right & (np.abs(alpha) > _ZERO_TOL)
             reach = float(np.abs(alpha[small]) @ span[small])
-            return INFEASIBLE if reach + _FEAS_TOL < viol[r] else None
+            return INFEASIBLE if reach + FEAS_TOL < viol[r] else None
         cols = elig.nonzero()[0]
         d = cost - cost[tab.basis] @ tab.T
         size = np.abs(alpha[cols])

@@ -1,10 +1,15 @@
-"""Shared generator of small random interpolation instances for tests.
+"""Instance generators shared by the tests.
 
-Instances have up to 2 interpolants of dimension <= 3 with <= 4 breakpoints
-per axis and <= 2 binaries, small enough for the enumeration reference solver.
+``random_instance`` draws the pool: up to 2 interpolants of dimension <= 3
+with <= 4 breakpoints per axis and <= 2 binaries, small enough for the
+enumeration reference solver. ``cut_instance`` is the benchmark's cut family.
 """
 
 from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -81,3 +86,19 @@ def random_instance(seed: int):
         maximize=bool(rng.random() < 0.5),
         name=f"rand{seed}",
     )
+
+
+def cut_instance(seed: int):
+    """The benchmark's cut family, whose RFE runs take up to 16 rounds of cuts.
+
+    Loaded from ``perfbench/workloads.py`` by path, so the tests solve exactly
+    the instances the benchmark does.
+    """
+    name = "_perfbench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # dataclasses look their module up here
+        spec.loader.exec_module(module)
+    return sys.modules[name].cut_instance(seed)

@@ -5,8 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
+from gridopt import bnb
 from gridopt.bnb import TIME_LIMIT, solve_milp
+from gridopt.relax import add_no_good_cut, build_relaxation, extract_fixing
 from gridopt.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, solve_lp
+
+from _random_instances import cut_instance, random_instance
 
 
 def _knapsack_lp(values, weights, cap):
@@ -119,3 +123,116 @@ class TestDeterminism:
         assert a.objective == b.objective
         assert a.nodes == b.nodes
         np.testing.assert_array_equal(a.x, b.x)
+
+
+def _random_knapsack(seed, n=10):
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(1, 10, n)
+    return _knapsack_lp(rng.uniform(1, 10, n), weights, weights.sum() * 0.5)
+
+
+def _no_good_row(lp, x):
+    """``lp`` with a row excluding the binary point ``x`` (every column binary)."""
+    ones = np.round(x) == 1
+    row = np.where(ones, -1.0, 1.0)
+    return LpProblem(
+        lp.obj, lp.lo, lp.hi, np.vstack([lp.A, row]), lp.senses + [">="],
+        np.append(lp.rhs, 1.0 - ones.sum()),
+    )
+
+
+class TestCutoff:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_infinite_cutoff_is_no_cutoff(self, seed):
+        # a NaN prune level would drop every node, so compare with a finite
+        # cutoff above every bound
+        lp = _random_knapsack(seed)
+        loose = solve_milp(lp, range(10), cutoff=1e9)
+        for res in (solve_milp(lp, range(10)), solve_milp(lp, range(10), cutoff=np.inf)):
+            assert res.status == loose.status == OPTIMAL
+            assert res.nodes == loose.nodes
+            np.testing.assert_array_equal(res.x, loose.x)
+
+    def test_nothing_below_the_cutoff_is_infeasible(self):
+        lp = _random_knapsack(0)
+        opt = solve_milp(lp, range(10)).objective
+        assert solve_milp(lp, range(10), cutoff=opt).status == INFEASIBLE
+        above = solve_milp(lp, range(10), cutoff=opt + 1.0)
+        assert above.status == OPTIMAL
+        assert above.objective == opt
+
+
+@pytest.mark.parametrize(
+    "family, seed", [("pool", s) for s in range(50)] + [("cut", s) for s in range(12)]
+)
+def test_resumed_frontier_matches_scratch(family, seed):
+    """After each no-good cut, resuming the last frontier solves the cut MILP."""
+    ir = random_instance(seed) if family == "pool" else cut_instance(seed)
+    model = build_relaxation(ir)
+    bins = model.binary_cols()
+    res = solve_milp(model.to_lp(), bins)
+    for _ in range(4):
+        if res.status != OPTIMAL:
+            break
+        add_no_good_cut(model, extract_fixing(model, res.x))
+        lp = model.to_lp()
+        res = solve_milp(lp, bins, frontier=res.frontier)
+        scratch = solve_milp(lp, bins)
+        assert res.status == scratch.status
+        if scratch.status == OPTIMAL:
+            assert res.objective == pytest.approx(scratch.objective, rel=1e-9, abs=1e-12)
+
+
+class _Clock:
+    """Stands in for ``time`` in bnb: every reading is one second after the last."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        self.now += 1.0
+        return self.now
+
+
+class TestTimeLimitFrontier:
+    """A search stopped by its time limit hands on every unbranched node once."""
+
+    @staticmethod
+    def _check_stop(lp, res):
+        bits = np.array(list(itertools.product([0.0, 1.0], repeat=lp.ncols)))
+        senses = np.array(lp.senses)
+        act = bits @ lp.A.T - lp.rhs
+        feasible = np.all(np.where(senses == "<=", act <= 1e-9, act >= -1e-9), axis=1)
+        assert feasible.any()
+        for point in bits[feasible]:
+            inside = [np.all((n.lo <= point) & (point <= n.hi)) for n in res.frontier]
+            assert sum(inside) == 1
+        assert res.bound == min([res.objective] + [n.bound for n in res.frontier])
+
+    def test_stops_after_each_check(self, monkeypatch):
+        lp = _random_knapsack(4)
+        opt = solve_milp(lp, range(10))
+        cut = _no_good_row(lp, opt.x)
+        cut_opt = solve_milp(cut, range(10))
+        stopped = set()
+        monkeypatch.setattr(bnb, "time", _Clock())
+        for limit in range(opt.nodes):
+            res = solve_milp(lp, range(10), time_limit=limit + 0.5)
+            if res.status != TIME_LIMIT:
+                break
+            # an odd limit stops before a node's second child, mid-branching
+            stopped.add(limit % 2)
+            self._check_stop(lp, res)
+            assert res.bound <= opt.objective
+            done = solve_milp(lp, range(10), frontier=res.frontier)
+            assert done.objective == pytest.approx(opt.objective, abs=1e-9)
+            # resumed under the cut, stopped again in the re-solve loop or later
+            for again in range(3):
+                part = solve_milp(cut, range(10), time_limit=again + 0.5, frontier=res.frontier)
+                if part.status != TIME_LIMIT:
+                    break
+                self._check_stop(cut, part)
+                assert part.bound <= cut_opt.objective + 1e-9
+                rest = solve_milp(cut, range(10), frontier=part.frontier)
+                assert rest.objective == pytest.approx(cut_opt.objective, abs=1e-9)
+        assert stopped == {0, 1}

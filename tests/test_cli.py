@@ -21,6 +21,7 @@ from gridopt.model import (
 )
 
 from _oracles import problem_size
+from _random_instances import cut_instance
 
 
 @pytest.fixture
@@ -79,6 +80,18 @@ class TestSolve:
         assert a["status"] == b["status"] == "Optimal"
         assert a["objective"] == pytest.approx(b["objective"], abs=1e-6)
         assert a["gap"] is not None and a["gap"] >= 0.0
+
+    def test_report_trace_carries_milp_work(self, tmp_path):
+        path = tmp_path / "cut0.json"
+        instancefile.save(str(path), cut_instance(0))  # two rounds
+        rep = tmp_path / "r.json"
+        assert main(["solve", str(path), "--report", str(rep)]) == 0
+        doc = json.loads(rep.read_text())
+        assert len(doc["trace"]) == doc["iterations"] == 2
+        for entry in doc["trace"]:
+            assert entry["milp_nodes"] >= 0
+            assert entry["frontier"] >= 1
+        assert sum(e["milp_nodes"] for e in doc["trace"]) <= doc["milp_nodes"]
 
     def test_infeasible_exit_code(self, tmp_path):
         path = _tiny_instance(tmp_path, infeasible=True)

@@ -1,8 +1,9 @@
 """Branch-and-bound on desk relaxations against scipy's HiGHS MILP solver.
 
 These relaxations are too large for the enumeration oracle. Each is solved
-cold, then again after two no-good cuts, each round warm-started from the
-previous round's root basis as ``solve_rfe`` does.
+from its root, then again after each of two no-good cuts, each round resuming
+the previous round's frontier as ``solve_rfe`` does. The cutoff stays infinite,
+so every round must find the cut MILP's own optimum.
 """
 
 import numpy as np
@@ -38,12 +39,12 @@ def test_desk_relaxation_matches_highs(scenario, seed):
     ir = build_opo_instance(get_scenario(scenario, "desk"), seed).ir
     model = build_relaxation(ir)
     bins = model.binary_cols()
-    basis = None
+    frontier = None
     for _ in range(3):
         lp = model.to_lp()
-        # the limit only stops a runaway search; S4 rounds take 5-15 s
-        res = solve_milp(lp, bins, time_limit=300, basis=basis)
+        # the limit only stops a runaway search; S4-0's first round takes about 3 s
+        res = solve_milp(lp, bins, time_limit=300, cutoff=np.inf, frontier=frontier)
         assert res.status == OPTIMAL
         assert res.objective == pytest.approx(_highs(lp, bins), rel=1e-6)
-        basis = res.root_basis
+        frontier = res.frontier
         add_no_good_cut(model, extract_fixing(model, res.x))

@@ -18,7 +18,7 @@ from gridopt.model import (
 from gridopt.opo import build_opo_instance, get_scenario
 from gridopt.rfe import solve_by_enumeration, solve_rfe
 
-from _random_instances import random_instance
+from _random_instances import cut_instance, random_instance
 
 
 def _affine_table(n=2, k=3):
@@ -159,8 +159,39 @@ class TestEnumerationGuard:
             solve_by_enumeration(ir)
 
 
+class TestExcludeLoop:
+    """One MILP tree serves every round, cut off at the incumbent."""
+
+    def test_cut_family_rounds(self):
+        # the rounds of solving each cut LP from its root; a prune level that
+        # turns NaN at an infinite cutoff closes cut-1 in one round instead
+        rounds = [solve_rfe(cut_instance(seed)).iterations for seed in range(12)]
+        assert rounds == [2, 16, 1, 1, 5, 1, 1, 4, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize("seed", [0, 1, 4, 7])
+    def test_log_carries_milp_nodes_and_frontier(self, seed):
+        res = solve_rfe(cut_instance(seed))
+        assert res.status == "Optimal"
+        assert len(res.log) == res.iterations
+        assert res.log[0]["milp_nodes"] >= 1  # the root
+        # a round's MILP optimum is an integral leaf, handed on in the frontier
+        assert all(e["milp_nodes"] >= 0 and e["frontier"] >= 1 for e in res.log)
+        # the rest is the MILP that found nothing below the incumbent
+        assert sum(e["milp_nodes"] for e in res.log) <= res.milp_nodes
+
+
 class TestTimeLimit:
     def test_zero_time_limit(self):
         ir = random_instance(0)
         res = solve_rfe(ir, time_limit=0.0)
         assert res.status == "TimeLimit"
+
+    def test_milp_bound_survives_the_limit(self):
+        # the root LP of desk S4-0 takes about 0.3 s, so bnb stops right
+        # after it; its bound must reach the result
+        ir = build_opo_instance(get_scenario("S4", "desk"), 0).ir
+        assert ir.maximize
+        res = solve_rfe(ir, time_limit=0.2)
+        assert res.status == "TimeLimit"
+        assert np.isfinite(res.bound)
+        assert res.bound >= 381.3807236612488 - 1e-6  # the optimum

@@ -22,7 +22,7 @@ from gridopt.simplex import (
     _AT_LO,
     _AT_UP,
     _BASIC,
-    _FEAS_TOL,
+    FEAS_TOL,
     _FREE,
     _PIV_TOL,
     _RC_TOL,
@@ -262,9 +262,9 @@ def _violation_loop(tab) -> np.ndarray:
     """Phase 1's row violation: +1 above the upper bound, -1 below the lower."""
     viol = np.zeros(tab.m)
     for i, b in enumerate(tab.basis):
-        if tab.xB[i] > tab.hi[b] + _FEAS_TOL:
+        if tab.xB[i] > tab.hi[b] + FEAS_TOL:
             viol[i] = 1.0
-        elif tab.xB[i] < tab.lo[b] - _FEAS_TOL:
+        elif tab.xB[i] < tab.lo[b] - FEAS_TOL:
             viol[i] = -1.0
     return viol
 
