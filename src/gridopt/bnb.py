@@ -4,19 +4,26 @@ Best-first search on the LP bound over the bounded-variable simplex. Branching
 fixes the most fractional binary (lowest column index on ties) to 0 and 1 via
 bound overrides, so every node shares the same immutable LP data. A node keeps
 its bounds, LP solution and final simplex basis; each child is warm-started
-from its parent's basis by the dual simplex.
+from its parent's basis by the dual simplex. One heap holds every unbranched
+node, and the first integral node popped is optimal: no node left on the heap
+has a lower bound.
 
 One tree serves a sequence of MILPs that differ by appended rows, as RFE's
-rounds do. A call returns its frontier, every node it did not branch: the open
-nodes, those pruned by its own incumbent, and the integral leaves. Appending a
-row only raises a node's LP bound and keeps an infeasible node infeasible, so
-the next call resumes from that frontier instead of the root. A resumed node
-whose x violates an appended row is re-solved warm from its basis, which takes
-the new rows in with their slacks; every other node keeps its bound and x.
+rounds do. A call returns its frontier, every node it did not branch: the
+nodes on its heap and the integral node it stopped at. Appending a row only
+raises a node's LP bound and keeps an infeasible node infeasible, so the next
+call resumes from that frontier instead of the root. A call without a frontier
+starts from the root: one node with the LP's own bounds and no LP solution
+yet. A frontier node with no LP solution, or whose x violates an appended row,
+is solved warm from its basis, if it has one, which takes the new rows in with
+their slacks; every other node keeps its bound and x. The time limit is
+checked before every LP, the root's included.
 
 ``cutoff`` is an outside incumbent that only falls between calls (RFE's best
-cell). A node whose bound is within ``REL_GAP`` of it cannot beat it and is
-pruned for good, so ``Infeasible`` means that nothing lies below the cutoff.
+cell). A node whose bound is at or above its ``prune_level`` cannot beat it
+and is pruned for good, so ``Infeasible`` means that nothing lies below the
+cutoff. ``prune_level`` is the one rule, shared with ``rfe`` and ``spatial``,
+for "this bound cannot beat that value".
 """
 
 from __future__ import annotations
@@ -35,17 +42,20 @@ from .simplex import FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LpBasis, LpProble
 TIME_LIMIT = "TimeLimit"
 
 INT_TOL = 1e-6
-REL_GAP = 1e-6  # no looser than rfe's tolerance: rfe takes the MILP optimum as a bound
+REL_GAP = 1e-6  # prune_level's gap; rfe closes its loop at it too
 
 
 class Node(NamedTuple):
-    """An unbranched node: LP bound, column bounds, LP solution and final basis."""
+    """An unbranched node: LP bound, column bounds, LP solution and final basis.
+
+    A node not solved yet has bound -inf and no x or basis.
+    """
 
     bound: float
     lo: np.ndarray
     hi: np.ndarray
-    x: np.ndarray
-    basis: LpBasis
+    x: Optional[np.ndarray]
+    basis: Optional[LpBasis]
 
 
 @dataclass
@@ -59,11 +69,12 @@ class MipResult:
     frontier: list[Node] = field(default_factory=list)  # every unbranched node
 
 
-def _prune_level(value: float) -> float:
-    """Bounds at or above this cannot beat ``value`` by more than the gap."""
+def prune_level(value: float, gap: float = REL_GAP) -> float:
+    """Bounds at or above this cannot beat ``value`` by more than ``gap``, relative
+    to ``max(1, |value|)``."""
     if not np.isfinite(value):
-        return np.inf  # inf - REL_GAP * inf is NaN, and every comparison with NaN is false
-    return value - REL_GAP * max(1.0, abs(value))
+        return np.inf  # inf - gap * inf is NaN, and every comparison with NaN is false
+    return value - gap * max(1.0, abs(value))
 
 
 def _violates_new_rows(lp: LpProblem, node: Node) -> bool:
@@ -87,70 +98,47 @@ def solve_milp(
     """Minimize over ``lp`` with the listed columns restricted to {0, 1}.
 
     Returns the proven optimum below ``cutoff``, ``Infeasible`` when nothing
-    lies below it, or the best incumbent with status TimeLimit when the time
-    limit stops the search first; then ``bound`` is the least bound over the
-    unbranched nodes and the incumbent. ``frontier`` is an earlier call's
-    ``MipResult.frontier`` on ``lp`` with fewer rows, or the same ``lp``;
-    without it the search starts at the root LP. Deterministic for identical
-    input and limits (up to wall-clock cutoffs).
+    lies below it, or status TimeLimit when the time limit stops the search
+    first; then ``bound`` is the least bound over the unbranched nodes.
+    ``frontier`` is an earlier call's ``MipResult.frontier`` on ``lp`` with
+    fewer rows, or the same ``lp``; without it the search starts at the root.
+    Deterministic for identical input and limits (up to wall-clock cutoffs).
     """
     t0 = time.monotonic()
     binary_cols = sorted(int(c) for c in binary_cols)
-    cut_level = _prune_level(cutoff)
+    cut_level = prune_level(cutoff)
+    if frontier is None:
+        frontier = [Node(-np.inf, lp.lo, lp.hi, None, None)]
 
-    best_x: Optional[np.ndarray] = None
-    best_obj = np.inf
     nodes = 0
     lp_iters = 0
     tick = itertools.count()  # FIFO tie-break keeps the heap deterministic
-    heap: list = []  # (bound, tick, node) to branch
-    kept: list = []  # (bound, tick, node) pruned by the incumbent, or integral
+    heap: list = []  # (bound, tick, node) of every unbranched node
 
     def out_of_time() -> bool:
         return time_limit is not None and time.monotonic() - t0 > time_limit
 
-    def out(status: str, *unbranched: tuple) -> MipResult:
-        rest = sorted(itertools.chain(heap, kept, unbranched))
+    def out(status: str, *unbranched: tuple, x=None, objective=np.inf) -> MipResult:
+        rest = sorted(itertools.chain(heap, unbranched))
         if status == OPTIMAL:
-            bound = best_obj
+            bound = objective
         elif status == TIME_LIMIT:
-            bound = min([best_obj] + [b for b, _, _ in rest])
+            bound = min((b for b, _, _ in rest), default=np.inf)
         else:
             bound = -np.inf
-        return MipResult(
-            status=status,
-            x=best_x,
-            objective=best_obj,
-            bound=bound,
-            nodes=nodes,
-            lp_iterations=lp_iters,
-            frontier=[node for _, _, node in rest],
-        )
-
-    if frontier is None:
-        root = solve_lp(lp)
-        lp_iters += root.iterations
-        nodes += 1
-        if root.status == UNBOUNDED:
-            return MipResult(
-                status=UNBOUNDED, objective=-np.inf, bound=-np.inf,
-                nodes=nodes, lp_iterations=lp_iters,
-            )
-        frontier = []
-        if root.status == OPTIMAL:
-            lo0 = np.asarray(lp.lo, dtype=float).copy()
-            hi0 = np.asarray(lp.hi, dtype=float).copy()
-            frontier = [Node(root.objective, lo0, hi0, root.x, root.basis)]
+        return MipResult(status, x, objective, bound, nodes, lp_iters, [n for _, _, n in rest])
 
     for k, node in enumerate(frontier):
         if node.bound >= cut_level:
             continue
-        if _violates_new_rows(lp, node):
+        if node.x is None or _violates_new_rows(lp, node):
             if out_of_time():
                 return out(TIME_LIMIT, *((n.bound, next(tick), n) for n in frontier[k:]))
             res = solve_lp(lp, node.lo, node.hi, basis=node.basis)
             lp_iters += res.iterations
             nodes += 1
+            if res.status == UNBOUNDED:  # only the root can be: its children are bounded
+                return out(UNBOUNDED, objective=-np.inf)
             if res.status != OPTIMAL or res.objective >= cut_level:
                 continue
             node = Node(res.objective, node.lo, node.hi, res.x, res.basis)
@@ -159,8 +147,6 @@ def solve_milp(
     while heap:
         entry = heapq.heappop(heap)
         node = entry[2]
-        if node.bound >= _prune_level(best_obj):
-            return out(OPTIMAL, entry)
         x = node.x
         # most fractional binary; ties go to the lowest column index
         frac_col = -1
@@ -171,13 +157,9 @@ def solve_milp(
                 frac_best = f
                 frac_col = c
         if frac_col < 0:
-            kept.append(entry)
-            if node.bound < best_obj - 1e-12:
-                best_obj = node.bound
-                best_x = x.copy()
-                for c in binary_cols:
-                    best_x[c] = round(best_x[c])
-            continue
+            x = x.copy()
+            x[binary_cols] = np.round(x[binary_cols])
+            return out(OPTIMAL, entry, x=x, objective=node.bound)
         children = []
         for val in (0.0, 1.0):
             if out_of_time():
@@ -188,14 +170,10 @@ def solve_milp(
             child = solve_lp(lp, clo, chi, basis=node.basis)
             lp_iters += child.iterations
             nodes += 1
-            # an infeasible child is dropped; unbounded cannot appear below a bounded root
+            # an infeasible child is dropped, and so is one the cutoff prunes
             if child.status == OPTIMAL and child.objective < cut_level:
                 children.append(Node(child.objective, clo, chi, child.x, child.basis))
         for child in children:
-            entry = (child.bound, next(tick), child)
-            if child.bound >= _prune_level(best_obj):
-                kept.append(entry)
-            else:
-                heapq.heappush(heap, entry)
+            heapq.heappush(heap, (child.bound, next(tick), child))
 
-    return out(OPTIMAL if best_x is not None else INFEASIBLE)
+    return out(INFEASIBLE)

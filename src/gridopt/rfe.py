@@ -22,15 +22,13 @@ from typing import Optional
 
 import numpy as np
 
-from .bnb import TIME_LIMIT, solve_milp
+from .bnb import TIME_LIMIT, prune_level, solve_milp
 from .errors import EnumerationTooLarge
 from .model import ProblemIR
 from .relax import Fixing, add_no_good_cut, build_relaxation, build_subproblem, extract_fixing
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
 from .spatial import NODE_LIMIT, solve_box_nlp
 
-ABS_TOL = 1e-6
-REL_TOL = 1e-6
 MAX_ITERATIONS = 200  # RFE rounds before the status "IterationLimit"
 
 ENUM_LIMIT = 10_000
@@ -53,15 +51,11 @@ def _user_sense(ir: ProblemIR, v: float) -> float:
 
 
 def _closed(incumbent: float, bound: float) -> bool:
-    """Bound meets incumbent within tolerance; false when either is infinite."""
-    if not (np.isfinite(incumbent) and np.isfinite(bound)):
-        return False
-    return bound >= incumbent - max(ABS_TOL, REL_TOL * abs(incumbent))
+    """Nothing at or above ``bound`` beats ``incumbent`` by more than bnb's gap.
 
-
-def _unclosed(incumbent: float, floor: float) -> bool:
-    """An excluded subproblem with bound ``floor`` may hold a better point."""
-    return floor < np.inf and not _closed(incumbent, floor)
+    False for an infinite incumbent unless the bound is +inf.
+    """
+    return bound >= prune_level(incumbent)
 
 
 class _Subproblems:
@@ -96,9 +90,9 @@ class _Subproblems:
         """Status and bound once no unexplored assignment can beat the incumbent.
 
         ``bound`` is the bound proven so far; it only matters when a
-        subproblem did not close.
+        subproblem did not close, and so may hold a better point.
         """
-        if _unclosed(self.objective, self.floor):
+        if not _closed(self.objective, self.floor):
             return NODE_LIMIT, max(bound, self.floor)
         return (OPTIMAL if self.x is not None else INFEASIBLE), self.objective
 

@@ -26,13 +26,14 @@ already equal f within ``EXACT_TOL`` is itself the candidate when it meets the
 linear rows; otherwise a candidate is recovered by fixing the inputs at the
 LP point, clipped to the box, and repairing the remaining linear part, then
 improved by coordinate descent (each step frees input variables, at most one
-per interpolant, so every output is affine in them and the step is an LP). A
-child whose bound cannot beat the incumbent is pruned before any heuristic
-runs.
+per interpolant, so every output is affine in them and the step is an LP).
 
-A node limit, or a box too narrow to split whose bound is below the
-incumbent, ends the search unproven: the result is ``NodeLimit`` with the
-least bound of every open or exhausted box.
+The root box is evaluated like any child: its LP is solved, its point tried as
+a candidate, and the box kept open unless its bound cannot beat the
+incumbent (``bnb.prune_level`` with ``GAP``). A box the incumbent prunes gets
+no heuristic. ``MAX_NODES`` node LPs, or a box too narrow to split whose bound
+is below the incumbent, end the search unproven: the result is ``NodeLimit``
+with the least bound of every open or exhausted box.
 
 Every node LP of one subproblem has the same rows and columns; a child box
 changes one column bound and the coefficients of the corner-weight columns.
@@ -50,13 +51,14 @@ from typing import Optional
 
 import numpy as np
 
+from .bnb import prune_level
 from .model import EQ, GE, LE
 from .relax import BoxNlp, CellBlock
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpBasis, LpProblem, solve_lp
 
+MAX_NODES = 100_000  # node LPs before the status "NodeLimit"
 MIN_BOX_WIDTH = 1e-9  # in cell widths
-ABS_TOL = 1e-8
-REL_TOL = 1e-8
+GAP = 1e-8  # a box closes within this of the incumbent, relative to max(1, |incumbent|)
 SPLIT_CLAMP = 0.2  # the split point stays this fraction of the width inside
 EXACT_TOL = 1e-9  # |y - f| and row slack for an LP point to be a candidate
 
@@ -264,11 +266,7 @@ def _coordinate_descent(
     return best
 
 
-def solve_box_nlp(
-    nlp: BoxNlp,
-    node_limit: int = 100_000,
-    basis: Optional[LpBasis] = None,
-) -> NlpResult:
+def solve_box_nlp(nlp: BoxNlp, basis: Optional[LpBasis] = None) -> NlpResult:
     """Globally minimize the IR objective over one cell assignment.
 
     ``basis`` warm-starts the root LP; it may come from another subproblem
@@ -278,40 +276,42 @@ def solve_box_nlp(
         return NlpResult(status=INFEASIBLE)
     blocks = nlp.blocks
     ir_lp = _ir_lp(nlp)
-    best: Optional[tuple[np.ndarray, float]] = None
+    best: tuple[Optional[np.ndarray], float] = (None, np.inf)  # the incumbent
     nodes = 0
     tick = itertools.count()
+    heap: list = []  # (bound, tick, lo, hi, x, basis) of every open box
 
     def pruned(node_bound: float) -> bool:
-        return best is not None and node_bound >= best[1] - max(ABS_TOL, REL_TOL * abs(best[1]))
+        return node_bound >= prune_level(best[1], GAP)
 
-    def try_point(xrel: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
-        nonlocal best
-        cand = _exact_candidate(ir_lp, blocks, xrel)
+    def evaluate(lo: np.ndarray, hi: np.ndarray, start: Optional[LpBasis]) -> Optional[LpBasis]:
+        """Solve the box's LP, try its point as a candidate and keep the box
+        open unless the incumbent prunes it; returns the LP's final basis."""
+        nonlocal best, nodes
+        res = solve_lp(_build_node_lp(ir_lp, blocks, lo, hi), basis=start)
+        nodes += 1
+        if res.status == UNBOUNDED:  # only the root can be: a bounded root's boxes are bounded
+            best = (None, -np.inf)
+        if res.status != OPTIMAL or pruned(res.objective):
+            return res.basis
+        cand = _exact_candidate(ir_lp, blocks, res.x)
         if cand is None:
-            cand = _candidate_at(ir_lp, blocks, np.clip(xrel[: ir_lp.ncols], lo, hi))
-            if cand is None:
-                return
-            cand = _coordinate_descent(ir_lp, blocks, cand)
-        if best is None or cand[1] < best[1] - 1e-15:
+            cand = _candidate_at(ir_lp, blocks, np.clip(res.x[: ir_lp.ncols], lo, hi))
+            if cand is not None:
+                cand = _coordinate_descent(ir_lp, blocks, cand)
+        if cand is not None and cand[1] < best[1] - 1e-15:
             best = cand
+        if not pruned(res.objective):
+            heapq.heappush(heap, (res.objective, next(tick), lo, hi, res.x, res.basis))
+        return res.basis
 
-    lo0, hi0 = ir_lp.lo, ir_lp.hi  # the root box
-    root = solve_lp(_build_node_lp(ir_lp, blocks, lo0, hi0), basis=basis)
-    nodes += 1
-    if root.status == INFEASIBLE:
-        return NlpResult(status=INFEASIBLE, nodes=nodes)
-    if root.status == UNBOUNDED:
-        return NlpResult(status=OPTIMAL, objective=-np.inf, bound=-np.inf, nodes=nodes)
-    try_point(root.x, lo0, hi0)
-
-    heap: list = [(root.objective, next(tick), lo0, hi0, root.x, root.basis)]
+    root_basis = evaluate(ir_lp.lo, ir_lp.hi, basis)
     floor = np.inf  # least bound of a box left open: exhausted, or at the node limit
     while heap:
         node_bound, _, lo, hi, xrel, start = heapq.heappop(heap)
         if pruned(node_bound):
             break  # so is every node still on the heap
-        if nodes >= node_limit:
+        if nodes >= MAX_NODES:
             floor = min(floor, node_bound)  # no node left on the heap is lower
             break
         split = _split(blocks, xrel, lo, hi)
@@ -319,31 +319,16 @@ def solve_box_nlp(
             floor = min(floor, node_bound)
             continue
         p, at = split
-        for half in (0, 1):
-            clo = lo.copy()
-            chi = hi.copy()
-            if half == 0:
-                chi[p] = at
-            else:
-                clo[p] = at
-            res = solve_lp(_build_node_lp(ir_lp, blocks, clo, chi), basis=start)
-            nodes += 1
-            if res.status != OPTIMAL or pruned(res.objective):
-                continue
-            try_point(res.x, clo, chi)
-            if pruned(res.objective):
-                continue
-            heapq.heappush(heap, (res.objective, next(tick), clo, chi, res.x, res.basis))
+        below, above = hi.copy(), lo.copy()
+        below[p] = above[p] = at
+        evaluate(lo, below, start)
+        evaluate(above, hi, start)
 
-    x, objective = best if best is not None else (None, np.inf)
-    if floor < np.inf and not pruned(floor):
-        return NlpResult(
-            status=NODE_LIMIT, x=x, objective=objective, bound=floor, nodes=nodes,
-            root_basis=root.basis,
-        )
-    if best is None:
-        return NlpResult(status=INFEASIBLE, nodes=nodes, root_basis=root.basis)
-    return NlpResult(
-        status=OPTIMAL, x=x, objective=objective, bound=objective, nodes=nodes,
-        root_basis=root.basis,
-    )
+    x, objective = best
+    if floor < prune_level(objective, GAP):
+        status, bound = NODE_LIMIT, floor
+    elif objective < np.inf:
+        status, bound = OPTIMAL, objective
+    else:
+        status, bound = INFEASIBLE, -np.inf
+    return NlpResult(status, x, objective, bound, nodes, root_basis)

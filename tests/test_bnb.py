@@ -236,3 +236,36 @@ class TestTimeLimitFrontier:
                 rest = solve_milp(cut, range(10), frontier=part.frontier)
                 assert rest.objective == pytest.approx(cut_opt.objective, abs=1e-9)
         assert stopped == {0, 1}
+
+
+class TestRootIsAFrontierNode:
+    """The root takes the path of every other node: onto the heap, or into the frontier."""
+
+    def test_integral_root(self):
+        lp = _knapsack_lp([3.0, 2.0], [1.0, 1.0], 2.0)  # both fit: the root LP is integral
+        res = solve_milp(lp, [0, 1])
+        assert res.status == OPTIMAL
+        assert res.nodes == 1
+        (root,) = res.frontier
+        assert root.bound == res.objective == -5.0
+        np.testing.assert_array_equal(root.x, res.x)
+        resumed = solve_milp(lp, [0, 1], cutoff=res.objective, frontier=res.frontier)
+        assert resumed.status == INFEASIBLE
+        assert resumed.nodes == 0
+
+    def test_time_limit_before_the_root(self, monkeypatch):
+        lp = _random_knapsack(4)
+        opt = solve_milp(lp, range(10))
+        monkeypatch.setattr(bnb, "time", _Clock())
+        res = solve_milp(lp, range(10), time_limit=0.5)
+        assert res.status == TIME_LIMIT
+        assert res.nodes == 0
+        assert res.bound == -np.inf
+        (root,) = res.frontier
+        assert root.x is None and root.basis is None
+        np.testing.assert_array_equal(root.lo, lp.lo)
+        np.testing.assert_array_equal(root.hi, lp.hi)
+        done = solve_milp(lp, range(10), frontier=res.frontier)
+        assert done.status == OPTIMAL
+        assert done.objective == opt.objective
+        assert done.nodes == opt.nodes

@@ -1,7 +1,5 @@
 """The fix-and-exclude driver: oracle equivalence and trace invariants."""
 
-import functools
-
 import numpy as np
 import pytest
 
@@ -138,8 +136,7 @@ class TestUnclosedSubproblems:
     def test_limit_status_with_valid_bound(self, monkeypatch, engine, scenario, optimum, limit):
         ir = build_opo_instance(get_scenario(scenario, "desk"), 0).ir
         assert ir.maximize
-        limited = functools.partial(spatial.solve_box_nlp, node_limit=limit)
-        monkeypatch.setattr(rfe, "solve_box_nlp", limited)
+        monkeypatch.setattr(spatial, "MAX_NODES", limit)
         res = engine(ir)
         assert res.status == "NodeLimit"
         assert res.bound >= optimum - 1e-6
@@ -165,8 +162,10 @@ class TestExcludeLoop:
     def test_cut_family_rounds(self):
         # the rounds of solving each cut LP from its root; a prune level that
         # turns NaN at an infinite cutoff closes cut-1 in one round instead
-        rounds = [solve_rfe(cut_instance(seed)).iterations for seed in range(12)]
-        assert rounds == [2, 16, 1, 1, 5, 1, 1, 4, 1, 1, 1, 1]
+        results = [solve_rfe(cut_instance(seed)) for seed in range(12)]
+        assert [r.iterations for r in results] == [2, 16, 1, 1, 5, 1, 1, 4, 1, 1, 1, 1]
+        # the whole search, pinned: every round's MILP nodes, re-solves included
+        assert [r.milp_nodes for r in results] == [13, 39, 1, 1, 35, 7, 5, 27, 9, 9, 1, 17]
 
     @pytest.mark.parametrize("seed", [0, 1, 4, 7])
     def test_log_carries_milp_nodes_and_frontier(self, seed):
@@ -178,6 +177,21 @@ class TestExcludeLoop:
         assert all(e["milp_nodes"] >= 0 and e["frontier"] >= 1 for e in res.log)
         # the rest is the MILP that found nothing below the incumbent
         assert sum(e["milp_nodes"] for e in res.log) <= res.milp_nodes
+
+
+def test_desk_s1_enumeration_spatial_nodes(monkeypatch):
+    """The spatial search of every desk S1-0 cell, pinned by its total node count."""
+    nodes = []
+
+    def counted(*args, **kwargs):
+        res = spatial.solve_box_nlp(*args, **kwargs)
+        nodes.append(res.nodes)
+        return res
+
+    monkeypatch.setattr(rfe, "solve_box_nlp", counted)
+    res = solve_by_enumeration(build_opo_instance(get_scenario("S1", "desk"), 0).ir)
+    assert res.status == "Optimal"
+    assert sum(nodes) == 94
 
 
 class TestTimeLimit:

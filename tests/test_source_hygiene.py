@@ -1,7 +1,7 @@
 """Source checks that a linter would make: no unused module-level imports, no
 private function or method that nothing in ``src/gridopt`` calls, no
-dataclass field that nothing reads, and no exception class that nothing
-raises."""
+dataclass field and no module-level constant that nothing reads, and no
+exception class that nothing raises."""
 
 import ast
 from pathlib import Path
@@ -155,6 +155,46 @@ def test_a_field_only_written_is_unread(tmp_path):
         "def g(p): p.written = 1\n"
     )
     assert _unread_fields([mod], [mod]) == ["mod.py P.written"]
+
+
+def _unread_constants(defining: list[Path], reading: list[Path]) -> list[str]:
+    """Module-level UPPER_CASE names assigned in ``defining`` that no name or
+    attribute loaded in ``reading`` names."""
+    reads = set()
+    for path in reading:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+    unread = []
+    for path in defining:
+        for st in ast.parse(path.read_text(), filename=str(path)).body:
+            targets = st.targets if isinstance(st, ast.Assign) else [getattr(st, "target", None)]
+            for target in targets:
+                for name in ast.walk(target) if target is not None else ():
+                    if isinstance(name, ast.Name) and name.id.isupper() and name.id not in reads:
+                        unread.append(f"{path.name} {name.id}")
+    return unread
+
+
+def test_every_constant_is_read():
+    assert _unread_constants(SRC, READERS) == []
+
+
+def test_a_constant_only_assigned_is_unread(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "import other\n"
+        "READ = 1\n"
+        "QUALIFIED = 2\n"
+        "UNREAD: int = 3\n"
+        "PAIR_A, PAIR_B = 4, 5\n"
+        "lower = 6\n"
+        "def f(): return READ + other.QUALIFIED + PAIR_B + lower\n"
+        "def g(): UNREAD = READ\n"
+    )
+    assert _unread_constants([mod], [mod]) == ["mod.py UNREAD", "mod.py PAIR_A"]
 
 
 def _unraised_errors(errors: Path, paths: list[Path]) -> list[str]:

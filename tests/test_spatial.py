@@ -223,8 +223,9 @@ class TestDeskCell:
         assert res.nodes <= 100
 
     @pytest.mark.parametrize("limit", [1, 3, 5])
-    def test_node_limit_keeps_bound(self, desk_s2_first_cell, limit):
-        res = solve_box_nlp(desk_s2_first_cell, node_limit=limit)
+    def test_node_limit_keeps_bound(self, desk_s2_first_cell, limit, monkeypatch):
+        monkeypatch.setattr(spatial, "MAX_NODES", limit)
+        res = solve_box_nlp(desk_s2_first_cell)
         assert res.status == NODE_LIMIT
         assert res.bound <= DESK_S2_FIRST_CELL_OPT + 1e-6
         assert res.x is None or res.objective >= res.bound
