@@ -49,6 +49,8 @@ def _report(engine: str, ir, res: RfeResult, wall: float) -> dict:
         "iterations": res.iterations,
         "subproblems": res.subproblems_solved,
         "milp_nodes": res.milp_nodes,
+        "spatial_nodes": res.spatial_nodes,
+        "cells_screened": res.cells_screened,
         "wall_time": wall,
         "trace": [
             {k: (list(v) if isinstance(v, tuple) else v) for k, v in entry.items()}

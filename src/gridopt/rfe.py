@@ -43,6 +43,8 @@ class RfeResult:
     iterations: int = 0
     subproblems_solved: int = 0
     milp_nodes: int = 0
+    spatial_nodes: int = 0  # node LPs over all subproblems
+    cells_screened: int = 0  # subproblems closed with no LP
     log: list = field(default_factory=list)
 
 
@@ -71,6 +73,8 @@ class _Subproblems:
         self.objective = np.inf
         self.floor = np.inf  # least bound of a subproblem that did not close
         self.solved = 0
+        self.nodes = 0  # spatial node LPs
+        self.screened = 0  # subproblems closed with no LP
         self.basis = None  # previous subproblem's root basis
 
     def solve(self, fixing: Fixing) -> str:
@@ -79,6 +83,8 @@ class _Subproblems:
         if res.root_basis is not None:
             self.basis = res.root_basis
         self.solved += 1
+        self.nodes += res.nodes
+        self.screened += res.nodes == 0
         if res.status == NODE_LIMIT:
             self.floor = min(self.floor, res.bound)
         if res.x is not None and res.objective < self.objective - 1e-15:
@@ -103,6 +109,8 @@ class _Subproblems:
             objective=_user_sense(self.ir, self.objective),
             bound=_user_sense(self.ir, bound),
             subproblems_solved=self.solved,
+            spatial_nodes=self.nodes,
+            cells_screened=self.screened,
             **counts,
         )
 
@@ -214,8 +222,10 @@ def solve_by_enumeration(ir: ProblemIR) -> RfeResult:
 
     Exponential in problem size and guarded by ``ENUM_LIMIT`` subproblems;
     intended as an independent check of :func:`solve_rfe` on small instances.
+    The first cell whose relaxation is unbounded ends it as ``Unbounded``.
     """
     cells = _Subproblems(ir)
     for fixing in _enumerate_fixings(ir):
-        cells.solve(fixing)
+        if cells.solve(fixing) == UNBOUNDED:
+            return cells.result(UNBOUNDED, -np.inf)
     return cells.result(*cells.final(-np.inf))

@@ -10,6 +10,15 @@ bounds, already inside the cells, and one ``relax.CellBlock`` per active
 interpolant, which holds its cell and evaluates f there. Spatial reads the
 blocks and adds no cell geometry of its own.
 
+Before its root LP, a subproblem is screened by interval propagation over
+the IR's linear rows on its bounds (feasibility-based bound tightening; Ryoo &
+Sahinidis 1996, Belotti et al. 2009). A row whose activity range misses its
+right-hand side, or a column whose tightened bounds cross, proves the cell
+empty: the result is ``Infeasible`` with 0 nodes and no LP. The screen reads
+bounds and rows ``FEAS_TOL`` wider, the simplex's own tolerance, so it never
+drops a cell that the root LP would keep. The tightened bounds only decide
+this; the root box stays the subproblem's bounds.
+
 A spatial node's box is the lower and upper bounds of the IR variables; the
 root box is the subproblem's bounds. The node LP takes the box as its column
 bounds and relaxes each interpolant by the hull over its own inputs' bounds:
@@ -30,10 +39,11 @@ per interpolant, so every output is affine in them and the step is an LP).
 
 The root box is evaluated like any child: its LP is solved, its point tried as
 a candidate, and the box kept open unless its bound cannot beat the
-incumbent (``bnb.prune_level`` with ``GAP``). A box the incumbent prunes gets
-no heuristic. ``MAX_NODES`` node LPs, or a box too narrow to split whose bound
-is below the incumbent, end the search unproven: the result is ``NodeLimit``
-with the least bound of every open or exhausted box.
+incumbent (``bnb.prune_level`` with ``GAP``). An unbounded root LP makes the
+result ``Unbounded``. A box the incumbent prunes gets no heuristic.
+``MAX_NODES`` node LPs, or a box too narrow to split whose bound is below the
+incumbent, end the search unproven: the result is ``NodeLimit`` with the least
+bound of every open or exhausted box.
 
 Every node LP of one subproblem has the same rows and columns; a child box
 changes one column bound and the coefficients of the corner-weight columns.
@@ -46,6 +56,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,20 +65,22 @@ import numpy as np
 from .bnb import prune_level
 from .model import EQ, GE, LE
 from .relax import BoxNlp, CellBlock
-from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpBasis, LpProblem, solve_lp
+from .simplex import FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LpBasis, LpProblem, solve_lp
 
 MAX_NODES = 100_000  # node LPs before the status "NodeLimit"
 MIN_BOX_WIDTH = 1e-9  # in cell widths
 GAP = 1e-8  # a box closes within this of the incumbent, relative to max(1, |incumbent|)
 SPLIT_CLAMP = 0.2  # the split point stays this fraction of the width inside
 EXACT_TOL = 1e-9  # |y - f| and row slack for an LP point to be a candidate
+SCREEN_ROUNDS = 10  # bound propagation rounds over the linear rows before the root LP
+ROUND_OFF = 1e-9  # a propagated bound moves this far out, relative to max(1, |bound|)
 
 NODE_LIMIT = "NodeLimit"
 
 
 @dataclass
 class NlpResult:
-    status: str  # Optimal | Infeasible | NodeLimit (x: best found, if any)
+    status: str  # Optimal | Infeasible | Unbounded | NodeLimit (x: best found, if any)
     x: Optional[np.ndarray] = None  # by position in ir.variables
     objective: float = np.inf
     bound: float = -np.inf
@@ -84,6 +97,53 @@ def _ir_lp(nlp: BoxNlp) -> LpProblem:
         obj[pos[v]] += cf
     rows = [([(pos[v], cf) for cf, v in c.terms], c.sense, c.rhs) for c in ir.constraints]
     return LpProblem.from_rows(len(obj), obj, nlp.var_lo, nlp.var_hi, rows)
+
+
+def _rows_exclude_box(nlp: BoxNlp) -> bool:
+    """Whether interval propagation over the linear rows proves the box empty.
+
+    Each round reads the least activity of every row of ``ir.le_rows`` over
+    the box and tightens its columns' bounds by it, until a round moves no
+    bound or after ``SCREEN_ROUNDS``. The box is rejected when
+    a least activity exceeds its right-hand side or a column's bounds cross.
+    The margins follow the simplex's own tolerance, so no box that the root
+    LP would call feasible is rejected: the bounds start ``FEAS_TOL`` wider,
+    each right-hand side is read ``FEAS_TOL`` higher, and each derived bound
+    moves ``ROUND_OFF`` (relative) further out. A row whose least activity is
+    unbounded tightens nothing.
+    """
+    rows = nlp.ir.le_rows
+    lo = [v - FEAS_TOL for v in nlp.var_lo.tolist()]
+    hi = [v + FEAS_TOL for v in nlp.var_hi.tolist()]
+    for _ in range(SCREEN_ROUNDS):
+        moved = False
+        for terms, cap in rows:
+            least = 0.0
+            for p, a in terms:
+                least += a * (lo[p] if a > 0.0 else hi[p])
+            if least == -math.inf:
+                continue
+            cap += FEAS_TOL
+            if least - ROUND_OFF * max(1.0, abs(least)) > cap:
+                return True
+            for p, a in terms:  # a * x_p <= cap - (least - its own term)
+                if a > 0.0:
+                    v = (cap - least) / a + lo[p]
+                    v += ROUND_OFF * max(1.0, abs(v))
+                    if v < hi[p]:
+                        hi[p] = v
+                        moved = True
+                else:
+                    v = (cap - least) / a + hi[p]
+                    v -= ROUND_OFF * max(1.0, abs(v))
+                    if v > lo[p]:
+                        lo[p] = v
+                        moved = True
+                if lo[p] > hi[p]:
+                    return True
+        if not moved:
+            break
+    return False
 
 
 def _extend(ir_lp: LpProblem, lo, hi, rows: list) -> LpProblem:
@@ -269,10 +329,13 @@ def _coordinate_descent(
 def solve_box_nlp(nlp: BoxNlp, basis: Optional[LpBasis] = None) -> NlpResult:
     """Globally minimize the IR objective over one cell assignment.
 
-    ``basis`` warm-starts the root LP; it may come from another subproblem
-    (``solve_lp`` falls back to a cold start when it does not fit).
+    A box that crosses, or that bound propagation over the linear rows
+    proves empty (``_rows_exclude_box``), is ``Infeasible`` with 0 nodes and
+    no LP. ``basis`` warm-starts the root LP; it may come from another
+    subproblem (``solve_lp`` falls back to a cold start when it does not fit).
+    An infeasible root LP has no basis to hand on.
     """
-    if np.any(nlp.var_lo > nlp.var_hi + 1e-12):
+    if np.any(nlp.var_lo > nlp.var_hi + 1e-12) or _rows_exclude_box(nlp):
         return NlpResult(status=INFEASIBLE)
     blocks = nlp.blocks
     ir_lp = _ir_lp(nlp)
@@ -327,6 +390,8 @@ def solve_box_nlp(nlp: BoxNlp, basis: Optional[LpBasis] = None) -> NlpResult:
     x, objective = best
     if floor < prune_level(objective, GAP):
         status, bound = NODE_LIMIT, floor
+    elif objective == -np.inf:
+        status, bound = UNBOUNDED, -np.inf
     elif objective < np.inf:
         status, bound = OPTIMAL, objective
     else:

@@ -93,6 +93,35 @@ class TestSolve:
             assert entry["frontier"] >= 1
         assert sum(e["milp_nodes"] for e in doc["trace"]) <= doc["milp_nodes"]
 
+    def test_report_counts_spatial_work(self, s1_path, tmp_path):
+        rep = tmp_path / "r.json"
+        assert main(["solve", str(s1_path), "--engine", "oracle", "--report", str(rep)]) == 0
+        doc = json.loads(rep.read_text())
+        # every cell not screened took at least its root LP
+        assert 0 < doc["cells_screened"] < doc["subproblems"]
+        assert doc["spatial_nodes"] >= doc["subproblems"] - doc["cells_screened"]
+
+    def test_unbounded_exit_code(self, tmp_path):
+        # w is free and only w + z <= 5 holds it, so z + w has no lower bound
+        tab = make_table(make_grid([[0.0, 0.5, 1.0]]), [0.0, 1.0, 0.0])
+        variables = [
+            VarRef(0, CONTINUOUS, 0, 1),
+            VarRef(1, CONTINUOUS, -10, 10),
+            VarRef(2, CONTINUOUS, -np.inf, np.inf),
+        ]
+        ir = build_problem(
+            variables,
+            [LinConstraint(((1.0, 2), (1.0, 1)), "<=", 5.0)],
+            [InterpolantDef(tab, (0,), 1)],
+            objective=[(1.0, 1), (1.0, 2)],
+        )
+        path = tmp_path / "unbounded.json"
+        instancefile.save(str(path), ir)
+        for engine in ("rfe", "oracle"):
+            rep = tmp_path / f"{engine}.json"
+            assert main(["solve", str(path), "--engine", engine, "--report", str(rep)]) == 0
+            assert json.loads(rep.read_text())["status"] == "Unbounded"
+
     def test_infeasible_exit_code(self, tmp_path):
         path = _tiny_instance(tmp_path, infeasible=True)
         rep = tmp_path / "r.json"
@@ -165,6 +194,14 @@ class TestBench:
             )
         text = capsys.readouterr().out
         assert "mean rfe time" in text
+
+    def test_json_counts_spatial_work(self, tmp_path):
+        out_json = tmp_path / "bench.json"
+        assert main(["bench", str(_tiny_instance(tmp_path)), "--json", str(out_json)]) == 0
+        (row,) = json.loads(out_json.read_text())
+        for eng in ("rfe", "oracle"):
+            assert row[eng]["spatial_nodes"] >= row[eng]["subproblems"] - row[eng]["cells_screened"]
+            assert row[eng]["cells_screened"] >= 0
 
     def test_mixed_statuses_preserved(self, tmp_path):
         ok = _tiny_instance(tmp_path)

@@ -45,6 +45,24 @@ class TestTrivialOutcomes:
         assert solve_rfe(ir).status == "Infeasible"
         assert solve_by_enumeration(ir).status == "Infeasible"
 
+    def test_unbounded_cell(self):
+        # w is free and only w + z <= 5 holds it: z + w has no lower bound in
+        # either cell; enumeration used to skip such cells and say Infeasible
+        tab = make_table(make_grid([[0.0, 0.5, 1.0]]), [0.0, 1.0, 0.0])
+        variables = [
+            VarRef(0, CONTINUOUS, 0, 1),
+            VarRef(1, CONTINUOUS, -10, 10),
+            VarRef(2, CONTINUOUS, -np.inf, np.inf),
+        ]
+        ir = build_problem(
+            variables,
+            [LinConstraint(((1.0, 2), (1.0, 1)), "<=", 5.0)],
+            [InterpolantDef(tab, (0,), 1)],
+            objective=[(1.0, 1), (1.0, 2)],
+        )
+        assert solve_rfe(ir).status == "Unbounded"
+        assert solve_by_enumeration(ir).status == "Unbounded"
+
     def test_affine_table_converges_in_one_iteration(self):
         # the relaxation is exact for affine data: first candidate closes the gap
         tab = _affine_table()
@@ -180,7 +198,12 @@ class TestExcludeLoop:
 
 
 def test_desk_s1_enumeration_spatial_nodes(monkeypatch):
-    """The spatial search of every desk S1-0 cell, pinned by its total node count."""
+    """The spatial search of every desk S1-0 cell, pinned by its node counts.
+
+    The screen closes 50 of the 66 cells with no LP. Each of them was one
+    infeasible root LP without the screen, so with the 44 nodes of the other
+    16 cells they make the 94 nodes of the search without it.
+    """
     nodes = []
 
     def counted(*args, **kwargs):
@@ -191,7 +214,19 @@ def test_desk_s1_enumeration_spatial_nodes(monkeypatch):
     monkeypatch.setattr(rfe, "solve_box_nlp", counted)
     res = solve_by_enumeration(build_opo_instance(get_scenario("S1", "desk"), 0).ir)
     assert res.status == "Optimal"
-    assert sum(nodes) == 94
+    assert len(nodes) == res.subproblems_solved == 66
+    assert nodes.count(0) == res.cells_screened == 50
+    assert sum(n > 0 for n in nodes) == 16
+    assert sum(nodes) == res.spatial_nodes == 44
+
+
+def test_rfe_screens_no_cell():
+    """The MILP point meets every linear row inside its cell's box."""
+    irs = [random_instance(seed) for seed in range(50)] + [cut_instance(s) for s in range(12)]
+    for ir in irs:
+        res = solve_rfe(ir)
+        assert res.cells_screened == 0
+        assert res.spatial_nodes >= res.subproblems_solved
 
 
 class TestTimeLimit:

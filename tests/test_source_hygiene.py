@@ -1,7 +1,8 @@
 """Source checks that a linter would make: no unused module-level imports, no
 private function or method that nothing in ``src/gridopt`` calls, no
-dataclass field and no module-level constant that nothing reads, and no
-exception class that nothing raises."""
+dataclass field and no module-level constant that nothing reads, no
+exception class that nothing raises, and no environment read outside the
+command line."""
 
 import ast
 from pathlib import Path
@@ -238,3 +239,40 @@ def test_an_error_only_defined_is_unraised(tmp_path):
         "def h(): return Unraised\n"
     )
     assert _unraised_errors(errors, [errors, mod]) == ["Unraised"]
+
+
+def _environment_reads(paths: list[Path]) -> list[str]:
+    """Places in ``paths`` that name ``os.environ`` or ``os.getenv``, as an
+    attribute of ``os`` or imported from it."""
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("environ", "getenv")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "os"
+                and any(a.name in ("environ", "getenv") for a in node.names)
+            ):
+                found.append((path.name, node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(found)]
+
+
+def test_only_the_command_line_reads_the_environment():
+    """A switch read from the environment stays off the solve path."""
+    assert _environment_reads([p for p in SRC if p.name != "cli.py"]) == []
+
+
+def test_environment_reads_are_found(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "import os\n"
+        "from os import getenv\n"
+        "A = os.environ.get('A')\n"
+        "B = os.getenv('B')\n"
+        "C = os.path.join('c')\n"
+    )
+    assert _environment_reads([mod]) == ["mod.py:2", "mod.py:3", "mod.py:4"]

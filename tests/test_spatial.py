@@ -15,11 +15,12 @@ from gridopt.model import (
 )
 from gridopt.opo import build_opo_instance, get_scenario
 from gridopt.relax import CellBlock, Fixing, build_relaxation, build_subproblem, extract_fixing
-from gridopt.simplex import INFEASIBLE, OPTIMAL, solve_lp
+from gridopt.simplex import FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 from gridopt.spatial import (
     NODE_LIMIT,
     _build_node_lp,
     _ir_lp,
+    _rows_exclude_box,
     _split,
     solve_box_nlp,
 )
@@ -382,6 +383,85 @@ class TestEdgeCases:
             assert res.objective == pytest.approx(0.9 * x[0] + 0.4 * x[1] - 0.5 * x[2])
             # the best point of a 401 x 401 grid of feasible inputs
             assert res.objective <= 0.2966 + 1e-6
+
+
+class TestScreen:
+    """Bound propagation over the linear rows closes empty cells with no LP."""
+
+    def test_rows_that_exclude_the_box_need_no_lp(self, monkeypatch):
+        # y - x >= 0.6 lifts y to 0.6, and then x + y <= 0.5 cannot hold;
+        # neither row alone excludes the box
+        g = make_grid([[0.0, 1.0]])
+        nlp = _single_cell_nlp(
+            make_table(g, [0.0, 1.0]),
+            [
+                LinConstraint(((1.0, 1), (-1.0, 0)), ">=", 0.6),
+                LinConstraint(((1.0, 0), (1.0, 1)), "<=", 0.5),
+            ],
+        )
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("the screen should have closed this cell")
+
+        monkeypatch.setattr(spatial, "solve_lp", no_lp)
+        res = solve_box_nlp(nlp)
+        assert res.status == INFEASIBLE
+        assert res.nodes == 0
+
+    @pytest.mark.parametrize("miss, screened", [(5e-8, False), (1e-5, True)])
+    def test_rows_missed_within_the_lp_tolerance_reach_the_lp(self, monkeypatch, miss, screened):
+        # x in [0, 1] and x <= -miss: within FEAS_TOL the simplex decides
+        assert 5e-8 < FEAS_TOL < 1e-5
+        g = make_grid([[0.0, 1.0]])
+        nlp = _single_cell_nlp(
+            make_table(g, [0.0, 1.0]), [LinConstraint(((1.0, 0),), "<=", -miss)]
+        )
+        assert _rows_exclude_box(nlp) == screened
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve_lp(*args, **kwargs)
+
+        monkeypatch.setattr(spatial, "solve_lp", counted)
+        res = solve_box_nlp(nlp)
+        assert (res.nodes == 0) == (not calls) == screened
+        if screened:
+            assert res.status == INFEASIBLE
+
+    @pytest.mark.parametrize("instance", ["pool", "desk-S1-0"])
+    def test_screened_cells_have_infeasible_cold_roots(self, instance):
+        if instance == "pool":
+            irs = [random_instance(seed) for seed in range(50)]
+        else:
+            irs = [build_opo_instance(get_scenario("S1", "desk"), 0).ir]
+        screened = cells = 0
+        for ir in irs:
+            for fixing in rfe._enumerate_fixings(ir):
+                nlp = build_subproblem(ir, fixing)
+                cells += 1
+                if _rows_exclude_box(nlp):
+                    screened += 1
+                    root = _build_node_lp(_ir_lp(nlp), nlp.blocks, nlp.var_lo, nlp.var_hi)
+                    assert solve_lp(root).status == INFEASIBLE
+        assert (screened, cells) == {"pool": (111, 1509), "desk-S1-0": (50, 66)}[instance]
+
+    def test_unbounded_root_is_unbounded(self):
+        # w is free and only w + z <= 5 holds it: z + w has no lower bound
+        g = make_grid([[0.0, 0.5, 1.0]])
+        ir = build_problem(
+            [
+                VarRef(0, CONTINUOUS, 0.0, 1.0),
+                VarRef(1, CONTINUOUS, -10.0, 10.0),
+                VarRef(2, CONTINUOUS, -np.inf, np.inf),
+            ],
+            [LinConstraint(((1.0, 2), (1.0, 1)), "<=", 5.0)],
+            [InterpolantDef(make_table(g, [0.0, 1.0, 0.0]), (0,), 1)],
+            objective=[(1.0, 1), (1.0, 2)],
+        )
+        res = solve_box_nlp(build_subproblem(ir, _fixing((0,))))
+        assert res.status == UNBOUNDED
+        assert res.x is None and res.nodes == 1
 
 
 class TestWarmNodeLps:
