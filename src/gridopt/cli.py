@@ -24,6 +24,7 @@ import numpy as np
 
 from . import instancefile
 from .errors import GridOptError
+from .export import FORMATS, export_milp
 from .opo import build_opo_instance, get_scenario
 from .relax import build_relaxation
 from .rfe import RfeResult, solve_by_enumeration, solve_rfe
@@ -32,6 +33,8 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_INFEASIBLE = 3
 EXIT_LIMIT = 4
+
+ENGINES = ("rfe", "oracle")
 
 
 def _report(engine: str, ir, res: RfeResult, wall: float) -> dict:
@@ -131,8 +134,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_export(args) -> int:
-    from .export import FORMATS, export_milp
-
     if args.format not in FORMATS:
         print(f"error: unsupported format {args.format!r}", file=sys.stderr)
         return EXIT_INVALID
@@ -148,7 +149,12 @@ def cmd_export(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    engines = args.engine.split(",") if args.engine else ["rfe", "oracle"]
+    engines = args.engine.split(",") if args.engine else list(ENGINES)
+    unknown = [e for e in engines if e not in ENGINES]
+    if unknown:
+        print(f"error: unknown engine {unknown[0]!r}; choose from {', '.join(ENGINES)}",
+              file=sys.stderr)
+        return EXIT_INVALID
     rows = []
     for path in args.instances:
         loaded = _load(path)
@@ -211,7 +217,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="solve an instance file")
     s.add_argument("instance")
-    s.add_argument("--engine", default="rfe", choices=("rfe", "oracle"))
+    s.add_argument("--engine", default="rfe", choices=ENGINES)
     s.add_argument("--time-limit", type=float, default=None)
     s.add_argument("--report", help="write a JSON run report here")
     s.set_defaults(func=cmd_solve)

@@ -8,6 +8,7 @@ files load in standard MILP solvers.
 from __future__ import annotations
 
 import io
+import math
 import re
 
 from .model import EQ, GE, LE
@@ -75,8 +76,6 @@ def write_mps(milp: MilpModel, fh) -> None:
         if milp.is_binary[j]:
             fh.write(f" BV BND  {cols[j]}\n")
             continue
-        import math
-
         if lo == hi:
             fh.write(f" FX BND  {cols[j]}  {_num(lo)}\n")
             continue
@@ -93,8 +92,6 @@ def write_mps(milp: MilpModel, fh) -> None:
 
 
 def write_lp(milp: MilpModel, fh) -> None:
-    import math
-
     cols = _clean_names(milp.names, "x")
     rows = _clean_names([r.name for r in milp.rows], "r")
 

@@ -74,23 +74,6 @@ class ProblemIR:
         """Position in ``variables`` of each variable id."""
         return {v.id: i for i, v in enumerate(self.variables)}
 
-    @cached_property
-    def le_rows(self) -> tuple[tuple[tuple[tuple[int, float], ...], float], ...]:
-        """The linear constraints as rows ``sum(a * x) <= b``: ((position, a), ...), b.
-
-        A ``>=`` constraint is negated and an ``=`` one gives both rows; zero
-        coefficients are left out.
-        """
-        pos = self.var_pos
-        rows = []
-        for c in self.constraints:
-            terms = tuple((pos[v], cf) for cf, v in c.terms if cf != 0.0)
-            if c.sense != GE:
-                rows.append((terms, c.rhs))
-            if c.sense != LE:
-                rows.append((tuple((p, -cf) for p, cf in terms), -c.rhs))
-        return tuple(rows)
-
     @property
     def binary_ids(self) -> tuple[int, ...]:
         return tuple(v.id for v in self.variables if v.kind == BINARY)

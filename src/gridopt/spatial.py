@@ -10,14 +10,14 @@ bounds, already inside the cells, and one ``relax.CellBlock`` per active
 interpolant, which holds its cell and evaluates f there. Spatial reads the
 blocks and adds no cell geometry of its own.
 
-Before its root LP, a subproblem is screened by interval propagation over
-the IR's linear rows on its bounds (feasibility-based bound tightening; Ryoo &
-Sahinidis 1996, Belotti et al. 2009). A row whose activity range misses its
-right-hand side, or a column whose tightened bounds cross, proves the cell
-empty: the result is ``Infeasible`` with 0 nodes and no LP. The screen reads
-bounds and rows ``FEAS_TOL`` wider, the simplex's own tolerance, so it never
-drops a cell that the root LP would keep. The tightened bounds only decide
-this; the root box stays the subproblem's bounds.
+Before its root LP, a subproblem is screened by one pass over the IR's
+linear rows: a row whose activity range over the subproblem's bounds misses
+its right-hand side proves the cell empty, and the result is ``Infeasible``
+with 0 nodes and no LP. The screen reads bounds and rows ``FEAS_TOL`` wider,
+the simplex's own tolerance, so it never drops a cell that the root LP would
+keep. It tightens no bound: on every cell of the desk, cut and pool instances
+(24,051 cells), rounds of bound propagation (Ryoo & Sahinidis 1996, Belotti
+et al. 2009) rejected exactly the cells that this one pass rejects.
 
 A spatial node's box is the lower and upper bounds of the IR variables; the
 root box is the subproblem's bounds. The node LP takes the box as its column
@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -72,8 +71,7 @@ MIN_BOX_WIDTH = 1e-9  # in cell widths
 GAP = 1e-8  # a box closes within this of the incumbent, relative to max(1, |incumbent|)
 SPLIT_CLAMP = 0.2  # the split point stays this fraction of the width inside
 EXACT_TOL = 1e-9  # |y - f| and row slack for an LP point to be a candidate
-SCREEN_ROUNDS = 10  # bound propagation rounds over the linear rows before the root LP
-ROUND_OFF = 1e-9  # a propagated bound moves this far out, relative to max(1, |bound|)
+ROUND_OFF = 1e-9  # a screened activity moves this far toward the rhs, relative to max(1, |it|)
 
 NODE_LIMIT = "NodeLimit"
 
@@ -100,49 +98,34 @@ def _ir_lp(nlp: BoxNlp) -> LpProblem:
 
 
 def _rows_exclude_box(nlp: BoxNlp) -> bool:
-    """Whether interval propagation over the linear rows proves the box empty.
+    """Whether a linear row misses its right-hand side over the whole box.
 
-    Each round reads the least activity of every row of ``ir.le_rows`` over
-    the box and tightens its columns' bounds by it, until a round moves no
-    bound or after ``SCREEN_ROUNDS``. The box is rejected when
-    a least activity exceeds its right-hand side or a column's bounds cross.
-    The margins follow the simplex's own tolerance, so no box that the root
-    LP would call feasible is rejected: the bounds start ``FEAS_TOL`` wider,
-    each right-hand side is read ``FEAS_TOL`` higher, and each derived bound
-    moves ``ROUND_OFF`` (relative) further out. A row whose least activity is
-    unbounded tightens nothing.
+    One pass over ``ir.constraints`` reads each row's least and greatest
+    activity over the box: the box is empty when a ``<=`` or ``=`` row's
+    least activity is above its right-hand side, or a ``>=`` or ``=`` row's
+    greatest activity is below it. The margins follow the simplex's own
+    tolerance, so no box that the root LP would call feasible is rejected:
+    the bounds and right-hand sides are read ``FEAS_TOL`` wider, and each
+    activity moves ``ROUND_OFF`` (relative) toward its right-hand side. Zero
+    coefficients are skipped, since 0 * inf is NaN.
     """
-    rows = nlp.ir.le_rows
+    pos = nlp.ir.var_pos
     lo = [v - FEAS_TOL for v in nlp.var_lo.tolist()]
     hi = [v + FEAS_TOL for v in nlp.var_hi.tolist()]
-    for _ in range(SCREEN_ROUNDS):
-        moved = False
-        for terms, cap in rows:
-            least = 0.0
-            for p, a in terms:
-                least += a * (lo[p] if a > 0.0 else hi[p])
-            if least == -math.inf:
-                continue
-            cap += FEAS_TOL
-            if least - ROUND_OFF * max(1.0, abs(least)) > cap:
-                return True
-            for p, a in terms:  # a * x_p <= cap - (least - its own term)
-                if a > 0.0:
-                    v = (cap - least) / a + lo[p]
-                    v += ROUND_OFF * max(1.0, abs(v))
-                    if v < hi[p]:
-                        hi[p] = v
-                        moved = True
-                else:
-                    v = (cap - least) / a + hi[p]
-                    v -= ROUND_OFF * max(1.0, abs(v))
-                    if v > lo[p]:
-                        lo[p] = v
-                        moved = True
-                if lo[p] > hi[p]:
-                    return True
-        if not moved:
-            break
+    for c in nlp.ir.constraints:
+        least = greatest = 0.0
+        for a, v in c.terms:
+            p = pos[v]
+            if a > 0.0:
+                least += a * lo[p]
+                greatest += a * hi[p]
+            elif a < 0.0:
+                least += a * hi[p]
+                greatest += a * lo[p]
+        if c.sense != GE and least - ROUND_OFF * max(1.0, abs(least)) > c.rhs + FEAS_TOL:
+            return True
+        if c.sense != LE and greatest + ROUND_OFF * max(1.0, abs(greatest)) < c.rhs - FEAS_TOL:
+            return True
     return False
 
 
@@ -329,11 +312,11 @@ def _coordinate_descent(
 def solve_box_nlp(nlp: BoxNlp, basis: Optional[LpBasis] = None) -> NlpResult:
     """Globally minimize the IR objective over one cell assignment.
 
-    A box that crosses, or that bound propagation over the linear rows
-    proves empty (``_rows_exclude_box``), is ``Infeasible`` with 0 nodes and
-    no LP. ``basis`` warm-starts the root LP; it may come from another
-    subproblem (``solve_lp`` falls back to a cold start when it does not fit).
-    An infeasible root LP has no basis to hand on.
+    A box that crosses, or on which a linear row misses its right-hand side
+    (``_rows_exclude_box``), is ``Infeasible`` with 0 nodes and no LP.
+    ``basis`` warm-starts the root LP; it may come from another subproblem
+    (``solve_lp`` falls back to a cold start when it does not fit). An
+    infeasible root LP has no basis to hand on.
     """
     if np.any(nlp.var_lo > nlp.var_hi + 1e-12) or _rows_exclude_box(nlp):
         return NlpResult(status=INFEASIBLE)

@@ -214,6 +214,16 @@ class TestBench:
         assert rows[0]["rfe"]["status"] == "Optimal"
         assert rows[1]["rfe"]["status"] == "Infeasible"
 
+    def test_unknown_engine_is_invalid_input(self, tmp_path, capsys):
+        # once every name but "oracle" ran RFE, so "bogus" solved and exited 0
+        out_json = tmp_path / "bench.json"
+        path = str(_tiny_instance(tmp_path))
+        code = main(["bench", path, "--engine", "rfe,bogus", "--json", str(out_json)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error:") and "'bogus'" in err
+        assert out == "" and not out_json.exists()  # nothing loaded or solved
+
 
 class TestBlasThreads:
     def test_cli_import_pins_one_thread(self):

@@ -1,8 +1,8 @@
 """Source checks that a linter would make: no unused module-level imports, no
-private function or method that nothing in ``src/gridopt`` calls, no
-dataclass field and no module-level constant that nothing reads, no
-exception class that nothing raises, and no environment read outside the
-command line."""
+import inside a function or class, no private function or method that
+nothing in ``src/gridopt`` calls, no dataclass field and no module-level
+constant that nothing reads, no exception class that nothing raises, and no
+environment read outside the command line."""
 
 import ast
 from pathlib import Path
@@ -57,6 +57,41 @@ def test_no_unused_module_imports(path):
 def test_string_annotations_count_as_use():
     tree = ast.parse("from x import A, B\ndef f(a: 'A') -> 'list[B]': pass\n")
     assert {"A", "B"} <= _used_names(tree)
+
+
+def _nested_imports(path: Path) -> list[str]:
+    """Imports inside a function or class body, which run on every call or
+    hide a dependency from the top of the module."""
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = {
+        node.lineno
+        for scope in ast.walk(tree) if isinstance(scope, scopes)
+        for node in ast.walk(scope) if isinstance(node, (ast.Import, ast.ImportFrom))
+    }
+    return [f"{path.name}:{line}" for line in sorted(lines)]
+
+
+def test_imports_are_at_module_level():
+    assert [line for path in SRC for line in _nested_imports(path)] == []
+
+
+def test_nested_imports_are_found(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "import os\n"
+        "def f():\n"
+        "    import math\n"
+        "    for _ in range(2):\n"
+        "        from re import sub\n"
+        "class C:\n"
+        "    import io\n"
+        "try:\n"
+        "    import json\n"
+        "except ImportError:\n"
+        "    pass\n"
+    )
+    assert _nested_imports(mod) == ["mod.py:3", "mod.py:5", "mod.py:7"]
 
 
 def _private_defs(tree: ast.Module):
