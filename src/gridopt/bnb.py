@@ -2,22 +2,25 @@
 
 Best-first search on the LP bound over the bounded-variable simplex. Branching
 fixes the most fractional binary (lowest column index on ties) to 0 and 1 via
-bound overrides, so every node shares the same immutable LP data. A node keeps
-its bounds, LP solution and final simplex basis; each child is warm-started
-from its parent's basis by the dual simplex. One heap holds every unbranched
-node, and the first integral node popped is optimal: no node left on the heap
-has a lower bound.
+bound overrides, so every node shares the same immutable LP data. One heap
+holds every unbranched node, and every node, the root included, takes one
+path through it. A node is unsolved until it is popped: it waits under its
+parent's bound with its parent's final simplex basis. Popping it solves its
+LP, warm from that basis by the dual simplex, and puts it back under its own
+bound unless it is infeasible or the cutoff prunes it. Popping a solved node
+branches it: its two children go on the heap unsolved. The root is the first
+unsolved node, with bound -inf and no basis. The first integral node popped
+is optimal: no node left on the heap has a lower bound.
 
 One tree serves a sequence of MILPs that differ by appended rows, as RFE's
-rounds do. A call returns its frontier, every node it did not branch: the
-nodes on its heap and the integral node it stopped at. Appending a row only
+rounds do. A call returns its frontier, every node it did not branch, solved
+or not: the nodes on its heap and the node it stopped at. Appending a row only
 raises a node's LP bound and keeps an infeasible node infeasible, so the next
-call resumes from that frontier instead of the root. A call without a frontier
-starts from the root: one node with the LP's own bounds and no LP solution
-yet. A frontier node with no LP solution, or whose x violates an appended row,
-is solved warm from its basis, if it has one, which takes the new rows in with
-their slacks; every other node keeps its bound and x. The time limit is
-checked before every LP, the root's included.
+call resumes from that frontier instead of the root. A frontier node whose x
+violates an appended row becomes unsolved again, with its bound and basis; its
+LP takes the new rows in with their slacks. Every other node keeps its bound
+and x. The time limit is checked before every LP, the root's included, and
+the unsolved node it stops at stays in the frontier under its bound.
 
 ``cutoff`` is an outside incumbent that only falls between calls (RFE's best
 cell). A node whose bound is at or above its ``prune_level`` cannot beat it
@@ -48,7 +51,8 @@ REL_GAP = 1e-6  # prune_level's gap; rfe closes its loop at it too
 class Node(NamedTuple):
     """An unbranched node: LP bound, column bounds, LP solution and final basis.
 
-    A node not solved yet has bound -inf and no x or basis.
+    A node not solved yet has no x; its bound and basis are its parent's, and
+    the root's are -inf and None.
     """
 
     bound: float
@@ -128,25 +132,29 @@ def solve_milp(
             bound = -np.inf
         return MipResult(status, x, objective, bound, nodes, lp_iters, [n for _, _, n in rest])
 
-    for k, node in enumerate(frontier):
+    for node in frontier:
         if node.bound >= cut_level:
             continue
-        if node.x is None or _violates_new_rows(lp, node):
-            if out_of_time():
-                return out(TIME_LIMIT, *((n.bound, next(tick), n) for n in frontier[k:]))
-            res = solve_lp(lp, node.lo, node.hi, basis=node.basis)
-            lp_iters += res.iterations
-            nodes += 1
-            if res.status == UNBOUNDED:  # only the root can be: its children are bounded
-                return out(UNBOUNDED, objective=-np.inf)
-            if res.status != OPTIMAL or res.objective >= cut_level:
-                continue
-            node = Node(res.objective, node.lo, node.hi, res.x, res.basis)
+        if node.x is not None and _violates_new_rows(lp, node):
+            node = node._replace(x=None)
         heapq.heappush(heap, (node.bound, next(tick), node))
 
     while heap:
         entry = heapq.heappop(heap)
         node = entry[2]
+        if node.x is None:
+            if out_of_time():
+                return out(TIME_LIMIT, entry)
+            res = solve_lp(lp, node.lo, node.hi, basis=node.basis)
+            lp_iters += res.iterations
+            nodes += 1
+            if res.status == UNBOUNDED:  # only the root can be: its children are bounded
+                return out(UNBOUNDED, objective=-np.inf)
+            # an infeasible node is dropped, and so is one the cutoff prunes
+            if res.status == OPTIMAL and res.objective < cut_level:
+                node = Node(res.objective, node.lo, node.hi, res.x, res.basis)
+                heapq.heappush(heap, (node.bound, next(tick), node))
+            continue
         x = node.x
         # most fractional binary; ties go to the lowest column index
         frac_col = -1
@@ -160,20 +168,11 @@ def solve_milp(
             x = x.copy()
             x[binary_cols] = np.round(x[binary_cols])
             return out(OPTIMAL, entry, x=x, objective=node.bound)
-        children = []
         for val in (0.0, 1.0):
-            if out_of_time():
-                return out(TIME_LIMIT, entry)  # the children solved so far are dropped
             clo = node.lo.copy()
             chi = node.hi.copy()
             clo[frac_col] = chi[frac_col] = val
-            child = solve_lp(lp, clo, chi, basis=node.basis)
-            lp_iters += child.iterations
-            nodes += 1
-            # an infeasible child is dropped, and so is one the cutoff prunes
-            if child.status == OPTIMAL and child.objective < cut_level:
-                children.append(Node(child.objective, clo, chi, child.x, child.basis))
-        for child in children:
+            child = Node(node.bound, clo, chi, None, node.basis)
             heapq.heappush(heap, (child.bound, next(tick), child))
 
     return out(INFEASIBLE)

@@ -46,16 +46,8 @@ class Grid:
     def num_cells(self) -> int:
         return int(np.prod([a.size - 1 for a in self.axes]))
 
-    def strides(self) -> np.ndarray:
-        """Flat-index strides, last axis fastest."""
-        shape = self.shape
-        s = np.ones(self.n, dtype=np.int64)
-        for j in range(self.n - 2, -1, -1):
-            s[j] = s[j + 1] * shape[j + 1]
-        return s
-
     def flat_index(self, k: Sequence[int]) -> int:
-        return int(np.dot(self.strides(), np.asarray(k, dtype=np.int64)))
+        return int(np.ravel_multi_index(tuple(k), self.shape))
 
     def corner(self, k: Sequence[int]) -> np.ndarray:
         return np.array([self.axes[j][k[j]] for j in range(self.n)])
@@ -82,17 +74,8 @@ class LookupTable:
 
     def cell_corner_values(self, cell: "CellIndex") -> np.ndarray:
         """Values at the 2^n corners of a cell; corner bit j indexes axis j."""
-        n = self.grid.n
-        strides = self.grid.strides()
-        base = int(np.dot(strides, np.asarray(cell.t, dtype=np.int64)))
-        out = np.empty(1 << n)
-        for corner in range(1 << n):
-            idx = base
-            for j in range(n):
-                if (corner >> j) & 1:
-                    idx += strides[j]
-            out[corner] = self.values[idx]
-        return out
+        block = self.values.reshape(self.grid.shape)[tuple(slice(t, t + 2) for t in cell.t)]
+        return block.flatten(order="F")
 
 
 @dataclass(frozen=True)

@@ -37,19 +37,24 @@ LP point, clipped to the box, and repairing the remaining linear part, then
 improved by coordinate descent (each step frees input variables, at most one
 per interpolant, so every output is affine in them and the step is an LP).
 
-The root box is evaluated like any child: its LP is solved, its point tried as
-a candidate, and the box kept open unless its bound cannot beat the
-incumbent (``bnb.prune_level`` with ``GAP``). An unbounded root LP makes the
-result ``Unbounded``. A box the incumbent prunes gets no heuristic.
+Every box takes one path through one heap of ``bnb.Node``, the root
+included. A child box is unsolved until it is popped: it waits under its
+parent's bound with its parent's final basis. Popping it solves its LP, warm
+from that basis by the dual simplex. Unless the LP is infeasible or its bound
+cannot beat the incumbent (``bnb.prune_level`` with ``GAP``), the LP point is
+tried as a candidate and the box goes back on the heap under its own bound.
+Popping a solved box splits it into two unsolved children, so a child whose
+parent's bound the incumbent prunes before it is popped gets no LP. The root
+is the first unsolved box, warm from the caller's ``basis`` (in RFE, the
+previous subproblem's root); an unbounded root LP makes the result
+``Unbounded``.
 ``MAX_NODES`` node LPs, or a box too narrow to split whose bound is below the
 incumbent, end the search unproven: the result is ``NodeLimit`` with the least
 bound of every open or exhausted box.
 
 Every node LP of one subproblem has the same rows and columns; a child box
-changes one column bound and the coefficients of the corner-weight columns.
-So each child LP is warm-started from its parent's final basis by the dual
-simplex, and the root LP from the caller's ``basis`` (in RFE, the previous
-subproblem's root).
+changes one column bound and the coefficients of the corner-weight columns,
+which is why the parent's basis is a good start.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bnb import prune_level
+from .bnb import Node, prune_level
 from .model import EQ, GE, LE
 from .relax import BoxNlp, CellBlock
 from .simplex import FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LpBasis, LpProblem, solve_lp
@@ -324,51 +329,51 @@ def solve_box_nlp(nlp: BoxNlp, basis: Optional[LpBasis] = None) -> NlpResult:
     ir_lp = _ir_lp(nlp)
     best: tuple[Optional[np.ndarray], float] = (None, np.inf)  # the incumbent
     nodes = 0
+    root_basis = None
+    floor = np.inf  # least bound of a box left open: exhausted, or at the node limit
     tick = itertools.count()
-    heap: list = []  # (bound, tick, lo, hi, x, basis) of every open box
+    root = Node(-np.inf, ir_lp.lo, ir_lp.hi, None, basis)
+    heap: list = [(root.bound, next(tick), root)]  # (bound, tick, node) of every open box
 
     def pruned(node_bound: float) -> bool:
         return node_bound >= prune_level(best[1], GAP)
 
-    def evaluate(lo: np.ndarray, hi: np.ndarray, start: Optional[LpBasis]) -> Optional[LpBasis]:
-        """Solve the box's LP, try its point as a candidate and keep the box
-        open unless the incumbent prunes it; returns the LP's final basis."""
-        nonlocal best, nodes
-        res = solve_lp(_build_node_lp(ir_lp, blocks, lo, hi), basis=start)
-        nodes += 1
-        if res.status == UNBOUNDED:  # only the root can be: a bounded root's boxes are bounded
-            best = (None, -np.inf)
-        if res.status != OPTIMAL or pruned(res.objective):
-            return res.basis
-        cand = _exact_candidate(ir_lp, blocks, res.x)
-        if cand is None:
-            cand = _candidate_at(ir_lp, blocks, np.clip(res.x[: ir_lp.ncols], lo, hi))
-            if cand is not None:
-                cand = _coordinate_descent(ir_lp, blocks, cand)
-        if cand is not None and cand[1] < best[1] - 1e-15:
-            best = cand
-        if not pruned(res.objective):
-            heapq.heappush(heap, (res.objective, next(tick), lo, hi, res.x, res.basis))
-        return res.basis
-
-    root_basis = evaluate(ir_lp.lo, ir_lp.hi, basis)
-    floor = np.inf  # least bound of a box left open: exhausted, or at the node limit
     while heap:
-        node_bound, _, lo, hi, xrel, start = heapq.heappop(heap)
-        if pruned(node_bound):
+        node = heapq.heappop(heap)[2]
+        if pruned(node.bound):
             break  # so is every node still on the heap
-        if nodes >= MAX_NODES:
-            floor = min(floor, node_bound)  # no node left on the heap is lower
-            break
-        split = _split(blocks, xrel, lo, hi)
+        if node.x is None:
+            if nodes >= MAX_NODES:
+                floor = min(floor, node.bound)  # no node left on the heap is lower
+                break
+            res = solve_lp(_build_node_lp(ir_lp, blocks, node.lo, node.hi), basis=node.basis)
+            nodes += 1
+            if nodes == 1:
+                root_basis = res.basis
+            if res.status == UNBOUNDED:  # only the root can be: a bounded root's boxes are bounded
+                best = (None, -np.inf)
+            if res.status != OPTIMAL or pruned(res.objective):
+                continue
+            cand = _exact_candidate(ir_lp, blocks, res.x)
+            if cand is None:
+                cand = _candidate_at(ir_lp, blocks, np.clip(res.x[: ir_lp.ncols], node.lo, node.hi))
+                if cand is not None:
+                    cand = _coordinate_descent(ir_lp, blocks, cand)
+            if cand is not None and cand[1] < best[1] - 1e-15:
+                best = cand
+            node = Node(res.objective, node.lo, node.hi, res.x, res.basis)
+            heapq.heappush(heap, (node.bound, next(tick), node))
+            continue
+        split = _split(blocks, node.x, node.lo, node.hi)
         if split is None:
-            floor = min(floor, node_bound)
+            floor = min(floor, node.bound)
             continue
         p, at = split
-        below, above = hi.copy(), lo.copy()
+        below, above = node.hi.copy(), node.lo.copy()
         below[p] = above[p] = at
-        evaluate(lo, below, start)
-        evaluate(above, hi, start)
+        for lo, hi in ((node.lo, below), (above, node.hi)):
+            child = Node(node.bound, lo, hi, None, node.basis)
+            heapq.heappush(heap, (child.bound, next(tick), child))
 
     x, objective = best
     if floor < prune_level(objective, GAP):

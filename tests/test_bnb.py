@@ -220,7 +220,7 @@ class TestTimeLimitFrontier:
             res = solve_milp(lp, range(10), time_limit=limit + 0.5)
             if res.status != TIME_LIMIT:
                 break
-            # an odd limit stops before a node's second child, mid-branching
+            # siblings pop back to back, so an even limit from 2 on stops between two
             stopped.add(limit % 2)
             self._check_stop(lp, res)
             assert res.bound <= opt.objective
@@ -236,6 +236,33 @@ class TestTimeLimitFrontier:
                 rest = solve_milp(cut, range(10), frontier=part.frontier)
                 assert rest.objective == pytest.approx(cut_opt.objective, abs=1e-9)
         assert stopped == {0, 1}
+
+
+class TestChildrenWaitUnsolved:
+    """A branched node's children wait on the heap with its bound and basis."""
+
+    def test_time_limit_between_siblings(self, monkeypatch):
+        lp = _random_knapsack(4)
+        opt = solve_milp(lp, range(10))
+        monkeypatch.setattr(bnb, "time", _Clock())
+        branched = solve_milp(lp, range(10), time_limit=1.5)  # stops after the root LP
+        assert branched.nodes == 1
+        first, second = branched.frontier  # the root's children, in tick order
+        assert first.x is None and second.x is None
+        assert first.bound == second.bound == branched.bound > -np.inf
+        assert first.basis is second.basis is not None
+        res = solve_milp(lp, range(10), time_limit=2.5)  # stops after the first child's LP
+        assert res.status == TIME_LIMIT
+        assert res.nodes == 2
+        (waiting,) = [n for n in res.frontier if n.x is None]
+        assert waiting.bound == second.bound == res.bound
+        np.testing.assert_array_equal(waiting.lo, second.lo)
+        np.testing.assert_array_equal(waiting.hi, second.hi)
+        np.testing.assert_array_equal(waiting.basis.basis, second.basis.basis)
+        np.testing.assert_array_equal(waiting.basis.vstat, second.basis.vstat)
+        done = solve_milp(lp, range(10), frontier=res.frontier)
+        assert done.status == OPTIMAL
+        assert done.objective == pytest.approx(opt.objective, abs=1e-9)
 
 
 class TestRootIsAFrontierNode:

@@ -31,7 +31,7 @@ def s1_path(tmp_path):
     return path
 
 
-def _tiny_instance(tmp_path, infeasible=False):
+def _tiny_instance(tmp_path, infeasible=False, name="tiny.json"):
     g = make_grid([[0.0, 0.5, 1.0]])
     tab = make_table(g, [0.0, -1.0, 2.0])
     variables = [VarRef(0, CONTINUOUS, 0, 1), VarRef(1, CONTINUOUS, -10, 10)]
@@ -41,7 +41,7 @@ def _tiny_instance(tmp_path, infeasible=False):
     ir = build_problem(
         variables, cons, [InterpolantDef(tab, (0,), 1)], objective=[(1.0, 1)]
     )
-    path = tmp_path / "tiny.json"
+    path = tmp_path / name
     instancefile.save(str(path), ir)
     return path
 
@@ -180,18 +180,24 @@ class TestExport:
 
 class TestBench:
     def test_batch_summary(self, tmp_path, capsys):
-        paths = [str(_tiny_instance(tmp_path))]
-        p2 = tmp_path / "inf.json"
-        paths.append(str(_tiny_instance(tmp_path.joinpath(), infeasible=False)))
+        paths = [
+            str(_tiny_instance(tmp_path)),
+            str(_tiny_instance(tmp_path, infeasible=True, name="inf.json")),
+        ]
         out_json = tmp_path / "bench.json"
         code = main(["bench", *paths, "--json", str(out_json)])
         assert code == 0
         rows = json.loads(out_json.read_text())
-        assert len(rows) == len(paths)
+        assert [row["instance"] for row in rows] == paths
+        assert [row["rfe"]["status"] for row in rows] == ["Optimal", "Infeasible"]
         for row in rows:
-            assert row["rfe"]["objective"] == pytest.approx(
-                row["oracle"]["objective"], abs=1e-6
-            )
+            assert row["rfe"]["status"] == row["oracle"]["status"]
+            if row["rfe"]["objective"] is None:
+                assert row["oracle"]["objective"] is None
+            else:
+                assert row["rfe"]["objective"] == pytest.approx(
+                    row["oracle"]["objective"], abs=1e-6
+                )
         text = capsys.readouterr().out
         assert "mean rfe time" in text
 

@@ -311,3 +311,37 @@ def test_environment_reads_are_found(tmp_path):
         "C = os.path.join('c')\n"
     )
     assert _environment_reads([mod]) == ["mod.py:2", "mod.py:3", "mod.py:4"]
+
+
+def _solve_lp_calls(path: Path, function: str) -> int:
+    """Calls to ``solve_lp``, by name or as an attribute, in the body of the
+    module-level ``function``, nested functions included."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (body,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    calls = 0
+    for node in ast.walk(body):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            calls += name == "solve_lp"
+    return calls
+
+
+@pytest.mark.parametrize("module, function", [("bnb", "solve_milp"), ("spatial", "solve_box_nlp")])
+def test_each_tree_solves_its_node_lps_in_one_place(module, function):
+    """Every node of the tree, its root included, takes one path from LP solve to heap."""
+    assert _solve_lp_calls(ROOT / "src" / "gridopt" / f"{module}.py", function) == 1
+
+
+def test_solve_lp_calls_are_counted(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "import s\n"
+        "from s import solve_lp\n"
+        "def tree(lp):\n"
+        "    solve_lp(lp)\n"
+        "    def inner(): return solve_lp(lp, basis=None)\n"
+        "    return s.solve_lp(lp), solve_lp\n"
+        "def other(lp): return solve_lp(lp)\n"
+    )
+    assert _solve_lp_calls(mod, "tree") == 3

@@ -315,6 +315,34 @@ class TestKnownOptima:
         assert res.objective >= best - 5e-3  # and near the finest sample
 
 
+def test_child_pruned_before_it_is_popped_gets_no_lp(monkeypatch):
+    """min x1 s.t. x1 * x2 >= 1/2 on the unit square: 1/2 at (1/2, 1).
+
+    The root LP bound is the optimum, but its point (1/2, 1/2) gives no
+    candidate, so the root is split at x1 = 1/2. The lower child's LP point is
+    the optimum, which prunes the upper child: it waits under the root's bound
+    and closes with no LP.
+    """
+    boxes = []
+    solve_lp = spatial.solve_lp
+
+    def counted(lp, *args, **kwargs):
+        if "basis" in kwargs:  # a node LP: the candidate search passes no basis
+            boxes.append((lp.lo[:2].tolist(), lp.hi[:2].tolist()))
+        return solve_lp(lp, *args, **kwargs)
+
+    monkeypatch.setattr(spatial, "solve_lp", counted)
+    g = make_grid([[0.0, 1.0], [0.0, 1.0]])
+    nlp = _single_cell_nlp(
+        product_table(g, (0, 1)), [LinConstraint(((1.0, 2),), ">=", 0.5)], objective=[(1.0, 0)]
+    )
+    res = solve_box_nlp(nlp)
+    assert res.status == OPTIMAL
+    assert res.objective == pytest.approx(0.5, abs=1e-9)
+    assert res.nodes == 2
+    assert boxes == [([0.0, 0.0], [1.0, 1.0]), ([0.0, 0.0], [0.5, 1.0])]
+
+
 class TestMcCormickBound:
     def test_node_bound_below_sampled_values(self):
         """The root LP bound underestimates the function everywhere in the box."""
