@@ -1,8 +1,9 @@
 """Branch-and-bound for linear programs with binary variables, resumable.
 
 Best-first search on the LP bound over the bounded-variable simplex. Branching
-fixes the most fractional binary (lowest column index on ties) to 0 and 1 via
-bound overrides, so every node shares the same immutable LP data. One heap
+fixes the most fractional binary (lowest column index on ties) to 0 and 1 in
+the node's column bounds; its LP is ``dataclasses.replace(lp, lo=node.lo,
+hi=node.hi)``, which shares the caller's rows and never writes them. One heap
 holds every unbranched node, and every node, the root included, takes one
 path through it. A node is unsolved until it is popped: it waits under its
 parent's bound with its parent's final simplex basis. Popping it solves its
@@ -34,7 +35,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -145,7 +146,7 @@ def solve_milp(
         if node.x is None:
             if out_of_time():
                 return out(TIME_LIMIT, entry)
-            res = solve_lp(lp, node.lo, node.hi, basis=node.basis)
+            res = solve_lp(replace(lp, lo=node.lo, hi=node.hi), basis=node.basis)
             lp_iters += res.iterations
             nodes += 1
             if res.status == UNBOUNDED:  # only the root can be: its children are bounded

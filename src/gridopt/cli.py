@@ -94,7 +94,7 @@ def cmd_generate(args) -> int:
 def _load(path: str):
     try:
         return instancefile.load(path)
-    except (OSError, ValueError, KeyError, GridOptError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, GridOptError) as exc:
         print(f"error: cannot load {path}: {exc}", file=sys.stderr)
         return None
 

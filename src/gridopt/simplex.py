@@ -18,7 +18,11 @@ pivots; inputs beyond ~5e4 constraint nonzeros are refused. Solver state is per
 call, so independent solves may run concurrently. ``LpResult.iterations``
 counts every pivot.
 
-Warm start (``solve_lp(..., basis=res.basis)``). Between the two solves the
+Column bounds reach a solve only as ``LpProblem.lo`` and ``hi``: a tree node
+writes its box into its LP (spatial) or solves ``dataclasses.replace(lp,
+lo=..., hi=...)``, which shares the rows and leaves ``lp`` untouched (bnb).
+
+Warm start (``solve_lp(lp, basis=res.basis)``). Between the two solves the
 column bounds, the objective, the coefficients and right-hand sides of the
 existing rows may change, and rows may be appended; the column count must
 stay. The tableau is refactorized from the new rows, so nothing of the old
@@ -230,6 +234,19 @@ class _Tableau:
         self.xB = np.linalg.solve(B, resid)
         self.eta = 0
 
+    def exchange(self, row: int, j: int, delta: float, leave_up: bool) -> None:
+        """Move column j by ``delta`` into the basis at ``row``; the basic there
+        leaves at its upper bound if ``leave_up``, else at its lower bound."""
+        enter_val = self.xval[j] + delta
+        self.xB -= delta * self.T[:, j]
+        leave = self.basis[row]
+        self.xval[leave] = self.hi[leave] if leave_up else self.lo[leave]
+        self.vstat[leave] = _AT_UP if leave_up else _AT_LO
+        self.basis[row] = j
+        self.vstat[j] = _BASIC
+        self.xB[row] = enter_val
+        self.pivot(row, j)
+
     def pivot(self, row: int, j: int) -> None:
         """Pivot on (row, j), refactorizing every _REFACTOR_EVERY pivots."""
         _kernels.tableau_pivot(self.T, row, j)
@@ -305,22 +322,13 @@ def _iterate(tab: _Tableau, cost: Optional[np.ndarray], max_iter: int) -> str:
         step, row, up = _ratio_test(tab, j, direction, viol)
         if not np.isfinite(step):
             return UNBOUNDED
-        w = tab.T[:, j]
         if row == -1:
             # bound flip: entering variable crosses to its other bound
-            tab.xB -= direction * step * w
+            tab.xB -= direction * step * tab.T[:, j]
             tab.xval[j] = tab.hi[j] if direction > 0 else tab.lo[j]
             tab.vstat[j] = _AT_UP if direction > 0 else _AT_LO
         else:
-            enter_val = tab.xval[j] + direction * step
-            tab.xB -= direction * step * w
-            leave = tab.basis[row]
-            tab.xval[leave] = tab.hi[leave] if up else tab.lo[leave]
-            tab.vstat[leave] = _AT_UP if up else _AT_LO
-            tab.basis[row] = j
-            tab.vstat[j] = _BASIC
-            tab.xB[row] = enter_val
-            tab.pivot(row, j)
+            tab.exchange(row, j, direction * step, up)
         if step <= 1e-12:
             degen += 1
             if degen > degen_limit:
@@ -367,17 +375,7 @@ def _dual_iterate(tab: _Tableau, cost: np.ndarray, max_iter: int) -> Optional[st
         ratio = np.abs(d[cols]) / size
         tmin = ratio.min()
         q = int(cols[np.where(ratio <= tmin + 1e-12, size, -1.0).argmax()])
-        w = tab.T[:, q]
-        dx = (tab.xB[r] - target) / w[r]
-        enter_val = tab.xval[q] + dx
-        tab.xB -= dx * w
-        leave = tab.basis[r]
-        tab.xval[leave] = target
-        tab.vstat[leave] = _AT_LO if rise else _AT_UP
-        tab.basis[r] = q
-        tab.vstat[q] = _BASIC
-        tab.xB[r] = enter_val
-        tab.pivot(r, q)
+        tab.exchange(r, q, (tab.xB[r] - target) / tab.T[r, q], not rise)
         if tmin <= 1e-12:
             degen += 1
             if degen > degen_limit:
@@ -412,24 +410,18 @@ def _phase2(tab: _Tableau, cost: np.ndarray, max_iter: int) -> LpResult:
     )
 
 
-def solve_lp(
-    lp: LpProblem,
-    lo_override: Optional[np.ndarray] = None,
-    hi_override: Optional[np.ndarray] = None,
-    basis: Optional[LpBasis] = None,
-) -> LpResult:
-    """Solve min obj @ x subject to the rows and bounds of ``lp``.
+def solve_lp(lp: LpProblem, basis: Optional[LpBasis] = None) -> LpResult:
+    """Solve min obj @ x subject to the rows and column bounds of ``lp``.
 
-    ``lo_override``/``hi_override`` replace the column bounds without mutating
-    the problem (used by branch-and-bound nodes). ``basis``, from an earlier
-    optimal solve, warm-starts the dual simplex (see the module docstring).
-    Deterministic for identical input.
+    ``lp`` is read, never written. ``basis``, from an earlier optimal solve,
+    warm-starts the dual simplex (see the module docstring). Deterministic for
+    identical input.
     """
     nnz = int(np.count_nonzero(lp.A))
     if nnz > MAX_NONZEROS:
         raise ProblemTooLarge(f"{nnz} nonzeros exceeds dense limit {MAX_NONZEROS}")
-    lo = np.asarray(lo_override if lo_override is not None else lp.lo, dtype=float)
-    hi = np.asarray(hi_override if hi_override is not None else lp.hi, dtype=float)
+    lo = np.asarray(lp.lo, dtype=float)
+    hi = np.asarray(lp.hi, dtype=float)
     if np.any(lo > hi + 1e-12):
         return LpResult(status=INFEASIBLE)
     # collapse crossing bounds from round-off

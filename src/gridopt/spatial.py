@@ -32,10 +32,11 @@ clamped to the middle 60 % of its interval (Belotti et al. 2009; Tawarmalani
 & Sahinidis 2005). A child changes that one variable's bound, which narrows
 the hull of every interpolant that reads it. A node LP point whose outputs
 already equal f within ``EXACT_TOL`` is itself the candidate when it meets the
-linear rows; otherwise a candidate is recovered by fixing the inputs at the
-LP point, clipped to the box, and repairing the remaining linear part, then
-improved by coordinate descent (each step frees input variables, at most one
-per interpolant, so every output is affine in them and the step is an LP).
+linear rows. Otherwise candidates come from pinned steps: LPs over the IR's
+linear part that fix every input at a point except a free set, at most one
+input per interpolant, so every output is affine in a free input or pinned
+at f. The repair is the step with no free input at the LP point, clipped to
+the box; coordinate descent then improves its point by steps that free some.
 
 Every box takes one path through one heap of ``bnb.Node``, the root
 included. A child box is unsolved until it is popped: it waits under its
@@ -52,9 +53,11 @@ previous subproblem's root); an unbounded root LP makes the result
 incumbent, end the search unproven: the result is ``NodeLimit`` with the least
 bound of every open or exhausted box.
 
-Every node LP of one subproblem has the same rows and columns; a child box
-changes one column bound and the coefficients of the corner-weight columns,
-which is why the parent's basis is a good start.
+A subproblem that reaches an LP builds its node LP once, since every box has
+the same rows and columns; a popped box writes its column bounds and its
+corner coefficients, -x and -f(x) at the box corners, into it before its solve.
+A child box changes one column bound and the corners of the interpolants that
+read it, which is why the parent's basis is a good start.
 """
 
 from __future__ import annotations
@@ -146,33 +149,41 @@ def _extend(ir_lp: LpProblem, lo, hi, rows: list) -> LpProblem:
     )
 
 
-def _build_node_lp(
-    ir_lp: LpProblem, blocks: list[CellBlock], lo: np.ndarray, hi: np.ndarray
-) -> LpProblem:
-    """LP relaxation over (ir vars, corner weights) for the box [lo, hi].
+def _node_lp(ir_lp: LpProblem, blocks: list[CellBlock]) -> LpProblem:
+    """The node LP over (ir vars, corner weights), with no box written yet.
 
-    The IR variables take the box as their bounds. Each block gets one weight
-    per corner of its inputs' box; the inputs and the output are the weighted
-    sums of the corners and of f there, which is the convex hull of f's graph
-    over the box.
+    Each block gets one weight in [0, 1] per corner of its inputs' box, and
+    rows that make its inputs and output the weighted sums of the corners and
+    of f there: the convex hull of f's graph over the box ``_write_box`` writes.
     """
-    col_lo = list(lo)
-    col_hi = list(hi)
     rows = []
     col = ir_lp.ncols
+    for blk in blocks:
+        lam = range(col, col + (1 << blk.n))
+        rows += [([(p, 1.0)], EQ, 0.0) for p in blk.input_pos]
+        rows.append(([(c, 1.0) for c in lam], EQ, 1.0))
+        rows.append(([(blk.output_pos, 1.0)], EQ, 0.0))
+        col += len(lam)
+    k = col - ir_lp.ncols  # corner weights
+    return _extend(ir_lp, np.append(ir_lp.lo, np.zeros(k)), np.append(ir_lp.hi, np.ones(k)), rows)
+
+
+def _write_box(lp: LpProblem, blocks: list[CellBlock], lo: np.ndarray, hi: np.ndarray) -> None:
+    """Write the box [lo, hi] into ``_node_lp``'s LP: the IR columns' bounds
+    and, per block, the corner coefficients -x and -f(x) at the box corners."""
+    n = lo.size
+    lp.lo[:n] = lo
+    lp.hi[:n] = hi
+    row = lp.nrows - sum(blk.n + 2 for blk in blocks)  # the first block row
+    col = n
     for blk in blocks:
         k = 1 << blk.n
         bits = (np.arange(k)[:, None] >> np.arange(blk.n)) & 1
         xs = np.where(bits, hi[blk.input_pos], lo[blk.input_pos])  # box corners, (2^n, n)
-        lam = list(range(col, col + k))
-        for j, p in enumerate(blk.input_pos):
-            rows.append(([(p, 1.0)] + list(zip(lam, -xs[:, j])), EQ, 0.0))
-        rows.append(([(c, 1.0) for c in lam], EQ, 1.0))
-        rows.append(([(blk.output_pos, 1.0)] + list(zip(lam, -blk.f(xs))), EQ, 0.0))
-        col_lo += [0.0] * k
-        col_hi += [1.0] * k
+        lp.A[row : row + blk.n, col : col + k] = -xs.T
+        lp.A[row + blk.n + 1, col : col + k] = -blk.f(xs)
+        row += blk.n + 2
         col += k
-    return _extend(ir_lp, col_lo, col_hi, rows)
 
 
 def _split(
@@ -226,28 +237,36 @@ def _exact_candidate(
     return x, float(ir_lp.obj @ x)
 
 
-def _pin_block(lo: np.ndarray, hi: np.ndarray, blk: CellBlock, x: np.ndarray) -> None:
-    """Fix a block's inputs at x and its output at f there, within its bounds.
-
-    An f outside the output's bounds leaves lo > hi, so the LP is infeasible.
-    """
-    xin = x[blk.input_pos]
-    lo[blk.input_pos] = hi[blk.input_pos] = xin
-    fval = float(blk.f(xin))
-    p = blk.output_pos
-    lo[p] = max(lo[p], fval)
-    hi[p] = min(hi[p], fval)
-
-
-def _candidate_at(
-    ir_lp: LpProblem, blocks: list[CellBlock], x: np.ndarray
+def _pinned_step(
+    ir_lp: LpProblem, blocks: list[CellBlock], x: np.ndarray, free: set[int]
 ) -> Optional[tuple[np.ndarray, float]]:
-    """Fix the inputs at x, pin the outputs, repair the linear remainder."""
+    """Minimize over the IR's linear part with every input fixed at x except
+    those in ``free``, at most one per block.
+
+    A block with no free input has its output pinned at f(x), within the
+    output's bounds (else lo > hi and the LP is infeasible); a free input
+    makes f affine along it, so a row ties the output to it exactly.
+    """
     lo = ir_lp.lo.copy()
     hi = ir_lp.hi.copy()
+    rows = []
     for blk in blocks:
-        _pin_block(lo, hi, blk, x)
-    res = solve_lp(ir_lp, lo, hi)
+        free_axes = [j for j, p in enumerate(blk.input_pos) if p in free]
+        fixed = [p for p in blk.input_pos if p not in free]
+        lo[fixed] = hi[fixed] = x[fixed]
+        if not free_axes:
+            fval = float(blk.f(x[blk.input_pos]))
+            p = blk.output_pos
+            lo[p], hi[p] = max(lo[p], fval), min(hi[p], fval)
+            continue
+        (j,) = free_axes
+        ends = np.repeat(x[blk.input_pos][None, :], 2, axis=0)
+        ends[:, j] = (blk.a_lo[j], blk.a_lo[j] + blk.width[j])
+        at_lo, at_hi = blk.f(ends)
+        slope = (at_hi - at_lo) / blk.width[j]
+        const = at_lo - slope * blk.a_lo[j]
+        rows.append(([(blk.output_pos, 1.0), (blk.input_pos[j], -slope)], EQ, const))
+    res = solve_lp(_extend(ir_lp, lo, hi, rows))
     if res.status != OPTIMAL:
         return None
     return res.x.copy(), res.objective
@@ -277,37 +296,17 @@ def _coordinate_descent(
 ) -> tuple[np.ndarray, float]:
     """Improve a candidate by re-optimizing a few input variables at a time.
 
-    Each step frees the variables of one of ``_descent_steps`` within the
-    subproblem's bounds and fixes every other input at the candidate. Each
-    interpolant output is then affine in its one free input, or pinned at f,
-    so the step is an exact LP, and interpolants coupled by a linear row move
-    together.
+    Each step is a ``_pinned_step`` at the candidate that frees the variables
+    of one of ``_descent_steps`` within the subproblem's bounds, so
+    interpolants coupled by a linear row move together.
     """
     steps = _descent_steps(blocks)
     for _ in range(3):
         improved = False
         for free in steps:
-            x = best[0]
-            lo = ir_lp.lo.copy()
-            hi = ir_lp.hi.copy()
-            rows = []
-            for blk in blocks:
-                free_axes = [j for j, p in enumerate(blk.input_pos) if p in free]
-                if not free_axes:
-                    _pin_block(lo, hi, blk, x)
-                    continue
-                (j,) = free_axes
-                fixed = [p for p in blk.input_pos if p not in free]
-                lo[fixed] = hi[fixed] = x[fixed]
-                ends = np.repeat(x[blk.input_pos][None, :], 2, axis=0)
-                ends[:, j] = (blk.a_lo[j], blk.a_lo[j] + blk.width[j])
-                at_lo, at_hi = blk.f(ends)
-                slope = (at_hi - at_lo) / blk.width[j]
-                const = at_lo - slope * blk.a_lo[j]
-                rows.append(([(blk.output_pos, 1.0), (blk.input_pos[j], -slope)], EQ, const))
-            res = solve_lp(_extend(ir_lp, lo, hi, rows))
-            if res.status == OPTIMAL and res.objective < best[1] - 1e-12:
-                best = (res.x.copy(), res.objective)
+            cand = _pinned_step(ir_lp, blocks, best[0], free)
+            if cand is not None and cand[1] < best[1] - 1e-12:
+                best = cand
                 improved = True
         if not improved:
             break
@@ -327,6 +326,7 @@ def solve_box_nlp(nlp: BoxNlp, basis: Optional[LpBasis] = None) -> NlpResult:
         return NlpResult(status=INFEASIBLE)
     blocks = nlp.blocks
     ir_lp = _ir_lp(nlp)
+    lp = _node_lp(ir_lp, blocks)
     best: tuple[Optional[np.ndarray], float] = (None, np.inf)  # the incumbent
     nodes = 0
     root_basis = None
@@ -346,7 +346,8 @@ def solve_box_nlp(nlp: BoxNlp, basis: Optional[LpBasis] = None) -> NlpResult:
             if nodes >= MAX_NODES:
                 floor = min(floor, node.bound)  # no node left on the heap is lower
                 break
-            res = solve_lp(_build_node_lp(ir_lp, blocks, node.lo, node.hi), basis=node.basis)
+            _write_box(lp, blocks, node.lo, node.hi)
+            res = solve_lp(lp, basis=node.basis)
             nodes += 1
             if nodes == 1:
                 root_basis = res.basis
@@ -356,7 +357,8 @@ def solve_box_nlp(nlp: BoxNlp, basis: Optional[LpBasis] = None) -> NlpResult:
                 continue
             cand = _exact_candidate(ir_lp, blocks, res.x)
             if cand is None:
-                cand = _candidate_at(ir_lp, blocks, np.clip(res.x[: ir_lp.ncols], node.lo, node.hi))
+                x = np.clip(res.x[: ir_lp.ncols], node.lo, node.hi)
+                cand = _pinned_step(ir_lp, blocks, x, set())
                 if cand is not None:
                     cand = _coordinate_descent(ir_lp, blocks, cand)
             if cand is not None and cand[1] < best[1] - 1e-15:

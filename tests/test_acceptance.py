@@ -4,6 +4,7 @@ Each test prints one CRITERION line (pass/fail) so the suite output doubles as
 an acceptance report. Tolerances and sample counts are part of the contract.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -137,10 +138,10 @@ def test_criterion_3_mccormick_coincidence():
         lo[milp.var_col[0]] = hi[milp.var_col[0]] = xv
         lo[milp.var_col[1]] = hi[milp.var_col[1]] = yv
         lp_min = milp.to_lp()
-        res_min = solve_lp(lp_min, lo, hi)
+        res_min = solve_lp(dataclasses.replace(lp_min, lo=lo, hi=hi))
         lp_max = milp.to_lp()
         lp_max.obj = -lp_max.obj
-        res_max = solve_lp(lp_max, lo, hi)
+        res_max = solve_lp(dataclasses.replace(lp_max, lo=lo, hi=hi))
         if abs(res_min.objective - max(0.0, xv + yv - 1.0)) > 1e-8:
             ok = False
         if abs(-res_max.objective - min(xv, yv)) > 1e-8:

@@ -1,5 +1,6 @@
 """Branch-and-bound over binary columns, checked by exhaustive enumeration."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -31,7 +32,7 @@ def _enumerate_binary(lp, binary_cols):
         hi = lp.hi.copy()
         for c, b in zip(binary_cols, bits):
             lo[c] = hi[c] = b
-        res = solve_lp(lp, lo, hi)
+        res = solve_lp(dataclasses.replace(lp, lo=lo, hi=hi))
         if res.status == OPTIMAL:
             best = min(best, res.objective)
     return best
@@ -53,6 +54,15 @@ class TestKnapsack:
         # incumbent is integral and feasible
         assert np.all(np.abs(res.x[:n] - np.round(res.x[:n])) <= 1e-6)
         assert float(weights @ np.round(res.x[:n])) <= cap + 1e-8
+
+    def test_callers_bounds_are_left_as_they_were(self):
+        rng = np.random.default_rng(5)
+        lp = _knapsack_lp(rng.uniform(1, 10, 8), rng.uniform(1, 10, 8), 20.0)
+        lo, hi = lp.lo.copy(), lp.hi.copy()
+        res = solve_milp(lp, list(range(8)))
+        assert res.status == OPTIMAL and res.nodes > 1  # the children had bounds of their own
+        np.testing.assert_array_equal(lp.lo, lo)
+        np.testing.assert_array_equal(lp.hi, hi)
 
     def test_mixed_integer_continuous(self):
         # one continuous column alongside the binaries

@@ -136,11 +136,28 @@ class TestSolve:
         assert code == 4
         assert json.loads(rep.read_text())["status"] == "TimeLimit"
 
-    def test_parse_failure(self, tmp_path):
+    def test_parse_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["solve", str(bad)]) == 2
         assert main(["solve", str(tmp_path / "missing.json")]) == 2
+        # JSON of the wrong type: each of these once died with a TypeError
+        # traceback and exit 1, and took the whole bench batch with it
+        good = _tiny_instance(tmp_path)
+        wrong = [5, json.loads(good.read_text()), json.loads(good.read_text())]
+        wrong[1]["tables"] = 3
+        wrong[2]["variables"][0]["id"] = None
+        for doc in wrong:
+            bad.write_text(json.dumps(doc))
+            assert main(["solve", str(bad)]) == 2
+            out = tmp_path / "bad.lp"
+            assert main(["export", str(bad), "--format", "lp", "-o", str(out)]) == 2
+            assert "cannot load" in capsys.readouterr().err
+            out_json = tmp_path / "bench.json"
+            assert main(["bench", str(bad), str(good), "--json", str(out_json)]) == 0
+            rows = json.loads(out_json.read_text())
+            assert rows[0] == {"instance": str(bad), "error": "load failed"}
+            assert rows[1]["rfe"]["status"] == "Optimal"
 
 
 class TestExport:

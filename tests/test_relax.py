@@ -119,7 +119,7 @@ class TestEnvelopeTightness:
             ):
                 lp2 = milp.to_lp()
                 lp2.obj = sign * lp2.obj
-                res = solve_lp(lp2, lo, hi)
+                res = solve_lp(dataclasses.replace(lp2, lo=lo, hi=hi))
                 assert res.status == OPTIMAL
                 assert sign * res.objective == pytest.approx(mccormick, abs=1e-8)
 

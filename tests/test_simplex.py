@@ -112,9 +112,9 @@ class TestHandPicked:
         lp = LpProblem.from_rows(1, [-1.0], [0.0], [np.inf], [])
         assert solve_lp(lp).status == UNBOUNDED
 
-    def test_crossing_bound_override_infeasible(self):
-        lp = LpProblem.from_rows(1, [1.0], [0.0], [1.0], [])
-        res = solve_lp(lp, np.array([2.0]), np.array([1.0]))
+    def test_crossing_bounds_infeasible(self):
+        lp = LpProblem.from_rows(1, [1.0], [2.0], [1.0], [])
+        res = solve_lp(lp)
         assert res.status == INFEASIBLE
 
     def test_size_guard(self):
@@ -459,8 +459,9 @@ class TestWarmStart:
             else:
                 hi[j] = max(v, lo[j])
             dual_outcomes.clear()
-            got = solve_lp(lp, lo, hi, basis=res.basis)
-            status = _assert_matches_scipy(got, dataclasses.replace(lp, lo=lo, hi=hi))
+            tightened = dataclasses.replace(lp, lo=lo, hi=hi)
+            got = solve_lp(tightened, basis=res.basis)
+            status = _assert_matches_scipy(got, tightened)
             # the dual phase itself reaches the answer, infeasibility included
             assert dual_outcomes == [status]
             seen[status] += 1
@@ -486,7 +487,7 @@ class TestWarmStart:
         )
         res = solve_lp(lp)
         assert res.status == OPTIMAL
-        got = solve_lp(lp, np.zeros(2), np.zeros(2), basis=res.basis)
+        got = solve_lp(dataclasses.replace(lp, lo=np.zeros(2), hi=np.zeros(2)), basis=res.basis)
         assert got.status == INFEASIBLE
         assert dual_outcomes == [INFEASIBLE]
 
@@ -540,7 +541,8 @@ class TestWarmStart:
         lp = LpProblem.from_rows(3, [1.0, -2.0, 0.5], [0.0, -1.0, 2.0], [4.0, 3.0, 5.0], [])
         res = solve_lp(lp)
         assert res.status == OPTIMAL and res.objective == pytest.approx(-5.0)
-        got = solve_lp(lp, np.array([1.0, -1.0, 2.0]), np.array([4.0, 2.0, 5.0]), basis=res.basis)
+        moved = dataclasses.replace(lp, lo=np.array([1.0, -1.0, 2.0]), hi=np.array([4.0, 2.0, 5.0]))
+        got = solve_lp(moved, basis=res.basis)
         assert got.status == OPTIMAL
         assert got.objective == pytest.approx(-2.0)
         np.testing.assert_allclose(got.x, [1.0, 2.0, 2.0])

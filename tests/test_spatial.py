@@ -18,10 +18,11 @@ from gridopt.relax import CellBlock, Fixing, build_relaxation, build_subproblem,
 from gridopt.simplex import FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 from gridopt.spatial import (
     NODE_LIMIT,
-    _build_node_lp,
     _ir_lp,
+    _node_lp,
     _rows_exclude_box,
     _split,
+    _write_box,
     solve_box_nlp,
 )
 
@@ -179,24 +180,31 @@ class TestBranchingRule:
         assert _split(blocks, x, lo, hi) is None
 
 
+def _shared_input_nlp():
+    """x0 feeds both f_a = x0 * x1 and f_b = x0 * x2 on the unit cube; max f_a + f_b."""
+    g = make_grid([[0.0, 1.0], [0.0, 1.0]])
+    tab = product_table(g, (0, 1))
+    ir = build_problem(
+        [VarRef(j, CONTINUOUS, 0.0, 1.0) for j in range(5)],
+        [],
+        [InterpolantDef(tab, (0, 1), 3), InterpolantDef(tab, (0, 2), 4)],
+        objective=[(-1.0, 3), (-1.0, 4)],
+    )
+    return build_subproblem(ir, _fixing((0, 0), (0, 0)))
+
+
 class TestSharedInput:
     def test_one_split_narrows_every_hull_reading_the_input(self):
-        """x0 feeds both f_a = x0 * x1 and f_b = x0 * x2; max f_a + f_b."""
-        g = make_grid([[0.0, 1.0], [0.0, 1.0]])
-        tab = product_table(g, (0, 1))
-        ir = build_problem(
-            [VarRef(j, CONTINUOUS, 0.0, 1.0) for j in range(5)],
-            [],
-            [InterpolantDef(tab, (0, 1), 3), InterpolantDef(tab, (0, 2), 4)],
-            objective=[(-1.0, 3), (-1.0, 4)],
-        )
-        nlp = build_subproblem(ir, _fixing((0, 0), (0, 0)))
+        nlp = _shared_input_nlp()
         blocks = nlp.blocks
         ir_lp = _ir_lp(nlp)
-        lo, hi = nlp.var_lo.copy(), nlp.var_hi.copy()
-        assert solve_lp(_build_node_lp(ir_lp, blocks, lo, hi)).objective == pytest.approx(-2.0)
+        lp = _node_lp(ir_lp, blocks)
+        _write_box(lp, blocks, nlp.var_lo, nlp.var_hi)
+        assert solve_lp(lp).objective == pytest.approx(-2.0)
+        hi = nlp.var_hi.copy()
         hi[0] = 0.5  # the lower child of a split on x0
-        child = solve_lp(_build_node_lp(ir_lp, blocks, lo, hi))
+        _write_box(lp, blocks, nlp.var_lo, hi)
+        child = solve_lp(lp)
         # both hulls see x0 <= 0.5; narrowing one interpolant's copy of x0
         # alone would leave the bound at -1.5
         assert child.objective == pytest.approx(-1.0)
@@ -237,6 +245,52 @@ class TestDeskCell:
         assert res.status == NODE_LIMIT
         assert res.nodes == 1
         assert res.bound <= DESK_S2_FIRST_CELL_OPT + 1e-6
+
+
+class TestNodeLp:
+    """One node LP per subproblem, with each popped box written into it."""
+
+    def test_box_written_over_another_equals_a_fresh_write(self):
+        nlp = _shared_input_nlp()
+        ir_lp = _ir_lp(nlp)
+        lo_a, hi_a = nlp.var_lo.copy(), nlp.var_hi.copy()
+        hi_a[0] = 0.5
+        lo_b, hi_b = nlp.var_lo.copy(), nlp.var_hi.copy()
+        lo_b[0], hi_b[1], lo_b[2] = 0.25, 0.75, 0.4
+        reused, fresh = _node_lp(ir_lp, nlp.blocks), _node_lp(ir_lp, nlp.blocks)
+        _write_box(reused, nlp.blocks, lo_a, hi_a)
+        assert solve_lp(reused).status == OPTIMAL
+        _write_box(reused, nlp.blocks, lo_b, hi_b)
+        _write_box(fresh, nlp.blocks, lo_b, hi_b)
+        for name in ("A", "lo", "hi"):
+            np.testing.assert_array_equal(getattr(reused, name), getattr(fresh, name))
+        assert np.any(reused.A != _node_lp(ir_lp, nlp.blocks).A)  # the corners were written
+
+    def test_built_once_per_subproblem_that_reaches_an_lp(self, desk_s2_first_cell, monkeypatch):
+        built = []
+        node_lp = spatial._node_lp
+
+        def counted(*args):
+            built.append(1)
+            return node_lp(*args)
+
+        monkeypatch.setattr(spatial, "_node_lp", counted)
+        res = solve_box_nlp(desk_s2_first_cell)
+        assert res.nodes > 1 and len(built) == 1
+        g = make_grid([[0.0, 1.0]])
+        screened = _single_cell_nlp(
+            make_table(g, [0.0, 1.0]), [LinConstraint(((1.0, 0),), "<=", -1.0)]
+        )
+        assert solve_box_nlp(screened).nodes == 0 and len(built) == 1
+
+    def test_subproblem_bounds_are_left_as_they_were(self, desk_s2_first_cell):
+        # _ir_lp's bounds are the subproblem's own arrays (np.asarray makes
+        # no copy), and the root box is made of them
+        nlp = desk_s2_first_cell
+        lo, hi = nlp.var_lo.copy(), nlp.var_hi.copy()
+        assert solve_box_nlp(nlp).nodes > 1
+        np.testing.assert_array_equal(nlp.var_lo, lo)
+        np.testing.assert_array_equal(nlp.var_hi, hi)
 
 
 DESK_S4_FIRST_CELL = (
@@ -507,7 +561,8 @@ class TestScreen:
                 cells += 1
                 if _rows_exclude_box(nlp):
                     screened += 1
-                    root = _build_node_lp(_ir_lp(nlp), nlp.blocks, nlp.var_lo, nlp.var_hi)
+                    root = _node_lp(_ir_lp(nlp), nlp.blocks)
+                    _write_box(root, nlp.blocks, nlp.var_lo, nlp.var_hi)
                     assert solve_lp(root).status == INFEASIBLE
         assert (screened, cells) == {"pool": (111, 1509), "desk-S1-0": (50, 66)}[instance]
 
