@@ -13,6 +13,12 @@ branches it: its two children go on the heap unsolved. The root is the first
 unsolved node, with bound -inf and no basis. The first integral node popped
 is optimal: no node left on the heap has a lower bound.
 
+Every LP of one call shares the caller's rows, so the call passes them all one
+dict of kept tableaus (``solve_lp``'s ``tableaus``). A node popped soon after
+its parent was solved, as both children of a branch usually are, starts from a
+copy of the parent's final tableau instead of a refactorization. A frontier
+node from an earlier call misses the dict and refactorizes.
+
 One tree serves a sequence of MILPs that differ by appended rows, as RFE's
 rounds do. A call returns its frontier, every node it did not branch, solved
 or not: the nodes on its heap and the node it stopped at. Appending a row only
@@ -119,6 +125,7 @@ def solve_milp(
     lp_iters = 0
     tick = itertools.count()  # FIFO tie-break keeps the heap deterministic
     heap: list = []  # (bound, tick, node) of every unbranched node
+    tableaus: dict = {}  # solve_lp's kept tableaus, shared by every LP of this call
 
     def out_of_time() -> bool:
         return time_limit is not None and time.monotonic() - t0 > time_limit
@@ -146,7 +153,8 @@ def solve_milp(
         if node.x is None:
             if out_of_time():
                 return out(TIME_LIMIT, entry)
-            res = solve_lp(replace(lp, lo=node.lo, hi=node.hi), basis=node.basis)
+            node_lp = replace(lp, lo=node.lo, hi=node.hi)
+            res = solve_lp(node_lp, basis=node.basis, tableaus=tableaus)
             lp_iters += res.iterations
             nodes += 1
             if res.status == UNBOUNDED:  # only the root can be: its children are bounded

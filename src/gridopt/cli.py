@@ -16,7 +16,8 @@ from typing import Optional
 
 # One BLAS/OpenMP thread, set before numpy is imported: on a small machine an
 # unpinned OpenBLAS can make a single small np.linalg.solve many times slower,
-# and every warm-started simplex solve refactorizes with one.
+# and the simplex refactorizes with one: every 150 pivots, and at the start of
+# every warm solve that has no kept tableau (every spatial node LP).
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
@@ -201,6 +202,14 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _time_limit(text: str) -> float:
+    """Seconds, a number >= 0; ``inf`` is no limit."""
+    value = float(text)
+    if not value >= 0.0:  # NaN too: it would silently disable the limit
+        raise argparse.ArgumentTypeError(f"must be a number >= 0, not {text!r}")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="gridopt",
@@ -218,7 +227,7 @@ def make_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="solve an instance file")
     s.add_argument("instance")
     s.add_argument("--engine", default="rfe", choices=ENGINES)
-    s.add_argument("--time-limit", type=float, default=None)
+    s.add_argument("--time-limit", type=_time_limit, default=None)
     s.add_argument("--report", help="write a JSON run report here")
     s.set_defaults(func=cmd_solve)
 
@@ -231,7 +240,7 @@ def make_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="solve a batch and summarize")
     b.add_argument("instances", nargs="+")
     b.add_argument("--engine", help="comma-separated engines (default: rfe,oracle)")
-    b.add_argument("--time-limit", type=float, default=None)
+    b.add_argument("--time-limit", type=_time_limit, default=None)
     b.add_argument("--json", help="write machine-readable results here")
     b.set_defaults(func=cmd_bench)
     return p

@@ -36,6 +36,8 @@ class VarRef:
             raise ValueError(f"unknown variable kind {self.kind!r}")
         if self.kind == BINARY and (self.lo, self.hi) != (0.0, 1.0):
             raise ValueError("binary variables must have bounds [0, 1]")
+        if math.isnan(self.lo) or math.isnan(self.hi):
+            raise ValueError(f"variable {self.id}: NaN bound")
         if self.lo > self.hi:
             raise ValueError(f"variable {self.id}: lo > hi")
 
@@ -50,6 +52,8 @@ class LinConstraint:
     def __post_init__(self):
         if self.sense not in (LE, EQ, GE):
             raise ValueError(f"unknown sense {self.sense!r}")
+        if math.isnan(self.rhs):
+            raise ValueError(f"NaN right-hand side in {self.name or '?'}")
 
 
 @dataclass(frozen=True)
@@ -157,6 +161,8 @@ def build_problem(
     obj = _norm_terms(objective)
     for coef, vid in obj:
         require(vid, "objective")
+        if math.isnan(coef):
+            raise ValueError(f"NaN objective coefficient of variable {vid}")
     if maximize:
         obj = tuple((-c, v) for c, v in obj)
 

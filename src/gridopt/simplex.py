@@ -15,8 +15,9 @@ Bland fallback after a run of degenerate pivots. A warm solve starts a bounded
 dual simplex from the basis of an earlier optimal solve, then runs phase 2 as a
 clean-up pass that certifies optimality. The tableau is refactorized every 150
 pivots; inputs beyond ~5e4 constraint nonzeros are refused. Solver state is per
-call, so independent solves may run concurrently. ``LpResult.iterations``
-counts every pivot.
+call, except for the kept tableaus in a dict the caller owns and passes in
+(below), so solves that share no such dict may run concurrently.
+``LpResult.iterations`` counts every pivot.
 
 Column bounds reach a solve only as ``LpProblem.lo`` and ``hi``: a tree node
 writes its box into its LP (spatial) or solves ``dataclasses.replace(lp,
@@ -25,18 +26,32 @@ lo=..., hi=...)``, which shares the rows and leaves ``lp`` untouched (bnb).
 Warm start (``solve_lp(lp, basis=res.basis)``). Between the two solves the
 column bounds, the objective, the coefficients and right-hand sides of the
 existing rows may change, and rows may be appended; the column count must
-stay. The tableau is refactorized from the new rows, so nothing of the old
-values is kept but the basis: a row the dual simplex finds infeasible is a
-Farkas certificate whatever the reduced costs, and a start that is not dual
-feasible is made optimal by the primal clean-up pass. Appended rows enter
-the basis with their slack, so a cut that the old optimum violates is the
-one infeasible row. Nonbasic columns take the bound their status names under
+stay. The tableau is refactorized from the new rows unless a kept tableau
+applies (below), so nothing of the old values is kept but the basis: a row
+the dual simplex finds infeasible is a Farkas certificate whatever the reduced
+costs, and a start that is not dual feasible is made optimal by the primal
+clean-up pass. Appended rows enter the basis with their slack, so a cut that
+the old optimum violates is the one infeasible row. Nonbasic columns take the bound their status names under
 the new bounds; a free one that gained a bound takes it. The solve falls back to
 the cold path, keeping the pivots already spent in ``iterations``, when the
 shapes do not fit (another column count, or fewer rows), a nonbasic column
 would sit at an infinite bound, the dual loop hits its iteration or
 degeneracy limit, or the warm attempt raises ``NumericalFailure`` anywhere (a
 singular basis, or one too ill-conditioned for the residual check).
+
+Kept tableaus (``solve_lp(lp, basis, tableaus=d)``). A caller whose LPs all
+have one coefficient matrix A, as a branch-and-bound tree's do, may pass them
+one dict. An optimal solve stores its final tableau there, with the pivots
+since its last refactorization, under the ``LpBasis`` it returns (``LpBasis``
+hashes by identity); the dict keeps the ``KEEP_TABLEAUS`` most recent. A warm
+start from a basis found there, over as many rows as the LP has, copies that
+tableau and recomputes only the basic values, x_B = T[:, n:] rhs -
+T[:, nonbasic] x_nonbasic, with no refactorization. The copy keeps one child's
+pivots out of its sibling's start. The pivot count carries over, so the
+150-pivot cadence and the residual check bound the round-off a kept tableau
+brings along. Bounds, senses, right-hand sides and the objective may change;
+a coefficient of A may not, since the kept tableau would be stale. A start
+from a basis over fewer rows refactorizes.
 
 Pivot choice, exactly (pricing and ratio test are array operations, and they
 choose the same pivots as a column-by-column / row-by-row scan):
@@ -96,6 +111,7 @@ _PIV_TOL = 1e-7  # pivots below this are numerically unsafe to enter the basis
 FEAS_TOL = 1e-7
 _ZERO_TOL = 1e-12  # tableau entries below this are round-off of exact zeros
 _REFACTOR_EVERY = 150
+KEEP_TABLEAUS = 4  # final tableaus a ``tableaus`` dict holds, the most recent
 
 
 @dataclass
@@ -196,11 +212,14 @@ class _Tableau:
         self.xB = lp.rhs - lp.A @ self.xval[:n]
         self.T = np.hstack([lp.A, np.eye(m)])
 
-    def start_warm(self, start: LpBasis) -> bool:
+    def start_warm(self, start: LpBasis, kept: Optional[tuple[np.ndarray, int]]) -> bool:
         """Take ``start``'s basis under the current bounds; False if unusable.
 
         Rows beyond those ``start`` was taken on enter the basis with their
-        slack. Raises NumericalFailure if the basis is singular.
+        slack. ``kept`` is the final ``(T, eta)`` of the solve that returned
+        ``start``, on these rows, or None; the tableau is copied from it and
+        only the basic values are recomputed, else it is refactorized. Raises
+        NumericalFailure if the basis is singular.
         """
         n, m = self.n, self.m
         m0 = start.basis.size
@@ -218,7 +237,13 @@ class _Tableau:
             return False
         self.xval = np.where(at_lo, self.lo, np.where(at_up, self.hi, 0.0))
         self.basis, self.vstat = basis, vstat
-        self.refactorize()
+        if kept is None:
+            self.refactorize()
+            return True
+        T, self.eta = kept
+        self.T = T.copy()  # siblings start from one kept tableau
+        nb = vstat != _BASIC
+        self.xB = self.T[:, n:] @ self.lp.rhs - self.T[:, nb] @ self.xval[nb]
         return True
 
     def refactorize(self) -> None:
@@ -336,6 +361,8 @@ def _iterate(tab: _Tableau, cost: Optional[np.ndarray], max_iter: int) -> str:
         else:
             degen = 0
     raise NumericalFailure("simplex iteration limit exceeded")
+
+
 def _dual_iterate(tab: _Tableau, cost: np.ndarray, max_iter: int) -> Optional[str]:
     """Dual simplex until the basis is primal feasible.
 
@@ -385,8 +412,11 @@ def _dual_iterate(tab: _Tableau, cost: np.ndarray, max_iter: int) -> Optional[st
     return None
 
 
-def _phase2(tab: _Tableau, cost: np.ndarray, max_iter: int) -> LpResult:
-    """Primal simplex from a primal feasible basis."""
+def _phase2(
+    tab: _Tableau, cost: np.ndarray, max_iter: int, tableaus: Optional[dict]
+) -> LpResult:
+    """Primal simplex from a primal feasible basis; an optimal tableau is kept
+    in ``tableaus`` under its basis."""
     n, lp = tab.n, tab.lp
     status = _iterate(tab, cost, max_iter)
     if status == UNBOUNDED:
@@ -400,22 +430,28 @@ def _phase2(tab: _Tableau, cost: np.ndarray, max_iter: int) -> LpResult:
         resid = lp.A @ x[:n] + x[n:] - lp.rhs
         if np.max(np.abs(resid), initial=0.0) > 1e-6:
             raise NumericalFailure("primal residual too large after refactorization")
+    basis = LpBasis(tab.basis, tab.vstat)
+    if tableaus is not None:
+        tableaus[basis] = (tab.T, tab.eta)  # tab is discarded, so T is not copied
+        while len(tableaus) > KEEP_TABLEAUS:
+            del tableaus[next(iter(tableaus))]  # the oldest entry
     obj = float(lp.obj @ x[:n])
     return LpResult(
-        status=OPTIMAL,
-        x=x[:n].copy(),
-        objective=obj,
-        iterations=tab.pivots,
-        basis=LpBasis(tab.basis, tab.vstat),
+        status=OPTIMAL, x=x[:n].copy(), objective=obj, iterations=tab.pivots, basis=basis
     )
 
 
-def solve_lp(lp: LpProblem, basis: Optional[LpBasis] = None) -> LpResult:
+def solve_lp(
+    lp: LpProblem, basis: Optional[LpBasis] = None, tableaus: Optional[dict] = None
+) -> LpResult:
     """Solve min obj @ x subject to the rows and column bounds of ``lp``.
 
     ``lp`` is read, never written. ``basis``, from an earlier optimal solve,
-    warm-starts the dual simplex (see the module docstring). Deterministic for
-    identical input.
+    warm-starts the dual simplex (see the module docstring). ``tableaus`` is
+    the caller's cache of final tableaus by basis: an optimal solve keeps its
+    own there, and a warm start from a basis found there copies it. Every LP
+    solved with one dict must have the same coefficients in the rows it
+    shares with the others. Deterministic for identical input.
     """
     nnz = int(np.count_nonzero(lp.A))
     if nnz > MAX_NONZEROS:
@@ -435,13 +471,16 @@ def solve_lp(lp: LpProblem, basis: Optional[LpBasis] = None) -> LpResult:
     spent = 0  # pivots of an abandoned warm start
     if basis is not None:
         tab = _Tableau(lp, lo, hi)
+        kept = None
+        if tableaus is not None and basis.basis.size == m:
+            kept = tableaus.get(basis)
         try:
-            if tab.start_warm(basis):
+            if tab.start_warm(basis, kept):
                 status = _dual_iterate(tab, cost, max_iter)
                 if status == INFEASIBLE:
                     return LpResult(status=INFEASIBLE, iterations=tab.pivots)
                 if status == OPTIMAL:
-                    return _phase2(tab, cost, max_iter)
+                    return _phase2(tab, cost, max_iter, tableaus)
         except NumericalFailure:
             pass  # the cold path below starts afresh
         spent = tab.pivots
@@ -454,4 +493,4 @@ def solve_lp(lp: LpProblem, basis: Optional[LpBasis] = None) -> LpResult:
         raise NumericalFailure("phase-1 reported unbounded")
     if status == INFEASIBLE:
         return LpResult(status=INFEASIBLE, iterations=tab.pivots)
-    return _phase2(tab, cost, max_iter)
+    return _phase2(tab, cost, max_iter, tableaus)

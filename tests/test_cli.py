@@ -10,7 +10,7 @@ import pytest
 
 import gridopt
 from gridopt import instancefile
-from gridopt.cli import main
+from gridopt.cli import main, make_parser
 from gridopt.gridtab import make_grid, make_table
 from gridopt.model import (
     CONTINUOUS,
@@ -136,6 +136,21 @@ class TestSolve:
         assert code == 4
         assert json.loads(rep.read_text())["status"] == "TimeLimit"
 
+    @pytest.mark.parametrize("value", ["nan", "-5", "-inf", "soon"])
+    def test_time_limit_rejects_nonsense(self, tmp_path, capsys, value):
+        # nan once disabled the limit silently, and -5 stopped before any solve
+        path = _tiny_instance(tmp_path)
+        for argv in (["solve", str(path)], ["bench", str(path)]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + [f"--time-limit={value}"])
+            assert exc.value.code == 2
+            assert "--time-limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "0", "7.5"])
+    def test_time_limit_accepts_nonnegative(self, value):
+        args = make_parser().parse_args(["solve", "x.json", "--time-limit", value])
+        assert args.time_limit == float(value)
+
     def test_parse_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -144,9 +159,12 @@ class TestSolve:
         # JSON of the wrong type: each of these once died with a TypeError
         # traceback and exit 1, and took the whole bench batch with it
         good = _tiny_instance(tmp_path)
-        wrong = [5, json.loads(good.read_text()), json.loads(good.read_text())]
+        wrong = [5] + [json.loads(good.read_text()) for _ in range(4)]
         wrong[1]["tables"] = 3
         wrong[2]["variables"][0]["id"] = None
+        # a NaN right-hand side or objective coefficient once solved to Infeasible
+        wrong[3]["constraints"] = [{"terms": [[1.0, 1]], "sense": "<=", "rhs": float("nan")}]
+        wrong[4]["objective"][0][0] = float("nan")
         for doc in wrong:
             bad.write_text(json.dumps(doc))
             assert main(["solve", str(bad)]) == 2

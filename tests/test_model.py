@@ -91,6 +91,28 @@ class TestBuildProblem:
         with pytest.raises(ValueError):
             build_problem([VarRef(0, CONTINUOUS, 0, 1), VarRef(0, CONTINUOUS, 0, 1)])
 
+    @pytest.mark.parametrize("lo, hi", [(np.nan, 1.0), (0.0, np.nan), (np.nan, np.nan)])
+    def test_nan_bound_rejected(self, lo, hi):
+        # NaN > x is false, so lo > hi let it through, and a solve never returned
+        with pytest.raises(ValueError, match="NaN"):
+            VarRef(0, CONTINUOUS, lo, hi)
+
+    def test_nan_rhs_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            LinConstraint(((1.0, 0),), "<=", np.nan)
+
+    def test_nan_objective_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            build_problem([VarRef(0, CONTINUOUS, 0, 1)], objective=[(np.nan, 0)])
+
+    def test_infinite_values_keep_their_meaning(self):
+        ir = build_problem(
+            [VarRef(0, CONTINUOUS, -np.inf, np.inf)],
+            [LinConstraint(((1.0, 0),), "<=", np.inf)],
+            objective=[(1.0, 0)],
+        )
+        assert ir.variables[0].lo == -np.inf and ir.constraints[0].rhs == np.inf
+
 
 class TestProblemSize:
     @pytest.mark.parametrize("shape", [(2,), (3, 4), (2, 3, 4)])

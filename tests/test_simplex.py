@@ -573,6 +573,91 @@ class TestWarmStart:
         assert got.iterations == cold.iterations + calls[0]
 
 
+class _Kept(dict):
+    """A dict of kept tableaus that records what each lookup found."""
+
+    def __init__(self):
+        super().__init__()
+        self.found = []
+
+    def get(self, *args):
+        kept = super().get(*args)
+        self.found.append(kept is not None)
+        return kept
+
+
+def _branched_lps(rng, count: int):
+    """Random LPs whose optimum has column j in (0, 1), j's bounds being [0, 1]:
+    (lp, j) for the first ``count``."""
+    while count:
+        lp = _random_lp(rng, n=6, m=5)
+        j = int(rng.integers(lp.ncols))
+        lp.lo[j], lp.hi[j] = 0.0, 1.0
+        res = solve_lp(lp)
+        if res.status == OPTIMAL and 1e-3 < res.x[j] < 1 - 1e-3:
+            count -= 1
+            yield lp, j
+
+
+def _fixed(lp: LpProblem, j: int, val: float) -> LpProblem:
+    lo, hi = lp.lo.copy(), lp.hi.copy()
+    lo[j] = hi[j] = val
+    return dataclasses.replace(lp, lo=lo, hi=hi)
+
+
+class TestKeptTableau:
+    @pytest.mark.parametrize("order", [(0.0, 1.0), (1.0, 0.0)], ids=["down_first", "up_first"])
+    def test_children_match_solves_without_it(self, monkeypatch, order):
+        refactorized = []
+        real = simplex._Tableau.refactorize
+        monkeypatch.setattr(
+            simplex._Tableau, "refactorize", lambda tab: refactorized.append(1) or real(tab)
+        )
+        rng = np.random.default_rng(41)
+        pivoted = 0
+        for lp, j in _branched_lps(rng, 60):
+            tableaus = _Kept()
+            parent = solve_lp(lp, tableaus=tableaus)
+            for val in order:
+                child = _fixed(lp, j, val)
+                alone = solve_lp(child, basis=parent.basis)
+                refactorized.clear()
+                got = solve_lp(child, basis=parent.basis, tableaus=tableaus)
+                assert tableaus.found[-1] and not refactorized
+                assert got.status == alone.status
+                if got.status == OPTIMAL:
+                    assert got.objective == pytest.approx(alone.objective, abs=1e-9, rel=1e-9)
+                    np.testing.assert_allclose(got.x, alone.x, atol=1e-7)
+                pivoted += got.iterations > 0
+        # enough first children pivot that, without the copy, their siblings
+        # would start from a pivoted tableau
+        assert pivoted > 60
+
+    def test_holds_the_most_recent_few(self):
+        rng = np.random.default_rng(43)
+        tableaus = {}
+        bases = []
+        for lp, _ in _optimal_lps(rng, 3 * simplex.KEEP_TABLEAUS):
+            bases.append(solve_lp(lp, tableaus=tableaus).basis)
+            assert len(tableaus) <= simplex.KEEP_TABLEAUS
+        assert list(tableaus) == bases[-simplex.KEEP_TABLEAUS:]
+
+    def test_appended_row_is_never_read(self):
+        rng = np.random.default_rng(44)
+        for lp, _ in _optimal_lps(rng, 40):
+            tableaus = _Kept()
+            parent = solve_lp(lp, tableaus=tableaus)
+            a = rng.normal(size=lp.ncols)
+            cut = _with_row(lp, a, ">=", float(a @ parent.x) + 0.5)
+            got = solve_lp(cut, basis=parent.basis, tableaus=tableaus)
+            assert tableaus.found == []
+            cold = solve_lp(cut)
+            assert got.status == cold.status
+            if got.status == OPTIMAL:
+                assert got.objective == pytest.approx(cold.objective, abs=1e-9, rel=1e-9)
+                np.testing.assert_allclose(got.x, cold.x, atol=1e-7)
+
+
 class TestIterationsCountEveryPivot:
     @pytest.fixture
     def pivots(self, monkeypatch):

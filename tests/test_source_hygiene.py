@@ -1,8 +1,9 @@
 """Source checks that a linter would make: no unused module-level imports, no
 import inside a function or class, no private function or method that
 nothing in ``src/gridopt`` calls, no dataclass field and no module-level
-constant that nothing reads, no exception class that nothing raises, and no
-environment read outside the command line."""
+constant that nothing reads, no exception class that nothing raises, no
+environment read outside the command line, and no kept simplex tableau
+outside the MILP tree."""
 
 import ast
 from pathlib import Path
@@ -345,3 +346,42 @@ def test_solve_lp_calls_are_counted(tmp_path):
         "def other(lp): return solve_lp(lp)\n"
     )
     assert _solve_lp_calls(mod, "tree") == 3
+
+
+def _tableau_passers(paths: list[Path]) -> list[str]:
+    """``module.function`` (``module.<module>`` at module level) of every call
+    to ``solve_lp`` that passes ``tableaus``, by keyword or as the third
+    positional argument."""
+    found = []
+    for path in paths:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "solve_lp" and (
+                    len(node.args) > 2 or any(k.arg == "tableaus" for k in node.keywords)
+                ):
+                    found.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return found
+
+
+def test_only_bnb_keeps_tableaus():
+    """A kept tableau is only right while the rows' coefficients stay: every LP
+    of one ``solve_milp`` call shares its rows, but spatial's node LP has its
+    corner coefficients rewritten in place for every box."""
+    assert _tableau_passers(SRC) == ["bnb.solve_milp"]
+
+
+def test_tableau_passers_are_found(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "import s\n"
+        "def plain(lp, b): return s.solve_lp(lp, basis=b)\n"
+        "def keyword(lp, d): return s.solve_lp(lp, tableaus=d)\n"
+        "class C:\n"
+        "    def positional(self, lp, b, d): return solve_lp(lp, b, d)\n"
+        "solve_lp(None, None, {})\n"
+    )
+    assert _tableau_passers([mod]) == ["mod.keyword", "mod.C", "mod.<module>"]
