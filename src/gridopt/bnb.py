@@ -115,6 +115,8 @@ def solve_milp(
     fewer rows, or the same ``lp``; without it the search starts at the root.
     Deterministic for identical input and limits (up to wall-clock cutoffs).
     """
+    if time_limit is not None and not time_limit >= 0.0:  # NaN would disable it
+        raise ValueError(f"time_limit must be a number >= 0, not {time_limit!r}")
     t0 = time.monotonic()
     binary_cols = sorted(int(c) for c in binary_cols)
     cut_level = prune_level(cutoff)

@@ -204,6 +204,8 @@ def build_opo_instance(scenario: Scenario, seed: int) -> OpoInstance:
     """Sample parameters and assemble the full IR for one scenario."""
     if scenario.n_wells < 1:
         raise InvalidScenario("need at least one well")
+    if not 0 <= scenario.n_manifolds <= scenario.n_wells:
+        raise InvalidScenario("every manifold needs a well of its own")
     if any(k < 2 for k in scenario.well_grid + scenario.manifold_grid):
         raise InvalidScenario("grid axes need at least 2 breakpoints")
     rng = np.random.default_rng(seed)

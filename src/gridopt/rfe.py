@@ -122,6 +122,8 @@ def solve_rfe(ir: ProblemIR, time_limit: Optional[float] = None) -> RfeResult:
     (so for a maximization input, ``objective`` is the maximum found and
     ``bound`` an upper bound).
     """
+    if time_limit is not None and not time_limit >= 0.0:  # NaN would disable it
+        raise ValueError(f"time_limit must be a number >= 0, not {time_limit!r}")
     t0 = time.monotonic()
     milp = build_relaxation(ir)
     cells = _Subproblems(ir)

@@ -4,9 +4,11 @@ The tableau is B^-1 [A I]: n structural columns, then one slack per row
 (a_i x + s_i = b_i), in [0, inf) for a ``<=`` row, (-inf, 0] for ``>=`` and
 [0, 0] for ``=``. The slack block T[:, n:] is B^-1.
 
-A cold solve starts from the slack basis, each structural at its finite lower
-bound, else its finite upper bound, else 0; the slacks take the residuals,
-in their bounds or not. Phase 1 is the primal loop on a cost recomputed before
+A cold solve is a warm start from the empty basis (no row, every column free):
+each row enters with its slack, each structural takes its finite lower bound,
+else its finite upper bound, else 0. This slack basis has the tableau [A I],
+with nothing to factorize, and its slacks take the residuals, in their bounds
+or not. Phase 1 is the primal loop on a cost recomputed before
 every pivot: +1 on a basic above its upper bound by more than 1e-7, -1 on one
 below its lower bound by as much, 0 elsewhere. It ends when no basic is
 violated, or with Infeasible when pricing finds no entering column first.
@@ -26,18 +28,19 @@ lo=..., hi=...)``, which shares the rows and leaves ``lp`` untouched (bnb).
 Warm start (``solve_lp(lp, basis=res.basis)``). Between the two solves the
 column bounds, the objective, the coefficients and right-hand sides of the
 existing rows may change, and rows may be appended; the column count must
-stay. The tableau is refactorized from the new rows unless a kept tableau
-applies (below), so nothing of the old values is kept but the basis: a row
-the dual simplex finds infeasible is a Farkas certificate whatever the reduced
-costs, and a start that is not dual feasible is made optimal by the primal
-clean-up pass. Appended rows enter the basis with their slack, so a cut that
-the old optimum violates is the one infeasible row. Nonbasic columns take the bound their status names under
-the new bounds; a free one that gained a bound takes it. The solve falls back to
-the cold path, keeping the pivots already spent in ``iterations``, when the
-shapes do not fit (another column count, or fewer rows), a nonbasic column
-would sit at an infinite bound, the dual loop hits its iteration or
-degeneracy limit, or the warm attempt raises ``NumericalFailure`` anywhere (a
-singular basis, or one too ill-conditioned for the residual check).
+stay. The tableau is refactorized from the new rows unless the basis has no
+row or a kept tableau applies (below), so nothing of the old values is kept
+but the basis: a row the dual simplex finds infeasible is a Farkas certificate
+whatever the reduced costs, and a start that is not dual feasible is made
+optimal by the primal clean-up pass. Appended rows enter the basis with their slack, so a cut that
+the old optimum violates is the one infeasible row. Nonbasic columns take the
+bound their status names under the new bounds; a free one that gained a bound
+takes it. The solve falls back to the slack basis, keeping the pivots already
+spent in ``iterations``, when the shapes do not fit (another column count, or
+fewer rows), a nonbasic column would sit at an infinite bound, the dual loop
+hits its iteration or degeneracy limit, or the warm attempt raises
+``NumericalFailure`` anywhere (a singular basis, or one too ill-conditioned
+for the residual check).
 
 Kept tableaus (``solve_lp(lp, basis, tableaus=d)``). A caller whose LPs all
 have one coefficient matrix A, as a branch-and-bound tree's do, may pass them
@@ -51,7 +54,7 @@ pivots out of its sibling's start. The pivot count carries over, so the
 150-pivot cadence and the residual check bound the round-off a kept tableau
 brings along. Bounds, senses, right-hand sides and the objective may change;
 a coefficient of A may not, since the kept tableau would be stale. A start
-from a basis over fewer rows refactorizes.
+from a basis over fewer rows, but not none, refactorizes.
 
 Pivot choice, exactly (pricing and ratio test are array operations, and they
 choose the same pivots as a column-by-column / row-by-row scan):
@@ -199,29 +202,17 @@ class _Tableau:
         self.pivots = 0  # every pivot, reported as LpResult.iterations
         self.eta = 0  # pivots since the last refactorization
 
-    def start_cold(self) -> None:
-        """Slack basis; the slacks take the residuals, in bounds or not."""
-        n, m, lp = self.n, self.m, self.lp
-        lo, hi = self.lo[:n], self.hi[:n]
-        has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
-        self.xval = np.zeros(self.N)
-        self.xval[:n] = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
-        self.vstat = np.full(self.N, _BASIC, dtype=np.int8)
-        self.vstat[:n] = np.where(has_lo, _AT_LO, np.where(has_hi, _AT_UP, _FREE))
-        self.basis = np.arange(n, n + m)
-        self.xB = lp.rhs - lp.A @ self.xval[:n]
-        self.T = np.hstack([lp.A, np.eye(m)])
-
-    def start_warm(self, start: LpBasis, kept: Optional[tuple[np.ndarray, int]]) -> bool:
+    def start_warm(self, start: LpBasis, tableaus: Optional[dict]) -> bool:
         """Take ``start``'s basis under the current bounds; False if unusable.
 
         Rows beyond those ``start`` was taken on enter the basis with their
-        slack. ``kept`` is the final ``(T, eta)`` of the solve that returned
-        ``start``, on these rows, or None; the tableau is copied from it and
-        only the basic values are recomputed, else it is refactorized. Raises
-        NumericalFailure if the basis is singular.
+        slack, so from the empty basis (no row, every column free) this is the
+        slack basis, whose tableau is [A I] with nothing to factorize. A start
+        over these rows found in ``tableaus`` copies its kept tableau and
+        recomputes only the basic values; any other start refactorizes.
+        Raises NumericalFailure if the basis is singular.
         """
-        n, m = self.n, self.m
+        n, m, lp = self.n, self.m, self.lp
         m0 = start.basis.size
         if m0 > m or start.vstat.size != n + m0:
             return False
@@ -237,13 +228,18 @@ class _Tableau:
             return False
         self.xval = np.where(at_lo, self.lo, np.where(at_up, self.hi, 0.0))
         self.basis, self.vstat = basis, vstat
+        if m0 == 0:  # every basic is a slack: B = I
+            self.T, self.eta = np.hstack([lp.A, np.eye(m)]), 0
+            self.xB = lp.rhs - lp.A @ self.xval[:n]
+            return True
+        kept = tableaus.get(start) if tableaus is not None and m0 == m else None
         if kept is None:
             self.refactorize()
             return True
         T, self.eta = kept
         self.T = T.copy()  # siblings start from one kept tableau
         nb = vstat != _BASIC
-        self.xB = self.T[:, n:] @ self.lp.rhs - self.T[:, nb] @ self.xval[nb]
+        self.xB = self.T[:, n:] @ lp.rhs - self.T[:, nb] @ self.xval[nb]
         return True
 
     def refactorize(self) -> None:
@@ -468,26 +464,20 @@ def solve_lp(
     max_iter = 5000 + 200 * (m + N)
     cost = np.zeros(N)
     cost[:n] = lp.obj
-    spent = 0  # pivots of an abandoned warm start
+    tab = _Tableau(lp, lo, hi)
     if basis is not None:
-        tab = _Tableau(lp, lo, hi)
-        kept = None
-        if tableaus is not None and basis.basis.size == m:
-            kept = tableaus.get(basis)
         try:
-            if tab.start_warm(basis, kept):
+            if tab.start_warm(basis, tableaus):
                 status = _dual_iterate(tab, cost, max_iter)
                 if status == INFEASIBLE:
                     return LpResult(status=INFEASIBLE, iterations=tab.pivots)
                 if status == OPTIMAL:
                     return _phase2(tab, cost, max_iter, tableaus)
         except NumericalFailure:
-            pass  # the cold path below starts afresh
-        spent = tab.pivots
+            pass  # the slack basis below starts afresh; tab.pivots keeps counting
 
-    tab = _Tableau(lp, lo, hi)
-    tab.start_cold()
-    tab.pivots = spent
+    empty = LpBasis(np.arange(0), np.full(n, _FREE, dtype=np.int8))  # no row, all free
+    tab.start_warm(empty, None)
     status = _iterate(tab, None, max_iter)
     if status == UNBOUNDED:  # cannot happen: the violation is bounded below
         raise NumericalFailure("phase-1 reported unbounded")

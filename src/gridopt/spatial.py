@@ -319,7 +319,7 @@ def solve_box_nlp(nlp: BoxNlp, basis: Optional[LpBasis] = None) -> NlpResult:
     A box that crosses, or on which a linear row misses its right-hand side
     (``_rows_exclude_box``), is ``Infeasible`` with 0 nodes and no LP.
     ``basis`` warm-starts the root LP; it may come from another subproblem
-    (``solve_lp`` falls back to a cold start when it does not fit). An
+    (``solve_lp`` falls back to the slack basis when it does not fit). An
     infeasible root LP has no basis to hand on.
     """
     if np.any(nlp.var_lo > nlp.var_hi + 1e-12) or _rows_exclude_box(nlp):

@@ -121,6 +121,14 @@ class TestStatuses:
         res = solve_milp(lp, list(range(n)), time_limit=0.0)
         assert res.status == TIME_LIMIT
 
+    @pytest.mark.parametrize("limit", [np.nan, -5.0, -np.inf])
+    def test_time_limit_must_be_a_number_at_least_zero(self, limit):
+        # a NaN limit compares false with every elapsed time and never stops
+        # the search; a negative one stops it before the root
+        lp = _knapsack_lp([3.0, 2.0], [2.0, 1.0], 2.0)
+        with pytest.raises(ValueError, match="time_limit"):
+            solve_milp(lp, [0, 1], time_limit=limit)
+
 
 class TestDeterminism:
     def test_same_input_same_result(self):

@@ -96,6 +96,9 @@ class TestBuildInstance:
             build_opo_instance(Scenario("X", 0, 0, (3, 3, 3), (3, 3, 3, 3)), 0)
         with pytest.raises(InvalidScenario):
             build_opo_instance(Scenario("X", 1, 0, (1, 3, 3), (3, 3, 3, 3)), 0)
+        for manifolds in (2, -1):  # more manifolds than wells, or fewer than none
+            with pytest.raises(InvalidScenario):
+                build_opo_instance(Scenario("X", 1, manifolds, (3, 3, 3), (3, 3, 3, 3)), 0)
 
     def test_s1_shape(self):
         inst = build_opo_instance(get_scenario("S1"), 0)

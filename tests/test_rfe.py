@@ -240,6 +240,14 @@ class TestTimeLimit:
         res = solve_rfe(ir, time_limit=0.0)
         assert res.status == "TimeLimit"
 
+    @pytest.mark.parametrize("limit", [np.nan, -5.0, -np.inf])
+    def test_time_limit_must_be_a_number_at_least_zero(self, limit):
+        # a NaN limit was ignored (Optimal after a full solve), a negative one
+        # gave TimeLimit with no round
+        ir = build_opo_instance(get_scenario("S1", "desk"), 0).ir
+        with pytest.raises(ValueError, match="time_limit"):
+            solve_rfe(ir, time_limit=limit)
+
     def test_milp_bound_survives_the_limit(self):
         # the root LP of desk S4-0 takes about 0.3 s, so bnb stops right
         # after it; its bound must reach the result

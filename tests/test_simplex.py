@@ -436,6 +436,29 @@ def dual_outcomes(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def refactorizations(monkeypatch):
+    """One entry per call of ``_Tableau.refactorize``."""
+    seen = []
+    real = simplex._Tableau.refactorize
+    monkeypatch.setattr(simplex._Tableau, "refactorize", lambda tab: seen.append(1) or real(tab))
+    return seen
+
+
+def test_slack_start_is_not_factorized(refactorizations):
+    # the slack basis's tableau is [A I], so a cold solve refactorizes only at
+    # the 150-pivot cadence
+    rng = np.random.default_rng(39)
+    pivoted = 0
+    for k in range(120):
+        lp = _random_lp(rng, n=5 + k % 25, m=4 + k % 20)
+        refactorizations.clear()
+        res = solve_lp(lp)
+        assert res.iterations < 150 and not refactorizations
+        pivoted += res.iterations > 0
+    assert pivoted > 100
+
+
 def _assert_matches_scipy(res, lp: LpProblem) -> str:
     ref = _scipy_solve(lp)
     if ref.status == 0:
@@ -549,7 +572,7 @@ class TestWarmStart:
         assert dual_outcomes == [OPTIMAL]
 
     @pytest.mark.parametrize("stage", ["_dual_iterate", "_phase2"])
-    def test_numerical_failure_falls_back_to_cold(self, monkeypatch, stage):
+    def test_numerical_failure_falls_back_to_cold(self, monkeypatch, refactorizations, stage):
         rng = np.random.default_rng(37)
         lp, res = next(_optimal_lps(rng, 1))
         a = rng.normal(size=lp.ncols)
@@ -557,9 +580,10 @@ class TestWarmStart:
         cold = solve_lp(cut)
         real = getattr(simplex, stage)
         calls = []
+        refactorizations.clear()
 
         def fail_first(tab, *args):
-            calls.append(tab.pivots)
+            calls.append((tab.pivots, len(refactorizations)))
             if len(calls) == 1:
                 raise NumericalFailure("ill-conditioned warm basis")
             return real(tab, *args)
@@ -569,8 +593,11 @@ class TestWarmStart:
         assert got.status == cold.status
         assert got.objective == cold.objective
         np.testing.assert_array_equal(got.x, cold.x)
+        spent, warm_refactorizations = calls[0]
         # the pivots of the abandoned warm attempt stay counted
-        assert got.iterations == cold.iterations + calls[0]
+        assert got.iterations == cold.iterations + spent
+        # the warm start refactorized; the slack start after it did not
+        assert warm_refactorizations == 1 and len(refactorizations) == 1
 
 
 class _Kept(dict):
@@ -607,12 +634,7 @@ def _fixed(lp: LpProblem, j: int, val: float) -> LpProblem:
 
 class TestKeptTableau:
     @pytest.mark.parametrize("order", [(0.0, 1.0), (1.0, 0.0)], ids=["down_first", "up_first"])
-    def test_children_match_solves_without_it(self, monkeypatch, order):
-        refactorized = []
-        real = simplex._Tableau.refactorize
-        monkeypatch.setattr(
-            simplex._Tableau, "refactorize", lambda tab: refactorized.append(1) or real(tab)
-        )
+    def test_children_match_solves_without_it(self, refactorizations, order):
         rng = np.random.default_rng(41)
         pivoted = 0
         for lp, j in _branched_lps(rng, 60):
@@ -621,9 +643,9 @@ class TestKeptTableau:
             for val in order:
                 child = _fixed(lp, j, val)
                 alone = solve_lp(child, basis=parent.basis)
-                refactorized.clear()
+                refactorizations.clear()
                 got = solve_lp(child, basis=parent.basis, tableaus=tableaus)
-                assert tableaus.found[-1] and not refactorized
+                assert tableaus.found[-1] and not refactorizations
                 assert got.status == alone.status
                 if got.status == OPTIMAL:
                     assert got.objective == pytest.approx(alone.objective, abs=1e-9, rel=1e-9)

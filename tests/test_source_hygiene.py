@@ -2,8 +2,8 @@
 import inside a function or class, no private function or method that
 nothing in ``src/gridopt`` calls, no dataclass field and no module-level
 constant that nothing reads, no exception class that nothing raises, no
-environment read outside the command line, and no kept simplex tableau
-outside the MILP tree."""
+environment read outside the command line, no kept simplex tableau
+outside the MILP tree, and one simplex tableau per LP solve."""
 
 import ast
 from pathlib import Path
@@ -314,8 +314,8 @@ def test_environment_reads_are_found(tmp_path):
     assert _environment_reads([mod]) == ["mod.py:2", "mod.py:3", "mod.py:4"]
 
 
-def _solve_lp_calls(path: Path, function: str) -> int:
-    """Calls to ``solve_lp``, by name or as an attribute, in the body of the
+def _calls(path: Path, function: str, callee: str) -> int:
+    """Calls to ``callee``, by name or as an attribute, in the body of the
     module-level ``function``, nested functions included."""
     tree = ast.parse(path.read_text(), filename=str(path))
     (body,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
@@ -324,14 +324,14 @@ def _solve_lp_calls(path: Path, function: str) -> int:
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            calls += name == "solve_lp"
+            calls += name == callee
     return calls
 
 
 @pytest.mark.parametrize("module, function", [("bnb", "solve_milp"), ("spatial", "solve_box_nlp")])
 def test_each_tree_solves_its_node_lps_in_one_place(module, function):
     """Every node of the tree, its root included, takes one path from LP solve to heap."""
-    assert _solve_lp_calls(ROOT / "src" / "gridopt" / f"{module}.py", function) == 1
+    assert _calls(ROOT / "src" / "gridopt" / f"{module}.py", function, "solve_lp") == 1
 
 
 def test_solve_lp_calls_are_counted(tmp_path):
@@ -345,7 +345,28 @@ def test_solve_lp_calls_are_counted(tmp_path):
         "    return s.solve_lp(lp), solve_lp\n"
         "def other(lp): return solve_lp(lp)\n"
     )
-    assert _solve_lp_calls(mod, "tree") == 3
+    assert _calls(mod, "tree", "solve_lp") == 3
+
+
+def test_each_lp_solve_builds_one_tableau():
+    """A cold start and the fallback after a failed warm start both start the
+    one tableau from a basis: the slack basis is the empty basis's start."""
+    assert _calls(ROOT / "src" / "gridopt" / "simplex.py", "solve_lp", "_Tableau") == 1
+
+
+def test_tableau_constructions_are_counted(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "import simplex\n"
+        "from simplex import _Tableau\n"
+        "def solve_lp(lp):\n"
+        "    tab = _Tableau(lp)\n"
+        "    if lp.warm:\n"
+        "        tab = simplex._Tableau(lp)\n"
+        "    return tab, _Tableau, _Tableau.refactorize(tab)\n"
+        "def other(lp): return _Tableau(lp)\n"
+    )
+    assert _calls(mod, "solve_lp", "_Tableau") == 2
 
 
 def _tableau_passers(paths: list[Path]) -> list[str]:
