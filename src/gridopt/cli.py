@@ -103,7 +103,7 @@ def _load(path: str):
 def _solve_one(ir, engine: str, time_limit: Optional[float]):
     t0 = time.monotonic()
     if engine == "oracle":
-        res = solve_by_enumeration(ir)
+        res = solve_by_enumeration(ir, time_limit=time_limit)
     else:
         res = solve_rfe(ir, time_limit=time_limit)
     return res, time.monotonic() - t0

@@ -115,6 +115,11 @@ class _Subproblems:
         )
 
 
+def _check_time_limit(time_limit: Optional[float]) -> None:
+    if time_limit is not None and not time_limit >= 0.0:  # NaN would disable it
+        raise ValueError(f"time_limit must be a number >= 0, not {time_limit!r}")
+
+
 def solve_rfe(ir: ProblemIR, time_limit: Optional[float] = None) -> RfeResult:
     """Solve the IR to proven global optimality.
 
@@ -122,8 +127,7 @@ def solve_rfe(ir: ProblemIR, time_limit: Optional[float] = None) -> RfeResult:
     (so for a maximization input, ``objective`` is the maximum found and
     ``bound`` an upper bound).
     """
-    if time_limit is not None and not time_limit >= 0.0:  # NaN would disable it
-        raise ValueError(f"time_limit must be a number >= 0, not {time_limit!r}")
+    _check_time_limit(time_limit)
     t0 = time.monotonic()
     milp = build_relaxation(ir)
     cells = _Subproblems(ir)
@@ -219,15 +223,21 @@ def _all_cells(shape):
     return list(itertools.product(*(range(K - 1) for K in shape)))
 
 
-def solve_by_enumeration(ir: ProblemIR) -> RfeResult:
+def solve_by_enumeration(ir: ProblemIR, time_limit: Optional[float] = None) -> RfeResult:
     """Reference global solver: solve every cell/binary subproblem outright.
 
     Exponential in problem size and guarded by ``ENUM_LIMIT`` subproblems;
     intended as an independent check of :func:`solve_rfe` on small instances.
     The first cell whose relaxation is unbounded ends it as ``Unbounded``.
+    ``time_limit`` is checked before each cell; once it has passed, the
+    result is ``TimeLimit`` with the incumbent and no finite bound.
     """
+    _check_time_limit(time_limit)
+    t0 = time.monotonic()
     cells = _Subproblems(ir)
     for fixing in _enumerate_fixings(ir):
+        if time_limit is not None and time.monotonic() - t0 >= time_limit:
+            return cells.result(TIME_LIMIT, -np.inf)
         if cells.solve(fixing) == UNBOUNDED:
             return cells.result(UNBOUNDED, -np.inf)
     return cells.result(*cells.final(-np.inf))

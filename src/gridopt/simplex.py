@@ -35,12 +35,20 @@ whatever the reduced costs, and a start that is not dual feasible is made
 optimal by the primal clean-up pass. Appended rows enter the basis with their slack, so a cut that
 the old optimum violates is the one infeasible row. Nonbasic columns take the
 bound their status names under the new bounds; a free one that gained a bound
-takes it. The solve falls back to the slack basis, keeping the pivots already
-spent in ``iterations``, when the shapes do not fit (another column count, or
-fewer rows), a nonbasic column would sit at an infinite bound, the dual loop
-hits its iteration or degeneracy limit, or the warm attempt raises
-``NumericalFailure`` anywhere (a singular basis, or one too ill-conditioned
-for the residual check).
+takes it.
+
+A basis that is singular on the new rows (LAPACK finds a zero pivot, or
+B^-1 B misses I by more than 1e-7, since round-off can hide a zero pivot) is
+repaired, not given up: Gaussian elimination over the basic columns in order
+finds those that depend on earlier ones, each leaves for the slack of a row
+no pivot covers (Bixby 1992, slack substitution), and the basis is
+refactorized once more. A dropped column sits at its finite lower bound, else
+its finite upper bound, else free at 0. The solve falls back to the slack
+basis, keeping the pivots already spent in ``iterations``, when the shapes do
+not fit (another column count, or fewer rows), a nonbasic column would sit at
+an infinite bound, the dual loop hits its iteration or degeneracy limit, or
+the warm attempt raises ``NumericalFailure`` anywhere (a basis still singular
+after its repair, or one too ill-conditioned for the residual check).
 
 Kept tableaus (``solve_lp(lp, basis, tableaus=d)``). A caller whose LPs all
 have one coefficient matrix A, as a branch-and-bound tree's do, may pass them
@@ -209,8 +217,9 @@ class _Tableau:
         slack, so from the empty basis (no row, every column free) this is the
         slack basis, whose tableau is [A I] with nothing to factorize. A start
         over these rows found in ``tableaus`` copies its kept tableau and
-        recomputes only the basic values; any other start refactorizes.
-        Raises NumericalFailure if the basis is singular.
+        recomputes only the basic values; any other start refactorizes. A
+        basis singular on these rows is repaired once (``repair``); raises
+        NumericalFailure if it is still singular.
         """
         n, m, lp = self.n, self.m, self.lp
         m0 = start.basis.size
@@ -234,7 +243,10 @@ class _Tableau:
             return True
         kept = tableaus.get(start) if tableaus is not None and m0 == m else None
         if kept is None:
-            self.refactorize()
+            if not self.try_refactorize():  # singular on these rows: repair it, once
+                self.repair()
+                if not self.try_refactorize():
+                    raise NumericalFailure("singular basis after repair")
             return True
         T, self.eta = kept
         self.T = T.copy()  # siblings start from one kept tableau
@@ -254,6 +266,50 @@ class _Tableau:
         resid = self.lp.rhs - Afull[:, nb_mask] @ self.xval[nb_mask]
         self.xB = np.linalg.solve(B, resid)
         self.eta = 0
+
+    def try_refactorize(self) -> bool:
+        """Refactorize; False if the basis is singular. LAPACK flags only an
+        exactly zero pivot, and round-off can hide one, so B^-1 B must also be
+        I within _PIV_TOL."""
+        try:
+            self.refactorize()
+        except NumericalFailure:
+            return False
+        return np.abs(self.T[:, self.basis] - np.eye(self.m)).max(initial=0.0) <= _PIV_TOL
+
+    def repair(self) -> None:
+        """Swap the basic columns that depend on earlier ones for slacks.
+
+        Gaussian elimination takes the basic columns in order, each pivoting
+        on its largest entry in a row no earlier pivot covers; a column with
+        no such entry above _PIV_TOL of its own largest entry is dependent.
+        Each dependent column leaves for the slack of an uncovered row (Bixby
+        1992), at its lower bound if finite, else its upper bound, else free
+        at 0. A slack is basic only in a row its own pivot covers, so every
+        slack that enters was nonbasic.
+        """
+        W = np.hstack([self.lp.A, np.eye(self.m)])[:, self.basis]
+        tol = _PIV_TOL * np.abs(W).max(axis=0)
+        covered = np.zeros(self.m, dtype=bool)
+        dependent = []
+        for k in range(self.m):
+            col = W[:, k]  # zero in every covered row: each pivot zeroes its row
+            r = int(np.abs(col).argmax())
+            if not abs(col[r]) > tol[k]:
+                dependent.append(k)
+                continue
+            covered[r] = True
+            W[:, k + 1 :] -= np.outer(col / col[r], W[r, k + 1 :])
+        for k, r in zip(dependent, (~covered).nonzero()[0].tolist()):
+            j = self.basis[k]
+            if np.isfinite(self.lo[j]):
+                self.vstat[j], self.xval[j] = _AT_LO, self.lo[j]
+            elif np.isfinite(self.hi[j]):
+                self.vstat[j], self.xval[j] = _AT_UP, self.hi[j]
+            else:
+                self.vstat[j], self.xval[j] = _FREE, 0.0
+            self.basis[k] = self.n + r
+            self.vstat[self.n + r] = _BASIC
 
     def exchange(self, row: int, j: int, delta: float, leave_up: bool) -> None:
         """Move column j by ``delta`` into the basis at ``row``; the basic there

@@ -136,6 +136,15 @@ class TestSolve:
         assert code == 4
         assert json.loads(rep.read_text())["status"] == "TimeLimit"
 
+    def test_oracle_time_limit_exit_code(self, tmp_path):
+        # the limit used to reach only the rfe engine
+        path, rep = tmp_path / "s1.json", tmp_path / "r.json"
+        assert main(["generate", "--scenario", "S1", "--seed", "0", "-o", str(path)]) == 0
+        argv = ["solve", str(path), "--engine", "oracle", "--time-limit", "0", "--report", str(rep)]
+        assert main(argv) == 4
+        doc = json.loads(rep.read_text())
+        assert doc["status"] == "TimeLimit" and doc["subproblems"] == 0
+
     @pytest.mark.parametrize("value", ["nan", "-5", "-inf", "soon"])
     def test_time_limit_rejects_nonsense(self, tmp_path, capsys, value):
         # nan once disabled the limit silently, and -5 stopped before any solve

@@ -248,6 +248,19 @@ class TestTimeLimit:
         with pytest.raises(ValueError, match="time_limit"):
             solve_rfe(ir, time_limit=limit)
 
+    def test_enumeration_stops_before_its_first_cell(self):
+        ir = build_opo_instance(get_scenario("S1", "desk"), 0).ir
+        res = solve_by_enumeration(ir, time_limit=0.0)
+        assert res.status == "TimeLimit"
+        assert res.subproblems_solved == 0
+        assert res.x is None and not np.isfinite(res.bound)
+
+    @pytest.mark.parametrize("limit", [np.nan, -5.0])
+    def test_enumeration_time_limit_must_be_a_number_at_least_zero(self, limit):
+        ir = build_opo_instance(get_scenario("S1", "desk"), 0).ir
+        with pytest.raises(ValueError, match="time_limit"):
+            solve_by_enumeration(ir, time_limit=limit)
+
     def test_milp_bound_survives_the_limit(self):
         # the root LP of desk S4-0 takes about 0.3 s, so bnb stops right
         # after it; its bound must reach the result

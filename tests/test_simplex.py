@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from gridopt import _kernels, simplex
+from gridopt import _kernels, rfe, simplex
 from gridopt.errors import NumericalFailure, ProblemTooLarge
+from gridopt.opo import build_opo_instance, get_scenario
 from gridopt.simplex import (
     _AT_LO,
     _AT_UP,
@@ -598,6 +599,96 @@ class TestWarmStart:
         assert got.iterations == cold.iterations + spent
         # the warm start refactorized; the slack start after it did not
         assert warm_refactorizations == 1 and len(refactorizations) == 1
+
+
+def _identical_basic_columns(rng, count: int):
+    """(lp, basis) for the first ``count`` random LPs with an optimal basis
+    that holds two structural columns, or a structural column and a slack:
+    ``basis`` is that basis, and ``lp`` the LP with the first of the two
+    columns made a copy of the second, so the basis is singular on it."""
+    while count:
+        lp = _random_lp(rng, n=8, m=6)
+        res = solve_lp(lp)
+        if res.status != OPTIMAL:
+            continue
+        basic = res.basis.basis
+        structural = basic[basic < lp.ncols]
+        slack = basic[basic >= lp.ncols]
+        A = lp.A.copy()
+        if rng.integers(2) and structural.size >= 1 and slack.size >= 1:
+            j, i = structural[0], slack[0] - lp.ncols
+            A[:, j] = 0.0
+            A[i, j] = 1.0  # the slack's column in [A I]
+        elif structural.size >= 2:
+            A[:, structural[0]] = A[:, structural[1]]
+        else:
+            continue
+        count -= 1
+        yield dataclasses.replace(lp, A=A), res.basis
+
+
+class TestSingularWarmStart:
+    """A basis singular on the new rows is repaired, not given up for the
+    slack basis: its dependent columns leave for slacks, and the dual simplex
+    starts from what is left."""
+
+    @pytest.mark.parametrize(
+        "seed, lapack_raises", [(40, True), (65, False)], ids=["zero_pivot", "round_off"]
+    )
+    def test_identical_basic_columns_reach_the_dual(self, dual_outcomes, seed, lapack_raises):
+        lp, basis = next(_identical_basic_columns(np.random.default_rng(seed), 1))
+        B = np.hstack([lp.A, np.eye(lp.nrows)])[:, basis.basis]
+        assert np.linalg.matrix_rank(B) == lp.nrows - 1
+        try:  # round-off can leave LAPACK a nonzero pivot in a singular matrix
+            np.linalg.solve(B, lp.rhs)
+            assert not lapack_raises
+        except np.linalg.LinAlgError:
+            assert lapack_raises
+        got = solve_lp(lp, basis=basis)
+        assert dual_outcomes == [OPTIMAL]
+        assert _assert_matches_scipy(got, lp) == OPTIMAL
+        assert got.objective == pytest.approx(solve_lp(lp).objective, abs=1e-9, rel=1e-9)
+
+    def test_random_family_matches_cold_and_scipy(self, dual_outcomes):
+        rng = np.random.default_rng(46)
+        seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+        for lp, basis in _identical_basic_columns(rng, 60):
+            dual_outcomes.clear()
+            got = solve_lp(lp, basis=basis)
+            assert dual_outcomes in ([OPTIMAL], [INFEASIBLE])  # no slack restart
+            cold = solve_lp(lp)
+            assert got.status == cold.status
+            if _scipy_solve(lp).status == 3:
+                assert got.status == UNBOUNDED
+            else:
+                _assert_matches_scipy(got, lp)
+            if got.status == OPTIMAL:
+                assert got.objective == pytest.approx(cold.objective, abs=1e-9, rel=1e-9)
+            seen[got.status] += 1
+        assert min(seen.values()) > 0, seen
+
+
+def test_desk_s1_enumeration_gives_up_no_singular_start(monkeypatch):
+    """Enumerating desk S1-0 starts each cell's root LP from the previous
+    cell's root basis, which is often singular on the new cell's rows. Each
+    such start is repaired; none falls back to the slack basis."""
+    starts, failed = [], []
+    start_warm = simplex._Tableau.start_warm
+
+    def spy_start(tab, start, tableaus):
+        if start.basis.size:
+            starts.append(1)
+        try:
+            return start_warm(tab, start, tableaus)
+        except NumericalFailure as exc:
+            failed.append(str(exc))
+            raise
+
+    monkeypatch.setattr(simplex._Tableau, "start_warm", spy_start)
+    res = rfe.solve_by_enumeration(build_opo_instance(get_scenario("S1", "desk"), 0).ir)
+    assert res.status == OPTIMAL
+    assert len(starts) == 42
+    assert failed == []  # 7 of the 42 fell back before the repair
 
 
 class _Kept(dict):

@@ -3,7 +3,8 @@ import inside a function or class, no private function or method that
 nothing in ``src/gridopt`` calls, no dataclass field and no module-level
 constant that nothing reads, no exception class that nothing raises, no
 environment read outside the command line, no kept simplex tableau
-outside the MILP tree, and one simplex tableau per LP solve."""
+outside the MILP tree, one simplex tableau per LP solve, and one row screen
+in spatial."""
 
 import ast
 from pathlib import Path
@@ -332,6 +333,47 @@ def _calls(path: Path, function: str, callee: str) -> int:
 def test_each_tree_solves_its_node_lps_in_one_place(module, function):
     """Every node of the tree, its root included, takes one path from LP solve to heap."""
     assert _calls(ROOT / "src" / "gridopt" / f"{module}.py", function, "solve_lp") == 1
+
+
+def _readers(path: Path, name: str) -> list[str]:
+    """The module-level functions whose body, nested functions included,
+    loads ``name``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        top.name
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef)
+        and any(
+            isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load)
+            for n in ast.walk(top)
+        )
+    ]
+
+
+def test_spatial_screens_cells_and_pinned_steps_with_one_function():
+    """A row screen reads bounds and right-hand sides ``FEAS_TOL`` wider, so
+    that it rejects only what the simplex would call infeasible. One function
+    in spatial does, and both the cell's root and every pinned step call it."""
+    path = ROOT / "src" / "gridopt" / "spatial.py"
+    assert _readers(path, "FEAS_TOL") == ["_rows_exclude_box"]
+    for caller in ("solve_box_nlp", "_pinned_step"):
+        assert _calls(path, caller, "_rows_exclude_box") == 1
+
+
+def test_name_readers_are_found(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "TOL = 1\n"
+        "def direct(x): return x + TOL\n"
+        "def nested(x):\n"
+        "    def inner(): return TOL\n"
+        "    return inner\n"
+        "def writes(x):\n"
+        "    TOL = 2\n"
+        "    return x\n"
+        "def attribute(m): return m.TOL\n"
+    )
+    assert _readers(mod, "TOL") == ["direct", "nested"]
 
 
 def test_solve_lp_calls_are_counted(tmp_path):

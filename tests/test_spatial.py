@@ -20,6 +20,7 @@ from gridopt.spatial import (
     NODE_LIMIT,
     _ir_lp,
     _node_lp,
+    _pinned_step,
     _rows_exclude_box,
     _split,
     _write_box,
@@ -487,7 +488,7 @@ class TestScreen:
                 LinConstraint(((1.0, 0), (1.0, 1)), "<=", 0.5),
             ],
         )
-        assert not _rows_exclude_box(nlp)
+        assert not _rows_exclude_box(nlp.ir, nlp.var_lo, nlp.var_hi)
         calls = []
 
         def counted(*args, **kwargs):
@@ -518,7 +519,7 @@ class TestScreen:
         assert 5e-8 < FEAS_TOL < 1e-5
         g = make_grid([[0.0, 1.0]])
         nlp = _single_cell_nlp(make_table(g, [0.0, 1.0]), [row(miss)])
-        assert _rows_exclude_box(nlp) == screened
+        assert _rows_exclude_box(nlp.ir, nlp.var_lo, nlp.var_hi) == screened
         calls = []
 
         def counted(*args, **kwargs):
@@ -546,7 +547,7 @@ class TestScreen:
         )
         nlp = build_subproblem(ir, _fixing((0,)))
         assert nlp.var_lo[2] == -np.inf and nlp.var_hi[2] == np.inf
-        assert _rows_exclude_box(nlp)
+        assert _rows_exclude_box(nlp.ir, nlp.var_lo, nlp.var_hi)
 
     @pytest.mark.parametrize("instance", ["pool", "desk-S1-0"])
     def test_screened_cells_have_infeasible_cold_roots(self, instance):
@@ -559,7 +560,7 @@ class TestScreen:
             for fixing in rfe._enumerate_fixings(ir):
                 nlp = build_subproblem(ir, fixing)
                 cells += 1
-                if _rows_exclude_box(nlp):
+                if _rows_exclude_box(nlp.ir, nlp.var_lo, nlp.var_hi):
                     screened += 1
                     root = _node_lp(_ir_lp(nlp), nlp.blocks)
                     _write_box(root, nlp.blocks, nlp.var_lo, nlp.var_hi)
@@ -582,6 +583,72 @@ class TestScreen:
         res = solve_box_nlp(build_subproblem(ir, _fixing((0,))))
         assert res.status == UNBOUNDED
         assert res.x is None and res.nodes == 1
+
+
+class TestPinnedStepScreen:
+    """A pinned step runs the cell's row screen over its pinned bounds first."""
+
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve_lp(*args, **kwargs)
+
+        monkeypatch.setattr(spatial, "solve_lp", counted)
+        return calls
+
+    @pytest.mark.parametrize("cap, screened", [(0.5, True), (1.5, False)])
+    def test_row_missed_over_the_pinned_bounds_takes_no_lp(self, lp_calls, cap, screened):
+        # f(x) = 2x on [0, 1] and y <= cap: pinning x at 0.5 pins y at f = 1
+        g = make_grid([[0.0, 1.0]])
+        nlp = _single_cell_nlp(make_table(g, [0.0, 2.0]), [LinConstraint(((1.0, 1),), "<=", cap)])
+        assert not _rows_exclude_box(nlp.ir, nlp.var_lo, nlp.var_hi)
+        got = _pinned_step(nlp, _ir_lp(nlp), np.array([0.5, 0.0]), set())
+        assert len(lp_calls) == (0 if screened else 1)
+        if screened:
+            assert got is None
+        else:
+            np.testing.assert_allclose(got[0], [0.5, 1.0])
+
+    def test_screened_steps_are_infeasible_lps(self, monkeypatch):
+        """Every pinned step the screen rejects, on enumerating desk S1 seeds
+        0-3 and pool seeds 0-9, is an infeasible LP when solved anyway."""
+        screen = spatial._rows_exclude_box
+        in_step = [False]
+        statuses = []  # of the LPs of steps the screen rejects
+
+        def step(*args):
+            in_step[0] = True
+            try:
+                return pinned_step(*args)
+            finally:
+                in_step[0] = False
+
+        def spy_screen(*args):
+            rejects = screen(*args)
+            if in_step[0] and rejects:
+                statuses.append(None)  # filled in by the LP that follows
+                return False
+            return rejects
+
+        def spy_solve(*args, **kwargs):
+            res = solve_lp(*args, **kwargs)
+            if in_step[0] and statuses and statuses[-1] is None:
+                statuses[-1] = res.status
+            return res
+
+        pinned_step = spatial._pinned_step
+        monkeypatch.setattr(spatial, "_pinned_step", step)
+        monkeypatch.setattr(spatial, "_rows_exclude_box", spy_screen)
+        monkeypatch.setattr(spatial, "solve_lp", spy_solve)
+        irs = [build_opo_instance(get_scenario("S1", "desk"), s).ir for s in range(4)]
+        irs += [random_instance(s) for s in range(10)]
+        for ir in irs:
+            rfe.solve_by_enumeration(ir)
+        assert len(statuses) == 36
+        assert set(statuses) == {INFEASIBLE}
 
 
 class TestWarmNodeLps:
