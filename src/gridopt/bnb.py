@@ -88,6 +88,13 @@ def prune_level(value: float, gap: float = REL_GAP) -> float:
     return value - gap * max(1.0, abs(value))
 
 
+def check_time_limit(time_limit: Optional[float]) -> None:
+    """Raise ``ValueError`` unless ``time_limit`` is None (no limit) or a
+    number >= 0. NaN is rejected too: it would disable the limit."""
+    if time_limit is not None and not time_limit >= 0.0:
+        raise ValueError(f"time_limit must be a number >= 0, not {time_limit!r}")
+
+
 def _violates_new_rows(lp: LpProblem, node: Node) -> bool:
     """Does the node's x violate a row appended after its basis was taken?"""
     m0 = node.basis.basis.size
@@ -115,8 +122,7 @@ def solve_milp(
     fewer rows, or the same ``lp``; without it the search starts at the root.
     Deterministic for identical input and limits (up to wall-clock cutoffs).
     """
-    if time_limit is not None and not time_limit >= 0.0:  # NaN would disable it
-        raise ValueError(f"time_limit must be a number >= 0, not {time_limit!r}")
+    check_time_limit(time_limit)
     t0 = time.monotonic()
     binary_cols = sorted(int(c) for c in binary_cols)
     cut_level = prune_level(cutoff)

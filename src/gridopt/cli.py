@@ -24,6 +24,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 
 from . import instancefile
+from .bnb import check_time_limit
 from .errors import GridOptError
 from .export import FORMATS, export_milp
 from .opo import build_opo_instance, get_scenario
@@ -205,8 +206,7 @@ def cmd_bench(args) -> int:
 def _time_limit(text: str) -> float:
     """Seconds, a number >= 0; ``inf`` is no limit."""
     value = float(text)
-    if not value >= 0.0:  # NaN too: it would silently disable the limit
-        raise argparse.ArgumentTypeError(f"must be a number >= 0, not {text!r}")
+    check_time_limit(value)
     return value
 
 

@@ -10,6 +10,7 @@ parse followed by serialize is the identity on canonical files.
 from __future__ import annotations
 
 import json
+import numbers
 from typing import Optional
 
 from .gridtab import make_grid, make_table
@@ -78,6 +79,16 @@ def ir_to_dict(
     }
 
 
+def _int(value, what: str, size: Optional[int] = None) -> int:
+    """``value`` as an id or index: an integer, not a bool, and in
+    ``range(size)`` when a size is given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    if size is not None and not 0 <= value < size:
+        raise ValueError(f"{what} {value} is out of range for {size} entries")
+    return int(value)
+
+
 def ir_from_dict(doc: dict) -> ProblemIR:
     if "version" not in doc:
         raise ValueError("instance file is missing the version field")
@@ -89,12 +100,15 @@ def ir_from_dict(doc: dict) -> ProblemIR:
             raise ValueError(f"unsupported value ordering {t.get('ordering')!r}")
         tables.append(make_table(make_grid(t["axes"]), t["values"]))
     variables = [
-        VarRef(int(v["id"]), v["kind"], float(v["lo"]), float(v["hi"]), v.get("name", ""))
+        VarRef(
+            _int(v["id"], "variable id"), v["kind"], float(v["lo"]), float(v["hi"]),
+            v.get("name", ""),
+        )
         for v in doc["variables"]
     ]
     constraints = [
         LinConstraint(
-            tuple((float(c), int(v)) for c, v in cons["terms"]),
+            tuple((float(c), _int(v, "term id")) for c, v in cons["terms"]),
             cons["sense"],
             float(cons["rhs"]),
             cons.get("name", ""),
@@ -103,19 +117,22 @@ def ir_from_dict(doc: dict) -> ProblemIR:
     ]
     interps = [
         InterpolantDef(
-            tables[int(i["table"])],
-            tuple(int(v) for v in i["inputs"]),
-            int(i["output"]),
-            None if i.get("activation") is None else int(i["activation"]),
+            tables[_int(i["table"], "table index", len(tables))],
+            tuple(_int(v, "interpolant input") for v in i["inputs"]),
+            _int(i["output"], "interpolant output"),
+            None if i.get("activation") is None else _int(i["activation"], "activation"),
         )
         for i in doc["interpolants"]
     ]
+    maximize = doc.get("maximize", False)
+    if not isinstance(maximize, bool):
+        raise ValueError(f"maximize must be true or false, not {maximize!r}")
     return build_problem(
         variables,
         constraints,
         interps,
-        objective=[(float(c), int(v)) for c, v in doc["objective"]],
-        maximize=bool(doc.get("maximize", False)),
+        objective=[(float(c), _int(v, "objective id")) for c, v in doc["objective"]],
+        maximize=maximize,
         name=doc.get("name", ""),
     )
 

@@ -78,6 +78,18 @@ class ProblemIR:
         """Position in ``variables`` of each variable id."""
         return {v.id: i for i, v in enumerate(self.variables)}
 
+    @cached_property
+    def rows(self) -> tuple[tuple[tuple[tuple[int, float], ...], str, float], ...]:
+        """Each linear constraint as ``((position, coefficient), ...), sense,
+        rhs``, by position in ``variables``: the rows ``LpProblem.from_rows``
+        takes. This is the one translation of the constraints; the tuples are
+        shared, so a caller copies them before appending."""
+        pos = self.var_pos
+        return tuple(
+            (tuple((pos[v], cf) for cf, v in c.terms), c.sense, c.rhs)
+            for c in self.constraints
+        )
+
     @property
     def binary_ids(self) -> tuple[int, ...]:
         return tuple(v.id for v in self.variables if v.kind == BINARY)

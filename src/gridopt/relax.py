@@ -47,13 +47,15 @@ class InterpBlock:
 
 @dataclass
 class MilpModel:
+    """The relaxation's columns and rows. Its first columns are the IR
+    variables, each at its position ``ir.var_pos``."""
+
     names: list[str]
     lo: list[float]
     hi: list[float]
     is_binary: list[bool]
     obj: dict[int, float]
-    rows: list[Row]
-    var_col: dict[int, int]  # IR variable id -> column
+    rows: list[Row]  # the interpolant rows, the IR's rows, then the cuts
     blocks: list[InterpBlock]
     ir: ProblemIR
     cuts: list[int] = field(default_factory=list)  # row indices
@@ -139,16 +141,16 @@ def build_relaxation(ir: ProblemIR) -> MilpModel:
         isbin.append(binary)
         return len(names) - 1
 
-    var_col = {}
+    pos = ir.var_pos
     for v in ir.variables:
-        var_col[v.id] = add_col(v.name or f"v{v.id}", v.lo, v.hi, v.kind == BINARY)
+        add_col(v.name or f"v{v.id}", v.lo, v.hi, v.kind == BINARY)
 
     rows: list[Row] = []
     blocks: list[InterpBlock] = []
     for i, itp in enumerate(ir.interpolants):
         grid = itp.table.grid
         sizes = grid.shape
-        act = var_col[itp.activation] if itp.activation is not None else None
+        act = pos[itp.activation] if itp.activation is not None else None
         xi_cols = [
             [add_col(f"xi{i}_{j}_{k}", 0.0, 1.0) for k in range(K)]
             for j, K in enumerate(sizes)
@@ -166,7 +168,7 @@ def build_relaxation(ir: ProblemIR) -> MilpModel:
             axis = grid.axes[j]
             rows.append(
                 Row(
-                    [(var_col[itp.inputs[j]], 1.0)]
+                    [(pos[itp.inputs[j]], 1.0)]
                     + [(xi_cols[j][k], -float(axis[k])) for k in range(K)],
                     EQ,
                     0.0,
@@ -197,7 +199,7 @@ def build_relaxation(ir: ProblemIR) -> MilpModel:
                 rows.append(Row(terms, LE, 0.0, f"sos{i}_{j}_{k}"))
         rows.append(
             Row(
-                [(var_col[itp.output], 1.0)]
+                [(pos[itp.output], 1.0)]
                 + [
                     (int(lam_cols[k]), -float(itp.table.values[k]))
                     for k in range(grid.num_corners)
@@ -217,14 +219,12 @@ def build_relaxation(ir: ProblemIR) -> MilpModel:
             )
         )
 
-    for c in ir.constraints:
-        rows.append(
-            Row([(var_col[v], coef) for coef, v in c.terms], c.sense, c.rhs, c.name)
-        )
+    for (terms, sense, rhs), c in zip(ir.rows, ir.constraints):
+        rows.append(Row(list(terms), sense, rhs, c.name))
 
     obj: dict[int, float] = {}
     for coef, v in ir.objective:
-        obj[var_col[v]] = obj.get(var_col[v], 0.0) + coef
+        obj[pos[v]] = obj.get(pos[v], 0.0) + coef
 
     return MilpModel(
         names=names,
@@ -233,7 +233,6 @@ def build_relaxation(ir: ProblemIR) -> MilpModel:
         is_binary=isbin,
         obj=obj,
         rows=rows,
-        var_col=var_col,
         blocks=blocks,
         ir=ir,
     )
@@ -254,7 +253,7 @@ def extract_fixing(milp: MilpModel, solution: np.ndarray) -> Fixing:
         else:
             segments.append(tuple(int(np.argmax(solution[cols])) for cols in blk.seg_cols))
     bin_ids = tuple(sorted(milp.ir.binary_ids))
-    y = tuple(int(round(solution[milp.var_col[b]])) for b in bin_ids)
+    y = tuple(int(round(solution[milp.ir.var_pos[b]])) for b in bin_ids)
     return Fixing(segments=tuple(segments), y=y, binary_ids=bin_ids)
 
 
@@ -274,7 +273,7 @@ def add_no_good_cut(milp: MilpModel, fixing: Fixing) -> int:
             terms.append((blk.seg_cols[j][t], -1.0))
             ones += 1
     for vid, val in zip(fixing.binary_ids, fixing.y):
-        col = milp.var_col[vid]
+        col = milp.ir.var_pos[vid]
         if val == 1:
             terms.append((col, -1.0))
             ones += 1

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bnb import TIME_LIMIT, prune_level, solve_milp
+from .bnb import TIME_LIMIT, check_time_limit, prune_level, solve_milp
 from .errors import EnumerationTooLarge
 from .model import ProblemIR
 from .relax import Fixing, add_no_good_cut, build_relaxation, build_subproblem, extract_fixing
@@ -115,11 +115,6 @@ class _Subproblems:
         )
 
 
-def _check_time_limit(time_limit: Optional[float]) -> None:
-    if time_limit is not None and not time_limit >= 0.0:  # NaN would disable it
-        raise ValueError(f"time_limit must be a number >= 0, not {time_limit!r}")
-
-
 def solve_rfe(ir: ProblemIR, time_limit: Optional[float] = None) -> RfeResult:
     """Solve the IR to proven global optimality.
 
@@ -127,7 +122,7 @@ def solve_rfe(ir: ProblemIR, time_limit: Optional[float] = None) -> RfeResult:
     (so for a maximization input, ``objective`` is the maximum found and
     ``bound`` an upper bound).
     """
-    _check_time_limit(time_limit)
+    check_time_limit(time_limit)
     t0 = time.monotonic()
     milp = build_relaxation(ir)
     cells = _Subproblems(ir)
@@ -232,7 +227,7 @@ def solve_by_enumeration(ir: ProblemIR, time_limit: Optional[float] = None) -> R
     ``time_limit`` is checked before each cell; once it has passed, the
     result is ``TimeLimit`` with the incumbent and no finite bound.
     """
-    _check_time_limit(time_limit)
+    check_time_limit(time_limit)
     t0 = time.monotonic()
     cells = _Subproblems(ir)
     for fixing in _enumerate_fixings(ir):

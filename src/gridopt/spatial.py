@@ -63,6 +63,9 @@ before its solve, and the corner coefficients, -x and -f(x) at the box
 corners, of each interpolant whose inputs' bounds differ from the box written
 before. A child box changes one column bound and the corners of the
 interpolants that read it, which is why the parent's basis is a good start.
+The node LP's first rows are the IR's, ``ProblemIR.rows`` over the IR
+columns, and no box write touches them: the exact check and every pinned
+step read the IR's rows and objective there.
 """
 
 from __future__ import annotations
@@ -99,22 +102,11 @@ class NlpResult:
     root_basis: Optional[LpBasis] = None  # the root LP's final basis
 
 
-def _ir_lp(nlp: BoxNlp) -> LpProblem:
-    """The IR's linear part over the IR variables: objective, rows and bounds."""
-    ir = nlp.ir
-    pos = ir.var_pos
-    obj = np.zeros(len(ir.variables))
-    for cf, v in ir.objective:
-        obj[pos[v]] += cf
-    rows = [([(pos[v], cf) for cf, v in c.terms], c.sense, c.rhs) for c in ir.constraints]
-    return LpProblem.from_rows(len(obj), obj, nlp.var_lo, nlp.var_hi, rows)
-
-
 def _rows_exclude_box(ir: ProblemIR, var_lo: np.ndarray, var_hi: np.ndarray) -> bool:
     """Whether a linear row misses its right-hand side over the whole box
     [var_lo, var_hi] of the IR variables.
 
-    One pass over ``ir.constraints`` reads each row's least and greatest
+    One pass over ``ir.rows`` reads each row's least and greatest
     activity over the box: the box is empty when a ``<=`` or ``=`` row's
     least activity is above its right-hand side, or a ``>=`` or ``=`` row's
     greatest activity is below it. The margins follow the simplex's own
@@ -123,58 +115,52 @@ def _rows_exclude_box(ir: ProblemIR, var_lo: np.ndarray, var_hi: np.ndarray) -> 
     activity moves ``ROUND_OFF`` (relative) toward its right-hand side. Zero
     coefficients are skipped, since 0 * inf is NaN.
     """
-    pos = ir.var_pos
     lo = [v - FEAS_TOL for v in var_lo.tolist()]
     hi = [v + FEAS_TOL for v in var_hi.tolist()]
-    for c in ir.constraints:
+    for terms, sense, rhs in ir.rows:
         least = greatest = 0.0
-        for a, v in c.terms:
-            p = pos[v]
+        for p, a in terms:
             if a > 0.0:
                 least += a * lo[p]
                 greatest += a * hi[p]
             elif a < 0.0:
                 least += a * hi[p]
                 greatest += a * lo[p]
-        if c.sense != GE and least - ROUND_OFF * max(1.0, abs(least)) > c.rhs + FEAS_TOL:
+        if sense != GE and least - ROUND_OFF * max(1.0, abs(least)) > rhs + FEAS_TOL:
             return True
-        if c.sense != LE and greatest + ROUND_OFF * max(1.0, abs(greatest)) < c.rhs - FEAS_TOL:
+        if sense != LE and greatest + ROUND_OFF * max(1.0, abs(greatest)) < rhs - FEAS_TOL:
             return True
     return False
 
 
-def _extend(ir_lp: LpProblem, lo, hi, rows: list) -> LpProblem:
-    """``ir_lp`` widened to len(lo) columns bounded by lo and hi, ``rows`` appended."""
-    tail = LpProblem.from_rows(len(lo), np.zeros(len(lo)), lo, hi, rows)
-    head = np.zeros((ir_lp.nrows, len(lo)))
-    head[:, : ir_lp.ncols] = ir_lp.A
-    tail.obj[: ir_lp.ncols] = ir_lp.obj
-    return LpProblem(
-        obj=tail.obj, lo=tail.lo, hi=tail.hi, A=np.vstack([head, tail.A]),
-        senses=ir_lp.senses + tail.senses, rhs=np.concatenate([ir_lp.rhs, tail.rhs]),
-    )
-
-
-def _node_lp(ir_lp: LpProblem, blocks: list[CellBlock]) -> LpProblem:
+def _node_lp(nlp: BoxNlp) -> LpProblem:
     """The node LP over (ir vars, corner weights), with no box written yet.
 
-    Each block gets one weight in [0, 1] per corner of its inputs' box, and
-    rows that make its inputs and output the weighted sums of the corners and
-    of f there: the convex hull of f's graph over the box ``_write_box`` writes.
-    The IR columns' bounds are NaN until then, so the first write, which finds
-    them all changed, writes the corners of every block.
+    Its first ``len(ir.rows)`` rows are the IR's rows over the IR columns,
+    with the IR objective; ``_exact_candidate`` and ``_pinned_step`` read
+    them there. Each block then gets one weight in [0, 1] per corner of its
+    inputs' box, and rows that make its inputs and output the weighted sums
+    of the corners and of f there: the convex hull of f's graph over the box
+    ``_write_box`` writes. The IR columns' bounds are NaN until then, so the
+    first write, which finds them all changed, writes the corners of every
+    block.
     """
-    rows = []
-    col = ir_lp.ncols
-    for blk in blocks:
+    ir = nlp.ir
+    n = len(ir.variables)
+    rows = list(ir.rows)
+    col = n
+    for blk in nlp.blocks:
         lam = range(col, col + (1 << blk.n))
         rows += [([(p, 1.0)], EQ, 0.0) for p in blk.input_pos]
         rows.append(([(c, 1.0) for c in lam], EQ, 1.0))
         rows.append(([(blk.output_pos, 1.0)], EQ, 0.0))
         col += len(lam)
-    unset = np.full(ir_lp.ncols, np.nan)
-    k = col - ir_lp.ncols  # corner weights
-    return _extend(ir_lp, np.append(unset, np.zeros(k)), np.append(unset, np.ones(k)), rows)
+    obj = np.zeros(col)
+    for cf, v in ir.objective:
+        obj[ir.var_pos[v]] += cf
+    lo = np.append(np.full(n, np.nan), np.zeros(col - n))
+    hi = np.append(np.full(n, np.nan), np.ones(col - n))
+    return LpProblem.from_rows(col, obj, lo, hi, rows)
 
 
 def _write_box(lp: LpProblem, blocks: list[CellBlock], lo: np.ndarray, hi: np.ndarray) -> None:
@@ -222,48 +208,52 @@ def _split(
 
 
 def _exact_candidate(
-    ir_lp: LpProblem, blocks: list[CellBlock], xrel: np.ndarray
+    nlp: BoxNlp, lp: LpProblem, xrel: np.ndarray
 ) -> Optional[tuple[np.ndarray, float]]:
     """The node LP point as a candidate, if it already satisfies the IR.
 
-    The IR part of xrel is clipped to the variable bounds and each output is
-    set to f at its inputs; the point is taken when no output moved by more
-    than EXACT_TOL and the output bounds and linear rows still hold within it.
-    The objective is then the IR's at the point, not the LP's.
+    The IR part of xrel is clipped to the subproblem's bounds and each output
+    is set to f at its inputs; the point is taken when no output moved by
+    more than EXACT_TOL and the output bounds and the IR's rows, the node
+    LP ``lp``'s first rows over its IR columns, still hold within it. The
+    objective is then the IR's at the point, not the LP's.
     """
-    x = np.clip(xrel[: ir_lp.ncols], ir_lp.lo, ir_lp.hi)
-    for blk in blocks:
+    n, m = len(nlp.var_lo), len(nlp.ir.rows)
+    x = np.clip(xrel[:n], nlp.var_lo, nlp.var_hi)
+    for blk in nlp.blocks:
         fval = float(blk.f(x[blk.input_pos]))
         if abs(x[blk.output_pos] - fval) > EXACT_TOL:
             return None
         x[blk.output_pos] = fval
-    senses = np.array(ir_lp.senses)
-    excess = ir_lp.A @ x - ir_lp.rhs
+    senses = np.array(lp.senses[:m])
+    excess = lp.A[:m, :n] @ x - lp.rhs[:m]
     if (
-        np.any(x < ir_lp.lo - EXACT_TOL)
-        or np.any(x > ir_lp.hi + EXACT_TOL)
+        np.any(x < nlp.var_lo - EXACT_TOL)
+        or np.any(x > nlp.var_hi + EXACT_TOL)
         or np.any(excess[senses != GE] > EXACT_TOL)
         or np.any(excess[senses != LE] < -EXACT_TOL)
     ):
         return None
-    return x, float(ir_lp.obj @ x)
+    return x, float(lp.obj[:n] @ x)
 
 
 def _pinned_step(
-    nlp: BoxNlp, ir_lp: LpProblem, x: np.ndarray, free: set[int]
+    nlp: BoxNlp, lp: LpProblem, x: np.ndarray, free: set[int]
 ) -> Optional[tuple[np.ndarray, float]]:
     """Minimize over the IR's linear part with every input fixed at x except
     those in ``free``, at most one per block.
 
-    A block with no free input has its output pinned at f(x), within the
-    output's bounds (else lo > hi and the LP is infeasible); a free input
-    makes f affine along it, so a row ties the output to it exactly. None
-    when the LP is not optimal, or with no LP when a linear row misses its
-    right-hand side over the pinned bounds (``_rows_exclude_box``).
+    The LP is the IR's rows and objective, read from the node LP ``lp``'s
+    first rows and columns, within the subproblem's bounds. A block with no
+    free input has its output pinned at f(x), within the output's bounds
+    (else lo > hi and the LP is infeasible); a free input makes f affine
+    along it, so a row ties the output to it exactly. None when the LP is
+    not optimal, or with no LP when a linear row misses its right-hand side
+    over the pinned bounds (``_rows_exclude_box``).
     """
-    lo = ir_lp.lo.copy()
-    hi = ir_lp.hi.copy()
-    rows = []
+    lo = nlp.var_lo.copy()
+    hi = nlp.var_hi.copy()
+    rows = list(nlp.ir.rows)
     for blk in nlp.blocks:
         free_axes = [j for j, p in enumerate(blk.input_pos) if p in free]
         fixed = [p for p in blk.input_pos if p not in free]
@@ -282,7 +272,7 @@ def _pinned_step(
         rows.append(([(blk.output_pos, 1.0), (blk.input_pos[j], -slope)], EQ, const))
     if _rows_exclude_box(nlp.ir, lo, hi):
         return None
-    res = solve_lp(_extend(ir_lp, lo, hi, rows))
+    res = solve_lp(LpProblem.from_rows(lo.size, lp.obj[: lo.size], lo, hi, rows))
     if res.status != OPTIMAL:
         return None
     return res.x.copy(), res.objective
@@ -308,7 +298,7 @@ def _descent_steps(blocks: list[CellBlock]) -> list[set[int]]:
 
 
 def _coordinate_descent(
-    nlp: BoxNlp, ir_lp: LpProblem, best: tuple[np.ndarray, float]
+    nlp: BoxNlp, lp: LpProblem, best: tuple[np.ndarray, float]
 ) -> tuple[np.ndarray, float]:
     """Improve a candidate by re-optimizing a few input variables at a time.
 
@@ -320,7 +310,7 @@ def _coordinate_descent(
     for _ in range(3):
         improved = False
         for free in steps:
-            cand = _pinned_step(nlp, ir_lp, best[0], free)
+            cand = _pinned_step(nlp, lp, best[0], free)
             if cand is not None and cand[1] < best[1] - 1e-12:
                 best = cand
                 improved = True
@@ -343,14 +333,13 @@ def solve_box_nlp(nlp: BoxNlp, basis: Optional[LpBasis] = None) -> NlpResult:
     if _rows_exclude_box(nlp.ir, nlp.var_lo, nlp.var_hi):
         return NlpResult(status=INFEASIBLE)
     blocks = nlp.blocks
-    ir_lp = _ir_lp(nlp)
-    lp = _node_lp(ir_lp, blocks)
+    lp = _node_lp(nlp)
     best: tuple[Optional[np.ndarray], float] = (None, np.inf)  # the incumbent
     nodes = 0
     root_basis = None
     floor = np.inf  # least bound of a box left open: exhausted, or at the node limit
     tick = itertools.count()
-    root = Node(-np.inf, ir_lp.lo, ir_lp.hi, None, basis)
+    root = Node(-np.inf, nlp.var_lo, nlp.var_hi, None, basis)
     heap: list = [(root.bound, next(tick), root)]  # (bound, tick, node) of every open box
 
     def pruned(node_bound: float) -> bool:
@@ -373,12 +362,12 @@ def solve_box_nlp(nlp: BoxNlp, basis: Optional[LpBasis] = None) -> NlpResult:
                 best = (None, -np.inf)
             if res.status != OPTIMAL or pruned(res.objective):
                 continue
-            cand = _exact_candidate(ir_lp, blocks, res.x)
+            cand = _exact_candidate(nlp, lp, res.x)
             if cand is None:
-                x = np.clip(res.x[: ir_lp.ncols], node.lo, node.hi)
-                cand = _pinned_step(nlp, ir_lp, x, set())
+                x = np.clip(res.x[: node.lo.size], node.lo, node.hi)
+                cand = _pinned_step(nlp, lp, x, set())
                 if cand is not None:
-                    cand = _coordinate_descent(nlp, ir_lp, cand)
+                    cand = _coordinate_descent(nlp, lp, cand)
             if cand is not None and cand[1] < best[1] - 1e-15:
                 best = cand
             node = Node(res.objective, node.lo, node.hi, res.x, res.basis)

@@ -81,20 +81,20 @@ def test_criterion_2_relaxation_validity(crit1_runs):
                 z = np.zeros(milp.ncols)
                 for v in ir.variables:
                     if v.kind == BINARY:
-                        z[milp.var_col[v.id]] = 1.0
+                        z[milp.ir.var_pos[v.id]] = 1.0
                 for blk, itp in zip(milp.blocks, ir.interpolants):
                     x = [
                         rng.uniform(a[0], a[-1]) for a in itp.table.grid.axes
                     ]
                     for j, vid in enumerate(itp.inputs):
-                        z[milp.var_col[vid]] = x[j]
+                        z[milp.ir.var_pos[vid]] = x[j]
                         xi = weights_1d(blk.grid.axes[j], x[j])
                         for k, c in enumerate(blk.xi_cols[j]):
                             z[c] = xi[k]
                         z[blk.seg_cols[j][find_segment(blk.grid.axes[j], x[j])]] = 1.0
                     for kidx, w in lambda_weights(blk.grid, x).items():
                         z[blk.lam_cols[blk.grid.flat_index(kidx)]] = w
-                    z[milp.var_col[itp.output]] = interpolate(itp.table, x)
+                    z[milp.ir.var_pos[itp.output]] = interpolate(itp.table, x)
                 n_user = len(ir.constraints)
                 for row in milp.rows[: milp.nrows - n_user]:
                     lhs = sum(coef * z[c] for c, coef in row.terms)
@@ -135,8 +135,8 @@ def test_criterion_3_mccormick_coincidence():
         xv, yv = rng.uniform(0, 1, 2)
         lo = np.array(milp.lo)
         hi = np.array(milp.hi)
-        lo[milp.var_col[0]] = hi[milp.var_col[0]] = xv
-        lo[milp.var_col[1]] = hi[milp.var_col[1]] = yv
+        lo[milp.ir.var_pos[0]] = hi[milp.ir.var_pos[0]] = xv
+        lo[milp.ir.var_pos[1]] = hi[milp.ir.var_pos[1]] = yv
         lp_min = milp.to_lp()
         res_min = solve_lp(dataclasses.replace(lp_min, lo=lo, hi=hi))
         lp_max = milp.to_lp()

@@ -174,6 +174,19 @@ class TestSolve:
         # a NaN right-hand side or objective coefficient once solved to Infeasible
         wrong[3]["constraints"] = [{"terms": [[1.0, 1]], "sense": "<=", "rhs": float("nan")}]
         wrong[4]["objective"][0][0] = float("nan")
+        # a malformed reference once loaded as a different problem: a negative
+        # table index counts from the end, a fractional id is cut down to an
+        # integer, false is variable 0, and the string "false" is truthy
+        for key, value in (
+            ("table", -1), ("inputs", [0.7]), ("output", 1.9), ("activation", False)
+        ):
+            wrong.append(json.loads(good.read_text()))
+            wrong[-1]["interpolants"][0][key] = value
+        wrong.append(json.loads(good.read_text()))
+        wrong[-1]["objective"][0][1] = 1.5
+        for value in ("false", "no", 0):
+            wrong.append(json.loads(good.read_text()))
+            wrong[-1]["maximize"] = value
         for doc in wrong:
             bad.write_text(json.dumps(doc))
             assert main(["solve", str(bad)]) == 2

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from gridopt import instancefile
+from gridopt.gridtab import make_grid, make_table
+from gridopt.model import BINARY, CONTINUOUS, InterpolantDef, VarRef, build_problem
 from gridopt.opo import build_opo_instance, get_scenario
 
 from _random_instances import random_instance
@@ -40,6 +42,50 @@ class TestRoundTrip:
         assert p1.read_text() == p2.read_text()
 
 
+def _tables_doc():
+    """Desk S2 seed 0: four tables; well 0's lift curve is table 0, well 1's table 2."""
+    return instancefile.ir_to_dict(build_opo_instance(get_scenario("S2", "desk"), 0).ir)
+
+
+def _binary_first_doc():
+    """Variable 0 is a binary that no interpolant reads as its activation."""
+    g = make_grid([[0.0, 1.0]])
+    ir = build_problem(
+        [VarRef(0, BINARY, 0, 1), VarRef(1, CONTINUOUS, 0, 1), VarRef(2, CONTINUOUS, -5, 5)],
+        [],
+        [InterpolantDef(make_table(g, [0.0, 1.0]), (1,), 2)],
+        objective=[(1.0, 2), (1.0, 0)],
+    )
+    return instancefile.ir_to_dict(ir)
+
+
+def _set(path, value):
+    def edit(doc):
+        *keys, last = path
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+MALFORMED = {
+    # each of these once loaded as another problem, or as the same one
+    # from a reference that is not an integer
+    "negative table": (_tables_doc, _set(("interpolants", 2, "table"), -4)),
+    "table past the end": (_tables_doc, _set(("interpolants", 2, "table"), 4)),
+    "bool table": (_tables_doc, _set(("interpolants", 3, "table"), True)),
+    "fractional inputs": (_tables_doc, _set(("interpolants", 0, "inputs"), [0.7, 1.7, 2.7])),
+    "fractional output": (_tables_doc, _set(("interpolants", 0, "output"), 3.5)),
+    "fractional objective id": (_tables_doc, _set(("objective", 0, 1), 2.9)),
+    "fractional variable id": (_tables_doc, _set(("variables", 0, "id"), 0.25)),
+    "fractional term id": (_tables_doc, _set(("constraints", 0, "terms", 0, 1), 0.5)),
+    "false activation": (_binary_first_doc, _set(("interpolants", 0, "activation"), False)),
+    "string maximize": (_binary_first_doc, _set(("maximize",), "false")),
+    "word maximize": (_binary_first_doc, _set(("maximize",), "no")),
+    "integer maximize": (_binary_first_doc, _set(("maximize",), 1)),
+}
+
+
 class TestValidation:
     def test_missing_version(self):
         doc = instancefile.ir_to_dict(random_instance(0))
@@ -72,3 +118,17 @@ class TestValidation:
             assert internal[v] == -c
         ir2 = instancefile.ir_from_dict(doc)
         assert ir2.objective == ir.objective
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_reference_rejected(self, case):
+        make, edit = MALFORMED[case]
+        doc = json.loads(json.dumps(make()))
+        edit(doc)
+        with pytest.raises(ValueError):
+            instancefile.ir_from_dict(doc)
+
+    @pytest.mark.parametrize("make", [_tables_doc, _binary_first_doc])
+    def test_well_formed_references_load(self, make):
+        doc = make()
+        ir = instancefile.ir_from_dict(json.loads(json.dumps(doc)))
+        assert instancefile.ir_to_dict(ir) == doc

@@ -113,6 +113,20 @@ class TestBuildProblem:
         )
         assert ir.variables[0].lo == -np.inf and ir.constraints[0].rhs == np.inf
 
+    def test_rows_are_the_constraints_by_position(self):
+        ir = build_problem(
+            [VarRef(4, CONTINUOUS, 0, 1), VarRef(1, CONTINUOUS, 0, 1), VarRef(9, BINARY, 0, 1)],
+            [
+                LinConstraint(((2.0, 9), (-1.0, 4)), "<=", 3.0, "a"),
+                LinConstraint(((1.0, 1),), ">=", -1.0),
+            ],
+        )
+        assert ir.rows == (
+            (((2, 2.0), (0, -1.0)), "<=", 3.0),
+            (((1, 1.0),), ">=", -1.0),
+        )
+        assert ir.rows is ir.rows  # translated once per IR
+
 
 class TestProblemSize:
     @pytest.mark.parametrize("shape", [(2,), (3, 4), (2, 3, 4)])

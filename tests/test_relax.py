@@ -33,7 +33,7 @@ def lift_point(milp, ir, x_by_pos):
     pos = {v.id: i for i, v in enumerate(ir.variables)}
     z = np.zeros(milp.ncols)
     for v in ir.variables:
-        z[milp.var_col[v.id]] = x_by_pos[pos[v.id]]
+        z[milp.ir.var_pos[v.id]] = x_by_pos[pos[v.id]]
     for blk, itp in zip(milp.blocks, ir.interpolants):
         if blk.activation_col is not None and z[blk.activation_col] < 0.5:
             continue
@@ -104,8 +104,8 @@ class TestEnvelopeTightness:
         )
         milp = build_relaxation(ir)
         rng = np.random.default_rng(9)
-        x_col = milp.var_col[0]
-        y_col = milp.var_col[1]
+        x_col = milp.ir.var_pos[0]
+        y_col = milp.ir.var_pos[1]
         for _ in range(20):
             xv, yv = rng.uniform(0, 1, 2)
             lo = np.array(milp.lo)
@@ -220,8 +220,8 @@ class TestNoGoodCut:
         z[blk.xi_cols[0]] = xi
         z[blk.lam_cols] = xi
         z[blk.seg_cols[0][1]] = 1.0
-        z[milp.var_col[0]] = xi @ g.axes[0]
-        z[milp.var_col[1]] = xi @ tab.values
+        z[milp.ir.var_pos[0]] = xi @ g.axes[0]
+        z[milp.ir.var_pos[1]] = xi @ tab.values
         assert max(row_violation(row, z) for row in milp.rows) <= 1e-7
         fixing = extract_fixing(milp, z)
         assert fixing.segments == ((1,),)
@@ -269,3 +269,43 @@ class TestSizeAgreement:
         sz = problem_size(ir)
         milp = build_relaxation(ir)
         assert (milp.ncols, milp.nrows, milp.nonzeros) == (sz.cols, sz.rows, sz.nonzeros)
+
+
+def _shuffled_ids_ir():
+    """Variable ids out of declaration order, so an id is not its position."""
+    g = make_grid([[0.0, 0.5, 1.0]])
+    return build_problem(
+        [
+            VarRef(7, CONTINUOUS, 0.0, 1.0, "x"),
+            VarRef(3, BINARY, 0.0, 1.0),
+            VarRef(5, CONTINUOUS, -5.0, 5.0, "y"),
+        ],
+        [
+            LinConstraint(((1.0, 5), (2.0, 3)), "<=", 4.0, "cap"),
+            LinConstraint(((-1.0, 7), (0.5, 5)), ">=", -3.0),
+        ],
+        [InterpolantDef(make_table(g, [0.0, -1.0, 3.0]), (7,), 5, 3)],
+        objective=[(1.0, 5), (0.5, 3)],
+    )
+
+
+class TestIrColumnsAndRows:
+    """The relaxation's IR columns and rows are the IR's, by variable position."""
+
+    @pytest.mark.parametrize("make", [_shuffled_ids_ir, lambda: random_instance(4)])
+    def test_ir_columns_and_rows_are_the_irs(self, make):
+        ir = make()
+        milp = build_relaxation(ir)
+        for v in ir.variables:
+            j = ir.var_pos[v.id]
+            assert milp.names[j] == (v.name or f"v{v.id}")
+            assert (milp.lo[j], milp.hi[j]) == (v.lo, v.hi)
+            assert milp.is_binary[j] == (v.kind == BINARY)
+        m = len(ir.rows)
+        assert m == len(ir.constraints) > 0
+        tail = milp.rows[milp.nrows - m :]  # after the interpolant rows
+        for row, (terms, sense, rhs), c in zip(tail, ir.rows, ir.constraints):
+            assert row.terms == list(terms)
+            assert (row.sense, row.rhs, row.name) == (sense, rhs, c.name)
+        assert all(r.name.startswith(("link", "conv", "marg", "seg", "sos", "out"))
+                   for r in milp.rows[: milp.nrows - m])

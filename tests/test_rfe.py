@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gridopt import rfe, spatial
+from gridopt.cli import _status_exit
 from gridopt.errors import EnumerationTooLarge
 from gridopt.gridtab import interpolate, make_grid, make_table
 from gridopt.model import (
@@ -270,3 +271,20 @@ class TestTimeLimit:
         assert res.status == "TimeLimit"
         assert np.isfinite(res.bound)
         assert res.bound >= 381.3807236612488 - 1e-6  # the optimum
+
+
+class TestIterationLimit:
+    def test_stops_after_max_iterations_with_a_valid_bound(self, monkeypatch):
+        # cut seed 1 closes in 16 rounds; stopped after 3, its incumbent and
+        # bound must still bracket the optimum (a maximization)
+        ir = cut_instance(1)
+        assert ir.maximize
+        full = solve_rfe(ir)
+        assert full.status == "Optimal" and full.iterations == 16
+        monkeypatch.setattr(rfe, "MAX_ITERATIONS", 3)
+        res = solve_rfe(ir)
+        assert res.status == "IterationLimit"
+        assert res.iterations == 3
+        assert res.objective <= full.objective
+        assert res.bound >= full.objective
+        assert _status_exit(res.status) == 4

@@ -15,10 +15,9 @@ from gridopt.model import (
 )
 from gridopt.opo import build_opo_instance, get_scenario
 from gridopt.relax import CellBlock, Fixing, build_relaxation, build_subproblem, extract_fixing
-from gridopt.simplex import FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from gridopt.simplex import FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, solve_lp
 from gridopt.spatial import (
     NODE_LIMIT,
-    _ir_lp,
     _node_lp,
     _pinned_step,
     _rows_exclude_box,
@@ -198,8 +197,7 @@ class TestSharedInput:
     def test_one_split_narrows_every_hull_reading_the_input(self):
         nlp = _shared_input_nlp()
         blocks = nlp.blocks
-        ir_lp = _ir_lp(nlp)
-        lp = _node_lp(ir_lp, blocks)
+        lp = _node_lp(nlp)
         _write_box(lp, blocks, nlp.var_lo, nlp.var_hi)
         assert solve_lp(lp).objective == pytest.approx(-2.0)
         hi = nlp.var_hi.copy()
@@ -253,19 +251,43 @@ class TestNodeLp:
 
     def test_box_written_over_another_equals_a_fresh_write(self):
         nlp = _shared_input_nlp()
-        ir_lp = _ir_lp(nlp)
         lo_a, hi_a = nlp.var_lo.copy(), nlp.var_hi.copy()
         hi_a[0] = 0.5
         lo_b, hi_b = nlp.var_lo.copy(), nlp.var_hi.copy()
         lo_b[0], hi_b[1], lo_b[2] = 0.25, 0.75, 0.4
-        reused, fresh = _node_lp(ir_lp, nlp.blocks), _node_lp(ir_lp, nlp.blocks)
+        reused, fresh = _node_lp(nlp), _node_lp(nlp)
         _write_box(reused, nlp.blocks, lo_a, hi_a)
         assert solve_lp(reused).status == OPTIMAL
         _write_box(reused, nlp.blocks, lo_b, hi_b)
         _write_box(fresh, nlp.blocks, lo_b, hi_b)
         for name in ("A", "lo", "hi"):
             np.testing.assert_array_equal(getattr(reused, name), getattr(fresh, name))
-        assert np.any(reused.A != _node_lp(ir_lp, nlp.blocks).A)  # the corners were written
+        assert np.any(reused.A != _node_lp(nlp).A)  # the corners were written
+
+    def test_box_writes_leave_the_ir_rows_as_built(self, desk_s2_first_cell):
+        # the exact check and every pinned step read the IR's rows and
+        # objective from the node LP's first rows and columns
+        nlp = desk_s2_first_cell
+        ir = nlp.ir
+        n, m = len(ir.variables), len(ir.rows)
+        obj = np.zeros(n)
+        for cf, v in ir.objective:
+            obj[ir.var_pos[v]] += cf
+        want = LpProblem.from_rows(n, obj, nlp.var_lo, nlp.var_hi, ir.rows)
+        lp = _node_lp(nlp)
+        hi = nlp.var_hi.copy()
+        p = nlp.blocks[0].input_pos[0]
+        hi[p] = 0.5 * (nlp.var_lo[p] + hi[p])
+        written = []
+        for box_hi in (nlp.var_hi, hi):
+            _write_box(lp, nlp.blocks, nlp.var_lo, box_hi)
+            written.append(lp.A.copy())
+            np.testing.assert_array_equal(lp.A[:m, :n], want.A)
+            np.testing.assert_array_equal(lp.A[:m, n:], 0.0)
+            np.testing.assert_array_equal(lp.rhs[:m], want.rhs)
+            assert lp.senses[:m] == want.senses
+            np.testing.assert_array_equal(lp.obj[:n], want.obj)
+        assert m > 0 and np.any(written[0] != written[1])
 
     def test_built_once_per_subproblem_that_reaches_an_lp(self, desk_s2_first_cell, monkeypatch):
         built = []
@@ -285,8 +307,7 @@ class TestNodeLp:
         assert solve_box_nlp(screened).nodes == 0 and len(built) == 1
 
     def test_subproblem_bounds_are_left_as_they_were(self, desk_s2_first_cell):
-        # _ir_lp's bounds are the subproblem's own arrays (np.asarray makes
-        # no copy), and the root box is made of them
+        # the root box is the subproblem's own bound arrays
         nlp = desk_s2_first_cell
         lo, hi = nlp.var_lo.copy(), nlp.var_hi.copy()
         assert solve_box_nlp(nlp).nodes > 1
@@ -562,7 +583,7 @@ class TestScreen:
                 cells += 1
                 if _rows_exclude_box(nlp.ir, nlp.var_lo, nlp.var_hi):
                     screened += 1
-                    root = _node_lp(_ir_lp(nlp), nlp.blocks)
+                    root = _node_lp(nlp)
                     _write_box(root, nlp.blocks, nlp.var_lo, nlp.var_hi)
                     assert solve_lp(root).status == INFEASIBLE
         assert (screened, cells) == {"pool": (111, 1509), "desk-S1-0": (50, 66)}[instance]
@@ -605,7 +626,7 @@ class TestPinnedStepScreen:
         g = make_grid([[0.0, 1.0]])
         nlp = _single_cell_nlp(make_table(g, [0.0, 2.0]), [LinConstraint(((1.0, 1),), "<=", cap)])
         assert not _rows_exclude_box(nlp.ir, nlp.var_lo, nlp.var_hi)
-        got = _pinned_step(nlp, _ir_lp(nlp), np.array([0.5, 0.0]), set())
+        got = _pinned_step(nlp, _node_lp(nlp), np.array([0.5, 0.0]), set())
         assert len(lp_calls) == (0 if screened else 1)
         if screened:
             assert got is None
