@@ -120,7 +120,9 @@ def solve_milp(
     first; then ``bound`` is the least bound over the unbranched nodes.
     ``frontier`` is an earlier call's ``MipResult.frontier`` on ``lp`` with
     fewer rows, or the same ``lp``; without it the search starts at the root.
-    Deterministic for identical input and limits (up to wall-clock cutoffs).
+    Deterministic for identical input and limits (up to wall-clock cutoffs)
+    and the same number of BLAS threads, as ``solve_lp`` is: the root MILP
+    of desk S4 seed 0 takes 42 nodes with one OpenBLAS thread and 45 with two.
     """
     check_time_limit(time_limit)
     t0 = time.monotonic()

@@ -57,10 +57,7 @@ def _report(engine: str, ir, res: RfeResult, wall: float) -> dict:
         "spatial_nodes": res.spatial_nodes,
         "cells_screened": res.cells_screened,
         "wall_time": wall,
-        "trace": [
-            {k: (list(v) if isinstance(v, tuple) else v) for k, v in entry.items()}
-            for entry in res.log
-        ],
+        "trace": res.log,
     }
 
 
@@ -136,9 +133,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_export(args) -> int:
-    if args.format not in FORMATS:
-        print(f"error: unsupported format {args.format!r}", file=sys.stderr)
-        return EXIT_INVALID
     loaded = _load(args.instance)
     if loaded is None:
         return EXIT_INVALID
@@ -233,7 +227,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("export", help="export the MILP relaxation")
     e.add_argument("instance")
-    e.add_argument("--format", default="mps")
+    e.add_argument("--format", default="mps", choices=FORMATS)
     e.add_argument("-o", "--output", required=True)
     e.set_defaults(func=cmd_export)
 

@@ -72,24 +72,16 @@ class LookupTable:
     def value_at(self, k: Sequence[int]) -> float:
         return float(self.values[self.grid.flat_index(k)])
 
-    def cell_corner_values(self, cell: "CellIndex") -> np.ndarray:
-        """Values at the 2^n corners of a cell; corner bit j indexes axis j."""
-        block = self.values.reshape(self.grid.shape)[tuple(slice(t, t + 2) for t in cell.t)]
+    def cell_corner_values(self, cell: Sequence[int]) -> np.ndarray:
+        """Values at the 2^n corners of a cell, given as one segment index per
+        axis; corner bit j indexes axis j."""
+        if len(cell) != self.grid.n:
+            raise ValueError(f"cell has {len(cell)} segments, grid has {self.grid.n} axes")
+        for j, t in enumerate(cell):
+            if not 0 <= t <= self.grid.axes[j].size - 2:
+                raise ValueError(f"segment {t} out of range on axis {j}")
+        block = self.values.reshape(self.grid.shape)[tuple(slice(t, t + 2) for t in cell)]
         return block.flatten(order="F")
-
-
-@dataclass(frozen=True)
-class CellIndex:
-    """One hyperrectangle of the grid: segment index per axis."""
-
-    t: tuple[int, ...]
-
-    def validate(self, grid: Grid) -> None:
-        if len(self.t) != grid.n:
-            raise ValueError("cell index arity mismatch")
-        for j, tj in enumerate(self.t):
-            if not 0 <= tj <= grid.axes[j].size - 2:
-                raise ValueError(f"segment {tj} out of range on axis {j}")
 
 
 def make_grid(axes: Iterable[Sequence[float]]) -> Grid:
@@ -137,8 +129,9 @@ def find_segment(axis: np.ndarray, x: float) -> int:
     return min(max(k, 0), axis.size - 2)
 
 
-def locate(grid: Grid, x: Sequence[float]) -> tuple[CellIndex, np.ndarray]:
-    """Cell containing x and the per-axis fractional coordinates in [0, 1]."""
+def locate(grid: Grid, x: Sequence[float]) -> tuple[tuple[int, ...], np.ndarray]:
+    """Cell containing x, one segment index per axis, and the per-axis
+    fractional coordinates in [0, 1]."""
     x = np.asarray(x, dtype=float)
     if x.size != grid.n:
         raise ValueError(f"point has {x.size} coordinates, grid has {grid.n} axes")
@@ -150,7 +143,7 @@ def locate(grid: Grid, x: Sequence[float]) -> tuple[CellIndex, np.ndarray]:
         k = find_segment(a, xj)
         t.append(k)
         frac[j] = (xj - a[k]) / (a[k + 1] - a[k])
-    return CellIndex(t=tuple(t)), frac
+    return tuple(t), frac
 
 
 def multilinear(corners: np.ndarray, theta: np.ndarray) -> np.ndarray:

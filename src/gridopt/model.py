@@ -90,9 +90,10 @@ class ProblemIR:
             for c in self.constraints
         )
 
-    @property
+    @cached_property
     def binary_ids(self) -> tuple[int, ...]:
-        return tuple(v.id for v in self.variables if v.kind == BINARY)
+        """Ids of the binary variables, in ascending order."""
+        return tuple(sorted(v.id for v in self.variables if v.kind == BINARY))
 
     @property
     def num_binaries(self) -> int:

@@ -107,23 +107,11 @@ class WellSpec:
     vlp: LookupTable  # axes: q_liq, p_ds, iglr
     manifold: Optional[int]  # None = satellite
 
-    def __post_init__(self):
-        if self.pi <= 0:
-            raise InvalidScenario("productivity index must be positive")
-        if self.p_res <= SEP_PRESSURE:
-            raise InvalidScenario("reservoir pressure must exceed separator pressure")
-        if self.inj_min > self.inj_max:
-            raise InvalidScenario("gas-lift bounds inverted")
-
 
 @dataclass(frozen=True)
 class ManifoldSpec:
     wells: tuple[int, ...]
     vlp: LookupTable  # axes: q_liq, iglr, gor, wct; downstream fixed at separator
-
-    def __post_init__(self):
-        if not self.wells:
-            raise InvalidScenario("manifold must connect at least one well")
 
 
 @dataclass(frozen=True)
@@ -132,10 +120,6 @@ class PlatformSpec:
     q_liq_cap: float
     q_inj_cap: float
     big_m: float  # per-instance pressure big-M
-
-    def __post_init__(self):
-        if self.q_liq_cap <= 0 or self.q_inj_cap <= 0:
-            raise InvalidScenario("capacities must be positive")
 
 
 def _axis(lo: float, hi: float, k: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gridtab import CellIndex, Grid, multilinear
+from .gridtab import Grid, multilinear
 from .model import BINARY, EQ, GE, LE, ProblemIR
 from .simplex import LpProblem
 
@@ -93,8 +93,7 @@ class Fixing:
     """One segment per axis of each active interpolant plus a full binary assignment."""
 
     segments: tuple[Optional[tuple[int, ...]], ...]  # None marks an inactive interpolant
-    y: tuple[int, ...]  # by ascending binary variable id
-    binary_ids: tuple[int, ...]
+    y: tuple[int, ...]  # one per ProblemIR.binary_ids, in that order
 
 
 @dataclass
@@ -252,9 +251,8 @@ def extract_fixing(milp: MilpModel, solution: np.ndarray) -> Fixing:
             segments.append(None)
         else:
             segments.append(tuple(int(np.argmax(solution[cols])) for cols in blk.seg_cols))
-    bin_ids = tuple(sorted(milp.ir.binary_ids))
-    y = tuple(int(round(solution[milp.ir.var_pos[b]])) for b in bin_ids)
-    return Fixing(segments=tuple(segments), y=y, binary_ids=bin_ids)
+    y = tuple(int(round(solution[milp.ir.var_pos[b]])) for b in milp.ir.binary_ids)
+    return Fixing(segments=tuple(segments), y=y)
 
 
 def add_no_good_cut(milp: MilpModel, fixing: Fixing) -> int:
@@ -272,7 +270,7 @@ def add_no_good_cut(milp: MilpModel, fixing: Fixing) -> int:
         for j, t in enumerate(segs):
             terms.append((blk.seg_cols[j][t], -1.0))
             ones += 1
-    for vid, val in zip(fixing.binary_ids, fixing.y):
+    for vid, val in zip(milp.ir.binary_ids, fixing.y):
         col = milp.ir.var_pos[vid]
         if val == 1:
             terms.append((col, -1.0))
@@ -295,7 +293,7 @@ def build_subproblem(ir: ProblemIR, fixing: Fixing) -> BoxNlp:
     pos = ir.var_pos
     var_lo = np.array([v.lo for v in ir.variables], dtype=float)
     var_hi = np.array([v.hi for v in ir.variables], dtype=float)
-    for vid, val in zip(fixing.binary_ids, fixing.y):
+    for vid, val in zip(ir.binary_ids, fixing.y):
         var_lo[pos[vid]] = var_hi[pos[vid]] = float(val)
     blocks: list[CellBlock] = []
     for itp, segs in zip(ir.interpolants, fixing.segments):
@@ -306,14 +304,12 @@ def build_subproblem(ir: ProblemIR, fixing: Fixing) -> BoxNlp:
             var_lo[out] = var_hi[out] = 0.0
             continue
         grid = itp.table.grid
-        cell = CellIndex(t=tuple(segs))
-        cell.validate(grid)
+        corners = itp.table.cell_corner_values(segs)
         a_lo = np.array([grid.axes[j][t] for j, t in enumerate(segs)])
         a_hi = np.array([grid.axes[j][t + 1] for j, t in enumerate(segs)])
         inputs = [pos[vid] for vid in itp.inputs]  # distinct, as build_problem checks
         var_lo[inputs] = np.maximum(var_lo[inputs], a_lo)
         var_hi[inputs] = np.minimum(var_hi[inputs], a_hi)
-        corners = itp.table.cell_corner_values(cell)
         var_lo[out] = max(var_lo[out], float(corners.min()))
         var_hi[out] = min(var_hi[out], float(corners.max()))
         blocks.append(CellBlock(inputs, out, a_lo, a_hi - a_lo, corners, grid.n))

@@ -8,9 +8,10 @@ previous round's frontier under its cut, cut off at the incumbent. The loop
 stops when the bound meets the incumbent within tolerance, or when the MILP
 finds nothing below the incumbent, which proves optimality.
 
-A subproblem that stops unproven (``NodeLimit``) is still excluded, but its
-bound stays a floor under the global bound: while that floor is below the
-incumbent, the result is ``NodeLimit``, never ``Optimal`` or ``Infeasible``.
+A subproblem that stops unproven (``NodeLimit``, or ``TimeLimit`` at the
+deadline) is still excluded, but its bound stays a floor under the global
+bound: while that floor is below the incumbent, the result is that limit
+status, never ``Optimal`` or ``Infeasible``.
 """
 
 from __future__ import annotations
@@ -63,15 +64,18 @@ def _closed(incumbent: float, bound: float) -> bool:
 class _Subproblems:
     """Solves cell subproblems one after another and keeps what they prove.
 
-    Each root LP starts from the previous subproblem's root basis. Values are
-    in the minimization sense.
+    Each root LP starts from the previous subproblem's root basis, and no
+    node LP starts after ``deadline`` (a ``time.monotonic()`` reading).
+    Values are in the minimization sense.
     """
 
-    def __init__(self, ir: ProblemIR) -> None:
+    def __init__(self, ir: ProblemIR, deadline: float) -> None:
         self.ir = ir
+        self.deadline = deadline
         self.x: Optional[np.ndarray] = None
         self.objective = np.inf
         self.floor = np.inf  # least bound of a subproblem that did not close
+        self.limit = NODE_LIMIT  # the status of the last one that did not
         self.solved = 0
         self.nodes = 0  # spatial node LPs
         self.screened = 0  # subproblems closed with no LP
@@ -79,14 +83,17 @@ class _Subproblems:
 
     def solve(self, fixing: Fixing) -> str:
         """Solve the fixing's subproblem; returns its status."""
-        res = solve_box_nlp(build_subproblem(self.ir, fixing), basis=self.basis)
+        res = solve_box_nlp(
+            build_subproblem(self.ir, fixing), basis=self.basis, deadline=self.deadline
+        )
         if res.root_basis is not None:
             self.basis = res.root_basis
         self.solved += 1
         self.nodes += res.nodes
         self.screened += res.nodes == 0
-        if res.status == NODE_LIMIT:
+        if res.status in (NODE_LIMIT, TIME_LIMIT):
             self.floor = min(self.floor, res.bound)
+            self.limit = res.status
         if res.x is not None and res.objective < self.objective - 1e-15:
             self.objective = res.objective
             self.x = res.x.copy()
@@ -99,7 +106,7 @@ class _Subproblems:
         subproblem did not close, and so may hold a better point.
         """
         if not _closed(self.objective, self.floor):
-            return NODE_LIMIT, max(bound, self.floor)
+            return self.limit, max(bound, self.floor)
         return (OPTIMAL if self.x is not None else INFEASIBLE), self.objective
 
     def result(self, status: str, bound: float, **counts) -> RfeResult:
@@ -115,6 +122,13 @@ class _Subproblems:
         )
 
 
+def _deadline(time_limit: Optional[float]) -> float:
+    """The ``time.monotonic()`` reading at which ``time_limit`` seconds from
+    now run out; inf with no limit."""
+    check_time_limit(time_limit)
+    return np.inf if time_limit is None else time.monotonic() + time_limit
+
+
 def solve_rfe(ir: ProblemIR, time_limit: Optional[float] = None) -> RfeResult:
     """Solve the IR to proven global optimality.
 
@@ -122,10 +136,9 @@ def solve_rfe(ir: ProblemIR, time_limit: Optional[float] = None) -> RfeResult:
     (so for a maximization input, ``objective`` is the maximum found and
     ``bound`` an upper bound).
     """
-    check_time_limit(time_limit)
-    t0 = time.monotonic()
+    deadline = _deadline(time_limit)
     milp = build_relaxation(ir)
-    cells = _Subproblems(ir)
+    cells = _Subproblems(ir, deadline)
     bound = -np.inf
     nodes = 0
     log: list = []
@@ -135,11 +148,9 @@ def solve_rfe(ir: ProblemIR, time_limit: Optional[float] = None) -> RfeResult:
         return cells.result(status, bound, iterations=len(log), milp_nodes=nodes, log=log)
 
     for it in range(MAX_ITERATIONS):
-        remaining = None
-        if time_limit is not None:
-            remaining = time_limit - (time.monotonic() - t0)
-            if remaining <= 0:
-                return out(TIME_LIMIT)
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return out(TIME_LIMIT)
         mres = solve_milp(
             milp.to_lp(), milp.binary_cols(), time_limit=remaining,
             cutoff=cells.objective, frontier=frontier,
@@ -180,7 +191,7 @@ def solve_rfe(ir: ProblemIR, time_limit: Optional[float] = None) -> RfeResult:
 
 def _enumerate_fixings(ir: ProblemIR):
     """All (binary assignment, cell choice) pairs, inactive interpolants collapsed."""
-    bin_ids = tuple(sorted(ir.binary_ids))
+    bin_ids = ir.binary_ids
     act_of = {i: itp.activation for i, itp in enumerate(ir.interpolants)}
     total = 0
     fixings: list[Fixing] = []
@@ -208,8 +219,7 @@ def _enumerate_fixings(ir: ProblemIR):
             else:
                 cell_ranges.append([None])
         fixings.extend(
-            Fixing(segments=choice, y=y, binary_ids=bin_ids)
-            for choice in itertools.product(*cell_ranges)
+            Fixing(segments=choice, y=y) for choice in itertools.product(*cell_ranges)
         )
     return fixings
 
@@ -224,14 +234,14 @@ def solve_by_enumeration(ir: ProblemIR, time_limit: Optional[float] = None) -> R
     Exponential in problem size and guarded by ``ENUM_LIMIT`` subproblems;
     intended as an independent check of :func:`solve_rfe` on small instances.
     The first cell whose relaxation is unbounded ends it as ``Unbounded``.
-    ``time_limit`` is checked before each cell; once it has passed, the
-    result is ``TimeLimit`` with the incumbent and no finite bound.
+    ``time_limit`` is checked before each cell and each node LP in it; once
+    it has passed, the result is ``TimeLimit`` with the incumbent and no
+    finite bound, unless it stopped the last cell.
     """
-    check_time_limit(time_limit)
-    t0 = time.monotonic()
-    cells = _Subproblems(ir)
+    deadline = _deadline(time_limit)
+    cells = _Subproblems(ir, deadline)
     for fixing in _enumerate_fixings(ir):
-        if time_limit is not None and time.monotonic() - t0 >= time_limit:
+        if time.monotonic() >= deadline:
             return cells.result(TIME_LIMIT, -np.inf)
         if cells.solve(fixing) == UNBOUNDED:
             return cells.result(UNBOUNDED, -np.inf)

@@ -503,7 +503,9 @@ def solve_lp(
     the caller's cache of final tableaus by basis: an optimal solve keeps its
     own there, and a warm start from a basis found there copies it. Every LP
     solved with one dict must have the same coefficients in the rows it
-    shares with the others. Deterministic for identical input.
+    shares with the others. Deterministic for identical input and the same
+    number of BLAS threads: a multithreaded BLAS may sum in another order,
+    and round-off can then pick another pivot.
     """
     nnz = int(np.count_nonzero(lp.A))
     if nnz > MAX_NONZEROS:

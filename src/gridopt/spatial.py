@@ -55,7 +55,9 @@ previous subproblem's root); an unbounded root LP makes the result
 ``Unbounded``.
 ``MAX_NODES`` node LPs, or a box too narrow to split whose bound is below the
 incumbent, end the search unproven: the result is ``NodeLimit`` with the least
-bound of every open or exhausted box.
+bound of every open or exhausted box. The caller's deadline is read before
+each node LP, and once it has passed the search stops there the same way,
+as ``TimeLimit``.
 
 A subproblem that reaches an LP builds its node LP once, since every box has
 the same rows and columns; a popped box writes its column bounds into it
@@ -72,12 +74,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .bnb import Node, prune_level
+from .bnb import TIME_LIMIT, Node, prune_level
 from .model import EQ, GE, LE, ProblemIR
 from .relax import BoxNlp, CellBlock
 from .simplex import FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LpBasis, LpProblem, solve_lp
@@ -94,7 +97,7 @@ NODE_LIMIT = "NodeLimit"
 
 @dataclass
 class NlpResult:
-    status: str  # Optimal | Infeasible | Unbounded | NodeLimit (x: best found, if any)
+    status: str  # Optimal | Infeasible | Unbounded | NodeLimit | TimeLimit (x: best found, if any)
     x: Optional[np.ndarray] = None  # by position in ir.variables
     objective: float = np.inf
     bound: float = -np.inf
@@ -319,14 +322,17 @@ def _coordinate_descent(
     return best
 
 
-def solve_box_nlp(nlp: BoxNlp, basis: Optional[LpBasis] = None) -> NlpResult:
+def solve_box_nlp(
+    nlp: BoxNlp, basis: Optional[LpBasis] = None, deadline: float = np.inf
+) -> NlpResult:
     """Globally minimize the IR objective over one cell assignment.
 
     A box that crosses, or on which a linear row misses its right-hand side
     (``_rows_exclude_box``), is ``Infeasible`` with 0 nodes and no LP.
     ``basis`` warm-starts the root LP; it may come from another subproblem
     (``solve_lp`` falls back to the slack basis when it does not fit). An
-    infeasible root LP has no basis to hand on.
+    infeasible root LP has no basis to hand on. ``deadline`` is a
+    ``time.monotonic()`` reading; no node LP starts after it.
     """
     if np.any(nlp.var_lo > nlp.var_hi + 1e-12):
         return NlpResult(status=INFEASIBLE)
@@ -337,7 +343,8 @@ def solve_box_nlp(nlp: BoxNlp, basis: Optional[LpBasis] = None) -> NlpResult:
     best: tuple[Optional[np.ndarray], float] = (None, np.inf)  # the incumbent
     nodes = 0
     root_basis = None
-    floor = np.inf  # least bound of a box left open: exhausted, or at the node limit
+    floor = np.inf  # least bound of a box left open: exhausted, or at a limit
+    limit = NODE_LIMIT  # the status when the floor is below the incumbent
     tick = itertools.count()
     root = Node(-np.inf, nlp.var_lo, nlp.var_hi, None, basis)
     heap: list = [(root.bound, next(tick), root)]  # (bound, tick, node) of every open box
@@ -350,7 +357,9 @@ def solve_box_nlp(nlp: BoxNlp, basis: Optional[LpBasis] = None) -> NlpResult:
         if pruned(node.bound):
             break  # so is every node still on the heap
         if node.x is None:
-            if nodes >= MAX_NODES:
+            if time.monotonic() >= deadline:
+                limit = TIME_LIMIT
+            if nodes >= MAX_NODES or limit == TIME_LIMIT:
                 floor = min(floor, node.bound)  # no node left on the heap is lower
                 break
             _write_box(lp, blocks, node.lo, node.hi)
@@ -386,7 +395,7 @@ def solve_box_nlp(nlp: BoxNlp, basis: Optional[LpBasis] = None) -> NlpResult:
 
     x, objective = best
     if floor < prune_level(objective, GAP):
-        status, bound = NODE_LIMIT, floor
+        status, bound = limit, floor
     elif objective == -np.inf:
         status, bound = UNBOUNDED, -np.inf
     elif objective < np.inf:

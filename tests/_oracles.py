@@ -48,7 +48,7 @@ def lambda_weights(grid: Grid, x: Sequence[float]) -> dict[tuple[int, ...], floa
         for j in range(n):
             bit = (corner >> j) & 1
             lam *= frac[j] if bit else 1.0 - frac[j]
-            k.append(cell.t[j] + bit)
+            k.append(cell[j] + bit)
         if lam > 0.0:
             out[tuple(k)] = lam
     return out

@@ -9,16 +9,19 @@ import numpy as np
 import pytest
 
 import gridopt
-from gridopt import instancefile
+from gridopt import instancefile, rfe
 from gridopt.cli import main, make_parser
+from gridopt.export import export_milp
 from gridopt.gridtab import make_grid, make_table
 from gridopt.model import (
+    BINARY,
     CONTINUOUS,
     InterpolantDef,
     LinConstraint,
     VarRef,
     build_problem,
 )
+from gridopt.relax import build_relaxation
 
 from _oracles import problem_size
 from _random_instances import cut_instance
@@ -28,6 +31,14 @@ from _random_instances import cut_instance
 def s1_path(tmp_path):
     path = tmp_path / "s1.json"
     assert main(["generate", "--scenario", "S1", "--seed", "7", "-o", str(path)]) == 0
+    return path
+
+
+@pytest.fixture
+def s3_path(tmp_path):
+    """Desk S3 seed 0: more cell and binary choices than the oracle enumerates."""
+    path = tmp_path / "s3.json"
+    assert main(["generate", "--scenario", "S3", "--seed", "0", "-o", str(path)]) == 0
     return path
 
 
@@ -128,6 +139,13 @@ class TestSolve:
         assert main(["solve", str(path), "--report", str(rep)]) == 3
         assert json.loads(rep.read_text())["status"] == "Infeasible"
 
+    def test_enumeration_too_large_is_invalid_input(self, s3_path, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(rfe, "solve_box_nlp", lambda *a, **k: pytest.fail("a cell was solved"))
+        rep = tmp_path / "r.json"
+        assert main(["solve", str(s3_path), "--engine", "oracle", "--report", str(rep)]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert not rep.exists()
+
     def test_time_limit_exit_code(self, s1_path, tmp_path):
         rep = tmp_path / "r.json"
         code = main(
@@ -200,6 +218,26 @@ class TestSolve:
             assert rows[1]["rfe"]["status"] == "Optimal"
 
 
+def _bounds_ir():
+    """Every kind of column bound, and names the exporters must clean."""
+    inf = float("inf")
+    variables = [
+        VarRef(0, CONTINUOUS, 2.0, 2.0, "fixed"),
+        VarRef(1, CONTINUOUS, -inf, inf, "free"),
+        VarRef(2, CONTINUOUS, -inf, 5.0, "neg"),
+        VarRef(3, CONTINUOUS, -3.0, inf, "3rd"),
+        VarRef(4, CONTINUOUS, 0.0, 1.0, "a b"),
+        VarRef(5, CONTINUOUS, 0.0, 1.0, "a_b"),
+        VarRef(6, CONTINUOUS, 0.0, 1.0, "idle"),
+        VarRef(7, BINARY, 0.0, 1.0, "on"),
+    ]
+    cons = [
+        LinConstraint(tuple((1.0, v) for v in range(6)), "<=", 10.0, "9cap"),
+        LinConstraint(((1.0, 1), (-1.0, 7)), ">=", -4.0, "9cap"),
+    ]
+    return build_problem(variables, cons, objective=[(1.0, 1)])
+
+
 class TestExport:
     def test_mps_column_count_matches_size(self, s1_path, tmp_path):
         out = tmp_path / "m.mps"
@@ -228,11 +266,53 @@ class TestExport:
         assert "marg0_0_0" in text
         assert "xi0_0_0 - 1 lam0_0 = 0" in text
 
-    def test_unsupported_format(self, s1_path, tmp_path):
-        code = main(
-            ["export", str(s1_path), "--format", "xlsx", "-o", str(tmp_path / "x")]
-        )
-        assert code == 2
+    def test_unsupported_format(self, s1_path, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["export", str(s1_path), "--format", "xlsx", "-o", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_library_rejects_unsupported_format(self):
+        milp = build_relaxation(_bounds_ir())
+        with pytest.raises(ValueError, match="unsupported export format 'xlsx'"):
+            export_milp(milp, "xlsx")
+
+    def test_mps_bound_records_and_names(self):
+        lines = export_milp(build_relaxation(_bounds_ir()), "mps").splitlines()
+        for record in (
+            " FX BND  fixed  2",
+            " FR BND  free",
+            " MI BND  neg",
+            " UP BND  neg  5",
+            " LO BND  x3rd  -3",  # a name may not start with a digit
+            " UP BND  a_b  1",  # "a b", cleaned
+            " UP BND  a_b_5  1",  # "a_b", a duplicate once cleaned
+            " BV BND  on",
+            "    idle  OBJ  0",  # a column with no entries still gets one
+            " L  r9cap",
+            " G  r9cap_1",
+        ):
+            assert record in lines
+        assert not any(line.startswith((" UP BND  x3rd", " UP BND  free")) for line in lines)
+        assert not any(line.startswith((" LO BND  neg", " LO BND  free")) for line in lines)
+
+    def test_lp_bound_lines_and_names(self):
+        lines = export_milp(build_relaxation(_bounds_ir()), "lp").splitlines()
+        for line in (
+            " 2 <= fixed <= 2",
+            " -inf <= free <= +inf",
+            " -inf <= neg <= 5",
+            " -3 <= x3rd <= +inf",
+            " 0 <= a_b <= 1",
+            " 0 <= a_b_5 <= 1",
+            " 0 <= idle <= 1",
+            " r9cap: + 1 fixed + 1 free + 1 neg + 1 x3rd + 1 a_b + 1 a_b_5 <= 10",
+            " r9cap_1: + 1 free - 1 on >= -4",
+            "Binary",
+            " on",
+        ):
+            assert line in lines
 
 
 class TestBench:
@@ -276,6 +356,15 @@ class TestBench:
         rows = json.loads(out_json.read_text())
         assert rows[0]["rfe"]["status"] == "Optimal"
         assert rows[1]["rfe"]["status"] == "Infeasible"
+
+    def test_engine_error_keeps_the_other_engines_row(self, s3_path, tmp_path):
+        out_json = tmp_path / "bench.json"
+        argv = ["bench", str(s3_path), "--engine", "rfe,oracle", "--json", str(out_json)]
+        assert main(argv) == 0
+        (row,) = json.loads(out_json.read_text())
+        assert list(row["oracle"]) == ["error"]
+        assert "exceeds enumeration limit" in row["oracle"]["error"]
+        assert row["rfe"]["status"] == "Optimal"
 
     def test_unknown_engine_is_invalid_input(self, tmp_path, capsys):
         # once every name but "oracle" ran RFE, so "bogus" solved and exited 0

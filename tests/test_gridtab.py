@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gridopt.errors import AxisTooShort, NotStrictlyIncreasing, OutOfHull
 from gridopt.gridtab import (
-    CellIndex,
+    HULL_SLACK,
     find_segment,
     interpolate,
     locate,
@@ -83,6 +83,17 @@ class TestValidation:
             interpolate(t, [1.5])
         # round-off-level overshoot is clamped instead
         assert interpolate(t, [1.0 + 1e-13]) == pytest.approx(1.0)
+
+    def test_below_hull(self):
+        g = make_grid([[2.0, 4.0]])
+        t = make_table(g, [1.0, 3.0])
+        # within the slack (relative to the span 2) a point is clamped to the hull
+        assert find_segment(g.axes[0], 2.0 - HULL_SLACK) == 0
+        assert interpolate(t, [2.0 - HULL_SLACK]) == 1.0
+        with pytest.raises(OutOfHull, match="below hull"):
+            interpolate(t, [2.0 - 4 * HULL_SLACK])
+        with pytest.raises(OutOfHull, match="below hull"):
+            find_segment(g.axes[0], 2.0 - 4 * HULL_SLACK)
 
     def test_wrong_arity(self):
         t = make_table(make_grid([[0.0, 1.0], [0.0, 1.0]]), [0.0, 1.0, 2.0, 3.0])
@@ -194,12 +205,27 @@ class TestLocate:
     def test_locate_and_cell(self):
         g = make_grid([[0.0, 1.0, 2.0], [0.0, 10.0]])
         cell, frac = locate(g, [1.5, 5.0])
-        assert cell == CellIndex((1, 0))
+        assert cell == (1, 0)
         np.testing.assert_allclose(frac, [0.5, 0.5])
 
     def test_cell_corner_values_orientation(self):
         g = make_grid([[0.0, 1.0], [0.0, 1.0]])
         t = make_table(g, [0.0, 1.0, 2.0, 3.0])  # value = 2*i + j (last axis fastest)
-        corners = t.cell_corner_values(CellIndex((0, 0)))
+        corners = t.cell_corner_values((0, 0))
         # corner bit j indexes axis j: bit0 -> axis0 (+2), bit1 -> axis1 (+1)
         np.testing.assert_allclose(corners, [0.0, 2.0, 1.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "cell, match",
+        [
+            ((0,), "1 segments, grid has 2 axes"),
+            ((0, 0, 0), "3 segments, grid has 2 axes"),
+            ((2, 0), "segment 2 out of range on axis 0"),
+            ((-1, 0), "segment -1 out of range on axis 0"),
+            ((1, 1), "segment 1 out of range on axis 1"),
+        ],
+    )
+    def test_cell_corner_values_rejects_a_cell_off_the_grid(self, cell, match):
+        t = make_table(make_grid([[0.0, 1.0, 2.0], [0.0, 10.0]]), np.arange(6.0))
+        with pytest.raises(ValueError, match=match):
+            t.cell_corner_values(cell)

@@ -105,6 +105,56 @@ class TestBuildProblem:
         with pytest.raises(ValueError, match="NaN"):
             build_problem([VarRef(0, CONTINUOUS, 0, 1)], objective=[(np.nan, 0)])
 
+    def test_unknown_kind_and_inverted_bounds_rejected(self):
+        with pytest.raises(ValueError, match="unknown variable kind"):
+            VarRef(0, "integer", 0.0, 1.0)
+        with pytest.raises(ValueError, match="lo > hi"):
+            VarRef(0, CONTINUOUS, 1.0, 0.0)
+
+    def test_unknown_sense_rejected(self):
+        with pytest.raises(ValueError, match="unknown sense"):
+            LinConstraint(((1.0, 0),), "<", 0.0)
+
+    @pytest.mark.parametrize(
+        "terms, match",
+        [
+            (((np.inf, 0),), "non-finite coefficient in c"),
+            (((np.nan, 0),), "non-finite coefficient in c"),
+            (((1.0, 0), (2.0, 1), (-1.0, 0)), "variable 0 repeated in c"),
+        ],
+    )
+    def test_bad_constraint_terms_rejected(self, terms, match):
+        variables = [VarRef(0, CONTINUOUS, 0, 1), VarRef(1, CONTINUOUS, 0, 1)]
+        with pytest.raises(ValueError, match=match):
+            build_problem(variables, [LinConstraint(terms, "<=", 1.0, "c")])
+
+    @pytest.mark.parametrize(
+        "shape, inputs, output, activation, match",
+        [
+            ((3, 3), (0, 0), 2, None, "repeated input"),
+            ((3,), (3,), 2, None, "input 3 must be continuous"),
+            ((3,), (0,), 3, None, "output must be continuous"),
+            ((3,), (0,), 2, 1, "activation must be binary"),
+        ],
+    )
+    def test_bad_interpolant_variables_rejected(self, shape, inputs, output, activation, match):
+        variables = [
+            VarRef(0, CONTINUOUS, 0, 1),
+            VarRef(1, CONTINUOUS, 0, 1),
+            VarRef(2, CONTINUOUS, -9, 9),
+            VarRef(3, BINARY, 0, 1),
+        ]
+        itp = InterpolantDef(_table(shape), inputs, output, activation)
+        with pytest.raises(ValueError, match=match):
+            build_problem(variables, interpolants=[itp])
+
+    def test_binary_ids_ascend(self):
+        ir = build_problem(
+            [VarRef(7, BINARY, 0, 1), VarRef(0, CONTINUOUS, 0, 1), VarRef(3, BINARY, 0, 1)]
+        )
+        assert ir.binary_ids == (3, 7)
+        assert ir.binary_ids is ir.binary_ids  # computed once per IR
+
     def test_infinite_values_keep_their_meaning(self):
         ir = build_problem(
             [VarRef(0, CONTINUOUS, -np.inf, np.inf)],

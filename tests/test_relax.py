@@ -17,6 +17,7 @@ from gridopt.model import (
     build_problem,
 )
 from gridopt.relax import (
+    Fixing,
     add_no_good_cut,
     build_relaxation,
     build_subproblem,
@@ -155,6 +156,11 @@ class TestFixingAndSubproblem:
         assert sub.var_lo[pos[1]] == -1.0 and sub.var_hi[pos[1]] == 0.0
         # binary pinned
         assert sub.var_lo[pos[2]] == sub.var_hi[pos[2]] == fixing.y[0]
+
+    @pytest.mark.parametrize("cell", [(2,), (-1,), (0, 0)])
+    def test_cell_off_the_grid_rejected(self, cell):
+        with pytest.raises(ValueError, match="segment"):
+            build_subproblem(self._toy(), Fixing(segments=(cell,), y=(0,)))
 
     def test_inactive_interpolant_zeroed(self):
         g = make_grid([[0.5, 1.0]])

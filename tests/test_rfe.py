@@ -1,12 +1,15 @@
 """The fix-and-exclude driver: oracle equivalence and trace invariants."""
 
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from gridopt import rfe, spatial
+from gridopt import bnb, rfe, spatial
 from gridopt.cli import _status_exit
 from gridopt.errors import EnumerationTooLarge
-from gridopt.gridtab import interpolate, make_grid, make_table
+from gridopt.gridtab import interpolate, make_grid, make_table, product_table
 from gridopt.model import (
     CONTINUOUS,
     InterpolantDef,
@@ -261,6 +264,45 @@ class TestTimeLimit:
         ir = build_opo_instance(get_scenario("S1", "desk"), 0).ir
         with pytest.raises(ValueError, match="time_limit"):
             solve_by_enumeration(ir, time_limit=limit)
+
+    def test_limit_inside_a_subproblem(self, monkeypatch):
+        # desk S2-0 closes in one round: 20 MILP node LPs, then 48 spatial
+        # ones. rfe, bnb and spatial read one clock, one second per reading,
+        # so a limit of 60 falls inside the subproblem, which once ran on to
+        # its end and gave Optimal
+        ir = build_opo_instance(get_scenario("S2", "desk"), 0).ir
+        clock = SimpleNamespace(monotonic=itertools.count(1).__next__)
+        for module in (rfe, bnb, spatial):
+            monkeypatch.setattr(module, "time", clock)
+        res = solve_rfe(ir, time_limit=60)
+        assert res.status == "TimeLimit"
+        assert [entry["subproblem_status"] for entry in res.log] == ["TimeLimit"]
+        assert 0 < res.spatial_nodes < 48
+        assert res.bound >= 219.02002935708694 - 1e-6  # the optimum, a maximum
+        assert res.objective <= 219.02002935708694 + 1e-6
+
+    def test_enumeration_limit_inside_its_last_cell(self, monkeypatch):
+        # min -x0 * x1 s.t. x0 + x1 <= 1 on one cell: -1/4, and the root LP
+        # bound is -1/2. Readings: 1 sets the deadline at 3.5, 2 is before
+        # the cell, 3 before the root LP, and 4 stops the split boxes
+        g = make_grid([[0.0, 1.0], [0.0, 1.0]])
+        tab = make_table(g, -product_table(g, (0, 1)).values)
+        variables = [VarRef(0, CONTINUOUS, 0, 1), VarRef(1, CONTINUOUS, 0, 1)]
+        variables.append(VarRef(2, CONTINUOUS, -1, 1))
+        ir = build_problem(
+            variables,
+            [LinConstraint(((1.0, 0), (1.0, 1)), "<=", 1.0)],
+            [InterpolantDef(tab, (0, 1), 2)],
+            objective=[(1.0, 2)],
+        )
+        assert solve_by_enumeration(ir).objective == pytest.approx(-0.25, abs=1e-7)
+        clock = SimpleNamespace(monotonic=itertools.count(1).__next__)
+        for module in (rfe, spatial):
+            monkeypatch.setattr(module, "time", clock)
+        res = solve_by_enumeration(ir, time_limit=2.5)
+        assert res.status == "TimeLimit"  # not NodeLimit
+        assert res.subproblems_solved == 1 and res.spatial_nodes == 1
+        assert res.bound == pytest.approx(-0.5, abs=1e-9)
 
     def test_milp_bound_survives_the_limit(self):
         # the root LP of desk S4-0 takes about 0.3 s, so bnb stops right

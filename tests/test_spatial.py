@@ -1,11 +1,14 @@
 """Global cell-restricted solver against sampling and closed-form oracles."""
 
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from gridopt import rfe, spatial
-from gridopt.bnb import solve_milp
-from gridopt.gridtab import CellIndex, interpolate, make_grid, make_table, product_table
+from gridopt.bnb import TIME_LIMIT, solve_milp
+from gridopt.gridtab import interpolate, make_grid, make_table, product_table
 from gridopt.model import (
     CONTINUOUS,
     InterpolantDef,
@@ -31,7 +34,7 @@ from _random_instances import random_instance
 
 def _fixing(*segments):
     """A fixing of the given per-interpolant segments on an IR without binaries."""
-    return Fixing(segments=segments, y=(), binary_ids=())
+    return Fixing(segments=segments, y=())
 
 
 def _single_cell_nlp(table, constraints=(), objective=None, out_bounds=(-100, 100), cell=None):
@@ -48,7 +51,7 @@ def _single_cell_nlp(table, constraints=(), objective=None, out_bounds=(-100, 10
         [InterpolantDef(table, tuple(range(n)), n)],
         objective=objective or [(1.0, n)],
     )
-    return build_subproblem(ir, _fixing(cell.t if cell else (0,) * n))
+    return build_subproblem(ir, _fixing(cell or (0,) * n))
 
 
 def _unit_block(corners):
@@ -101,7 +104,7 @@ class TestCornerEvaluator:
         for n in (1, 2, 3, 4):
             g = make_grid([np.sort(rng.uniform(-5, 5, size=3)) for _ in range(n)])
             tab = make_table(g, rng.normal(size=g.num_corners))
-            cell = CellIndex(tuple(int(t) for t in rng.integers(0, 2, size=n)))
+            cell = tuple(int(t) for t in rng.integers(0, 2, size=n))
             (blk,) = _single_cell_nlp(tab, cell=cell).blocks
             box_corners = [[(b >> j) & 1 for j in range(n)] for b in range(1 << n)]
             for theta in np.vstack([box_corners, rng.uniform(0, 1, size=(20, n))]):
@@ -238,6 +241,20 @@ class TestDeskCell:
         assert res.bound <= DESK_S2_FIRST_CELL_OPT + 1e-6
         assert res.x is None or res.objective >= res.bound
 
+    @pytest.mark.parametrize("limit", [0, 1, 3, 5])
+    def test_deadline_keeps_bound(self, desk_s2_first_cell, limit, monkeypatch):
+        # the clock reads 1, 2, 3, ... once before each node LP, so a deadline
+        # of limit + 0.5 lets exactly ``limit`` node LPs start; the whole
+        # subproblem once ran past it
+        clock = SimpleNamespace(monotonic=itertools.count(1).__next__)
+        monkeypatch.setattr(spatial, "time", clock)
+        res = solve_box_nlp(desk_s2_first_cell, deadline=limit + 0.5)
+        assert res.status == TIME_LIMIT
+        assert res.nodes == limit
+        assert res.bound <= DESK_S2_FIRST_CELL_OPT + 1e-6
+        assert np.isfinite(res.bound) == (limit > 0)  # the root LP bounds every box
+        assert res.x is None or res.objective >= res.bound
+
     def test_exhausted_box_keeps_bound(self, desk_s2_first_cell, monkeypatch):
         monkeypatch.setattr(spatial, "MIN_BOX_WIDTH", 2.0)  # no box can be split
         res = solve_box_nlp(desk_s2_first_cell)
@@ -324,8 +341,7 @@ DESK_S4_FIRST_CELL = (
 def test_desk_s4_first_cell_closes_in_few_nodes():
     """A manifold's q_liq feeds five tables: one split narrows all five hulls."""
     ir = build_opo_instance(get_scenario("S4", "desk"), 0).ir
-    bin_ids = tuple(sorted(ir.binary_ids))
-    fixing = Fixing(segments=DESK_S4_FIRST_CELL, y=(1,) * len(bin_ids), binary_ids=bin_ids)
+    fixing = Fixing(segments=DESK_S4_FIRST_CELL, y=(1,) * ir.num_binaries)
     res = solve_box_nlp(build_subproblem(ir, fixing))
     assert res.status == OPTIMAL
     assert res.objective == pytest.approx(-381.3807236619, rel=1e-8)
