@@ -122,7 +122,7 @@ def solve_milp(
     fewer rows, or the same ``lp``; without it the search starts at the root.
     Deterministic for identical input and limits (up to wall-clock cutoffs)
     and the same number of BLAS threads, as ``solve_lp`` is: the root MILP
-    of desk S4 seed 0 takes 42 nodes with one OpenBLAS thread and 45 with two.
+    of desk S4 seed 0 takes 49 nodes with one OpenBLAS thread and 44 with two.
     """
     check_time_limit(time_limit)
     t0 = time.monotonic()

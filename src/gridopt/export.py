@@ -27,7 +27,7 @@ def _clean_names(raw: list[str], prefix: str) -> list[str]:
         name = re.sub(r"[^A-Za-z0-9_.]", "_", name) or f"{prefix}{i}"
         if name[0].isdigit():
             name = f"{prefix}{name}"
-        if name in seen:
+        while name in seen:  # a suffixed name may itself be taken
             name = f"{name}_{i}"
         seen.add(name)
         out.append(name)

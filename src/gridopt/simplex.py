@@ -4,18 +4,22 @@ The tableau is B^-1 [A I]: n structural columns, then one slack per row
 (a_i x + s_i = b_i), in [0, inf) for a ``<=`` row, (-inf, 0] for ``>=`` and
 [0, 0] for ``=``. The slack block T[:, n:] is B^-1.
 
-A cold solve is a warm start from the empty basis (no row, every column free):
-each row enters with its slack, each structural takes its finite lower bound,
-else its finite upper bound, else 0. This slack basis has the tableau [A I],
-with nothing to factorize, and its slacks take the residuals, in their bounds
-or not. Phase 1 is the primal loop on a cost recomputed before
-every pivot: +1 on a basic above its upper bound by more than 1e-7, -1 on one
-below its lower bound by as much, 0 elsewhere. It ends when no basic is
-violated, or with Infeasible when pricing finds no entering column first.
-Phase 2 is the same loop on the objective. Both use Dantzig pricing with a
-Bland fallback after a run of degenerate pivots. A warm solve starts a bounded
-dual simplex from the basis of an earlier optimal solve, then runs phase 2 as a
-clean-up pass that certifies optimality. The tableau is refactorized every 150
+Every solve starts a bounded dual simplex from a basis, then runs the primal
+simplex on the objective (phase 2) as a clean-up pass that certifies
+optimality. A warm solve starts from the basis of an earlier optimal solve; a
+cold one from the slack basis: each row enters with its slack, and each
+structural sits at its finite upper bound if its cost is negative, else at
+its finite lower bound, else at its finite upper bound, else free at 0. This
+basis has the tableau [A I], with nothing to factorize, and its slacks take
+the residuals, in their bounds or not. It is dual feasible when every column
+with a nonzero cost is boxed (Bixby 2002; Koberstein 2005); where it is not,
+the clean-up pass pivots. Phase 1 runs only when the dual attempt fails (see
+the fallbacks below), from the slack basis: the primal loop on a cost
+recomputed before every pivot, +1 on a basic above its upper bound by more
+than 1e-7, -1 on one below its lower bound by as much, 0 elsewhere. It ends
+when no basic is violated, or with Infeasible when pricing finds no entering
+column first. Both primal loops use Dantzig pricing with a Bland fallback
+after a run of degenerate pivots. The tableau is refactorized every 150
 pivots; inputs beyond ~5e4 constraint nonzeros are refused. Solver state is per
 call, except for the kept tableaus in a dict the caller owns and passes in
 (below), so solves that share no such dict may run concurrently.
@@ -43,12 +47,14 @@ repaired, not given up: Gaussian elimination over the basic columns in order
 finds those that depend on earlier ones, each leaves for the slack of a row
 no pivot covers (Bixby 1992, slack substitution), and the basis is
 refactorized once more. A dropped column sits at its finite lower bound, else
-its finite upper bound, else free at 0. The solve falls back to the slack
-basis, keeping the pivots already spent in ``iterations``, when the shapes do
-not fit (another column count, or fewer rows), a nonbasic column would sit at
-an infinite bound, the dual loop hits its iteration or degeneracy limit, or
-the warm attempt raises ``NumericalFailure`` anywhere (a basis still singular
-after its repair, or one too ill-conditioned for the residual check).
+its finite upper bound, else free at 0. The solve falls back to phase 1 from
+the slack basis, keeping the pivots already spent in ``iterations``, when the
+shapes do not fit (another column count, or fewer rows), a nonbasic column
+would sit at an infinite bound, the dual loop hits its iteration or
+degeneracy limit, or the dual attempt raises ``NumericalFailure`` anywhere (a
+basis still singular after its repair, or one too ill-conditioned for the
+residual check). A failed warm start does not try the dual again from the
+slack basis.
 
 Kept tableaus (``solve_lp(lp, basis, tableaus=d)``). A caller whose LPs all
 have one coefficient matrix A, as a branch-and-bound tree's do, may pass them
@@ -214,8 +220,9 @@ class _Tableau:
         """Take ``start``'s basis under the current bounds; False if unusable.
 
         Rows beyond those ``start`` was taken on enter the basis with their
-        slack, so from the empty basis (no row, every column free) this is the
-        slack basis, whose tableau is [A I] with nothing to factorize. A start
+        slack, and a free nonbasic column takes its finite lower bound, else
+        its finite upper bound. So from a basis over no row this is the slack
+        basis, whose tableau is [A I] with nothing to factorize. A start
         over these rows found in ``tableaus`` copies its kept tableau and
         recomputes only the basic values; any other start refactorizes. A
         basis singular on these rows is repaired once (``repair``); raises
@@ -498,14 +505,14 @@ def solve_lp(
 ) -> LpResult:
     """Solve min obj @ x subject to the rows and column bounds of ``lp``.
 
-    ``lp`` is read, never written. ``basis``, from an earlier optimal solve,
-    warm-starts the dual simplex (see the module docstring). ``tableaus`` is
-    the caller's cache of final tableaus by basis: an optimal solve keeps its
-    own there, and a warm start from a basis found there copies it. Every LP
-    solved with one dict must have the same coefficients in the rows it
-    shares with the others. Deterministic for identical input and the same
-    number of BLAS threads: a multithreaded BLAS may sum in another order,
-    and round-off can then pick another pivot.
+    ``lp`` is read, never written. The dual simplex starts from ``basis``,
+    from an earlier optimal solve, or else from the slack basis (see the
+    module docstring). ``tableaus`` is the caller's cache of final tableaus
+    by basis: an optimal solve keeps its own there, and a warm start from a
+    basis found there copies it. Every LP solved with one dict must have the
+    same coefficients in the rows it shares with the others. Deterministic
+    for identical input and the same number of BLAS threads: a multithreaded
+    BLAS may sum in another order, and round-off can then pick another pivot.
     """
     nnz = int(np.count_nonzero(lp.A))
     if nnz > MAX_NONZEROS:
@@ -523,19 +530,21 @@ def solve_lp(
     cost = np.zeros(N)
     cost[:n] = lp.obj
     tab = _Tableau(lp, lo, hi)
-    if basis is not None:
-        try:
-            if tab.start_warm(basis, tableaus):
-                status = _dual_iterate(tab, cost, max_iter)
-                if status == INFEASIBLE:
-                    return LpResult(status=INFEASIBLE, iterations=tab.pivots)
-                if status == OPTIMAL:
-                    return _phase2(tab, cost, max_iter, tableaus)
-        except NumericalFailure:
-            pass  # the slack basis below starts afresh; tab.pivots keeps counting
+    # the slack basis: no basic row, each structural at the bound its cost favours
+    slack = LpBasis(
+        np.arange(0), np.where((lp.obj < 0.0) & np.isfinite(hi), _AT_UP, _FREE).astype(np.int8)
+    )
+    try:
+        if tab.start_warm(slack if basis is None else basis, tableaus):
+            status = _dual_iterate(tab, cost, max_iter)
+            if status == INFEASIBLE:
+                return LpResult(status=INFEASIBLE, iterations=tab.pivots)
+            if status == OPTIMAL:
+                return _phase2(tab, cost, max_iter, tableaus)
+    except NumericalFailure:
+        pass  # phase 1 below starts afresh; tab.pivots keeps counting
 
-    empty = LpBasis(np.arange(0), np.full(n, _FREE, dtype=np.int8))  # no row, all free
-    tab.start_warm(empty, None)
+    tab.start_warm(slack, None)
     status = _iterate(tab, None, max_iter)
     if status == UNBOUNDED:  # cannot happen: the violation is bounded below
         raise NumericalFailure("phase-1 reported unbounded")

@@ -11,7 +11,7 @@ import pytest
 import gridopt
 from gridopt import instancefile, rfe
 from gridopt.cli import main, make_parser
-from gridopt.export import export_milp
+from gridopt.export import _clean_names, export_milp
 from gridopt.gridtab import make_grid, make_table
 from gridopt.model import (
     BINARY,
@@ -313,6 +313,25 @@ class TestExport:
             " on",
         ):
             assert line in lines
+
+    def test_clean_names_are_unique(self):
+        # the third name once became "a_2", the first one's name
+        assert _clean_names(["a_2", "a", "a"], "x") == ["a_2", "a", "a_2_2"]
+        assert _clean_names(["b", "b_3", "b_3_3", "b"], "x") == ["b", "b_3", "b_3_3", "b_3_3_3"]
+
+    def test_exported_row_names_are_unique(self):
+        variables = [VarRef(v, CONTINUOUS, 0.0, 1.0, f"x{v}") for v in range(2)]
+        cons = [
+            LinConstraint(((1.0, 0), (1.0, 1)), "<=", 1.5, name)
+            for name in ("cap_2", "cap", "cap")
+        ]
+        milp = build_relaxation(build_problem(variables, cons, objective=[(1.0, 0)]))
+        mps = export_milp(milp, "mps").splitlines()
+        rows = mps[mps.index("ROWS") + 2 : mps.index("COLUMNS")]  # after " N  OBJ"
+        lp = export_milp(milp, "lp").splitlines()
+        named = lp[lp.index("Subject To") + 1 : lp.index("Bounds")]
+        for names in ([r.split()[1] for r in rows], [r.split(":")[0].strip() for r in named]):
+            assert names == ["cap_2", "cap", "cap_2_2"]
 
 
 class TestBench:

@@ -5,7 +5,8 @@ mixed senses and bound patterns against scipy's HiGHS. The array-based pricing
 and ratio test, the latter in both phases, are checked call by call against
 scalar loops. Warm starts from an earlier optimal basis, after a bound change,
 an appended row, or new coefficients and right-hand sides in the existing rows,
-are checked against HiGHS on the changed LP.
+are checked against HiGHS on the changed LP. Cold starts run the dual simplex
+from the slack basis, and phase 1 only when it gives up.
 """
 
 import dataclasses
@@ -425,7 +426,7 @@ def _optimal_lps(rng, count: int):
 
 @pytest.fixture
 def dual_outcomes(monkeypatch):
-    """Every return value of the dual simplex loop (None: fell back to cold)."""
+    """Every return value of the dual simplex loop (None: fell back to phase 1)."""
     seen = []
     dual = simplex._dual_iterate
 
@@ -460,6 +461,14 @@ def test_slack_start_is_not_factorized(refactorizations):
     assert pivoted > 100
 
 
+def _phase1_solve(monkeypatch, lp: LpProblem):
+    """A cold solve of ``lp`` that runs phase 1, as one does when the dual
+    simplex gives up on the slack basis at once."""
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex, "_dual_iterate", lambda *args: None)
+        return solve_lp(lp)
+
+
 def _assert_matches_scipy(res, lp: LpProblem) -> str:
     ref = _scipy_solve(lp)
     if ref.status == 0:
@@ -468,6 +477,120 @@ def _assert_matches_scipy(res, lp: LpProblem) -> str:
         return OPTIMAL
     assert ref.status == 2 and res.status == INFEASIBLE
     return INFEASIBLE
+
+
+@pytest.fixture
+def loops(monkeypatch):
+    """(phase 1?, pivots taken, status) per call of the primal loop."""
+    seen = []
+    primal = simplex._iterate
+
+    def spy(tab, cost, max_iter):
+        before = tab.pivots
+        status = primal(tab, cost, max_iter)
+        seen.append((cost is None, tab.pivots - before, status))
+        return status
+
+    monkeypatch.setattr(simplex, "_iterate", spy)
+    return seen
+
+
+class TestColdStart:
+    """A cold solve starts the dual simplex from the slack basis, each
+    structural at the bound its cost favours; phase 1 runs only if that fails."""
+
+    def test_boxed_lp_never_runs_phase_1(self, loops, dual_outcomes):
+        rng = np.random.default_rng(47)
+        seen = {OPTIMAL: 0, INFEASIBLE: 0}
+        for _ in range(80):
+            lp = _random_lp(rng)
+            lp.lo, lp.hi = np.sort(rng.normal(size=(2, lp.ncols)) * 3, axis=0)
+            loops.clear()
+            dual_outcomes.clear()
+            status = _assert_matches_scipy(solve_lp(lp), lp)
+            assert dual_outcomes == [status]
+            # a boxed slack basis is dual feasible: the clean-up takes no pivot
+            assert loops == ([(False, 0, OPTIMAL)] if status == OPTIMAL else [])
+            seen[status] += 1
+        assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize(
+        "obj, lo, hi, rows",
+        [
+            # x0 is free with a nonzero cost, so it starts at 0 with d_0 = -1
+            (
+                [-1.0, 0.5],
+                [-np.inf, 0.0],
+                [np.inf, 2.0],
+                [([(0, 1.0), (1, 1.0)], "<=", 3.0), ([(0, 1.0), (1, -1.0)], ">=", -1.0)],
+            ),
+            # x0 has a negative cost and no upper bound, so it starts at its lower
+            (
+                [-1.0, 1.0],
+                [0.0, 0.0],
+                [np.inf, 2.0],
+                [([(0, 1.0), (1, -1.0)], "<=", 3.0), ([(1, 1.0)], ">=", 1.0)],
+            ),
+        ],
+        ids=["free_column", "negative_cost_no_upper_bound"],
+    )
+    def test_not_dual_feasible_ends_in_the_clean_up(self, loops, dual_outcomes, obj, lo, hi, rows):
+        lp = LpProblem.from_rows(2, obj, lo, hi, rows)
+        res = solve_lp(lp)
+        assert _assert_matches_scipy(res, lp) == OPTIMAL
+        assert res.objective == pytest.approx(-3.0)
+        assert dual_outcomes == [OPTIMAL]
+        ((phase1, cleanup, status),) = loops
+        assert not phase1 and cleanup > 0 and status == OPTIMAL
+
+    def test_dual_giving_up_falls_back_to_phase_1(self, monkeypatch, loops):
+        counted = []
+        pivot = _kernels.tableau_pivot
+        monkeypatch.setattr(_kernels, "tableau_pivot", lambda T, *a: counted.append(1) or pivot(T, *a))
+        dual = simplex._dual_iterate
+        spent = []
+
+        def gives_up(tab, cost, max_iter):
+            dual(tab, cost, 2)  # two pivots at most, then no answer
+            spent.append(tab.pivots)
+            return None
+
+        monkeypatch.setattr(simplex, "_dual_iterate", gives_up)
+        rng = np.random.default_rng(48)
+        for _ in range(60):
+            lp = _random_lp(rng)
+            loops.clear()
+            counted.clear()
+            res = solve_lp(lp)
+            if _scipy_solve(lp).status == 3:
+                assert res.status == UNBOUNDED
+            else:
+                _assert_matches_scipy(res, lp)
+            assert loops[0][0]  # phase 1 ran
+            assert res.iterations == len(counted)
+            # from the slack basis afresh, after the dual's pivots
+            alone = _phase1_solve(monkeypatch, lp)
+            assert res.iterations == spent[-1] + alone.iterations
+            assert res.status == alone.status and res.objective == alone.objective
+        assert sum(spent) > 0
+
+    def test_infeasible_is_a_farkas_row(self, loops, dual_outcomes):
+        # x0 + x1 >= 3 over [0, 1]^2
+        lp = LpProblem.from_rows(
+            2, [1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [([(0, 1.0), (1, 1.0)], ">=", 3.0)]
+        )
+        assert solve_lp(lp).status == INFEASIBLE
+        assert dual_outcomes == [INFEASIBLE] and loops == []
+
+    def test_unbounded(self, loops, dual_outcomes):
+        # min -x0 - x1 with x0 - x1 <= 1 over the nonnegative orthant
+        lp = LpProblem.from_rows(
+            2, [-1.0, -1.0], [0.0, 0.0], [np.inf, np.inf], [([(0, 1.0), (1, -1.0)], "<=", 1.0)]
+        )
+        res = solve_lp(lp)
+        assert res.status == UNBOUNDED and res.objective == -np.inf
+        assert dual_outcomes == [OPTIMAL]
+        assert [(phase1, status) for phase1, _, status in loops] == [(False, UNBOUNDED)]
 
 
 class TestWarmStart:
@@ -511,6 +634,7 @@ class TestWarmStart:
         )
         res = solve_lp(lp)
         assert res.status == OPTIMAL
+        dual_outcomes.clear()
         got = solve_lp(dataclasses.replace(lp, lo=np.zeros(2), hi=np.zeros(2)), basis=res.basis)
         assert got.status == INFEASIBLE
         assert dual_outcomes == [INFEASIBLE]
@@ -523,11 +647,12 @@ class TestWarmStart:
             assert again.iterations == 0
             assert again.objective == pytest.approx(res.objective, abs=1e-9)
 
-    def test_other_shape_falls_back_to_cold(self, dual_outcomes):
+    def test_other_shape_falls_back_to_cold(self, monkeypatch, dual_outcomes):
         rng = np.random.default_rng(34)
         lp5, res5 = next(_optimal_lps(rng, 1))
         for other in (_random_lp(rng, n=6), _random_lp(rng, n=5, m=3)):
-            cold = solve_lp(other)
+            cold = _phase1_solve(monkeypatch, other)
+            dual_outcomes.clear()
             warm = solve_lp(other, basis=res5.basis)
             assert warm.status == cold.status
             assert warm.objective == cold.objective
@@ -549,6 +674,7 @@ class TestWarmStart:
             )
             dual_outcomes.clear()
             got = solve_lp(moved, basis=res.basis)
+            assert dual_outcomes in ([OPTIMAL], [INFEASIBLE])  # no fallback
             cold = solve_lp(moved)
             assert got.status == cold.status
             if _scipy_solve(moved).status == 3:
@@ -557,7 +683,6 @@ class TestWarmStart:
                 _assert_matches_scipy(got, moved)
             if got.status == OPTIMAL:
                 assert got.objective == pytest.approx(cold.objective, abs=1e-9, rel=1e-9)
-            assert dual_outcomes in ([OPTIMAL], [INFEASIBLE])  # no fallback
             seen[got.status] += 1
         assert min(seen.values()) > 0, seen
 
@@ -565,6 +690,7 @@ class TestWarmStart:
         lp = LpProblem.from_rows(3, [1.0, -2.0, 0.5], [0.0, -1.0, 2.0], [4.0, 3.0, 5.0], [])
         res = solve_lp(lp)
         assert res.status == OPTIMAL and res.objective == pytest.approx(-5.0)
+        dual_outcomes.clear()
         moved = dataclasses.replace(lp, lo=np.array([1.0, -1.0, 2.0]), hi=np.array([4.0, 2.0, 5.0]))
         got = solve_lp(moved, basis=res.basis)
         assert got.status == OPTIMAL
@@ -578,7 +704,7 @@ class TestWarmStart:
         lp, res = next(_optimal_lps(rng, 1))
         a = rng.normal(size=lp.ncols)
         cut = _with_row(lp, a, ">=", float(a @ res.x) + 0.5)
-        cold = solve_lp(cut)
+        cold = _phase1_solve(monkeypatch, cut)
         real = getattr(simplex, stage)
         calls = []
         refactorizations.clear()
@@ -637,6 +763,7 @@ class TestSingularWarmStart:
     )
     def test_identical_basic_columns_reach_the_dual(self, dual_outcomes, seed, lapack_raises):
         lp, basis = next(_identical_basic_columns(np.random.default_rng(seed), 1))
+        dual_outcomes.clear()
         B = np.hstack([lp.A, np.eye(lp.nrows)])[:, basis.basis]
         assert np.linalg.matrix_rank(B) == lp.nrows - 1
         try:  # round-off can leave LAPACK a nonzero pivot in a singular matrix
@@ -821,6 +948,7 @@ class TestIterationsCountEveryPivot:
         _assert_matches_scipy(res, lp)
         assert res.iterations == len(pivots)
         pivots.clear()
+        dual_outcomes.clear()
         cut_lp = LpProblem.from_rows(n, lp.obj, lp.lo, lp.hi, rows + [cut])
         got = solve_lp(cut_lp, basis=res.basis)
         _assert_matches_scipy(got, cut_lp)

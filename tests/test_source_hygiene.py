@@ -3,8 +3,8 @@ import inside a function or class, no private function or method that
 nothing in ``src/gridopt`` calls, no dataclass field and no module-level
 constant that nothing reads, no exception class that nothing raises, no
 environment read outside the command line, no kept simplex tableau
-outside the MILP tree, one simplex tableau per LP solve, and one row screen
-in spatial."""
+outside the MILP tree, one simplex tableau per LP solve, one start path in
+the simplex, and one row screen in spatial."""
 
 import ast
 from pathlib import Path
@@ -315,6 +315,12 @@ def test_environment_reads_are_found(tmp_path):
     assert _environment_reads([mod]) == ["mod.py:2", "mod.py:3", "mod.py:4"]
 
 
+def _callee(call: ast.Call) -> str | None:
+    """The name a call is made by, plain or as an attribute."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def _calls(path: Path, function: str, callee: str) -> int:
     """Calls to ``callee``, by name or as an attribute, in the body of the
     module-level ``function``, nested functions included."""
@@ -323,9 +329,7 @@ def _calls(path: Path, function: str, callee: str) -> int:
     calls = 0
     for node in ast.walk(body):
         if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            calls += name == callee
+            calls += _callee(node) == callee
     return calls
 
 
@@ -392,7 +396,7 @@ def test_solve_lp_calls_are_counted(tmp_path):
 
 def test_each_lp_solve_builds_one_tableau():
     """A cold start and the fallback after a failed warm start both start the
-    one tableau from a basis: the slack basis is the empty basis's start."""
+    one tableau from a basis: the slack basis is a start over no row."""
     assert _calls(ROOT / "src" / "gridopt" / "simplex.py", "solve_lp", "_Tableau") == 1
 
 
@@ -411,6 +415,48 @@ def test_tableau_constructions_are_counted(tmp_path):
     assert _calls(mod, "solve_lp", "_Tableau") == 2
 
 
+def _call_sites(path: Path, callee: str, cost_none: bool = False) -> list[str]:
+    """The top-level function (or class) of each call to ``callee`` in the
+    module, once per call; with ``cost_none``, only the calls that pass the
+    constant None as the second argument or as ``cost``."""
+    found = []
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call) or _callee(node) != callee:
+                continue
+            cost = node.args[1:2] + [k.value for k in node.keywords if k.arg == "cost"]
+            if not cost_none or any(isinstance(a, ast.Constant) and a.value is None for a in cost):
+                found.append(getattr(top, "name", "<module>"))
+    return found
+
+
+def test_the_simplex_has_one_start_path():
+    """A solve, cold or warm, runs the dual simplex from its start basis, and
+    phase 1 from the slack basis only when that fails: one call site each."""
+    path = ROOT / "src" / "gridopt" / "simplex.py"
+    assert _call_sites(path, "_dual_iterate") == ["solve_lp"]
+    assert _call_sites(path, "_iterate", cost_none=True) == ["solve_lp"]
+
+
+def test_second_start_paths_are_found(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "import simplex\n"
+        "def solve_lp(tab, cost):\n"
+        "    if simplex._dual_iterate(tab, cost, 9) is None:\n"
+        "        _iterate(tab, None, 9)\n"
+        "    return _iterate(tab, cost, 9)\n"
+        "def cold(tab, cost):\n"
+        "    _dual_iterate(tab, cost, 9)\n"
+        "    return _iterate(tab, cost=None, max_iter=9)\n"
+        "class Phase1:\n"
+        "    def run(self, tab): return _iterate(tab, None, 9)\n"
+    )
+    assert _call_sites(mod, "_dual_iterate") == ["solve_lp", "cold"]
+    assert _call_sites(mod, "_iterate", cost_none=True) == ["solve_lp", "cold", "Phase1"]
+    assert _call_sites(mod, "_iterate") == ["solve_lp", "solve_lp", "cold", "Phase1"]
+
+
 def _tableau_passers(paths: list[Path]) -> list[str]:
     """``module.function`` (``module.<module>`` at module level) of every call
     to ``solve_lp`` that passes ``tableaus``, by keyword or as the third
@@ -421,9 +467,7 @@ def _tableau_passers(paths: list[Path]) -> list[str]:
             for node in ast.walk(top):
                 if not isinstance(node, ast.Call):
                     continue
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "solve_lp" and (
+                if _callee(node) == "solve_lp" and (
                     len(node.args) > 2 or any(k.arg == "tableaus" for k in node.keywords)
                 ):
                     found.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
