@@ -26,8 +26,10 @@ raises a node's LP bound and keeps an infeasible node infeasible, so the next
 call resumes from that frontier instead of the root. A frontier node whose x
 violates an appended row becomes unsolved again, with its bound and basis; its
 LP takes the new rows in with their slacks. Every other node keeps its bound
-and x. The time limit is checked before every LP, the root's included, and
-the unsolved node it stops at stays in the frontier under its bound.
+and x. The caller's deadline reaches every node LP, the root's included, and
+bnb reads no clock: a node LP that returns ``TimeLimit``, before its first
+pivot or during its solve, ends the search, and that node stays in the
+frontier unsolved, under its parent's bound and basis.
 
 ``cutoff`` is an outside incumbent that only falls between calls (RFE's best
 cell). A node whose bound is at or above its ``prune_level`` cannot beat it
@@ -40,16 +42,15 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .model import GE, LE
-from .simplex import FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LpBasis, LpProblem, solve_lp
-
-TIME_LIMIT = "TimeLimit"
+from .simplex import (
+    FEAS_TOL, INFEASIBLE, OPTIMAL, TIME_LIMIT, UNBOUNDED, LpBasis, LpProblem, solve_lp,
+)
 
 INT_TOL = 1e-6
 REL_GAP = 1e-6  # prune_level's gap; rfe closes its loop at it too
@@ -75,8 +76,8 @@ class MipResult:
     x: Optional[np.ndarray] = None
     objective: float = np.inf
     bound: float = -np.inf
-    nodes: int = 0  # LPs solved, re-solved frontier nodes included
-    lp_iterations: int = 0
+    nodes: int = 0  # LPs solved to their end, re-solved frontier nodes included
+    lp_iterations: int = 0  # pivots of every node LP, one the deadline stopped included
     frontier: list[Node] = field(default_factory=list)  # every unbranched node
 
 
@@ -86,13 +87,6 @@ def prune_level(value: float, gap: float = REL_GAP) -> float:
     if not np.isfinite(value):
         return np.inf  # inf - gap * inf is NaN, and every comparison with NaN is false
     return value - gap * max(1.0, abs(value))
-
-
-def check_time_limit(time_limit: Optional[float]) -> None:
-    """Raise ``ValueError`` unless ``time_limit`` is None (no limit) or a
-    number >= 0. NaN is rejected too: it would disable the limit."""
-    if time_limit is not None and not time_limit >= 0.0:
-        raise ValueError(f"time_limit must be a number >= 0, not {time_limit!r}")
 
 
 def _violates_new_rows(lp: LpProblem, node: Node) -> bool:
@@ -109,23 +103,22 @@ def _violates_new_rows(lp: LpProblem, node: Node) -> bool:
 def solve_milp(
     lp: LpProblem,
     binary_cols: Sequence[int],
-    time_limit: Optional[float] = None,
+    deadline: float = np.inf,
     cutoff: float = np.inf,
     frontier: Optional[Sequence[Node]] = None,
 ) -> MipResult:
     """Minimize over ``lp`` with the listed columns restricted to {0, 1}.
 
     Returns the proven optimum below ``cutoff``, ``Infeasible`` when nothing
-    lies below it, or status TimeLimit when the time limit stops the search
-    first; then ``bound`` is the least bound over the unbranched nodes.
+    lies below it, or status TimeLimit when a node LP stops at ``deadline``
+    (a ``time.monotonic()`` reading, passed to every ``solve_lp``) first;
+    then ``bound`` is the least bound over the unbranched nodes.
     ``frontier`` is an earlier call's ``MipResult.frontier`` on ``lp`` with
     fewer rows, or the same ``lp``; without it the search starts at the root.
     Deterministic for identical input and limits (up to wall-clock cutoffs)
     and the same number of BLAS threads, as ``solve_lp`` is: the root MILP
     of desk S4 seed 0 takes 49 nodes with one OpenBLAS thread and 44 with two.
     """
-    check_time_limit(time_limit)
-    t0 = time.monotonic()
     binary_cols = sorted(int(c) for c in binary_cols)
     cut_level = prune_level(cutoff)
     if frontier is None:
@@ -136,9 +129,6 @@ def solve_milp(
     tick = itertools.count()  # FIFO tie-break keeps the heap deterministic
     heap: list = []  # (bound, tick, node) of every unbranched node
     tableaus: dict = {}  # solve_lp's kept tableaus, shared by every LP of this call
-
-    def out_of_time() -> bool:
-        return time_limit is not None and time.monotonic() - t0 > time_limit
 
     def out(status: str, *unbranched: tuple, x=None, objective=np.inf) -> MipResult:
         rest = sorted(itertools.chain(heap, unbranched))
@@ -161,11 +151,11 @@ def solve_milp(
         entry = heapq.heappop(heap)
         node = entry[2]
         if node.x is None:
-            if out_of_time():
-                return out(TIME_LIMIT, entry)
             node_lp = replace(lp, lo=node.lo, hi=node.hi)
-            res = solve_lp(node_lp, basis=node.basis, tableaus=tableaus)
+            res = solve_lp(node_lp, basis=node.basis, tableaus=tableaus, deadline=deadline)
             lp_iters += res.iterations
+            if res.status == TIME_LIMIT:
+                return out(TIME_LIMIT, entry)
             nodes += 1
             if res.status == UNBOUNDED:  # only the root can be: its children are bounded
                 return out(UNBOUNDED, objective=-np.inf)

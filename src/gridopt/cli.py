@@ -24,12 +24,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 
 from . import instancefile
-from .bnb import check_time_limit
 from .errors import GridOptError
 from .export import FORMATS, export_milp
 from .opo import build_opo_instance, get_scenario
 from .relax import build_relaxation
-from .rfe import RfeResult, solve_by_enumeration, solve_rfe
+from .rfe import RfeResult, check_time_limit, solve_by_enumeration, solve_rfe
 
 EXIT_OK = 0
 EXIT_INVALID = 2

@@ -1,8 +1,10 @@
 """Textual export of the MILP relaxation in MPS and LP formats.
 
-Exports are root relaxations: all structural, weight, and segment columns with
-their rows, but no exclusion cuts. Names are sanitized and de-duplicated so the
-files load in standard MILP solvers.
+An export holds the relaxation as it stands: all structural, weight, and
+segment columns, and every row in ``milp.rows``, the exclusion cuts added so
+far (``relax.add_no_good_cut``) included. The CLI exports a fresh relaxation,
+which has none. Names are sanitized and de-duplicated so the files load in
+standard MILP solvers.
 """
 
 from __future__ import annotations

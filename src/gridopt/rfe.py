@@ -12,6 +12,11 @@ A subproblem that stops unproven (``NodeLimit``, or ``TimeLimit`` at the
 deadline) is still excluded, but its bound stays a floor under the global
 bound: while that floor is below the incumbent, the result is that limit
 status, never ``Optimal`` or ``Infeasible``.
+
+The time limit has one conversion, ``_deadline``: seconds from now become one
+``time.monotonic()`` reading, which every MILP, subproblem and LP receives.
+Only the simplex and this module read the clock; this module reads it before
+each round and each enumerated cell, work that runs no LP.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bnb import TIME_LIMIT, check_time_limit, prune_level, solve_milp
+from .bnb import TIME_LIMIT, prune_level, solve_milp
 from .errors import EnumerationTooLarge
 from .model import ProblemIR
 from .relax import Fixing, add_no_good_cut, build_relaxation, build_subproblem, extract_fixing
@@ -45,7 +50,7 @@ class RfeResult:
     subproblems_solved: int = 0
     milp_nodes: int = 0
     spatial_nodes: int = 0  # node LPs over all subproblems
-    cells_screened: int = 0  # subproblems closed with no LP
+    cells_screened: int = 0  # subproblems closed Infeasible with no LP
     log: list = field(default_factory=list)
 
 
@@ -64,9 +69,9 @@ def _closed(incumbent: float, bound: float) -> bool:
 class _Subproblems:
     """Solves cell subproblems one after another and keeps what they prove.
 
-    Each root LP starts from the previous subproblem's root basis, and no
-    node LP starts after ``deadline`` (a ``time.monotonic()`` reading).
-    Values are in the minimization sense.
+    Each root LP starts from the previous subproblem's root basis, and every
+    LP receives ``deadline`` (a ``time.monotonic()`` reading). Values are in
+    the minimization sense.
     """
 
     def __init__(self, ir: ProblemIR, deadline: float) -> None:
@@ -78,7 +83,7 @@ class _Subproblems:
         self.limit = NODE_LIMIT  # the status of the last one that did not
         self.solved = 0
         self.nodes = 0  # spatial node LPs
-        self.screened = 0  # subproblems closed with no LP
+        self.screened = 0  # subproblems closed Infeasible with no LP
         self.basis = None  # previous subproblem's root basis
 
     def solve(self, fixing: Fixing) -> str:
@@ -90,7 +95,7 @@ class _Subproblems:
             self.basis = res.root_basis
         self.solved += 1
         self.nodes += res.nodes
-        self.screened += res.nodes == 0
+        self.screened += res.status == INFEASIBLE and res.nodes == 0
         if res.status in (NODE_LIMIT, TIME_LIMIT):
             self.floor = min(self.floor, res.bound)
             self.limit = res.status
@@ -122,6 +127,13 @@ class _Subproblems:
         )
 
 
+def check_time_limit(time_limit: Optional[float]) -> None:
+    """Raise ``ValueError`` unless ``time_limit`` is None (no limit) or a
+    number >= 0. NaN is rejected too: it would disable the limit."""
+    if time_limit is not None and not time_limit >= 0.0:
+        raise ValueError(f"time_limit must be a number >= 0, not {time_limit!r}")
+
+
 def _deadline(time_limit: Optional[float]) -> float:
     """The ``time.monotonic()`` reading at which ``time_limit`` seconds from
     now run out; inf with no limit."""
@@ -148,11 +160,10 @@ def solve_rfe(ir: ProblemIR, time_limit: Optional[float] = None) -> RfeResult:
         return cells.result(status, bound, iterations=len(log), milp_nodes=nodes, log=log)
 
     for it in range(MAX_ITERATIONS):
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
+        if time.monotonic() >= deadline:
             return out(TIME_LIMIT)
         mres = solve_milp(
-            milp.to_lp(), milp.binary_cols(), time_limit=remaining,
+            milp.to_lp(), milp.binary_cols(), deadline=deadline,
             cutoff=cells.objective, frontier=frontier,
         )
         frontier = mres.frontier
@@ -234,9 +245,9 @@ def solve_by_enumeration(ir: ProblemIR, time_limit: Optional[float] = None) -> R
     Exponential in problem size and guarded by ``ENUM_LIMIT`` subproblems;
     intended as an independent check of :func:`solve_rfe` on small instances.
     The first cell whose relaxation is unbounded ends it as ``Unbounded``.
-    ``time_limit`` is checked before each cell and each node LP in it; once
-    it has passed, the result is ``TimeLimit`` with the incumbent and no
-    finite bound, unless it stopped the last cell.
+    ``time_limit`` is checked before each cell, and every LP in it stops at
+    the same deadline; once it has passed, the result is ``TimeLimit`` with
+    the incumbent and no finite bound, unless it stopped the last cell.
     """
     deadline = _deadline(time_limit)
     cells = _Subproblems(ir, deadline)

@@ -25,6 +25,15 @@ call, except for the kept tableaus in a dict the caller owns and passes in
 (below), so solves that share no such dict may run concurrently.
 ``LpResult.iterations`` counts every pivot.
 
+Deadline (``solve_lp(lp, deadline=d)``, a ``time.monotonic()`` reading). This
+is the one place below ``rfe`` where the clock is read: once before a solve
+starts, and once before each pivot (a bound flip included) of the dual, phase
+1 and phase 2 loops, so a solve stops within one pivot or refactorization of
+``d``. Once the reading is at or past ``d``, the solve starts no work and
+makes no pivot: it returns ``TimeLimit`` with no x and no basis,
+``iterations`` the pivots spent, and keeps no tableau. A dual attempt stopped
+there does not fall back to phase 1.
+
 Column bounds reach a solve only as ``LpProblem.lo`` and ``hi``: a tree node
 writes its box into its LP (spatial) or solves ``dataclasses.replace(lp,
 lo=..., hi=...)``, which shares the rows and leaves ``lp`` untouched (bnb).
@@ -103,6 +112,7 @@ choose the same pivots as a column-by-column / row-by-row scan):
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -115,6 +125,7 @@ from .model import GE, LE
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
 UNBOUNDED = "Unbounded"
+TIME_LIMIT = "TimeLimit"
 
 MAX_NONZEROS = 50_000
 
@@ -198,9 +209,10 @@ class LpResult:
 
 
 class _Tableau:
-    """Mutable simplex state: the tableau B^-1 [A I] over structurals and slacks."""
+    """Mutable simplex state: the tableau B^-1 [A I] over structurals and
+    slacks, and the solve's deadline, which every pivot loop reads."""
 
-    def __init__(self, lp: LpProblem, lo: np.ndarray, hi: np.ndarray):
+    def __init__(self, lp: LpProblem, lo: np.ndarray, hi: np.ndarray, deadline: float):
         n, m = lp.ncols, lp.nrows
         self.n, self.m = n, m
         self.N = n + m
@@ -213,6 +225,7 @@ class _Tableau:
                 self.lo[n + i] = -np.inf
             # EQ keeps the slack fixed at 0
         self.lp = lp
+        self.deadline = deadline  # a time.monotonic() reading
         self.pivots = 0  # every pivot, reported as LpResult.iterations
         self.eta = 0  # pivots since the last refactorization
 
@@ -385,7 +398,8 @@ def _ratio_test(tab: _Tableau, j: int, direction: float, viol: Optional[np.ndarr
 
 
 def _iterate(tab: _Tableau, cost: Optional[np.ndarray], max_iter: int) -> str:
-    """Primal simplex on ``cost``, or phase 1 (see the module docstring) if None."""
+    """Primal simplex on ``cost``, or phase 1 (see the module docstring) if None;
+    TimeLimit before a pivot once the tableau's deadline has passed."""
     phase1 = cost is None
     viol = None
     degen = 0
@@ -406,6 +420,8 @@ def _iterate(tab: _Tableau, cost: Optional[np.ndarray], max_iter: int) -> str:
         step, row, up = _ratio_test(tab, j, direction, viol)
         if not np.isfinite(step):
             return UNBOUNDED
+        if time.monotonic() >= tab.deadline:
+            return TIME_LIMIT
         if row == -1:
             # bound flip: entering variable crosses to its other bound
             tab.xB -= direction * step * tab.T[:, j]
@@ -425,9 +441,10 @@ def _iterate(tab: _Tableau, cost: Optional[np.ndarray], max_iter: int) -> str:
 def _dual_iterate(tab: _Tableau, cost: np.ndarray, max_iter: int) -> Optional[str]:
     """Dual simplex until the basis is primal feasible.
 
-    Returns Optimal (primal feasible), Infeasible (a row certifies it), or
-    None to fall back: the iteration or degeneracy limit is hit, or a row's
-    infeasibility is not proven.
+    Returns Optimal (primal feasible), Infeasible (a row certifies it),
+    TimeLimit (the tableau's deadline passed before a pivot), or None to fall
+    back: the iteration or degeneracy limit is hit, or a row's infeasibility
+    is not proven.
     """
     if tab.m == 0:
         return OPTIMAL  # no basic variable to violate a bound
@@ -455,6 +472,8 @@ def _dual_iterate(tab: _Tableau, cost: np.ndarray, max_iter: int) -> Optional[st
             small = right & (np.abs(alpha) > _ZERO_TOL)
             reach = float(np.abs(alpha[small]) @ span[small])
             return INFEASIBLE if reach + FEAS_TOL < viol[r] else None
+        if time.monotonic() >= tab.deadline:
+            return TIME_LIMIT
         cols = elig.nonzero()[0]
         d = cost - cost[tab.basis] @ tab.T
         size = np.abs(alpha[cols])
@@ -480,6 +499,8 @@ def _phase2(
     status = _iterate(tab, cost, max_iter)
     if status == UNBOUNDED:
         return LpResult(status=UNBOUNDED, objective=-np.inf, iterations=tab.pivots)
+    if status == TIME_LIMIT:
+        return LpResult(status=TIME_LIMIT, iterations=tab.pivots)
 
     x = tab.solution()
     resid = lp.A @ x[:n] + x[n:] - lp.rhs
@@ -501,7 +522,10 @@ def _phase2(
 
 
 def solve_lp(
-    lp: LpProblem, basis: Optional[LpBasis] = None, tableaus: Optional[dict] = None
+    lp: LpProblem,
+    basis: Optional[LpBasis] = None,
+    tableaus: Optional[dict] = None,
+    deadline: float = np.inf,
 ) -> LpResult:
     """Solve min obj @ x subject to the rows and column bounds of ``lp``.
 
@@ -513,7 +537,11 @@ def solve_lp(
     same coefficients in the rows it shares with the others. Deterministic
     for identical input and the same number of BLAS threads: a multithreaded
     BLAS may sum in another order, and round-off can then pick another pivot.
+    ``deadline`` is a ``time.monotonic()`` reading: once it has passed, the
+    solve starts nothing and pivots no more, and returns ``TimeLimit``.
     """
+    if time.monotonic() >= deadline:
+        return LpResult(status=TIME_LIMIT)
     nnz = int(np.count_nonzero(lp.A))
     if nnz > MAX_NONZEROS:
         raise ProblemTooLarge(f"{nnz} nonzeros exceeds dense limit {MAX_NONZEROS}")
@@ -529,7 +557,7 @@ def solve_lp(
     max_iter = 5000 + 200 * (m + N)
     cost = np.zeros(N)
     cost[:n] = lp.obj
-    tab = _Tableau(lp, lo, hi)
+    tab = _Tableau(lp, lo, hi, deadline)
     # the slack basis: no basic row, each structural at the bound its cost favours
     slack = LpBasis(
         np.arange(0), np.where((lp.obj < 0.0) & np.isfinite(hi), _AT_UP, _FREE).astype(np.int8)
@@ -537,8 +565,8 @@ def solve_lp(
     try:
         if tab.start_warm(slack if basis is None else basis, tableaus):
             status = _dual_iterate(tab, cost, max_iter)
-            if status == INFEASIBLE:
-                return LpResult(status=INFEASIBLE, iterations=tab.pivots)
+            if status in (INFEASIBLE, TIME_LIMIT):
+                return LpResult(status=status, iterations=tab.pivots)
             if status == OPTIMAL:
                 return _phase2(tab, cost, max_iter, tableaus)
     except NumericalFailure:
@@ -548,6 +576,6 @@ def solve_lp(
     status = _iterate(tab, None, max_iter)
     if status == UNBOUNDED:  # cannot happen: the violation is bounded below
         raise NumericalFailure("phase-1 reported unbounded")
-    if status == INFEASIBLE:
-        return LpResult(status=INFEASIBLE, iterations=tab.pivots)
+    if status in (INFEASIBLE, TIME_LIMIT):
+        return LpResult(status=status, iterations=tab.pivots)
     return _phase2(tab, cost, max_iter, tableaus)

@@ -55,9 +55,10 @@ previous subproblem's root); an unbounded root LP makes the result
 ``Unbounded``.
 ``MAX_NODES`` node LPs, or a box too narrow to split whose bound is below the
 incumbent, end the search unproven: the result is ``NodeLimit`` with the least
-bound of every open or exhausted box. The caller's deadline is read before
-each node LP, and once it has passed the search stops there the same way,
-as ``TimeLimit``.
+bound of every open or exhausted box. The caller's deadline goes to every
+LP, the node LPs and the pinned steps', and spatial reads no clock: a node
+LP that returns ``TimeLimit`` stops the search the same way, as
+``TimeLimit``, and a pinned step that does gives no candidate.
 
 A subproblem that reaches an LP builds its node LP once, since every box has
 the same rows and columns; a popped box writes its column bounds into it
@@ -74,7 +75,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -241,7 +241,7 @@ def _exact_candidate(
 
 
 def _pinned_step(
-    nlp: BoxNlp, lp: LpProblem, x: np.ndarray, free: set[int]
+    nlp: BoxNlp, lp: LpProblem, x: np.ndarray, free: set[int], deadline: float
 ) -> Optional[tuple[np.ndarray, float]]:
     """Minimize over the IR's linear part with every input fixed at x except
     those in ``free``, at most one per block.
@@ -251,8 +251,9 @@ def _pinned_step(
     free input has its output pinned at f(x), within the output's bounds
     (else lo > hi and the LP is infeasible); a free input makes f affine
     along it, so a row ties the output to it exactly. None when the LP is
-    not optimal, or with no LP when a linear row misses its right-hand side
-    over the pinned bounds (``_rows_exclude_box``).
+    not optimal (``TimeLimit`` at ``deadline`` included), or with no LP when
+    a linear row misses its right-hand side over the pinned bounds
+    (``_rows_exclude_box``).
     """
     lo = nlp.var_lo.copy()
     hi = nlp.var_hi.copy()
@@ -275,7 +276,8 @@ def _pinned_step(
         rows.append(([(blk.output_pos, 1.0), (blk.input_pos[j], -slope)], EQ, const))
     if _rows_exclude_box(nlp.ir, lo, hi):
         return None
-    res = solve_lp(LpProblem.from_rows(lo.size, lp.obj[: lo.size], lo, hi, rows))
+    step_lp = LpProblem.from_rows(lo.size, lp.obj[: lo.size], lo, hi, rows)
+    res = solve_lp(step_lp, deadline=deadline)
     if res.status != OPTIMAL:
         return None
     return res.x.copy(), res.objective
@@ -301,7 +303,7 @@ def _descent_steps(blocks: list[CellBlock]) -> list[set[int]]:
 
 
 def _coordinate_descent(
-    nlp: BoxNlp, lp: LpProblem, best: tuple[np.ndarray, float]
+    nlp: BoxNlp, lp: LpProblem, best: tuple[np.ndarray, float], deadline: float
 ) -> tuple[np.ndarray, float]:
     """Improve a candidate by re-optimizing a few input variables at a time.
 
@@ -313,7 +315,7 @@ def _coordinate_descent(
     for _ in range(3):
         improved = False
         for free in steps:
-            cand = _pinned_step(nlp, lp, best[0], free)
+            cand = _pinned_step(nlp, lp, best[0], free, deadline)
             if cand is not None and cand[1] < best[1] - 1e-12:
                 best = cand
                 improved = True
@@ -332,7 +334,7 @@ def solve_box_nlp(
     ``basis`` warm-starts the root LP; it may come from another subproblem
     (``solve_lp`` falls back to the slack basis when it does not fit). An
     infeasible root LP has no basis to hand on. ``deadline`` is a
-    ``time.monotonic()`` reading; no node LP starts after it.
+    ``time.monotonic()`` reading that every LP of the search receives.
     """
     if np.any(nlp.var_lo > nlp.var_hi + 1e-12):
         return NlpResult(status=INFEASIBLE)
@@ -357,13 +359,14 @@ def solve_box_nlp(
         if pruned(node.bound):
             break  # so is every node still on the heap
         if node.x is None:
-            if time.monotonic() >= deadline:
-                limit = TIME_LIMIT
-            if nodes >= MAX_NODES or limit == TIME_LIMIT:
+            if nodes >= MAX_NODES:
                 floor = min(floor, node.bound)  # no node left on the heap is lower
                 break
             _write_box(lp, blocks, node.lo, node.hi)
-            res = solve_lp(lp, basis=node.basis)
+            res = solve_lp(lp, basis=node.basis, deadline=deadline)
+            if res.status == TIME_LIMIT:
+                limit, floor = TIME_LIMIT, min(floor, node.bound)
+                break
             nodes += 1
             if nodes == 1:
                 root_basis = res.basis
@@ -374,9 +377,9 @@ def solve_box_nlp(
             cand = _exact_candidate(nlp, lp, res.x)
             if cand is None:
                 x = np.clip(res.x[: node.lo.size], node.lo, node.hi)
-                cand = _pinned_step(nlp, lp, x, set())
+                cand = _pinned_step(nlp, lp, x, set(), deadline)
                 if cand is not None:
-                    cand = _coordinate_descent(nlp, lp, cand)
+                    cand = _coordinate_descent(nlp, lp, cand, deadline)
             if cand is not None and cand[1] < best[1] - 1e-15:
                 best = cand
             node = Node(res.objective, node.lo, node.hi, res.x, res.basis)

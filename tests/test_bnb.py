@@ -2,15 +2,18 @@
 
 import dataclasses
 import itertools
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from gridopt import bnb
+from gridopt import bnb, simplex
 from gridopt.bnb import TIME_LIMIT, solve_milp
 from gridopt.relax import add_no_good_cut, build_relaxation, extract_fixing
 from gridopt.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, solve_lp
 
+from _clock import Clock
 from _random_instances import cut_instance, random_instance
 
 
@@ -118,16 +121,8 @@ class TestStatuses:
         values = rng.uniform(1, 10, n)
         weights = rng.uniform(1, 10, n)
         lp = _knapsack_lp(values, weights, weights.sum() * 0.5)
-        res = solve_milp(lp, list(range(n)), time_limit=0.0)
+        res = solve_milp(lp, list(range(n)), deadline=time.monotonic())
         assert res.status == TIME_LIMIT
-
-    @pytest.mark.parametrize("limit", [np.nan, -5.0, -np.inf])
-    def test_time_limit_must_be_a_number_at_least_zero(self, limit):
-        # a NaN limit compares false with every elapsed time and never stops
-        # the search; a negative one stops it before the root
-        lp = _knapsack_lp([3.0, 2.0], [2.0, 1.0], 2.0)
-        with pytest.raises(ValueError, match="time_limit"):
-            solve_milp(lp, [0, 1], time_limit=limit)
 
 
 class TestDeterminism:
@@ -201,15 +196,12 @@ def test_resumed_frontier_matches_scratch(family, seed):
             assert res.objective == pytest.approx(scratch.objective, rel=1e-9, abs=1e-12)
 
 
-class _Clock:
-    """Stands in for ``time`` in bnb: every reading is one second after the last."""
-
-    def __init__(self):
-        self.now = 0.0
-
-    def monotonic(self):
-        self.now += 1.0
-        return self.now
+@pytest.fixture
+def lp_clock(monkeypatch):
+    """A clock that moves one second at each node LP of bnb."""
+    clock = Clock(monkeypatch)
+    clock.tick_on(bnb, "solve_lp")
+    return clock
 
 
 class TestTimeLimitFrontier:
@@ -227,15 +219,14 @@ class TestTimeLimitFrontier:
             assert sum(inside) == 1
         assert res.bound == min([res.objective] + [n.bound for n in res.frontier])
 
-    def test_stops_after_each_check(self, monkeypatch):
+    def test_stops_after_each_check(self, lp_clock):
         lp = _random_knapsack(4)
         opt = solve_milp(lp, range(10))
         cut = _no_good_row(lp, opt.x)
         cut_opt = solve_milp(cut, range(10))
         stopped = set()
-        monkeypatch.setattr(bnb, "time", _Clock())
         for limit in range(opt.nodes):
-            res = solve_milp(lp, range(10), time_limit=limit + 0.5)
+            res = solve_milp(lp, range(10), deadline=lp_clock.now + limit + 0.5)
             if res.status != TIME_LIMIT:
                 break
             # siblings pop back to back, so an even limit from 2 on stops between two
@@ -246,7 +237,9 @@ class TestTimeLimitFrontier:
             assert done.objective == pytest.approx(opt.objective, abs=1e-9)
             # resumed under the cut, stopped again in the re-solve loop or later
             for again in range(3):
-                part = solve_milp(cut, range(10), time_limit=again + 0.5, frontier=res.frontier)
+                part = solve_milp(
+                    cut, range(10), deadline=lp_clock.now + again + 0.5, frontier=res.frontier
+                )
                 if part.status != TIME_LIMIT:
                     break
                 self._check_stop(cut, part)
@@ -259,17 +252,18 @@ class TestTimeLimitFrontier:
 class TestChildrenWaitUnsolved:
     """A branched node's children wait on the heap with its bound and basis."""
 
-    def test_time_limit_between_siblings(self, monkeypatch):
+    def test_time_limit_between_siblings(self, lp_clock):
         lp = _random_knapsack(4)
         opt = solve_milp(lp, range(10))
-        monkeypatch.setattr(bnb, "time", _Clock())
-        branched = solve_milp(lp, range(10), time_limit=1.5)  # stops after the root LP
+        # stops after the root LP
+        branched = solve_milp(lp, range(10), deadline=lp_clock.now + 1.5)
         assert branched.nodes == 1
         first, second = branched.frontier  # the root's children, in tick order
         assert first.x is None and second.x is None
         assert first.bound == second.bound == branched.bound > -np.inf
         assert first.basis is second.basis is not None
-        res = solve_milp(lp, range(10), time_limit=2.5)  # stops after the first child's LP
+        # stops after the first child's LP
+        res = solve_milp(lp, range(10), deadline=lp_clock.now + 2.5)
         assert res.status == TIME_LIMIT
         assert res.nodes == 2
         (waiting,) = [n for n in res.frontier if n.x is None]
@@ -298,11 +292,10 @@ class TestRootIsAFrontierNode:
         assert resumed.status == INFEASIBLE
         assert resumed.nodes == 0
 
-    def test_time_limit_before_the_root(self, monkeypatch):
+    def test_time_limit_before_the_root(self, lp_clock):
         lp = _random_knapsack(4)
         opt = solve_milp(lp, range(10))
-        monkeypatch.setattr(bnb, "time", _Clock())
-        res = solve_milp(lp, range(10), time_limit=0.5)
+        res = solve_milp(lp, range(10), deadline=lp_clock.now + 0.5)
         assert res.status == TIME_LIMIT
         assert res.nodes == 0
         assert res.bound == -np.inf
@@ -314,3 +307,49 @@ class TestRootIsAFrontierNode:
         assert done.status == OPTIMAL
         assert done.objective == opt.objective
         assert done.nodes == opt.nodes
+
+
+class TestDeadlineInsideAnLp:
+    """A node LP that the deadline stops after some pivots leaves its node
+    unsolved in the frontier, under its parent's bound and basis."""
+
+    def test_node_stopped_mid_lp_stays_in_the_frontier(self, monkeypatch):
+        lp = _random_knapsack(4)
+        opt = solve_milp(lp, range(10))
+        solved = []  # (node LP, start basis, result) of every node LP
+
+        def recorded(node_lp, basis=None, **kwargs):
+            solved.append((node_lp, basis, solve_lp(node_lp, basis=basis, **kwargs)))
+            return solved[-1][2]
+
+        monkeypatch.setattr(bnb, "solve_lp", recorded)
+        # every clock read moves the clock: one per solve and one per pivot
+        readings = itertools.count(1)
+        monkeypatch.setattr(simplex, "time", SimpleNamespace(monotonic=readings.__next__))
+        stopped_mid_lp = 0
+        for reads in range(1, 200):
+            solved.clear()
+            res = solve_milp(lp, range(10), deadline=next(readings) + reads + 0.5)
+            if res.status != TIME_LIMIT:
+                break
+            node_lp, start, last = solved[-1]
+            assert last.status == TIME_LIMIT and last.x is None and last.basis is None
+            assert res.nodes == len(solved) - 1
+            assert res.lp_iterations == sum(r.iterations for _, _, r in solved)
+            if last.iterations == 0:
+                continue
+            stopped_mid_lp += 1
+            # the node waits unsolved, under its parent's bound and basis (the
+            # root's are -inf and None)
+            (waiting,) = [
+                n for n in res.frontier
+                if np.array_equal(n.lo, node_lp.lo) and np.array_equal(n.hi, node_lp.hi)
+            ]
+            assert waiting.x is None and waiting.basis is start
+            parents = [r.objective for _, _, r in solved if start is not None and r.basis is start]
+            assert waiting.bound == (parents[0] if parents else -np.inf) == res.bound
+            done = solve_milp(lp, range(10), frontier=res.frontier)
+            assert done.status == OPTIMAL
+            assert done.objective == pytest.approx(opt.objective, abs=1e-9)
+        assert res.status == OPTIMAL
+        assert stopped_mid_lp >= 5  # 9 with one BLAS thread

@@ -21,7 +21,9 @@ from gridopt.model import (
     VarRef,
     build_problem,
 )
-from gridopt.relax import build_relaxation
+from gridopt.bnb import solve_milp
+from gridopt.opo import build_opo_instance, get_scenario
+from gridopt.relax import add_no_good_cut, build_relaxation, extract_fixing
 
 from _oracles import problem_size
 from _random_instances import cut_instance
@@ -272,6 +274,16 @@ class TestExport:
         assert exc.value.code == 2
         assert "--format" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("fmt", ["mps", "lp"])
+    def test_exclusion_cuts_are_exported(self, fmt):
+        ir = build_opo_instance(get_scenario("S1", "desk"), 0).ir
+        milp = build_relaxation(ir)
+        assert "cut0" not in export_milp(milp, fmt)
+        add_no_good_cut(milp, extract_fixing(milp, solve_milp(milp.to_lp(), milp.binary_cols()).x))
+        (cut,) = milp.cuts
+        assert milp.rows[cut].name == "cut0"
+        assert "cut0" in export_milp(milp, fmt)
 
     def test_library_rejects_unsupported_format(self):
         milp = build_relaxation(_bounds_ir())

@@ -6,6 +6,8 @@ the previous round's frontier as ``solve_rfe`` does. The cutoff stays infinite,
 so every round must find the cut MILP's own optimum.
 """
 
+import time
+
 import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -43,7 +45,9 @@ def test_desk_relaxation_matches_highs(scenario, seed):
     for _ in range(3):
         lp = model.to_lp()
         # the limit only stops a runaway search; S4-0's first round takes about 3 s
-        res = solve_milp(lp, bins, time_limit=300, cutoff=np.inf, frontier=frontier)
+        res = solve_milp(
+            lp, bins, deadline=time.monotonic() + 300, cutoff=np.inf, frontier=frontier
+        )
         assert res.status == OPTIMAL
         assert res.objective == pytest.approx(_highs(lp, bins), rel=1e-6)
         frontier = res.frontier

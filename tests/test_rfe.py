@@ -1,8 +1,5 @@
 """The fix-and-exclude driver: oracle equivalence and trace invariants."""
 
-import itertools
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -20,6 +17,7 @@ from gridopt.model import (
 from gridopt.opo import build_opo_instance, get_scenario
 from gridopt.rfe import solve_by_enumeration, solve_rfe
 
+from _clock import Clock
 from _random_instances import cut_instance, random_instance
 
 
@@ -255,6 +253,18 @@ class TestTimeLimit:
         with pytest.raises(ValueError, match="time_limit"):
             solve_rfe(ir, time_limit=limit)
 
+    @pytest.mark.parametrize("limit", [np.nan, -5.0, -np.inf])
+    def test_the_one_conversion_rejects_nan_and_negative_limits(self, limit):
+        # a NaN limit compares false with every reading and never stops a
+        # search; a negative one stops it before the root
+        with pytest.raises(ValueError, match="time_limit"):
+            rfe._deadline(limit)
+
+    @pytest.mark.parametrize("limit", [None, 0.0, 7.5, np.inf])
+    def test_the_one_conversion_takes_none_and_numbers_at_least_zero(self, limit, monkeypatch):
+        Clock(monkeypatch).now = 100.0
+        assert rfe._deadline(limit) == (np.inf if limit is None else 100.0 + limit)
+
     def test_enumeration_stops_before_its_first_cell(self):
         ir = build_opo_instance(get_scenario("S1", "desk"), 0).ir
         res = solve_by_enumeration(ir, time_limit=0.0)
@@ -268,15 +278,20 @@ class TestTimeLimit:
         with pytest.raises(ValueError, match="time_limit"):
             solve_by_enumeration(ir, time_limit=limit)
 
+    @staticmethod
+    def _node_lp_clock(monkeypatch) -> Clock:
+        """A clock that moves one second at each MILP and spatial node LP."""
+        clock = Clock(monkeypatch)
+        clock.tick_on(bnb, "solve_lp")
+        clock.tick_on(spatial, "_write_box")  # just before each spatial node LP
+        return clock
+
     def test_limit_inside_a_subproblem(self, monkeypatch):
-        # desk S2-0 closes in one round: 20 MILP node LPs, then 48 spatial
-        # ones. rfe, bnb and spatial read one clock, one second per reading,
-        # so a limit of 60 falls inside the subproblem, which once ran on to
-        # its end and gave Optimal
+        # desk S2-0 closes in one round: 19 MILP node LPs, then 48 spatial
+        # ones. With one second per node LP, a limit of 60 falls inside the
+        # subproblem, which once ran on to its end and gave Optimal
         ir = build_opo_instance(get_scenario("S2", "desk"), 0).ir
-        clock = SimpleNamespace(monotonic=itertools.count(1).__next__)
-        for module in (rfe, bnb, spatial):
-            monkeypatch.setattr(module, "time", clock)
+        self._node_lp_clock(monkeypatch)
         res = solve_rfe(ir, time_limit=60)
         assert res.status == "TimeLimit"
         assert [entry["subproblem_status"] for entry in res.log] == ["TimeLimit"]
@@ -284,10 +299,34 @@ class TestTimeLimit:
         assert res.bound >= 219.02002935708694 - 1e-6  # the optimum, a maximum
         assert res.objective <= 219.02002935708694 + 1e-6
 
+    def test_limit_at_the_root_of_a_subproblem_screens_no_cell(self, monkeypatch):
+        # desk S2-0: the deadline stops the subproblem's root LP, after the
+        # first MILP's 19 node LPs. That cell was closed by no screen: it is
+        # not Infeasible, and it once counted in cells_screened
+        ir = build_opo_instance(get_scenario("S2", "desk"), 0).ir
+        self._node_lp_clock(monkeypatch)
+        res = solve_rfe(ir, time_limit=19.5)
+        assert res.status == "TimeLimit"
+        assert [entry["subproblem_status"] for entry in res.log] == ["TimeLimit"]
+        assert res.subproblems_solved == 1
+        assert res.spatial_nodes == 0
+        assert res.cells_screened == 0
+
+    def test_cells_screened_counts_screen_closures_only(self):
+        # desk S1-0 has cells its row screen closes; at a passed deadline
+        # they still close Infeasible with no LP, and the others stop unsolved
+        ir = build_opo_instance(get_scenario("S1", "desk"), 0).ir
+        cells = rfe._Subproblems(ir, deadline=-np.inf)
+        statuses = [cells.solve(fixing) for fixing in rfe._enumerate_fixings(ir)]
+        assert cells.nodes == 0
+        assert statuses.count("TimeLimit") == 16
+        assert statuses.count("Infeasible") == cells.screened == 50
+
     def test_enumeration_limit_inside_its_last_cell(self, monkeypatch):
         # min -x0 * x1 s.t. x0 + x1 <= 1 on one cell: -1/4, and the root LP
-        # bound is -1/2. Readings: 1 sets the deadline at 3.5, 2 is before
-        # the cell, 3 before the root LP, and 4 stops the split boxes
+        # bound is -1/2. The clock moves as each box is written, before its
+        # node LP: the deadline at 1.5 lets the root LP run and stops the
+        # split boxes
         g = make_grid([[0.0, 1.0], [0.0, 1.0]])
         tab = make_table(g, -product_table(g, (0, 1)).values)
         variables = [VarRef(0, CONTINUOUS, 0, 1), VarRef(1, CONTINUOUS, 0, 1)]
@@ -299,20 +338,20 @@ class TestTimeLimit:
             objective=[(1.0, 2)],
         )
         assert solve_by_enumeration(ir).objective == pytest.approx(-0.25, abs=1e-7)
-        clock = SimpleNamespace(monotonic=itertools.count(1).__next__)
-        for module in (rfe, spatial):
-            monkeypatch.setattr(module, "time", clock)
-        res = solve_by_enumeration(ir, time_limit=2.5)
+        Clock(monkeypatch).tick_on(spatial, "_write_box")
+        res = solve_by_enumeration(ir, time_limit=1.5)
         assert res.status == "TimeLimit"  # not NodeLimit
         assert res.subproblems_solved == 1 and res.spatial_nodes == 1
         assert res.bound == pytest.approx(-0.5, abs=1e-9)
 
-    def test_milp_bound_survives_the_limit(self):
-        # the root LP of desk S4-0 takes about 0.3 s, so bnb stops right
-        # after it; its bound must reach the result
+    def test_milp_bound_survives_the_limit(self, monkeypatch):
+        # the deadline stops desk S4-0's MILP right after its root LP; the
+        # root's bound must reach the result
         ir = build_opo_instance(get_scenario("S4", "desk"), 0).ir
         assert ir.maximize
-        res = solve_rfe(ir, time_limit=0.2)
+        self._node_lp_clock(monkeypatch)
+        res = solve_rfe(ir, time_limit=1.5)
+        assert res.milp_nodes == 1
         assert res.status == "TimeLimit"
         assert np.isfinite(res.bound)
         assert res.bound >= 381.3807236612488 - 1e-6  # the optimum

@@ -10,7 +10,9 @@ from the slack basis, and phase 1 only when it gives up.
 """
 
 import dataclasses
+import functools
 import itertools
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,6 +33,7 @@ from gridopt.simplex import (
     INFEASIBLE,
     MAX_NONZEROS,
     OPTIMAL,
+    TIME_LIMIT,
     UNBOUNDED,
     LpBasis,
     LpProblem,
@@ -38,6 +41,8 @@ from gridopt.simplex import (
     _ratio_test,
     solve_lp,
 )
+
+from _clock import Clock
 
 
 def _scipy_solve(lp: LpProblem):
@@ -970,3 +975,88 @@ class TestIterationsCountEveryPivot:
             pivots.clear()
         # _random_lp has 5 columns and 4 rows
         assert widths == {5 + 4}
+
+
+class TestDeadline:
+    """A solve makes no pivot once its deadline has passed: it returns
+    TimeLimit with the pivots it spent, no x and no basis, and keeps no
+    tableau."""
+
+    @pytest.fixture
+    def pivot_clock(self, monkeypatch):
+        """A clock that moves one second at each pivot, so a deadline of
+        k - 0.5 stops a solve before its (k + 1)-th pivot."""
+        clock = Clock(monkeypatch)
+        clock.tick_on(_kernels, "tableau_pivot")
+        return clock
+
+    @staticmethod
+    def _stops(clock, solve, tableaus: dict, *spies: list):
+        """Stop ``solve(deadline=...)`` before each of its pivots in turn,
+        with ``spies`` cleared first, and check the result and ``tableaus``;
+        yields the pivots spent."""
+        full = solve(deadline=np.inf)
+        kept = dict(tableaus)
+        for k in range(full.iterations):
+            for spy in spies:
+                spy.clear()
+            clock.now = 0.0
+            res = solve(deadline=k - 0.5)
+            assert res.status == TIME_LIMIT and res.iterations == k
+            assert res.x is None and res.basis is None
+            assert list(tableaus) == list(kept)  # none kept, none evicted
+            assert all(tableaus[b] is kept[b] for b in kept)
+            yield k
+
+    def test_cold_solves(self, pivot_clock, loops, dual_outcomes):
+        rng = np.random.default_rng(61)
+        stopped_in = set()
+        for _ in range(40):
+            lp = _random_lp(rng)
+            tableaus = {}
+            solve = functools.partial(solve_lp, lp, tableaus=tableaus)
+            for k in self._stops(pivot_clock, solve, tableaus, loops, dual_outcomes):
+                if k == 0:
+                    assert dual_outcomes == [] and loops == []  # stopped before its start
+                    stopped_in.add("start")
+                elif dual_outcomes == [TIME_LIMIT]:
+                    assert loops == []  # no phase 1 after a dual stopped by the clock
+                    stopped_in.add("dual")
+                else:
+                    ((phase1, _, status),) = loops
+                    assert not phase1 and status == TIME_LIMIT
+                    stopped_in.add("clean-up")
+        assert stopped_in == {"start", "dual", "clean-up"}
+
+    def test_warm_solves_from_a_kept_tableau(self, pivot_clock):
+        rng = np.random.default_rng(62)
+        pivoted = 0
+        for lp, j in _branched_lps(rng, 40):
+            tableaus = {}
+            parent = solve_lp(lp, tableaus=tableaus)
+            T = tableaus[parent.basis][0].copy()
+            for val in (0.0, 1.0):
+                child = _fixed(lp, j, val)
+                solve = functools.partial(solve_lp, child, basis=parent.basis, tableaus=tableaus)
+                for k in self._stops(pivot_clock, solve, tableaus):
+                    # the start pivoted a copy of the kept tableau
+                    np.testing.assert_array_equal(tableaus[parent.basis][0], T)
+                    pivoted += k > 0
+        assert pivoted > 10
+
+    def test_phase_1(self, pivot_clock, loops, monkeypatch):
+        monkeypatch.setattr(simplex, "_dual_iterate", lambda *args: None)
+        rng = np.random.default_rng(63)
+        in_phase1 = 0
+        for _ in range(30):
+            lp = _random_lp(rng)
+            for k in self._stops(pivot_clock, functools.partial(solve_lp, lp), {}, loops):
+                in_phase1 += k > 0 and loops[-1][0]  # k = 0 stops before any loop
+        assert in_phase1 > 20
+
+    def test_a_passed_deadline_starts_nothing(self, refactorizations):
+        rng = np.random.default_rng(64)
+        lp, res = next(_optimal_lps(rng, 1))
+        got = solve_lp(lp, basis=res.basis, deadline=time.monotonic())
+        assert got == simplex.LpResult(status=TIME_LIMIT)
+        assert refactorizations == []

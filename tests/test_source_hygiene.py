@@ -2,7 +2,8 @@
 import inside a function or class, no private function or method that
 nothing in ``src/gridopt`` calls, no dataclass field and no module-level
 constant that nothing reads, no exception class that nothing raises, no
-environment read outside the command line, no kept simplex tableau
+environment read outside the command line, no clock read outside the
+simplex, rfe and the command line, no kept simplex tableau
 outside the MILP tree, one simplex tableau per LP solve, one start path in
 the simplex, and one row screen in spatial."""
 
@@ -313,6 +314,40 @@ def test_environment_reads_are_found(tmp_path):
         "C = os.path.join('c')\n"
     )
     assert _environment_reads([mod]) == ["mod.py:2", "mod.py:3", "mod.py:4"]
+
+
+def _clock_reads(paths: list[Path]) -> list[str]:
+    """Places in ``paths`` that import ``time``, whole or in part."""
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Import) and any(a.name == "time" for a in node.names)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "time"
+            ):
+                found.append((path.name, node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(found)]
+
+
+def test_only_the_simplex_rfe_and_command_line_read_the_clock():
+    """One deadline: ``rfe`` turns the time limit into it and checks it
+    between rounds and cells, the simplex stops every LP at it, and bnb and
+    spatial only pass it on. The command line reads the clock to time a run."""
+    allowed = ("cli.py", "rfe.py", "simplex.py")
+    assert _clock_reads([p for p in SRC if p.name not in allowed]) == []
+
+
+def test_clock_reads_are_found(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "import os, time\n"
+        "from time import monotonic\n"
+        "import time as clock\n"
+        "import datetime\n"
+        "def f():\n"
+        "    from time import perf_counter\n"
+        "    return os.times()\n"
+    )
+    assert _clock_reads([mod]) == ["mod.py:1", "mod.py:2", "mod.py:3", "mod.py:6"]
 
 
 def _callee(call: ast.Call) -> str | None:

@@ -1,7 +1,6 @@
 """Global cell-restricted solver against sampling and closed-form oracles."""
 
-import itertools
-from types import SimpleNamespace
+import time
 
 import numpy as np
 import pytest
@@ -29,6 +28,7 @@ from gridopt.spatial import (
     solve_box_nlp,
 )
 
+from _clock import Clock
 from _random_instances import random_instance
 
 
@@ -243,11 +243,10 @@ class TestDeskCell:
 
     @pytest.mark.parametrize("limit", [0, 1, 3, 5])
     def test_deadline_keeps_bound(self, desk_s2_first_cell, limit, monkeypatch):
-        # the clock reads 1, 2, 3, ... once before each node LP, so a deadline
-        # of limit + 0.5 lets exactly ``limit`` node LPs start; the whole
-        # subproblem once ran past it
-        clock = SimpleNamespace(monotonic=itertools.count(1).__next__)
-        monkeypatch.setattr(spatial, "time", clock)
+        # the clock moves one second as each box is written, just before its
+        # node LP, so a deadline of limit + 0.5 lets exactly ``limit`` node
+        # LPs run; the whole subproblem once ran past it
+        Clock(monkeypatch).tick_on(spatial, "_write_box")
         res = solve_box_nlp(desk_s2_first_cell, deadline=limit + 0.5)
         assert res.status == TIME_LIMIT
         assert res.nodes == limit
@@ -642,12 +641,21 @@ class TestPinnedStepScreen:
         g = make_grid([[0.0, 1.0]])
         nlp = _single_cell_nlp(make_table(g, [0.0, 2.0]), [LinConstraint(((1.0, 1),), "<=", cap)])
         assert not _rows_exclude_box(nlp.ir, nlp.var_lo, nlp.var_hi)
-        got = _pinned_step(nlp, _node_lp(nlp), np.array([0.5, 0.0]), set())
+        got = _pinned_step(nlp, _node_lp(nlp), np.array([0.5, 0.0]), set(), np.inf)
         assert len(lp_calls) == (0 if screened else 1)
         if screened:
             assert got is None
         else:
             np.testing.assert_allclose(got[0], [0.5, 1.0])
+
+    def test_step_past_the_deadline_gives_no_candidate(self, lp_calls):
+        # the step of the test above that finds [0.5, 1.0]: its LP stops at
+        # a deadline already passed
+        g = make_grid([[0.0, 1.0]])
+        nlp = _single_cell_nlp(make_table(g, [0.0, 2.0]), [LinConstraint(((1.0, 1),), "<=", 1.5)])
+        x = np.array([0.5, 0.0])
+        assert _pinned_step(nlp, _node_lp(nlp), x, set(), time.monotonic()) is None
+        assert len(lp_calls) == 1
 
     def test_screened_steps_are_infeasible_lps(self, monkeypatch):
         """Every pinned step the screen rejects, on enumerating desk S1 seeds
