@@ -19,20 +19,27 @@ recomputed before every pivot, +1 on a basic above its upper bound by more
 than 1e-7, -1 on one below its lower bound by as much, 0 elsewhere. It ends
 when no basic is violated, or with Infeasible when pricing finds no entering
 column first. Both primal loops use Dantzig pricing with a Bland fallback
-after a run of degenerate pivots. The tableau is refactorized every 150
-pivots; inputs beyond ~5e4 constraint nonzeros are refused. Solver state is per
-call, except for the kept tableaus in a dict the caller owns and passes in
-(below), so solves that share no such dict may run concurrently.
+after a run of degenerate pivots. A pivot (``_kernels.tableau_pivot``, called
+from ``_Tableau.pivot`` only) divides the pivot row by the pivot and updates
+only the rows whose pivot-column entry is nonzero, since the others would
+change by exact zeros (every row at once when more than half change). The
+tableau is refactorized every 150 pivots, unless the deadline has passed
+(below); inputs beyond ~5e4 constraint nonzeros are refused. Solver state is
+per call, except for the kept tableaus in a dict the caller owns and passes
+in (below), so solves that share no such dict may run concurrently.
 ``LpResult.iterations`` counts every pivot.
 
 Deadline (``solve_lp(lp, deadline=d)``, a ``time.monotonic()`` reading). This
 is the one place below ``rfe`` where the clock is read: once before a solve
-starts, and once before each pivot (a bound flip included) of the dual, phase
-1 and phase 2 loops, so a solve stops within one pivot or refactorization of
-``d``. Once the reading is at or past ``d``, the solve starts no work and
-makes no pivot: it returns ``TimeLimit`` with no x and no basis,
-``iterations`` the pivots spent, and keeps no tableau. A dual attempt stopped
-there does not fall back to phase 1.
+starts, once before each pivot (a bound flip included) of the dual, phase 1
+and phase 2 loops, and once before each 150-pivot refactorization, which is
+skipped once ``d`` has passed (a tableau kept past its cadence refactorizes
+at its next pivot). So a solve stops within one pivot of ``d``, or within
+one refactorization where a warm start or the residual check needs one.
+Once the reading is at or past ``d``, the solve starts no work and makes no
+pivot: it returns ``TimeLimit`` with no x and no basis, ``iterations`` the
+pivots spent, and keeps no tableau. A dual attempt stopped there does not
+fall back to phase 1.
 
 Column bounds reach a solve only as ``LpProblem.lo`` and ``hi``: a tree node
 writes its box into its LP (spatial) or solves ``dataclasses.replace(lp,
@@ -103,7 +110,9 @@ choose the same pivots as a column-by-column / row-by-row scan):
   movable nonbasic columns whose move toward their allowed side pushes that
   variable toward its violated bound, with |alpha_rj| > 1e-7; the one with the
   minimum |d_j| / |alpha_rj| enters, and of those within 1e-12 of the minimum
-  the largest |alpha_rj|, then the lowest index. A violated row with no
+  the largest |alpha_rj|, then the lowest index. Each dual pivot computes the
+  reduced costs d_j = c_j - c_B T[:, j] of these candidates only, afresh:
+  none is carried from one pivot to the next. A violated row with no
   candidate is a Farkas certificate of infeasibility, whatever the reduced
   costs, unless the entries too small to pivot on (but above 1e-12) could
   close the violation over their columns' ranges; then the solve falls back.
@@ -130,9 +139,9 @@ TIME_LIMIT = "TimeLimit"
 MAX_NONZEROS = 50_000
 
 _AT_LO, _AT_UP, _BASIC, _FREE = 0, 1, 2, 3
-# indexed by vstat: may a nonbasic column at that status increase / decrease
-_CAN_RISE = np.array([True, False, False, True])
-_CAN_FALL = np.array([False, True, False, True])
+# indexed by [vstat, up]: may a nonbasic column at that status decrease (up
+# 0) / increase (up 1); index it with a bool array viewed as int8
+_MAY_MOVE = np.array([[False, True], [True, False], [False, False], [True, True]])
 
 _RC_TOL = 1e-9
 _PIV_TOL = 1e-7  # pivots below this are numerically unsafe to enter the basis
@@ -345,11 +354,12 @@ class _Tableau:
         self.pivot(row, j)
 
     def pivot(self, row: int, j: int) -> None:
-        """Pivot on (row, j), refactorizing every _REFACTOR_EVERY pivots."""
+        """Pivot on (row, j); refactorize every _REFACTOR_EVERY pivots unless
+        the deadline has passed, when the next loop check stops the solve."""
         _kernels.tableau_pivot(self.T, row, j)
         self.pivots += 1
         self.eta += 1
-        if self.eta == _REFACTOR_EVERY:
+        if self.eta >= _REFACTOR_EVERY and time.monotonic() < self.deadline:
             self.refactorize()
 
     def solution(self) -> np.ndarray:
@@ -362,7 +372,7 @@ def _price(tab: _Tableau, cost: np.ndarray, bland: bool):
     """Pick an entering column; returns (col, direction) or None at optimum."""
     d = cost - cost[tab.basis] @ tab.T
     movable = tab.lo != tab.hi
-    ok = movable & np.where(d < 0.0, _CAN_RISE[tab.vstat], _CAN_FALL[tab.vstat])
+    ok = movable & _MAY_MOVE[tab.vstat, (d < 0.0).view(np.int8)]
     viol = np.where(ok, np.abs(d), 0.0)
     j = int((viol > _RC_TOL if bland else viol).argmax())
     if not viol[j] > _RC_TOL:
@@ -462,24 +472,23 @@ def _dual_iterate(tab: _Tableau, cost: np.ndarray, max_iter: int) -> Optional[st
         target = lo_b[r] if rise else hi_b[r]
         # orient the row so that a column helps when it moves against alpha
         alpha = tab.T[r] if rise else -tab.T[r]
-        right = movable & (
-            (_CAN_RISE[tab.vstat] & (alpha < 0.0)) | (_CAN_FALL[tab.vstat] & (alpha > 0.0))
-        )
-        elig = right & (np.abs(alpha) > _PIV_TOL)
-        if not elig.any():
+        size = np.abs(alpha)
+        right = movable & _MAY_MOVE[tab.vstat, (alpha < 0.0).view(np.int8)]
+        cols = (right & (size > _PIV_TOL)).nonzero()[0]
+        if not cols.size:
             # Farkas: the row proves infeasibility unless the entries too small
             # to pivot on, but above round-off, could close the violation
-            small = right & (np.abs(alpha) > _ZERO_TOL)
-            reach = float(np.abs(alpha[small]) @ span[small])
+            small = right & (size > _ZERO_TOL)
+            reach = float(size[small] @ span[small])
             return INFEASIBLE if reach + FEAS_TOL < viol[r] else None
         if time.monotonic() >= tab.deadline:
             return TIME_LIMIT
-        cols = elig.nonzero()[0]
-        d = cost - cost[tab.basis] @ tab.T
-        size = np.abs(alpha[cols])
-        ratio = np.abs(d[cols]) / size
+        # reduced costs of the candidates only
+        d = cost[cols] - cost[tab.basis] @ tab.T[:, cols]
+        piv = size[cols]
+        ratio = np.abs(d) / piv
         tmin = ratio.min()
-        q = int(cols[np.where(ratio <= tmin + 1e-12, size, -1.0).argmax()])
+        q = int(cols[np.where(ratio <= tmin + 1e-12, piv, -1.0).argmax()])
         tab.exchange(r, q, (tab.xB[r] - target) / tab.T[r, q], not rise)
         if tmin <= 1e-12:
             degen += 1

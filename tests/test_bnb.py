@@ -10,6 +10,7 @@ import pytest
 
 from gridopt import bnb, simplex
 from gridopt.bnb import TIME_LIMIT, solve_milp
+from gridopt.opo import build_opo_instance, get_scenario
 from gridopt.relax import add_no_good_cut, build_relaxation, extract_fixing
 from gridopt.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, solve_lp
 
@@ -136,6 +137,16 @@ class TestDeterminism:
         assert a.objective == b.objective
         assert a.nodes == b.nodes
         np.testing.assert_array_equal(a.x, b.x)
+
+    def test_desk_s4_root_milp_counts_are_pinned(self):
+        # the tests run with one BLAS thread (conftest), under which these
+        # counts repeat exactly; a change to the simplex that moves a node, a
+        # pivot or a bit of the objective here must say why
+        model = build_relaxation(build_opo_instance(get_scenario("S4", "desk"), 0).ir)
+        res = solve_milp(model.to_lp(), model.binary_cols())
+        assert res.status == OPTIMAL
+        assert (res.nodes, res.lp_iterations) == (49, 882)
+        assert float(res.objective).hex() == "-0x1.7d76ce4f84accp+8"
 
 
 def _random_knapsack(seed, n=10):

@@ -878,6 +878,29 @@ class TestKeptTableau:
         # would start from a pivoted tableau
         assert pivoted > 60
 
+    def test_a_tableau_kept_at_the_cadence_refactorizes_at_its_next_pivot(
+        self, refactorizations, monkeypatch
+    ):
+        # a solve whose deadline passes at the cadence pivot skips that
+        # refactorization and may still end Optimal, keeping its tableau
+        rng = np.random.default_rng(45)
+        pivoted = 0
+        for lp, j in _branched_lps(rng, 40):
+            tableaus = {}
+            parent = solve_lp(lp, tableaus=tableaus)
+            eta = tableaus[parent.basis][1]
+            if eta == 0:
+                continue
+            for val in (0.0, 1.0):
+                refactorizations.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(simplex, "_REFACTOR_EVERY", eta)
+                    got = solve_lp(_fixed(lp, j, val), basis=parent.basis, tableaus=tableaus)
+                pivots = got.iterations
+                assert len(refactorizations) == (pivots > 0) + max(pivots - 1, 0) // eta
+                pivoted += pivots > 0
+        assert pivoted > 20
+
     def test_holds_the_most_recent_few(self):
         rng = np.random.default_rng(43)
         tableaus = {}
@@ -1053,6 +1076,29 @@ class TestDeadline:
             for k in self._stops(pivot_clock, functools.partial(solve_lp, lp), {}, loops):
                 in_phase1 += k > 0 and loops[-1][0]  # k = 0 stops before any loop
         assert in_phase1 > 20
+
+    def test_no_cadence_refactorization_past_the_deadline(
+        self, pivot_clock, refactorizations, monkeypatch
+    ):
+        # a refactorization reads no clock, so one begun past the deadline
+        # overruns it; with a cadence of 2 pivots, a deadline of k - 0.5
+        # leaves the cadence's refactorizations before pivot k only
+        monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 2)
+        rng = np.random.default_rng(65)
+        skipped = 0
+        for _ in range(40):
+            lp = _random_lp(rng)
+            refactorizations.clear()
+            full = solve_lp(lp)
+            assert len(refactorizations) == full.iterations // 2  # no deadline
+            for k in range(1, full.iterations + 1):
+                refactorizations.clear()
+                pivot_clock.now = 0.0
+                res = solve_lp(lp, deadline=k - 0.5)
+                assert res.iterations == k
+                assert len(refactorizations) == (k - 1) // 2
+                skipped += k % 2 == 0
+        assert skipped > 20
 
     def test_a_passed_deadline_starts_nothing(self, refactorizations):
         rng = np.random.default_rng(64)

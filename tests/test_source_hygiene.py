@@ -5,7 +5,7 @@ constant that nothing reads, no exception class that nothing raises, no
 environment read outside the command line, no clock read outside the
 simplex, rfe and the command line, no kept simplex tableau
 outside the MILP tree, one simplex tableau per LP solve, one start path in
-the simplex, and one row screen in spatial."""
+the simplex, one pivot site in the simplex, and one row screen in spatial."""
 
 import ast
 from pathlib import Path
@@ -527,3 +527,56 @@ def test_tableau_passers_are_found(tmp_path):
         "solve_lp(None, None, {})\n"
     )
     assert _tableau_passers([mod]) == ["mod.keyword", "mod.C", "mod.<module>"]
+
+
+def _references(path: Path, name: str) -> list[str]:
+    """Each place in the module that names ``name``, as ``"<site> <form>"``:
+    the site is the top-level function, class, ``Class.method`` or
+    ``<module>`` it sits in, and the form is the expression that names it
+    (``mod.name`` or ``name``), or the import that binds it."""
+    found = []
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(top, ast.ClassDef):
+            scopes = [
+                (f"{top.name}.{m.name}" if isinstance(m, ast.FunctionDef) else top.name, m)
+                for m in top.body
+            ]
+        else:
+            scopes = [(getattr(top, "name", "<module>"), top)]
+        for site, scope in scopes:
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Attribute) and node.attr == name:
+                    found.append(f"{site} {ast.unparse(node)}")
+                elif isinstance(node, ast.Name) and node.id == name:
+                    found.append(f"{site} {name}")
+                elif isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names):
+                    found.append(f"{site} from {node.module} import {name}")
+    return found
+
+
+def test_the_simplex_pivots_at_one_site():
+    """Every tableau pivot goes through ``_Tableau.pivot``, which reaches the
+    kernel as an attribute of ``_kernels``: the name perfbench's tracer wraps
+    to time and count pivots."""
+    path = ROOT / "src" / "gridopt" / "simplex.py"
+    assert _references(path, "tableau_pivot") == ["_Tableau.pivot _kernels.tableau_pivot"]
+
+
+def test_second_pivot_sites_are_found(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "import _kernels\n"
+        "from _kernels import tableau_pivot\n"
+        "class Tab:\n"
+        "    step = _kernels.tableau_pivot\n"
+        "    def pivot(self, r, j): _kernels.tableau_pivot(self.T, r, j)\n"
+        "def fast(T):\n"
+        "    tableau_pivot(T, 0, 0)\n"
+        "    return _kernels.other(T)\n"
+    )
+    assert _references(mod, "tableau_pivot") == [
+        "<module> from _kernels import tableau_pivot",
+        "Tab _kernels.tableau_pivot",
+        "Tab.pivot _kernels.tableau_pivot",
+        "fast tableau_pivot",
+    ]
