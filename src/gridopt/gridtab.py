@@ -91,6 +91,8 @@ def make_grid(axes: Iterable[Sequence[float]]) -> Grid:
         a = np.asarray(raw, dtype=float).copy()
         if a.ndim != 1 or a.size < 2:
             raise AxisTooShort(f"axis {j} needs at least 2 breakpoints")
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"axis {j} has a NaN or infinite breakpoint")
         diffs = np.diff(a)
         scale = np.maximum(1.0, np.maximum(np.abs(a[:-1]), np.abs(a[1:])))
         if np.any(diffs <= 1e-12 * scale):

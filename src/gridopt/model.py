@@ -52,8 +52,8 @@ class LinConstraint:
     def __post_init__(self):
         if self.sense not in (LE, EQ, GE):
             raise ValueError(f"unknown sense {self.sense!r}")
-        if math.isnan(self.rhs):
-            raise ValueError(f"NaN right-hand side in {self.name or '?'}")
+        if not math.isfinite(self.rhs):
+            raise ValueError(f"NaN or infinite right-hand side in {self.name or '?'}")
 
 
 @dataclass(frozen=True)
@@ -174,8 +174,8 @@ def build_problem(
     obj = _norm_terms(objective)
     for coef, vid in obj:
         require(vid, "objective")
-        if math.isnan(coef):
-            raise ValueError(f"NaN objective coefficient of variable {vid}")
+        if not math.isfinite(coef):
+            raise ValueError(f"NaN or infinite objective coefficient of variable {vid}")
     if maximize:
         obj = tuple((-c, v) for c, v in obj)
 

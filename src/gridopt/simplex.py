@@ -6,10 +6,10 @@ The tableau is B^-1 [A I]: n structural columns, then one slack per row
 
 Every solve starts a bounded dual simplex from a basis, then runs the primal
 simplex on the objective (phase 2) as a clean-up pass that certifies
-optimality. A warm solve starts from the basis of an earlier optimal solve; a
-cold one from the slack basis: each row enters with its slack, and each
-structural sits at its finite upper bound if its cost is negative, else at
-its finite lower bound, else at its finite upper bound, else free at 0. This
+optimality. The start is the caller's basis, from an earlier optimal solve,
+when the LP can take it (see "Warm start"), else the slack basis: each row
+enters with its slack, and each structural's status names its upper bound if
+its cost is negative, else its lower bound, placed by the rule there. This
 basis has the tableau [A I], with nothing to factorize, and its slacks take
 the residuals, in their bounds or not. It is dual feasible when every column
 with a nonzero cost is boxed (Bixby 2002; Koberstein 2005); where it is not,
@@ -47,30 +47,33 @@ lo=..., hi=...)``, which shares the rows and leaves ``lp`` untouched (bnb).
 
 Warm start (``solve_lp(lp, basis=res.basis)``). Between the two solves the
 column bounds, the objective, the coefficients and right-hand sides of the
-existing rows may change, and rows may be appended; the column count must
-stay. The tableau is refactorized from the new rows unless the basis has no
-row or a kept tableau applies (below), so nothing of the old values is kept
-but the basis: a row the dual simplex finds infeasible is a Farkas certificate
-whatever the reduced costs, and a start that is not dual feasible is made
-optimal by the primal clean-up pass. Appended rows enter the basis with their slack, so a cut that
-the old optimum violates is the one infeasible row. Nonbasic columns take the
-bound their status names under the new bounds; a free one that gained a bound
-takes it.
+existing rows may change, and rows may be appended. One start rule holds for
+every solve: a basis over every column of the LP and at most its rows is the
+start, refused for nothing, and any other basis (another column count, or
+more rows) is ignored, so the solve starts from the slack basis as a cold one
+does. Appended rows enter the basis with their slack, so a cut that the old
+optimum violates is the one infeasible row. Each nonbasic column sits at the
+bound its status names when that bound is finite, else at its finite lower
+bound, else at its finite upper bound, else free at 0. The tableau is
+refactorized from the new rows unless the basis has no row or a kept tableau
+applies (below), so nothing of the old values is kept but the basis: a row the
+dual simplex finds infeasible is a Farkas certificate whatever the reduced
+costs, and a start that is not dual feasible is made optimal by the primal
+clean-up pass.
 
 A basis that is singular on the new rows (LAPACK finds a zero pivot, or
 B^-1 B misses I by more than 1e-7, since round-off can hide a zero pivot) is
 repaired, not given up: Gaussian elimination over the basic columns in order
 finds those that depend on earlier ones, each leaves for the slack of a row
 no pivot covers (Bixby 1992, slack substitution), and the basis is
-refactorized once more. A dropped column sits at its finite lower bound, else
-its finite upper bound, else free at 0. The solve falls back to phase 1 from
-the slack basis, keeping the pivots already spent in ``iterations``, when the
-shapes do not fit (another column count, or fewer rows), a nonbasic column
-would sit at an infinite bound, the dual loop hits its iteration or
-degeneracy limit, or the dual attempt raises ``NumericalFailure`` anywhere (a
-basis still singular after its repair, or one too ill-conditioned for the
-residual check). A failed warm start does not try the dual again from the
-slack basis.
+refactorized once more. A dropped column is placed by the rule above, as if
+its status named no bound. The solve falls back to phase 1 from the slack
+basis, keeping the pivots already spent in ``iterations``, only when the dual
+attempt fails: the dual loop hits its iteration or degeneracy limit or cannot
+prove a row infeasible, or the attempt raises ``NumericalFailure`` anywhere
+(a basis still singular after its repair, or one too ill-conditioned for the
+residual check). A failed start does not try the dual again from the slack
+basis.
 
 Kept tableaus (``solve_lp(lp, basis, tableaus=d)``). A caller whose LPs all
 have one coefficient matrix A, as a branch-and-bound tree's do, may pass them
@@ -238,50 +241,51 @@ class _Tableau:
         self.pivots = 0  # every pivot, reported as LpResult.iterations
         self.eta = 0  # pivots since the last refactorization
 
-    def start_warm(self, start: LpBasis, tableaus: Optional[dict]) -> bool:
-        """Take ``start``'s basis under the current bounds; False if unusable.
+    def start_warm(self, start: LpBasis, tableaus: Optional[dict]) -> None:
+        """Take ``start``'s basis, over at most these rows and every column,
+        under the current bounds.
 
         Rows beyond those ``start`` was taken on enter the basis with their
-        slack, and a free nonbasic column takes its finite lower bound, else
-        its finite upper bound. So from a basis over no row this is the slack
-        basis, whose tableau is [A I] with nothing to factorize. A start
-        over these rows found in ``tableaus`` copies its kept tableau and
-        recomputes only the basic values; any other start refactorizes. A
-        basis singular on these rows is repaired once (``repair``); raises
-        NumericalFailure if it is still singular.
+        slack, and the nonbasic columns are placed by ``place``. So from a
+        basis over no row this is the slack basis, whose tableau is [A I]
+        with nothing to factorize. A start over these rows found in
+        ``tableaus`` copies its kept tableau and recomputes only the basic
+        values; any other start refactorizes. A basis singular on these rows
+        is repaired once (``repair``); raises NumericalFailure if it is still
+        singular.
         """
         n, m, lp = self.n, self.m, self.lp
         m0 = start.basis.size
-        if m0 > m or start.vstat.size != n + m0:
-            return False
-        basis = np.concatenate([start.basis, np.arange(n + m0, n + m)])
-        vstat = np.concatenate([start.vstat, np.full(m - m0, _BASIC, dtype=np.int8)])
-        has_lo, has_hi = np.isfinite(self.lo), np.isfinite(self.hi)
-        # a free nonbasic column has d_j = 0, so it may take a bound it gained
-        free = vstat == _FREE
-        vstat[free & has_lo] = _AT_LO
-        vstat[free & ~has_lo & has_hi] = _AT_UP
-        at_lo, at_up = vstat == _AT_LO, vstat == _AT_UP
-        if np.any((at_lo & ~has_lo) | (at_up & ~has_hi)):
-            return False
-        self.xval = np.where(at_lo, self.lo, np.where(at_up, self.hi, 0.0))
-        self.basis, self.vstat = basis, vstat
+        self.basis = np.concatenate([start.basis, np.arange(n + m0, n + m)])
+        self.vstat = np.concatenate([start.vstat, np.full(m - m0, _BASIC, dtype=np.int8)])
+        self.place()
         if m0 == 0:  # every basic is a slack: B = I
             self.T, self.eta = np.hstack([lp.A, np.eye(m)]), 0
             self.xB = lp.rhs - lp.A @ self.xval[:n]
-            return True
+            return
         kept = tableaus.get(start) if tableaus is not None and m0 == m else None
         if kept is None:
             if not self.try_refactorize():  # singular on these rows: repair it, once
                 self.repair()
                 if not self.try_refactorize():
                     raise NumericalFailure("singular basis after repair")
-            return True
+            return
         T, self.eta = kept
         self.T = T.copy()  # siblings start from one kept tableau
-        nb = vstat != _BASIC
+        nb = self.vstat != _BASIC
         self.xB = self.T[:, n:] @ lp.rhs - self.T[:, nb] @ self.xval[nb]
-        return True
+
+    def place(self) -> None:
+        """Put each nonbasic column at the bound its status names when that
+        bound is finite, else at its finite lower bound, else at its finite
+        upper bound, else free at 0; set ``xval`` from the statuses."""
+        has_lo, has_hi = np.isfinite(self.lo), np.isfinite(self.hi)
+        v = self.vstat
+        # a free column's d_j is 0, so it may take a bound it gained; where a
+        # moved column is not dual feasible, the clean-up pass pivots
+        lost = (v == _FREE) | ((v == _AT_LO) & ~has_lo) | ((v == _AT_UP) & ~has_hi)
+        v[lost] = np.where(has_lo, _AT_LO, np.where(has_hi, _AT_UP, _FREE))[lost]
+        self.xval = np.where(v == _AT_LO, self.lo, np.where(v == _AT_UP, self.hi, 0.0))
 
     def refactorize(self) -> None:
         """Rebuild the tableau and basic values from the basis columns."""
@@ -313,9 +317,9 @@ class _Tableau:
         on its largest entry in a row no earlier pivot covers; a column with
         no such entry above _PIV_TOL of its own largest entry is dependent.
         Each dependent column leaves for the slack of an uncovered row (Bixby
-        1992), at its lower bound if finite, else its upper bound, else free
-        at 0. A slack is basic only in a row its own pivot covers, so every
-        slack that enters was nonbasic.
+        1992), and ``place`` puts it at its finite lower bound, else its
+        finite upper bound, else free at 0. A slack is basic only in a row its
+        own pivot covers, so every slack that enters was nonbasic.
         """
         W = np.hstack([self.lp.A, np.eye(self.m)])[:, self.basis]
         tol = _PIV_TOL * np.abs(W).max(axis=0)
@@ -330,15 +334,10 @@ class _Tableau:
             covered[r] = True
             W[:, k + 1 :] -= np.outer(col / col[r], W[r, k + 1 :])
         for k, r in zip(dependent, (~covered).nonzero()[0].tolist()):
-            j = self.basis[k]
-            if np.isfinite(self.lo[j]):
-                self.vstat[j], self.xval[j] = _AT_LO, self.lo[j]
-            elif np.isfinite(self.hi[j]):
-                self.vstat[j], self.xval[j] = _AT_UP, self.hi[j]
-            else:
-                self.vstat[j], self.xval[j] = _FREE, 0.0
+            self.vstat[self.basis[k]] = _FREE
             self.basis[k] = self.n + r
             self.vstat[self.n + r] = _BASIC
+        self.place()
 
     def exchange(self, row: int, j: int, delta: float, leave_up: bool) -> None:
         """Move column j by ``delta`` into the basis at ``row``; the basic there
@@ -539,7 +538,9 @@ def solve_lp(
     """Solve min obj @ x subject to the rows and column bounds of ``lp``.
 
     ``lp`` is read, never written. The dual simplex starts from ``basis``,
-    from an earlier optimal solve, or else from the slack basis (see the
+    from an earlier optimal solve, when it covers every column of ``lp`` and
+    at most its rows; from the slack basis when there is none or it has
+    another shape. Phase 1 runs only when that dual attempt fails (see the
     module docstring). ``tableaus`` is the caller's cache of final tableaus
     by basis: an optimal solve keeps its own there, and a warm start from a
     basis found there copies it. Every LP solved with one dict must have the
@@ -568,16 +569,16 @@ def solve_lp(
     cost[:n] = lp.obj
     tab = _Tableau(lp, lo, hi, deadline)
     # the slack basis: no basic row, each structural at the bound its cost favours
-    slack = LpBasis(
-        np.arange(0), np.where((lp.obj < 0.0) & np.isfinite(hi), _AT_UP, _FREE).astype(np.int8)
-    )
+    slack = LpBasis(np.arange(0), np.where(lp.obj < 0.0, _AT_UP, _AT_LO).astype(np.int8))
+    if basis is None or basis.basis.size > m or basis.vstat.size != n + basis.basis.size:
+        basis = slack  # a basis of another shape is no start
     try:
-        if tab.start_warm(slack if basis is None else basis, tableaus):
-            status = _dual_iterate(tab, cost, max_iter)
-            if status in (INFEASIBLE, TIME_LIMIT):
-                return LpResult(status=status, iterations=tab.pivots)
-            if status == OPTIMAL:
-                return _phase2(tab, cost, max_iter, tableaus)
+        tab.start_warm(basis, tableaus)
+        status = _dual_iterate(tab, cost, max_iter)
+        if status in (INFEASIBLE, TIME_LIMIT):
+            return LpResult(status=status, iterations=tab.pivots)
+        if status == OPTIMAL:
+            return _phase2(tab, cost, max_iter, tableaus)
     except NumericalFailure:
         pass  # phase 1 below starts afresh; tab.pivots keeps counting
 

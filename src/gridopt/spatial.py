@@ -331,8 +331,8 @@ def solve_box_nlp(
 
     A box that crosses, or on which a linear row misses its right-hand side
     (``_rows_exclude_box``), is ``Infeasible`` with 0 nodes and no LP.
-    ``basis`` warm-starts the root LP; it may come from another subproblem
-    (``solve_lp`` falls back to the slack basis when it does not fit). An
+    ``basis`` warm-starts the root LP; it may come from another subproblem,
+    and one of another shape is no start (``solve_lp``): the root starts cold. An
     infeasible root LP has no basis to hand on. ``deadline`` is a
     ``time.monotonic()`` reading that every LP of the search receives.
     """

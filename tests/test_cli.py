@@ -219,6 +219,30 @@ class TestSolve:
             assert rows[0] == {"instance": str(bad), "error": "load failed"}
             assert rows[1]["rfe"]["status"] == "Optimal"
 
+    @pytest.mark.parametrize(
+        "edit", ["rhs", "objective", "nan_breakpoint", "inf_breakpoint"]
+    )
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, edit):
+        # each once loaded: an infinite right-hand side solved to Optimal at a
+        # point that broke another row, an infinite objective coefficient kept
+        # the solve from returning, a NaN breakpoint ended in IterationLimit,
+        # and an infinite one failed only the strictly increasing check
+        path = tmp_path / "s1.json"
+        assert main(["generate", "--scenario", "S1", "--seed", "0", "-o", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        if edit == "rhs":
+            (row,) = [c for c in doc["constraints"] if c["name"] == "gl_open_w0"]
+            row["rhs"] = float("inf")
+        elif edit == "objective":
+            doc["objective"][0][0] = float("inf")
+        else:
+            axis = doc["tables"][0]["axes"][0]
+            axis[1 if edit == "nan_breakpoint" else -1] = float(edit[:3])
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["solve", str(path)]) == 2
+        assert "NaN or infinite" in capsys.readouterr().err
+
 
 def _bounds_ir():
     """Every kind of column bound, and names the exporters must clean."""

@@ -66,6 +66,15 @@ class TestValidation:
         with pytest.raises(NotStrictlyIncreasing):
             make_grid([[0.0, 2.0, 1.0]])
 
+    @pytest.mark.parametrize(
+        "axis", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0]]
+    )
+    def test_nonfinite_breakpoints_rejected(self, axis):
+        # a NaN breakpoint once passed the strictly increasing check, and an
+        # infinite one failed it only because its gap is not finite either
+        with pytest.raises(ValueError, match="axis 1 has a NaN or infinite breakpoint"):
+            make_grid([[0.0, 1.0], axis])
+
     def test_nonfinite_values_rejected(self):
         g = make_grid([[0.0, 1.0]])
         with pytest.raises(ValueError):

@@ -105,6 +105,18 @@ class TestBuildProblem:
         with pytest.raises(ValueError, match="NaN"):
             build_problem([VarRef(0, CONTINUOUS, 0, 1)], objective=[(np.nan, 0)])
 
+    @pytest.mark.parametrize("rhs", [np.inf, -np.inf])
+    def test_infinite_rhs_rejected(self, rhs):
+        # an infinite right-hand side once solved to a point that broke other rows
+        with pytest.raises(ValueError, match="infinite right-hand side in c"):
+            LinConstraint(((1.0, 0),), "<=", rhs, "c")
+
+    @pytest.mark.parametrize("coef", [np.inf, -np.inf])
+    def test_infinite_objective_rejected(self, coef):
+        # an infinite objective coefficient once kept a solve from returning
+        with pytest.raises(ValueError, match="infinite objective coefficient of variable 0"):
+            build_problem([VarRef(0, CONTINUOUS, 0, 1)], objective=[(coef, 0)])
+
     def test_unknown_kind_and_inverted_bounds_rejected(self):
         with pytest.raises(ValueError, match="unknown variable kind"):
             VarRef(0, "integer", 0.0, 1.0)
@@ -156,12 +168,14 @@ class TestBuildProblem:
         assert ir.binary_ids is ir.binary_ids  # computed once per IR
 
     def test_infinite_values_keep_their_meaning(self):
+        # an infinite variable bound is no bound; an infinite right-hand side
+        # is rejected (test_infinite_rhs_rejected)
         ir = build_problem(
             [VarRef(0, CONTINUOUS, -np.inf, np.inf)],
-            [LinConstraint(((1.0, 0),), "<=", np.inf)],
+            [LinConstraint(((1.0, 0),), "<=", 1.0)],
             objective=[(1.0, 0)],
         )
-        assert ir.variables[0].lo == -np.inf and ir.constraints[0].rhs == np.inf
+        assert ir.variables[0].lo == -np.inf and ir.variables[0].hi == np.inf
 
     def test_rows_are_the_constraints_by_position(self):
         ir = build_problem(

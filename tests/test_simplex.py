@@ -652,18 +652,55 @@ class TestWarmStart:
             assert again.iterations == 0
             assert again.objective == pytest.approx(res.objective, abs=1e-9)
 
-    def test_other_shape_falls_back_to_cold(self, monkeypatch, dual_outcomes):
+    def test_other_shape_falls_back_to_cold(self, dual_outcomes):
+        # another column count, or more rows than the LP has: the basis is
+        # ignored, and the solve is the cold one, dual simplex included
         rng = np.random.default_rng(34)
         lp5, res5 = next(_optimal_lps(rng, 1))
-        for other in (_random_lp(rng, n=6), _random_lp(rng, n=5, m=3)):
-            cold = _phase1_solve(monkeypatch, other)
+        seen = set()
+        for k in range(24):
+            other = _random_lp(rng, n=6) if k % 2 else _random_lp(rng, n=5, m=3)
             dual_outcomes.clear()
+            cold = solve_lp(other)
             warm = solve_lp(other, basis=res5.basis)
+            assert dual_outcomes[0] is not None and dual_outcomes[1] == dual_outcomes[0]
             assert warm.status == cold.status
             assert warm.objective == cold.objective
             assert warm.iterations == cold.iterations
-            np.testing.assert_array_equal(warm.x, cold.x)
-        assert dual_outcomes == []
+            if cold.x is None:
+                assert warm.x is None
+            else:
+                np.testing.assert_array_equal(warm.x, cold.x)
+            seen.add(cold.status)
+        assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}, seen
+
+    def test_nonbasic_column_that_lost_its_named_bound(self, loops, dual_outcomes):
+        # the column moves to its other finite bound, else free at 0, and the
+        # dual simplex starts from the basis as it is; phase 1 never runs
+        rng = np.random.default_rng(38)
+        seen = {OPTIMAL: 0, UNBOUNDED: 0}  # a relaxed feasible LP stays feasible
+        for lp, res in _optimal_lps(rng, 150):
+            at_bound = (res.basis.vstat[: lp.ncols] == _AT_LO) | (res.basis.vstat[: lp.ncols] == _AT_UP)
+            if not at_bound.any():
+                continue
+            j = int(rng.choice(at_bound.nonzero()[0]))
+            lo, hi = lp.lo.copy(), lp.hi.copy()
+            if res.basis.vstat[j] == _AT_LO:
+                lo[j] = -np.inf
+            else:
+                hi[j] = np.inf
+            lost = dataclasses.replace(lp, lo=lo, hi=hi)
+            loops.clear()
+            dual_outcomes.clear()
+            got = solve_lp(lost, basis=res.basis)
+            assert dual_outcomes == [OPTIMAL]
+            assert not any(phase1 for phase1, _, _ in loops)
+            if _scipy_solve(lost).status == 3:
+                assert got.status == UNBOUNDED
+            else:
+                _assert_matches_scipy(got, lost)
+            seen[got.status] += 1
+        assert min(seen.values()) > 0, seen
 
     def test_changed_rows_match_cold_and_scipy(self, dual_outcomes):
         # new coefficients and right-hand sides in every row: the old basis is
@@ -800,10 +837,176 @@ class TestSingularWarmStart:
         assert min(seen.values()) > 0, seen
 
 
+def _kuhn() -> LpProblem:
+    """Kuhn's cycling example: min c x subject to A x <= b, x >= 0. Dantzig
+    pricing from the slack basis, which is primal feasible, cycles on it."""
+    return LpProblem.from_rows(
+        4,
+        [-2.0, -3.0, 1.0, 12.0],
+        np.zeros(4),
+        np.full(4, np.inf),
+        [
+            ([(0, -2.0), (1, -9.0), (2, 1.0), (3, 9.0)], "<=", 0.0),
+            ([(0, 1 / 3), (1, 1.0), (2, -1 / 3), (3, -2.0)], "<=", 0.0),
+            ([(0, 2.0), (1, 3.0), (2, -1.0), (3, -12.0)], "<=", 2.0),
+        ],
+    )
+
+
+class TestSafeguards:
+    """The branches that only degenerate, ill-conditioned or stale input
+    reaches: Bland's rule, the dual's degeneracy limit, the repair that
+    leaves a basis singular, and the residual check."""
+
+    def test_primal_cycling_switches_to_bland(self, monkeypatch, loops, dual_outcomes):
+        lp = _kuhn()
+        rules = []
+        price = simplex._price
+        monkeypatch.setattr(
+            simplex, "_price", lambda tab, cost, bland: rules.append(bland) or price(tab, cost, bland)
+        )
+        res = solve_lp(lp)
+        assert _assert_matches_scipy(res, lp) == OPTIMAL
+        assert res.objective == pytest.approx(-2.0)
+        # the slack basis is primal feasible, so the clean-up makes every pivot
+        assert dual_outcomes == [OPTIMAL] and loops == [(False, res.iterations, OPTIMAL)]
+        # Dantzig pricing through 2 (m + N) + 1 degenerate pivots, then Bland's rule
+        limit = 2 * (lp.nrows + lp.ncols + lp.nrows)
+        assert rules == [False] * (limit + 1) + [True] * (len(rules) - limit - 1)
+        assert len(rules) > limit + 2
+
+    def test_dantzig_pricing_alone_cycles_to_the_iteration_limit(self, monkeypatch):
+        price = simplex._price
+        monkeypatch.setattr(simplex, "_price", lambda tab, cost, bland: price(tab, cost, False))
+        with pytest.raises(NumericalFailure, match="iteration limit"):
+            solve_lp(_kuhn())
+
+    def test_dual_cycling_gives_up_at_the_degeneracy_limit(self, monkeypatch, loops):
+        # the dual of Kuhn's example, min b y subject to A^T y >= -c, y >= 0:
+        # the dual simplex cycles on it from the slack basis
+        kuhn = _kuhn()
+        lp = LpProblem(
+            obj=kuhn.rhs, lo=np.zeros(3), hi=np.full(3, np.inf), A=kuhn.A.T.copy(),
+            senses=[">="] * 4, rhs=-kuhn.obj,
+        )
+        outcomes, spent = [], []
+        dual = simplex._dual_iterate
+
+        def spy(tab, cost, max_iter):
+            outcomes.append(dual(tab, cost, max_iter))
+            spent.append(tab.pivots)
+            return outcomes[-1]
+
+        monkeypatch.setattr(simplex, "_dual_iterate", spy)
+        res = solve_lp(lp)
+        # every dual pivot was degenerate, and one past 2 (m + N) it gave up
+        assert outcomes == [None] and spent == [2 * (4 + 3 + 4) + 1]
+        assert loops[0][0]  # phase 1 ran
+        assert _assert_matches_scipy(res, lp) == OPTIMAL
+        assert res.objective == pytest.approx(2.0)  # -(Kuhn's optimum)
+        alone = _phase1_solve(monkeypatch, lp)
+        assert res.status == alone.status and res.objective == alone.objective
+        np.testing.assert_array_equal(res.x, alone.x)
+        assert res.iterations == spent[0] + alone.iterations
+
+    def test_basis_still_singular_after_repair_falls_back(self, monkeypatch, dual_outcomes):
+        # a repair that swaps nothing leaves the basis singular
+        monkeypatch.setattr(simplex._Tableau, "repair", lambda tab: None)
+        failed = []
+        start_warm = simplex._Tableau.start_warm
+
+        def spy_start(tab, start, tableaus):
+            try:
+                return start_warm(tab, start, tableaus)
+            except NumericalFailure as exc:
+                failed.append(str(exc))
+                raise
+
+        monkeypatch.setattr(simplex._Tableau, "start_warm", spy_start)
+        for lp, basis in _identical_basic_columns(np.random.default_rng(46), 20):
+            failed.clear()
+            dual_outcomes.clear()
+            got = solve_lp(lp, basis=basis)
+            assert failed == ["singular basis after repair"] and dual_outcomes == []
+            alone = _phase1_solve(monkeypatch, lp)
+            assert got.status == alone.status and got.objective == alone.objective
+            assert got.iterations == alone.iterations  # no pivot before the fallback
+            if alone.x is None:
+                assert got.x is None
+            else:
+                np.testing.assert_array_equal(got.x, alone.x)
+
+    def test_stale_kept_tableau_is_refactorized_by_the_residual_check(self, refactorizations):
+        # a kept tableau of other coefficients (which solve_lp's callers never
+        # pass) gives an x that misses the rows: the residual check
+        # refactorizes, and the solve ends at the basis's own vertex
+        rng = np.random.default_rng(49)
+        checked = 0
+        for lp, res in _optimal_lps(rng, 60):
+            j = int(np.abs(res.x).argmax())
+            A = lp.A.copy()
+            A[:, j] *= 1 + 1e-4
+            moved = dataclasses.replace(lp, A=A)
+            fresh = solve_lp(moved, basis=res.basis)
+            if fresh.status != OPTIMAL or fresh.iterations or abs(res.x[j]) < 0.1:
+                continue  # the basis must stay optimal, and the rows must move
+            tableaus = {}
+            solve_lp(lp, basis=res.basis, tableaus=tableaus)
+            refactorizations.clear()
+            got = solve_lp(moved, basis=next(iter(tableaus)), tableaus=tableaus)
+            assert got.status == OPTIMAL and got.iterations == 0
+            assert len(refactorizations) == 1  # the residual check's, no other
+            assert got.objective == pytest.approx(fresh.objective, abs=1e-9, rel=1e-9)
+            np.testing.assert_allclose(got.x, fresh.x, atol=1e-9)
+            _assert_matches_scipy(got, moved)
+            checked += 1
+        assert checked > 20
+
+    def test_residual_still_too_large_falls_back_to_phase_1(self, monkeypatch, dual_outcomes):
+        # an x that misses a row by 1e-3 before and after the refactorization
+        rng = np.random.default_rng(37)
+        lp, res = next(_optimal_lps(rng, 1))
+        a = rng.normal(size=lp.ncols)
+        cut = _with_row(lp, a, ">=", float(a @ res.x) + 0.5)
+        alone = _phase1_solve(monkeypatch, cut)
+        assert alone.status == OPTIMAL
+        solution = simplex._Tableau.solution
+        calls, failed, spent = [], [], []
+
+        def off(tab):
+            x = solution(tab)
+            calls.append(1)
+            if len(calls) <= 2:  # the dual attempt's two checks
+                x[tab.n] += 1e-3
+                spent.append(tab.pivots)
+            return x
+
+        phase2 = simplex._phase2
+
+        def spy_phase2(tab, *args):
+            try:
+                return phase2(tab, *args)
+            except NumericalFailure as exc:
+                failed.append(str(exc))
+                raise
+
+        monkeypatch.setattr(simplex._Tableau, "solution", off)
+        monkeypatch.setattr(simplex, "_phase2", spy_phase2)
+        dual_outcomes.clear()
+        got = solve_lp(cut, basis=res.basis)
+        assert dual_outcomes == [OPTIMAL] and len(calls) == 3
+        assert failed == ["primal residual too large after refactorization"]
+        assert got.status == alone.status and got.objective == alone.objective
+        np.testing.assert_array_equal(got.x, alone.x)
+        assert got.iterations == spent[0] + alone.iterations
+
+
 def test_desk_s1_enumeration_gives_up_no_singular_start(monkeypatch):
     """Enumerating desk S1-0 starts each cell's root LP from the previous
     cell's root basis, which is often singular on the new cell's rows. Each
-    such start is repaired; none falls back to the slack basis."""
+    such start is repaired; none falls back to the slack basis. One basis has
+    another shape (a cell with other active interpolants), so it is no start,
+    and that LP starts cold."""
     starts, failed = [], []
     start_warm = simplex._Tableau.start_warm
 
@@ -819,8 +1022,8 @@ def test_desk_s1_enumeration_gives_up_no_singular_start(monkeypatch):
     monkeypatch.setattr(simplex._Tableau, "start_warm", spy_start)
     res = rfe.solve_by_enumeration(build_opo_instance(get_scenario("S1", "desk"), 0).ir)
     assert res.status == OPTIMAL
-    assert len(starts) == 42
-    assert failed == []  # 7 of the 42 fell back before the repair
+    assert len(starts) == 41
+    assert failed == []  # before the repair, 7 starts fell back
 
 
 class _Kept(dict):
