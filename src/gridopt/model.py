@@ -40,6 +40,9 @@ class VarRef:
             raise ValueError(f"variable {self.id}: NaN bound")
         if self.lo > self.hi:
             raise ValueError(f"variable {self.id}: lo > hi")
+        # inf > inf is false, so lo > hi lets these through
+        if self.lo == math.inf or self.hi == -math.inf:
+            raise ValueError(f"variable {self.id}: bounds [{self.lo}, {self.hi}] admit no value")
 
 
 @dataclass(frozen=True)

@@ -70,8 +70,11 @@ class _Subproblems:
     """Solves cell subproblems one after another and keeps what they prove.
 
     Each root LP starts from the previous subproblem's root basis, and every
-    LP receives ``deadline`` (a ``time.monotonic()`` reading). Values are in
-    the minimization sense.
+    LP receives ``deadline`` (a ``time.monotonic()`` reading). Every node LP
+    of every subproblem shares one dict of kept tableaus, so a root whose
+    predecessor's root tableau is still kept (the dict holds the
+    ``simplex.KEEP_TABLEAUS`` most recent) starts from a corrected copy of
+    it. Values are in the minimization sense.
     """
 
     def __init__(self, ir: ProblemIR, deadline: float) -> None:
@@ -85,11 +88,13 @@ class _Subproblems:
         self.nodes = 0  # spatial node LPs
         self.screened = 0  # subproblems closed Infeasible with no LP
         self.basis = None  # previous subproblem's root basis
+        self.tableaus: dict = {}  # solve_lp's kept tableaus, for every subproblem
 
     def solve(self, fixing: Fixing) -> str:
         """Solve the fixing's subproblem; returns its status."""
         res = solve_box_nlp(
-            build_subproblem(self.ir, fixing), basis=self.basis, deadline=self.deadline
+            build_subproblem(self.ir, fixing), basis=self.basis, deadline=self.deadline,
+            tableaus=self.tableaus,
         )
         if res.root_basis is not None:
             self.basis = res.root_basis

@@ -42,8 +42,9 @@ pivots spent, and keeps no tableau. A dual attempt stopped there does not
 fall back to phase 1.
 
 Column bounds reach a solve only as ``LpProblem.lo`` and ``hi``: a tree node
-writes its box into its LP (spatial) or solves ``dataclasses.replace(lp,
-lo=..., hi=...)``, which shares the rows and leaves ``lp`` untouched (bnb).
+solves ``dataclasses.replace(lp, lo=..., hi=...)``, which leaves ``lp``
+untouched and shares its rows (bnb), or takes a copy of A with the node's
+corner columns written into it (spatial). No LP's A is written once solved.
 
 Warm start (``solve_lp(lp, basis=res.basis)``). Between the two solves the
 column bounds, the objective, the coefficients and right-hand sides of the
@@ -56,10 +57,10 @@ optimum violates is the one infeasible row. Each nonbasic column sits at the
 bound its status names when that bound is finite, else at its finite lower
 bound, else at its finite upper bound, else free at 0. The tableau is
 refactorized from the new rows unless the basis has no row or a kept tableau
-applies (below), so nothing of the old values is kept but the basis: a row the
-dual simplex finds infeasible is a Farkas certificate whatever the reduced
-costs, and a start that is not dual feasible is made optimal by the primal
-clean-up pass.
+applies (below), which is corrected for the new coefficients, so nothing of
+the old values is kept but the basis: a row the dual simplex finds infeasible
+is a Farkas certificate whatever the reduced costs, and a start that is not
+dual feasible is made optimal by the primal clean-up pass.
 
 A basis that is singular on the new rows (LAPACK finds a zero pivot, or
 B^-1 B misses I by more than 1e-7, since round-off can hide a zero pivot) is
@@ -75,19 +76,26 @@ prove a row infeasible, or the attempt raises ``NumericalFailure`` anywhere
 residual check). A failed start does not try the dual again from the slack
 basis.
 
-Kept tableaus (``solve_lp(lp, basis, tableaus=d)``). A caller whose LPs all
-have one coefficient matrix A, as a branch-and-bound tree's do, may pass them
-one dict. An optimal solve stores its final tableau there, with the pivots
-since its last refactorization, under the ``LpBasis`` it returns (``LpBasis``
-hashes by identity); the dict keeps the ``KEEP_TABLEAUS`` most recent. A warm
-start from a basis found there, over as many rows as the LP has, copies that
-tableau and recomputes only the basic values, x_B = T[:, n:] rhs -
-T[:, nonbasic] x_nonbasic, with no refactorization. The copy keeps one child's
-pivots out of its sibling's start. The pivot count carries over, so the
-150-pivot cadence and the residual check bound the round-off a kept tableau
-brings along. Bounds, senses, right-hand sides and the objective may change;
-a coefficient of A may not, since the kept tableau would be stale. A start
-from a basis over fewer rows, but not none, refactorizes.
+Kept tableaus (``solve_lp(lp, basis, tableaus=d)``). A caller may pass its
+LPs one dict, as each branch-and-bound tree does. An optimal solve stores
+its final tableau there, with the pivots since its last refactorization and
+the LP's A, held by reference, not copied, under the ``LpBasis`` it returns
+(``LpBasis`` hashes by identity); the dict keeps the ``KEEP_TABLEAUS`` most
+recent. So an LP's A must not be written once it is solved: a new matrix is
+a new object. A warm start from a basis found there, over as many rows as
+the LP has, copies that tableau. If the LP's A is another object, the copy is
+corrected for the structural columns j where it differs: each becomes
+B^-1 a_j, read from the slack block, and a changed basic column is pivoted
+back into its row (Forrest & Tomlin 1972), or, where that pivot is below
+1e-7 of the column's largest entry, leaves for the slack with the largest
+entry in that row of B^-1 (Bixby 1992) and is placed by the rule above. These
+pivots count in ``iterations``. LPs that share one A object, as bnb's node
+LPs do, skip the comparison. The start then recomputes only the basic
+values, x_B = T[:, n:] rhs - T[:, nonbasic] x_nonbasic, with no
+refactorization. The copy keeps one child's pivots out of its sibling's
+start. The pivot count carries over, so the 150-pivot cadence and the
+residual check bound the round-off a kept tableau brings along. A start from
+a basis over fewer rows, but not none, refactorizes.
 
 Pivot choice, exactly (pricing and ratio test are array operations, and they
 choose the same pivots as a column-by-column / row-by-row scan):
@@ -249,7 +257,8 @@ class _Tableau:
         slack, and the nonbasic columns are placed by ``place``. So from a
         basis over no row this is the slack basis, whose tableau is [A I]
         with nothing to factorize. A start over these rows found in
-        ``tableaus`` copies its kept tableau and recomputes only the basic
+        ``tableaus`` copies its kept tableau, corrects it for the columns of
+        A that changed (``replace_columns``) and recomputes only the basic
         values; any other start refactorizes. A basis singular on these rows
         is repaired once (``repair``); raises NumericalFailure if it is still
         singular.
@@ -270,10 +279,41 @@ class _Tableau:
                 if not self.try_refactorize():
                     raise NumericalFailure("singular basis after repair")
             return
-        T, self.eta = kept
+        T, self.eta, A = kept
         self.T = T.copy()  # siblings start from one kept tableau
+        if A is not lp.A:  # LPs that share their A object skip the comparison
+            self.replace_columns(np.any(A != lp.A, axis=0).nonzero()[0])
         nb = self.vstat != _BASIC
         self.xB = self.T[:, n:] @ lp.rhs - self.T[:, nb] @ self.xval[nb]
+
+    def replace_columns(self, cols: np.ndarray) -> None:
+        """Correct a kept tableau for the structural columns ``cols``, whose
+        coefficients differ from those it was computed on.
+
+        Each such column becomes B^-1 a_j, read from the slack block. A basic
+        one is then pivoted back into its row, the product-form column
+        replacement (Forrest & Tomlin 1972). Where that pivot is below
+        _PIV_TOL of its column's largest entry, the slack with the largest
+        entry in the row of B^-1 enters instead (Bixby 1992), and the column
+        leaves to be placed by ``place``. Every pivot goes through ``pivot``.
+        """
+        n = self.n
+        self.T[:, cols] = self.T[:, n:] @ self.lp.A[:, cols]
+        row_of = np.empty(self.N, dtype=np.intp)
+        row_of[self.basis] = np.arange(self.m)
+        dropped = False
+        for j in cols[self.vstat[cols] == _BASIC].tolist():
+            r = int(row_of[j])
+            col = self.T[:, j]
+            if abs(col[r]) > _PIV_TOL * np.abs(col).max():
+                self.pivot(r, j)
+                continue
+            s = n + int(np.abs(self.T[r, n:]).argmax())  # nonbasic: basic slacks are 0 in row r
+            self.vstat[j], self.vstat[s], self.basis[r] = _FREE, _BASIC, s
+            self.pivot(r, s)
+            dropped = True
+        if dropped:
+            self.place()
 
     def place(self) -> None:
         """Put each nonbasic column at the bound its status names when that
@@ -520,7 +560,9 @@ def _phase2(
             raise NumericalFailure("primal residual too large after refactorization")
     basis = LpBasis(tab.basis, tab.vstat)
     if tableaus is not None:
-        tableaus[basis] = (tab.T, tab.eta)  # tab is discarded, so T is not copied
+        # tab is discarded, so T is not copied; A is held by reference, and
+        # no caller writes into an LP's A once it is solved
+        tableaus[basis] = (tab.T, tab.eta, lp.A)
         while len(tableaus) > KEEP_TABLEAUS:
             del tableaus[next(iter(tableaus))]  # the oldest entry
     obj = float(lp.obj @ x[:n])
@@ -543,10 +585,11 @@ def solve_lp(
     another shape. Phase 1 runs only when that dual attempt fails (see the
     module docstring). ``tableaus`` is the caller's cache of final tableaus
     by basis: an optimal solve keeps its own there, and a warm start from a
-    basis found there copies it. Every LP solved with one dict must have the
-    same coefficients in the rows it shares with the others. Deterministic
-    for identical input and the same number of BLAS threads: a multithreaded
-    BLAS may sum in another order, and round-off can then pick another pivot.
+    basis found there copies it and corrects the copy for the columns of A
+    that differ. ``lp.A`` is kept by reference, so it must not be written
+    after the solve. Deterministic for identical input and the same number
+    of BLAS threads: a multithreaded BLAS may sum in another order, and
+    round-off can then pick another pivot.
     ``deadline`` is a ``time.monotonic()`` reading: once it has passed, the
     solve starts nothing and pivots no more, and returns ``TimeLimit``.
     """

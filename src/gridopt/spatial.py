@@ -61,11 +61,16 @@ LP that returns ``TimeLimit`` stops the search the same way, as
 ``TimeLimit``, and a pinned step that does gives no candidate.
 
 A subproblem that reaches an LP builds its node LP once, since every box has
-the same rows and columns; a popped box writes its column bounds into it
-before its solve, and the corner coefficients, -x and -f(x) at the box
-corners, of each interpolant whose inputs' bounds differ from the box written
-before. A child box changes one column bound and the corners of the
+the same rows and columns. A popped box's LP is made from the LP of the box
+popped before it (``_write_box``): it takes the box as its column bounds, and
+it shares that LP's A unless some interpolant's inputs' bounds differ; then
+it takes a copy of A with the corner coefficients, -x and -f(x) at the box
+corners, of each such interpolant written in. No LP's A is written after its
+solve. A child box changes one column bound and the corners of the
 interpolants that read it, which is why the parent's basis is a good start.
+Every node LP passes the simplex one dict of kept tableaus, so a child whose
+parent's tableau is still kept starts from a copy of it, corrected for the
+corner columns that changed, instead of refactorizing.
 The node LP's first rows are the IR's, ``ProblemIR.rows`` over the IR
 columns, and no box write touches them: the exact check and every pinned
 step read the IR's rows and objective there.
@@ -75,7 +80,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -166,39 +171,59 @@ def _node_lp(nlp: BoxNlp) -> LpProblem:
     return LpProblem.from_rows(col, obj, lo, hi, rows)
 
 
-def _write_box(lp: LpProblem, blocks: list[CellBlock], lo: np.ndarray, hi: np.ndarray) -> None:
-    """Write the box [lo, hi] into ``_node_lp``'s LP: the IR columns' bounds
-    and, per block whose inputs' bounds differ from the box written before,
-    the corner coefficients -x and -f(x) at the box corners."""
+def _write_box(
+    lp: LpProblem, blocks: list[CellBlock], lo: np.ndarray, hi: np.ndarray
+) -> LpProblem:
+    """The node LP of the box [lo, hi], made from ``lp``, ``_node_lp``'s LP or
+    the node LP of the box written before, which stays as it is.
+
+    The IR columns take the box as their bounds. Each block whose inputs'
+    bounds differ from ``lp``'s gets the corner coefficients -x and -f(x) at
+    the box corners, written into a copy of ``lp.A``; when no block's inputs
+    moved, the new LP shares ``lp.A``. So no LP's A is written after it is
+    solved, and a tableau kept under its basis stays its own.
+    """
     n = lo.size
     moved = (lp.lo[:n] != lo) | (lp.hi[:n] != hi)
-    lp.lo[:n] = lo
-    lp.hi[:n] = hi
+    A = lp.A
     row = lp.nrows - sum(blk.n + 2 for blk in blocks)  # the first block row
     col = n
     for blk in blocks:
         k = 1 << blk.n
         if moved[blk.input_pos].any():
+            if A is lp.A:
+                A = lp.A.copy()
             bits = (np.arange(k)[:, None] >> np.arange(blk.n)) & 1
             xs = np.where(bits, hi[blk.input_pos], lo[blk.input_pos])  # box corners, (2^n, n)
-            lp.A[row : row + blk.n, col : col + k] = -xs.T
-            lp.A[row + blk.n + 1, col : col + k] = -blk.f(xs)
+            A[row : row + blk.n, col : col + k] = -xs.T
+            A[row + blk.n + 1, col : col + k] = -blk.f(xs)
         row += blk.n + 2
         col += k
+    return replace(
+        lp, lo=np.concatenate([lo, lp.lo[n:]]), hi=np.concatenate([hi, lp.hi[n:]]), A=A
+    )
+
+
+def _f_at(blocks: list[CellBlock], x: np.ndarray, fx: list, i: int) -> float:
+    """Block i's f at its inputs' values in x: ``fx[i]``, evaluated on first
+    use. ``fx`` starts as one None per block and belongs to this x alone."""
+    if fx[i] is None:
+        fx[i] = float(blocks[i].f(x[blocks[i].input_pos]))
+    return fx[i]
 
 
 def _split(
-    blocks: list[CellBlock], x: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    blocks: list[CellBlock], x: np.ndarray, fx: list, lo: np.ndarray, hi: np.ndarray
 ) -> Optional[tuple[int, float]]:
     """Variable position and split point of a node, or None if no box can be split.
 
-    Blocks are tried by decreasing |y - f| at the node LP point x, ties to the
-    lowest block; the first one with an input interval wider than
-    MIN_BOX_WIDTH cell widths is split along its widest input in cell widths
-    (ties to the lowest axis) at the LP value, clamped to the middle of the
-    interval.
+    Blocks are tried by decreasing |y - f| at the node LP point x, f read
+    through ``_f_at`` with x's ``fx``, ties to the lowest block; the first one
+    with an input interval wider than MIN_BOX_WIDTH cell widths is split
+    along its widest input in cell widths (ties to the lowest axis) at the LP
+    value, clamped to the middle of the interval.
     """
-    viol = [abs(x[blk.output_pos] - float(blk.f(x[blk.input_pos]))) for blk in blocks]
+    viol = [abs(x[blk.output_pos] - _f_at(blocks, x, fx, i)) for i, blk in enumerate(blocks)]
     for i in sorted(range(len(blocks)), key=lambda i: -viol[i]):
         blk = blocks[i]
         widths = (hi[blk.input_pos] - lo[blk.input_pos]) / blk.width
@@ -211,7 +236,7 @@ def _split(
 
 
 def _exact_candidate(
-    nlp: BoxNlp, lp: LpProblem, xrel: np.ndarray
+    nlp: BoxNlp, lp: LpProblem, xrel: np.ndarray, fx: list
 ) -> Optional[tuple[np.ndarray, float]]:
     """The node LP point as a candidate, if it already satisfies the IR.
 
@@ -219,15 +244,23 @@ def _exact_candidate(
     is set to f at its inputs; the point is taken when no output moved by
     more than EXACT_TOL and the output bounds and the IR's rows, the node
     LP ``lp``'s first rows over its IR columns, still hold within it. The
-    objective is then the IR's at the point, not the LP's.
+    objective is then the IR's at the point, not the LP's. A block whose
+    inputs are still xrel's reads f through ``_f_at`` with xrel's ``fx``, so
+    ``_split`` does not evaluate it again; f is evaluated apart only at
+    inputs that the clipping, or an earlier block's output, moved.
     """
     n, m = len(nlp.var_lo), len(nlp.ir.rows)
     x = np.clip(xrel[:n], nlp.var_lo, nlp.var_hi)
-    for blk in nlp.blocks:
-        fval = float(blk.f(x[blk.input_pos]))
+    same = x == xrel[:n]
+    for i, blk in enumerate(nlp.blocks):
+        if same[blk.input_pos].all():
+            fval = _f_at(nlp.blocks, xrel, fx, i)
+        else:
+            fval = float(blk.f(x[blk.input_pos]))
         if abs(x[blk.output_pos] - fval) > EXACT_TOL:
             return None
         x[blk.output_pos] = fval
+        same[blk.output_pos] = fval == xrel[blk.output_pos]
     senses = np.array(lp.senses[:m])
     excess = lp.A[:m, :n] @ x - lp.rhs[:m]
     if (
@@ -325,7 +358,10 @@ def _coordinate_descent(
 
 
 def solve_box_nlp(
-    nlp: BoxNlp, basis: Optional[LpBasis] = None, deadline: float = np.inf
+    nlp: BoxNlp,
+    basis: Optional[LpBasis] = None,
+    deadline: float = np.inf,
+    tableaus: Optional[dict] = None,
 ) -> NlpResult:
     """Globally minimize the IR objective over one cell assignment.
 
@@ -335,13 +371,19 @@ def solve_box_nlp(
     and one of another shape is no start (``solve_lp``): the root starts cold. An
     infeasible root LP has no basis to hand on. ``deadline`` is a
     ``time.monotonic()`` reading that every LP of the search receives.
+    ``tableaus`` is the dict of kept tableaus (``solve_lp``'s) that every node
+    LP passes; a caller that passes one dict to a run of subproblems lets a
+    root find the previous root's tableau while it is kept. Without one, the
+    search keeps its own.
     """
     if np.any(nlp.var_lo > nlp.var_hi + 1e-12):
         return NlpResult(status=INFEASIBLE)
     if _rows_exclude_box(nlp.ir, nlp.var_lo, nlp.var_hi):
         return NlpResult(status=INFEASIBLE)
     blocks = nlp.blocks
-    lp = _node_lp(nlp)
+    lp = _node_lp(nlp)  # the node LP of the box written last
+    if tableaus is None:
+        tableaus = {}
     best: tuple[Optional[np.ndarray], float] = (None, np.inf)  # the incumbent
     nodes = 0
     root_basis = None
@@ -349,21 +391,22 @@ def solve_box_nlp(
     limit = NODE_LIMIT  # the status when the floor is below the incumbent
     tick = itertools.count()
     root = Node(-np.inf, nlp.var_lo, nlp.var_hi, None, basis)
-    heap: list = [(root.bound, next(tick), root)]  # (bound, tick, node) of every open box
+    # (bound, tick, node, f at node.x by block, or None unsolved) of every open box
+    heap: list = [(root.bound, next(tick), root, None)]
 
     def pruned(node_bound: float) -> bool:
         return node_bound >= prune_level(best[1], GAP)
 
     while heap:
-        node = heapq.heappop(heap)[2]
+        _, _, node, fx = heapq.heappop(heap)
         if pruned(node.bound):
             break  # so is every node still on the heap
         if node.x is None:
             if nodes >= MAX_NODES:
                 floor = min(floor, node.bound)  # no node left on the heap is lower
                 break
-            _write_box(lp, blocks, node.lo, node.hi)
-            res = solve_lp(lp, basis=node.basis, deadline=deadline)
+            lp = _write_box(lp, blocks, node.lo, node.hi)
+            res = solve_lp(lp, basis=node.basis, tableaus=tableaus, deadline=deadline)
             if res.status == TIME_LIMIT:
                 limit, floor = TIME_LIMIT, min(floor, node.bound)
                 break
@@ -374,7 +417,8 @@ def solve_box_nlp(
                 best = (None, -np.inf)
             if res.status != OPTIMAL or pruned(res.objective):
                 continue
-            cand = _exact_candidate(nlp, lp, res.x)
+            fx = [None] * len(blocks)
+            cand = _exact_candidate(nlp, lp, res.x, fx)
             if cand is None:
                 x = np.clip(res.x[: node.lo.size], node.lo, node.hi)
                 cand = _pinned_step(nlp, lp, x, set(), deadline)
@@ -383,9 +427,9 @@ def solve_box_nlp(
             if cand is not None and cand[1] < best[1] - 1e-15:
                 best = cand
             node = Node(res.objective, node.lo, node.hi, res.x, res.basis)
-            heapq.heappush(heap, (node.bound, next(tick), node))
+            heapq.heappush(heap, (node.bound, next(tick), node, fx))
             continue
-        split = _split(blocks, node.x, node.lo, node.hi)
+        split = _split(blocks, node.x, fx, node.lo, node.hi)
         if split is None:
             floor = min(floor, node.bound)
             continue
@@ -394,7 +438,7 @@ def solve_box_nlp(
         below[p] = above[p] = at
         for lo, hi in ((node.lo, below), (above, node.hi)):
             child = Node(node.bound, lo, hi, None, node.basis)
-            heapq.heappush(heap, (child.bound, next(tick), child))
+            heapq.heappush(heap, (child.bound, next(tick), child, None))
 
     x, objective = best
     if floor < prune_level(objective, GAP):

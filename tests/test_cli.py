@@ -244,6 +244,24 @@ class TestSolve:
         assert "NaN or infinite" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_variable_bounds_that_admit_no_value_rejected(self, tmp_path, capsys, value):
+        # x0 in [inf, inf] once solved to Optimal 0 at x0 = 0
+        ir = build_problem(
+            [VarRef(0, CONTINUOUS, 0.0, 1.0), VarRef(1, CONTINUOUS, 0.0, 1.0)],
+            [LinConstraint(((1.0, 0), (1.0, 1)), "<=", 5.0)],
+            [],
+            objective=[(1.0, 1)],
+        )
+        doc = instancefile.ir_to_dict(ir)
+        doc["variables"][0].update(lo=value, hi=value)
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["solve", str(path)]) == 2
+        assert "admit no value" in capsys.readouterr().err
+
+
 def _bounds_ir():
     """Every kind of column bound, and names the exporters must clean."""
     inf = float("inf")

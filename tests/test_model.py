@@ -97,6 +97,13 @@ class TestBuildProblem:
         with pytest.raises(ValueError, match="NaN"):
             VarRef(0, CONTINUOUS, lo, hi)
 
+    @pytest.mark.parametrize("lo, hi", [(np.inf, np.inf), (-np.inf, -np.inf)])
+    def test_bounds_that_admit_no_value_rejected(self, lo, hi):
+        # lo > hi is false for equal infinite bounds: such a variable once
+        # solved to Optimal at a point outside its bounds
+        with pytest.raises(ValueError, match="admit no value"):
+            VarRef(0, CONTINUOUS, lo, hi)
+
     def test_nan_rhs_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             LinConstraint(((1.0, 0),), "<=", np.nan)

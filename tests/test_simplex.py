@@ -937,30 +937,23 @@ class TestSafeguards:
                 np.testing.assert_array_equal(got.x, alone.x)
 
     def test_stale_kept_tableau_is_refactorized_by_the_residual_check(self, refactorizations):
-        # a kept tableau of other coefficients (which solve_lp's callers never
-        # pass) gives an x that misses the rows: the residual check
-        # refactorizes, and the solve ends at the basis's own vertex
+        # a kept tableau whose entries drifted by 1e-4 (relative) gives an x
+        # that misses the rows: the residual check refactorizes, and the solve
+        # ends at the basis's own vertex
         rng = np.random.default_rng(49)
-        checked = 0
         for lp, res in _optimal_lps(rng, 60):
-            j = int(np.abs(res.x).argmax())
-            A = lp.A.copy()
-            A[:, j] *= 1 + 1e-4
-            moved = dataclasses.replace(lp, A=A)
-            fresh = solve_lp(moved, basis=res.basis)
-            if fresh.status != OPTIMAL or fresh.iterations or abs(res.x[j]) < 0.1:
-                continue  # the basis must stay optimal, and the rows must move
+            fresh = solve_lp(lp, basis=res.basis)
             tableaus = {}
             solve_lp(lp, basis=res.basis, tableaus=tableaus)
+            ((start, (T, _, _)),) = tableaus.items()
+            T *= 1 + 1e-4
             refactorizations.clear()
-            got = solve_lp(moved, basis=next(iter(tableaus)), tableaus=tableaus)
+            got = solve_lp(lp, basis=start, tableaus=tableaus)
             assert got.status == OPTIMAL and got.iterations == 0
             assert len(refactorizations) == 1  # the residual check's, no other
             assert got.objective == pytest.approx(fresh.objective, abs=1e-9, rel=1e-9)
             np.testing.assert_allclose(got.x, fresh.x, atol=1e-9)
-            _assert_matches_scipy(got, moved)
-            checked += 1
-        assert checked > 20
+            _assert_matches_scipy(got, lp)
 
     def test_residual_still_too_large_falls_back_to_phase_1(self, monkeypatch, dual_outcomes):
         # an x that misses a row by 1e-3 before and after the refactorization
@@ -1024,6 +1017,32 @@ def test_desk_s1_enumeration_gives_up_no_singular_start(monkeypatch):
     assert res.status == OPTIMAL
     assert len(starts) == 41
     assert failed == []  # before the repair, 7 starts fell back
+
+
+def test_desk_s1_enumeration_refactorizes_no_kept_start(monkeypatch):
+    """Enumerating desk S1-0, a spatial warm start whose basis is in the dict
+    of kept tableaus corrects that tableau for the corner columns the box
+    rewrote, and refactorizes nothing."""
+    kept, refactorized = [], []  # refactorizations in each kept start; all
+    start_warm = simplex._Tableau.start_warm
+    refactorize = simplex._Tableau.refactorize
+
+    def spy_start(tab, start, tableaus):
+        is_kept = tableaus is not None and start in tableaus and start.basis.size == tab.m
+        before = len(refactorized)
+        start_warm(tab, start, tableaus)
+        if is_kept:
+            kept.append(len(refactorized) - before)
+
+    def spy_refactorize(tab):
+        refactorized.append(1)
+        return refactorize(tab)
+
+    monkeypatch.setattr(simplex._Tableau, "start_warm", spy_start)
+    monkeypatch.setattr(simplex._Tableau, "refactorize", spy_refactorize)
+    res = rfe.solve_by_enumeration(build_opo_instance(get_scenario("S1", "desk"), 0).ir)
+    assert res.status == OPTIMAL
+    assert len(kept) > 20 and not any(kept)
 
 
 class _Kept(dict):
@@ -1127,6 +1146,67 @@ class TestKeptTableau:
             if got.status == OPTIMAL:
                 assert got.objective == pytest.approx(cold.objective, abs=1e-9, rel=1e-9)
                 np.testing.assert_allclose(got.x, cold.x, atol=1e-7)
+
+
+def _boxed_lps(rng, count: int):
+    """The first ``count`` random LPs with every column boxed and an optimal
+    solution, each solved cold with a dict of kept tableaus: (lp, res, dict)."""
+    while count:
+        lp = _random_lp(rng, n=7, m=5)
+        lp.lo = rng.uniform(-3.0, 0.0, size=lp.ncols)
+        lp.hi = lp.lo + rng.uniform(0.5, 4.0, size=lp.ncols)
+        tableaus = {}
+        res = solve_lp(lp, tableaus=tableaus)
+        if res.status == OPTIMAL:
+            count -= 1
+            yield lp, res, tableaus
+
+
+def _refactorized(lp: LpProblem, basis: LpBasis) -> np.ndarray:
+    """B^-1 [A I] for the basis, by a dense solve."""
+    Afull = np.hstack([lp.A, np.eye(lp.nrows)])
+    return np.linalg.solve(Afull[:, basis.basis], Afull)
+
+
+class TestCorrectedTableau:
+    """A warm start from a tableau kept on other coefficients corrects it for
+    the columns that changed, with no refactorization."""
+
+    @pytest.mark.parametrize("case", ["nonbasic", "basic", "zero_pivot"])
+    def test_matches_cold_scipy_and_a_refactorization(self, refactorizations, case):
+        rng = np.random.default_rng(50)
+        seen = {OPTIMAL: 0, INFEASIBLE: 0}
+        for lp, res, tableaus in _boxed_lps(rng, 80):
+            n = lp.ncols
+            basic = res.basis.basis[res.basis.basis < n]
+            cols = {
+                "nonbasic": np.setdiff1d(np.arange(n), basic)[:3],
+                "basic": basic[:2],
+                "zero_pivot": basic[:1],
+            }[case]
+            if not cols.size:
+                continue
+            A = lp.A.copy()
+            # a zero column: its new pivot B^-1 a_j is exactly 0 in its row
+            A[:, cols] = 0.0 if case == "zero_pivot" else rng.normal(size=(lp.nrows, cols.size))
+            moved = dataclasses.replace(lp, A=A)
+            refactorizations.clear()
+            got = solve_lp(moved, basis=res.basis, tableaus=tableaus)
+            assert not refactorizations
+            if case != "nonbasic":  # every changed basic column takes a pivot back in
+                assert got.iterations >= cols.size
+            if case == "zero_pivot":  # the slack entered instead, for good
+                assert got.status != OPTIMAL or cols[0] not in got.basis.basis
+            cold = solve_lp(moved)
+            assert got.status == cold.status == _assert_matches_scipy(got, moved)
+            if got.status == OPTIMAL:
+                for want in (cold.objective, _scipy_solve(moved).fun):
+                    assert got.objective == pytest.approx(want, abs=1e-9, rel=1e-9)
+                np.testing.assert_allclose(
+                    tableaus[got.basis][0], _refactorized(moved, got.basis), atol=1e-9
+                )
+            seen[got.status] += 1
+        assert min(seen.values()) > 10, seen
 
 
 class TestIterationsCountEveryPivot:

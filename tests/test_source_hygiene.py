@@ -3,9 +3,10 @@ import inside a function or class, no private function or method that
 nothing in ``src/gridopt`` calls, no dataclass field and no module-level
 constant that nothing reads, no exception class that nothing raises, no
 environment read outside the command line, no clock read outside the
-simplex, rfe and the command line, no kept simplex tableau
-outside the MILP tree, one simplex tableau per LP solve, one start path in
-the simplex, one pivot site in the simplex, and one row screen in spatial."""
+simplex, rfe and the command line, no kept simplex tableau outside the two
+trees, no write into an LP's coefficient matrix, one simplex tableau per LP
+solve, one start path in the simplex, one pivot site in the simplex, and one
+row screen in spatial."""
 
 import ast
 from pathlib import Path
@@ -509,11 +510,11 @@ def _tableau_passers(paths: list[Path]) -> list[str]:
     return found
 
 
-def test_only_bnb_keeps_tableaus():
-    """A kept tableau is only right while the rows' coefficients stay: every LP
-    of one ``solve_milp`` call shares its rows, but spatial's node LP has its
-    corner coefficients rewritten in place for every box."""
-    assert _tableau_passers(SRC) == ["bnb.solve_milp"]
+def test_only_the_two_trees_keep_tableaus():
+    """Each tree passes its node LPs one dict of kept tableaus. A kept tableau
+    is corrected for the columns of A that changed since it was kept, and a
+    pinned step or a relaxation LP has no use for one."""
+    assert _tableau_passers(SRC) == ["bnb.solve_milp", "spatial.solve_box_nlp"]
 
 
 def test_tableau_passers_are_found(tmp_path):
@@ -527,6 +528,50 @@ def test_tableau_passers_are_found(tmp_path):
         "solve_lp(None, None, {})\n"
     )
     assert _tableau_passers([mod]) == ["mod.keyword", "mod.C", "mod.<module>"]
+
+
+def _writes_into_a(paths: list[Path]) -> list[str]:
+    """``module.function`` of every assignment, plain or augmented, into a
+    subscript of an attribute named ``A`` (``lp.A[...] = ...``)."""
+    found = []
+    for path in paths:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                else:
+                    continue
+                for target in targets:
+                    for t in ast.walk(target):
+                        if (
+                            isinstance(t, ast.Subscript)
+                            and isinstance(t.value, ast.Attribute)
+                            and t.value.attr == "A"
+                        ):
+                            found.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return found
+
+
+def test_no_lp_coefficient_matrix_is_written_in_place():
+    """A kept tableau holds its LP's A by reference and is corrected only for
+    the columns that differ from it: a write into that A would leave the
+    tableau stale with nothing to show it."""
+    assert _writes_into_a(SRC) == []
+
+
+def test_writes_into_a_are_found(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "def plain(lp): lp.A[0, 1] = 2.0\n"
+        "def read(lp, A): A[0] = lp.A[0]\n"
+        "def augmented(lp): lp.A[:, 0] *= 2.0\n"
+        "class C:\n"
+        "    def unpacked(self): self.lp.A[0], x = 1.0, 2.0\n"
+        "lp.B[0] = lp.A\n"
+    )
+    assert _writes_into_a([mod]) == ["mod.plain", "mod.augmented", "mod.C"]
 
 
 def _references(path: Path, name: str) -> list[str]:

@@ -140,10 +140,10 @@ class TestBranchingRule:
         blocks = _two_blocks()
         x = _node_point((0.5, 0.5), 0.1, (0.3, 0.6), -0.3)
         lo, hi = _box(np.zeros(4), np.array([1.0, 1.0, 0.5, 1.0]))
-        assert _split(blocks, x, lo, hi) == (4, pytest.approx(0.6))
+        assert _split(blocks, x, [None, None], lo, hi) == (4, pytest.approx(0.6))
         # the other block once its violation is the larger one
         x = _node_point((0.5, 0.4), -0.4, (0.3, 0.6), 0.3)
-        assert _split(blocks, x, lo, hi) == (0, pytest.approx(0.5))
+        assert _split(blocks, x, [None, None], lo, hi) == (0, pytest.approx(0.5))
 
     def test_widest_in_cell_units(self):
         """An input's interval counts in widths of its cell axis."""
@@ -153,7 +153,7 @@ class TestBranchingRule:
         x = _node_point((0.5, 0.5), 0.0, (0.3, 0.6), 0.2)
         # b1's interval is the wider in x, b0's in cell widths
         lo, hi = _box(np.zeros(4), np.array([1.0, 1.0, 0.8, 2.0]))
-        assert _split(blocks, x, lo, hi) == (3, pytest.approx(0.3))
+        assert _split(blocks, x, [None, None], lo, hi) == (3, pytest.approx(0.3))
 
     def test_split_clamped_to_middle_of_interval(self):
         blocks = _two_blocks()
@@ -161,15 +161,15 @@ class TestBranchingRule:
         # interval [0.2, 0.7]: the split stays in [0.3, 0.6]
         for tb1, want in ((0.68, 0.6), (0.21, 0.3), (0.45, 0.45)):
             x = _node_point((0.5, 0.5), 0.0, (0.3, tb1), 0.2)
-            assert _split(blocks, x, lo, hi) == (4, pytest.approx(want))
+            assert _split(blocks, x, [None, None], lo, hi) == (4, pytest.approx(want))
 
     def test_ties_go_to_lowest_block_and_coordinate(self):
         blocks = _two_blocks()
         lo, hi = _box(np.zeros(4), np.ones(4))
         x = _node_point((0.3, 0.6), 0.2, (0.3, 0.6), 0.2)
-        assert _split(blocks, x, lo, hi) == (0, pytest.approx(0.3))
+        assert _split(blocks, x, [None, None], lo, hi) == (0, pytest.approx(0.3))
         x = _node_point((0.3, 0.6), 0.0, (0.3, 0.6), 0.2)
-        assert _split(blocks, x, lo, hi) == (3, pytest.approx(0.3))
+        assert _split(blocks, x, [None, None], lo, hi) == (3, pytest.approx(0.3))
 
     def test_narrow_block_passed_over(self):
         blocks = _two_blocks()
@@ -178,9 +178,9 @@ class TestBranchingRule:
             np.array([0.0, 0.0, 0.3, 0.6]),
             np.array([1.0, 1.0, 0.3, 0.6]) + 0.5 * spatial.MIN_BOX_WIDTH,
         )
-        assert _split(blocks, x, lo, hi) == (0, pytest.approx(0.3))
+        assert _split(blocks, x, [None, None], lo, hi) == (0, pytest.approx(0.3))
         hi[:2] = lo[:2] = (0.3, 0.6)
-        assert _split(blocks, x, lo, hi) is None
+        assert _split(blocks, x, [None, None], lo, hi) is None
 
 
 def _shared_input_nlp():
@@ -200,17 +200,46 @@ class TestSharedInput:
     def test_one_split_narrows_every_hull_reading_the_input(self):
         nlp = _shared_input_nlp()
         blocks = nlp.blocks
-        lp = _node_lp(nlp)
-        _write_box(lp, blocks, nlp.var_lo, nlp.var_hi)
+        lp = _write_box(_node_lp(nlp), blocks, nlp.var_lo, nlp.var_hi)
         assert solve_lp(lp).objective == pytest.approx(-2.0)
         hi = nlp.var_hi.copy()
         hi[0] = 0.5  # the lower child of a split on x0
-        _write_box(lp, blocks, nlp.var_lo, hi)
-        child = solve_lp(lp)
+        child = solve_lp(_write_box(lp, blocks, nlp.var_lo, hi))
         # both hulls see x0 <= 0.5; narrowing one interpolant's copy of x0
         # alone would leave the bound at -1.5
         assert child.objective == pytest.approx(-1.0)
         assert max(child.x[3], child.x[4]) <= 0.5 + 1e-9
+
+
+class TestOneFCallPerBlock:
+    """The exact check and the split read each block's f at the node LP
+    point from one evaluation, where the exact check's clipping moved
+    nothing."""
+
+    def _root(self):
+        nlp = _shared_input_nlp()
+        lp = _write_box(_node_lp(nlp), nlp.blocks, nlp.var_lo, nlp.var_hi)
+        return nlp, lp, solve_lp(lp).x
+
+    def test_each_block_is_evaluated_once(self, monkeypatch):
+        nlp, lp, x = self._root()
+        f = CellBlock.f
+        calls = []
+        monkeypatch.setattr(CellBlock, "f", lambda blk, at: calls.append(1) or f(blk, at))
+        fx = [None, None]
+        assert spatial._exact_candidate(nlp, lp, x, fx) is not None
+        _split(nlp.blocks, x, fx, nlp.var_lo, nlp.var_hi)
+        assert len(calls) == 2
+
+    def test_a_clipped_input_is_evaluated_apart(self):
+        nlp, lp, x = self._root()
+        x[0] += 1e-12  # above its bound 1: the exact check clips it back
+        fx = [None, None]
+        cand, _ = spatial._exact_candidate(nlp, lp, x, fx)
+        assert cand[3] == cand[4] == 1.0  # f at the clipped inputs (1, 1)
+        _split(nlp.blocks, x, fx, nlp.var_lo, nlp.var_hi)
+        assert fx == [float(blk.f(x[blk.input_pos])) for blk in nlp.blocks]
+        assert fx[0] > 1.0  # f at x's own inputs
 
 
 DESK_S2_FIRST_CELL_OPT = -219.02002935708694  # minimization sense
@@ -271,11 +300,10 @@ class TestNodeLp:
         hi_a[0] = 0.5
         lo_b, hi_b = nlp.var_lo.copy(), nlp.var_hi.copy()
         lo_b[0], hi_b[1], lo_b[2] = 0.25, 0.75, 0.4
-        reused, fresh = _node_lp(nlp), _node_lp(nlp)
-        _write_box(reused, nlp.blocks, lo_a, hi_a)
+        reused = _write_box(_node_lp(nlp), nlp.blocks, lo_a, hi_a)
         assert solve_lp(reused).status == OPTIMAL
-        _write_box(reused, nlp.blocks, lo_b, hi_b)
-        _write_box(fresh, nlp.blocks, lo_b, hi_b)
+        reused = _write_box(reused, nlp.blocks, lo_b, hi_b)
+        fresh = _write_box(_node_lp(nlp), nlp.blocks, lo_b, hi_b)
         for name in ("A", "lo", "hi"):
             np.testing.assert_array_equal(getattr(reused, name), getattr(fresh, name))
         assert np.any(reused.A != _node_lp(nlp).A)  # the corners were written
@@ -296,8 +324,8 @@ class TestNodeLp:
         hi[p] = 0.5 * (nlp.var_lo[p] + hi[p])
         written = []
         for box_hi in (nlp.var_hi, hi):
-            _write_box(lp, nlp.blocks, nlp.var_lo, box_hi)
-            written.append(lp.A.copy())
+            lp = _write_box(lp, nlp.blocks, nlp.var_lo, box_hi)
+            written.append(lp.A)
             np.testing.assert_array_equal(lp.A[:m, :n], want.A)
             np.testing.assert_array_equal(lp.A[:m, n:], 0.0)
             np.testing.assert_array_equal(lp.rhs[:m], want.rhs)
@@ -598,8 +626,7 @@ class TestScreen:
                 cells += 1
                 if _rows_exclude_box(nlp.ir, nlp.var_lo, nlp.var_hi):
                     screened += 1
-                    root = _node_lp(nlp)
-                    _write_box(root, nlp.blocks, nlp.var_lo, nlp.var_hi)
+                    root = _write_box(_node_lp(nlp), nlp.blocks, nlp.var_lo, nlp.var_hi)
                     assert solve_lp(root).status == INFEASIBLE
         assert (screened, cells) == {"pool": (111, 1509), "desk-S1-0": (50, 66)}[instance]
 
