@@ -6,13 +6,24 @@ construction and safe to share across threads.
 
 There is one evaluator, :func:`multilinear`: inside a cell the interpolant is
 the cell's corner values weighted by the product over axes of theta_j or
-1 - theta_j. :func:`interpolate` locates the cell of a point and applies it;
-the spatial solver applies it to a cell's corner values directly.
+1 - theta_j. It computes the weights in product form,
+``np.where(bits, theta, 1 - theta).prod(-1)``, where ``bits`` is
+:func:`corner_bits`, the one table of which corner bit is set on which axis:
+corner b of a cell or a box is bit j of b on axis j. :func:`interpolate`
+locates the cell of a point and applies it; the spatial solver applies it to
+a cell's corner values directly, and reads the same bit table to place a
+box's corners.
+
+Per-cell data is tabulated once per grid or table, on first use, and kept
+read-only: :attr:`LookupTable.cell_corners` holds every cell's corner values
+(at most 2^n times the table's size) and :attr:`Grid.cell_bounds` every
+cell's lower and upper corner, so a cell's data is one index away.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,6 +63,20 @@ class Grid:
     def corner(self, k: Sequence[int]) -> np.ndarray:
         return np.array([self.axes[j][k[j]] for j in range(self.n)])
 
+    @cached_property
+    def cell_bounds(self) -> np.ndarray:
+        """Every cell's lower and upper corner, read-only, of shape
+        (segments per axis..., 2, n): ``cell_bounds[cell]`` is the lower
+        corner of the cell given by one segment index per axis, then its
+        upper corner."""
+        ends = [
+            np.stack(np.meshgrid(*(a[b : a.size - 1 + b] for a in self.axes), indexing="ij"), -1)
+            for b in (0, 1)
+        ]
+        out = np.stack(ends, axis=-2)
+        out.setflags(write=False)
+        return out
+
 
 @dataclass(frozen=True)
 class LookupTable:
@@ -72,16 +97,28 @@ class LookupTable:
     def value_at(self, k: Sequence[int]) -> float:
         return float(self.values[self.grid.flat_index(k)])
 
+    @cached_property
+    def cell_corners(self) -> np.ndarray:
+        """Every cell's 2^n corner values, read-only, of shape (segments per
+        axis..., 2^n), in :func:`corner_bits` order."""
+        v = self.values.reshape(self.grid.shape)
+        segs = [K - 1 for K in self.grid.shape]
+        bits = corner_bits(self.grid.n)
+        out = np.stack([v[tuple(map(slice, row, row + segs))] for row in bits.astype(int)], -1)
+        out.setflags(write=False)
+        return out
+
     def cell_corner_values(self, cell: Sequence[int]) -> np.ndarray:
         """Values at the 2^n corners of a cell, given as one segment index per
-        axis; corner bit j indexes axis j."""
+        axis; corner bit j indexes axis j. The cell's row of
+        :attr:`cell_corners`, once every segment is checked to be on the grid
+        (a negative index would wrap)."""
         if len(cell) != self.grid.n:
             raise ValueError(f"cell has {len(cell)} segments, grid has {self.grid.n} axes")
         for j, t in enumerate(cell):
             if not 0 <= t <= self.grid.axes[j].size - 2:
                 raise ValueError(f"segment {t} out of range on axis {j}")
-        block = self.values.reshape(self.grid.shape)[tuple(slice(t, t + 2) for t in cell)]
-        return block.flatten(order="F")
+        return self.cell_corners[tuple(cell)]
 
 
 def make_grid(axes: Iterable[Sequence[float]]) -> Grid:
@@ -148,18 +185,25 @@ def locate(grid: Grid, x: Sequence[float]) -> tuple[tuple[int, ...], np.ndarray]
     return tuple(t), frac
 
 
+@cache
+def corner_bits(n: int) -> np.ndarray:
+    """The (2^n, n) read-only boolean table whose row b holds bit j of b in
+    column j: whether corner b of a cell or box is at its upper end on axis j."""
+    bits = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
+    bits.setflags(write=False)
+    return bits
+
+
 def multilinear(corners: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Interpolant at theta of shape (..., n) from a cell's 2^n corner values.
 
     ``corners`` is ordered as :meth:`LookupTable.cell_corner_values` returns
     it (corner bit j indexes axis j); theta holds the fractional coordinates
-    in the cell. The corner weights, dotted with the values.
+    in the cell. The corner weights, each the product over axes of theta_j
+    or 1 - theta_j, dotted with the values.
     """
-    w = np.ones(theta.shape[:-1] + (1,))
-    for j in range(theta.shape[-1]):
-        t = theta[..., j : j + 1]
-        w = np.concatenate([w * (1.0 - t), w * t], axis=-1)
-    return w @ corners
+    t = theta[..., None, :]
+    return np.where(corner_bits(theta.shape[-1]), t, 1.0 - t).prod(-1) @ corners
 
 
 def interpolate(table: LookupTable, x: Sequence[float]) -> float:

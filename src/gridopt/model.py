@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .errors import BoundsOutsideHull, DanglingVariable, DimensionMismatch
 from .gridtab import LookupTable
 
@@ -94,9 +96,60 @@ class ProblemIR:
         )
 
     @cached_property
+    def dense_rows(self) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
+        """``rows`` as a dense (rows, variables) coefficient matrix, the
+        senses and the right-hand sides, the arrays read-only: the LP that
+        ``LpProblem.from_rows`` makes of them."""
+        A = np.zeros((len(self.rows), len(self.variables)))
+        for i, (terms, _, _) in enumerate(self.rows):
+            for p, cf in terms:
+                A[i, p] += cf
+        rhs = np.array([b for _, _, b in self.rows], dtype=float)
+        for a in (A, rhs):
+            a.setflags(write=False)
+        return A, tuple(s for _, s, _ in self.rows), rhs
+
+    @cached_property
+    def row_sides(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only masks of the rows with an upper side (``<=`` and ``=``)
+        and of those with a lower side (``>=`` and ``=``)."""
+        senses = np.array(self.dense_rows[1], dtype=object)
+        upper, lower = senses != GE, senses != LE
+        for a in (upper, lower):
+            a.setflags(write=False)
+        return upper, lower
+
+    @cached_property
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The variables' lower and upper bounds by position, read-only."""
+        lo = np.array([v.lo for v in self.variables], dtype=float)
+        hi = np.array([v.hi for v in self.variables], dtype=float)
+        for a in (lo, hi):
+            a.setflags(write=False)
+        return lo, hi
+
+    @cached_property
+    def input_pos(self) -> tuple[np.ndarray, ...]:
+        """Positions in ``variables`` of each interpolant's inputs, one
+        read-only array per interpolant."""
+        out = []
+        for itp in self.interpolants:
+            pos = np.array([self.var_pos[v] for v in itp.inputs], dtype=np.intp)
+            pos.setflags(write=False)
+            out.append(pos)
+        return tuple(out)
+
+    @cached_property
     def binary_ids(self) -> tuple[int, ...]:
         """Ids of the binary variables, in ascending order."""
         return tuple(sorted(v.id for v in self.variables if v.kind == BINARY))
+
+    @cached_property
+    def binary_pos(self) -> np.ndarray:
+        """Positions of ``binary_ids`` in ``variables``, in that order, read-only."""
+        pos = np.array([self.var_pos[b] for b in self.binary_ids], dtype=np.intp)
+        pos.setflags(write=False)
+        return pos
 
     @property
     def num_binaries(self) -> int:

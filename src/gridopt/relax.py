@@ -100,7 +100,7 @@ class Fixing:
 class CellBlock:
     """One active interpolant of a subproblem: its cell and the corner values there."""
 
-    input_pos: list[int]  # positions in ir.variables
+    input_pos: np.ndarray  # positions in ir.variables
     output_pos: int
     a_lo: np.ndarray  # cell lower corner per axis
     width: np.ndarray  # cell edge length per axis
@@ -288,29 +288,29 @@ def build_subproblem(ir: ProblemIR, fixing: Fixing) -> BoxNlp:
     """Confine every interpolant input to its fixed cell and pin the binaries.
 
     Each active interpolant's output is bounded by its cell's corner values,
-    and becomes one of the subproblem's blocks.
+    and becomes one of the subproblem's blocks. An inactive interpolant's
+    inputs and output are 0, as in the relaxation: each of their bounds is
+    intersected with 0, so one that excludes 0 leaves a crossed box, which
+    ``spatial.solve_box_nlp`` closes ``Infeasible``. The bounds start from
+    the IR's (``ProblemIR.bounds``) and a cell's data is read from its
+    grid's and table's tabulation.
     """
-    pos = ir.var_pos
-    var_lo = np.array([v.lo for v in ir.variables], dtype=float)
-    var_hi = np.array([v.hi for v in ir.variables], dtype=float)
-    for vid, val in zip(ir.binary_ids, fixing.y):
-        var_lo[pos[vid]] = var_hi[pos[vid]] = float(val)
+    var_lo, var_hi = (b.copy() for b in ir.bounds)
+    var_lo[ir.binary_pos] = var_hi[ir.binary_pos] = fixing.y
     blocks: list[CellBlock] = []
-    for itp, segs in zip(ir.interpolants, fixing.segments):
-        out = pos[itp.output]
+    for itp, inputs, segs in zip(ir.interpolants, ir.input_pos, fixing.segments):
+        out = ir.var_pos[itp.output]
         if segs is None:
-            for vid in itp.inputs:
-                var_lo[pos[vid]] = var_hi[pos[vid]] = 0.0
-            var_lo[out] = var_hi[out] = 0.0
+            zeroed = [*inputs, out]
+            var_lo[zeroed] = np.maximum(var_lo[zeroed], 0.0)
+            var_hi[zeroed] = np.minimum(var_hi[zeroed], 0.0)
             continue
-        grid = itp.table.grid
         corners = itp.table.cell_corner_values(segs)
-        a_lo = np.array([grid.axes[j][t] for j, t in enumerate(segs)])
-        a_hi = np.array([grid.axes[j][t + 1] for j, t in enumerate(segs)])
-        inputs = [pos[vid] for vid in itp.inputs]  # distinct, as build_problem checks
-        var_lo[inputs] = np.maximum(var_lo[inputs], a_lo)
+        a_lo, a_hi = itp.table.grid.cell_bounds[segs]
+        var_lo[inputs] = np.maximum(var_lo[inputs], a_lo)  # inputs are distinct (build_problem)
         var_hi[inputs] = np.minimum(var_hi[inputs], a_hi)
-        var_lo[out] = max(var_lo[out], float(corners.min()))
-        var_hi[out] = min(var_hi[out], float(corners.max()))
-        blocks.append(CellBlock(inputs, out, a_lo, a_hi - a_lo, corners, grid.n))
+        values = corners.tolist()
+        var_lo[out] = max(var_lo[out], min(values))
+        var_hi[out] = min(var_hi[out], max(values))
+        blocks.append(CellBlock(inputs, out, a_lo, a_hi - a_lo, corners, inputs.size))
     return BoxNlp(ir=ir, var_lo=var_lo, var_hi=var_hi, blocks=blocks)

@@ -61,31 +61,37 @@ LP that returns ``TimeLimit`` stops the search the same way, as
 ``TimeLimit``, and a pinned step that does gives no candidate.
 
 A subproblem that reaches an LP builds its node LP once, since every box has
-the same rows and columns. A popped box's LP is made from the LP of the box
-popped before it (``_write_box``): it takes the box as its column bounds, and
-it shares that LP's A unless some interpolant's inputs' bounds differ; then
-it takes a copy of A with the corner coefficients, -x and -f(x) at the box
-corners, of each such interpolant written in. No LP's A is written after its
-solve. A child box changes one column bound and the corners of the
+the same rows and columns: the IR's rows are copied in as one block from
+``ProblemIR.dense_rows``, and each interpolant's rows are written by index,
+with no loop over rows or terms. A popped box's LP is made from the LP of the
+box popped before it (``_write_box``): it takes the box as its column bounds,
+and it shares that LP's A unless some interpolant's inputs' bounds differ;
+then it takes a copy of A with the corner coefficients, -x and -f(x) at the
+box corners, of each such interpolant written in, the corners placed by
+``gridtab.corner_bits``, the table the evaluator reads. No LP's A is written
+after its solve. A child box changes one column bound and the corners of the
 interpolants that read it, which is why the parent's basis is a good start.
 Every node LP passes the simplex one dict of kept tableaus, so a child whose
 parent's tableau is still kept starts from a copy of it, corrected for the
 corner columns that changed, instead of refactorizing.
 The node LP's first rows are the IR's, ``ProblemIR.rows`` over the IR
-columns, and no box write touches them: the exact check and every pinned
-step read the IR's rows and objective there.
+columns, and no box write touches them: the exact check, with the IR's
+cached row sides (``ProblemIR.row_sides``), and every pinned step read the
+IR's rows and objective there. The exact check, the repair and the split
+share one evaluation of each block's f at the node LP point.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .bnb import TIME_LIMIT, Node, prune_level
+from .gridtab import corner_bits
 from .model import EQ, GE, LE, ProblemIR
 from .relax import BoxNlp, CellBlock
 from .simplex import FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LpBasis, LpProblem, solve_lp
@@ -144,31 +150,41 @@ def _rows_exclude_box(ir: ProblemIR, var_lo: np.ndarray, var_hi: np.ndarray) -> 
 def _node_lp(nlp: BoxNlp) -> LpProblem:
     """The node LP over (ir vars, corner weights), with no box written yet.
 
-    Its first ``len(ir.rows)`` rows are the IR's rows over the IR columns,
-    with the IR objective; ``_exact_candidate`` and ``_pinned_step`` read
-    them there. Each block then gets one weight in [0, 1] per corner of its
-    inputs' box, and rows that make its inputs and output the weighted sums
-    of the corners and of f there: the convex hull of f's graph over the box
-    ``_write_box`` writes. The IR columns' bounds are NaN until then, so the
-    first write, which finds them all changed, writes the corners of every
-    block.
+    Its first ``len(ir.rows)`` rows are the IR's rows over the IR columns
+    (``ProblemIR.dense_rows``), with the IR objective; ``_exact_candidate``
+    and ``_pinned_step`` read them there. Each block then gets one weight in
+    [0, 1] per corner of its inputs' box, and rows that make its inputs and
+    output the weighted sums of the corners and of f there: the convex hull
+    of f's graph over the box ``_write_box`` writes. The IR columns' bounds
+    are NaN until then, so the first write, which finds them all changed,
+    writes the corners of every block.
     """
     ir = nlp.ir
-    n = len(ir.variables)
-    rows = list(ir.rows)
-    col = n
+    A_ir, senses, rhs_ir = ir.dense_rows
+    m, n = A_ir.shape
+    nrows = m + sum(blk.n + 2 for blk in nlp.blocks)
+    ncols = n + sum(1 << blk.n for blk in nlp.blocks)
+    A = np.zeros((nrows, ncols))
+    A[:m, :n] = A_ir
+    rhs = np.zeros(nrows)
+    rhs[:m] = rhs_ir
+    rows, cols = [], []  # the 1.0 of each input's and output's row, on its IR column
+    row, col = m, n
     for blk in nlp.blocks:
-        lam = range(col, col + (1 << blk.n))
-        rows += [([(p, 1.0)], EQ, 0.0) for p in blk.input_pos]
-        rows.append(([(c, 1.0) for c in lam], EQ, 1.0))
-        rows.append(([(blk.output_pos, 1.0)], EQ, 0.0))
-        col += len(lam)
-    obj = np.zeros(col)
+        k = 1 << blk.n
+        rows += [*range(row, row + blk.n), row + blk.n + 1]
+        cols += [*blk.input_pos.tolist(), blk.output_pos]
+        A[row + blk.n, col : col + k] = 1.0  # the weights sum to 1
+        rhs[row + blk.n] = 1.0
+        row += blk.n + 2
+        col += k
+    A[rows, cols] = 1.0
+    obj = np.zeros(ncols)
     for cf, v in ir.objective:
         obj[ir.var_pos[v]] += cf
-    lo = np.append(np.full(n, np.nan), np.zeros(col - n))
-    hi = np.append(np.full(n, np.nan), np.ones(col - n))
-    return LpProblem.from_rows(col, obj, lo, hi, rows)
+    lo, hi = np.zeros(ncols), np.ones(ncols)
+    lo[:n] = hi[:n] = np.nan
+    return LpProblem(obj, lo, hi, A, list(senses) + [EQ] * (nrows - m), rhs)
 
 
 def _write_box(
@@ -179,9 +195,11 @@ def _write_box(
 
     The IR columns take the box as their bounds. Each block whose inputs'
     bounds differ from ``lp``'s gets the corner coefficients -x and -f(x) at
-    the box corners, written into a copy of ``lp.A``; when no block's inputs
-    moved, the new LP shares ``lp.A``. So no LP's A is written after it is
-    solved, and a tableau kept under its basis stays its own.
+    the box corners (corner b at the upper end of axis j where
+    ``gridtab.corner_bits`` says so), written into a copy of ``lp.A``; when
+    no block's inputs moved, the new LP shares ``lp.A``. So no LP's A is
+    written after it is solved, and a tableau kept under its basis stays
+    its own.
     """
     n = lo.size
     moved = (lp.lo[:n] != lo) | (lp.hi[:n] != hi)
@@ -193,15 +211,14 @@ def _write_box(
         if moved[blk.input_pos].any():
             if A is lp.A:
                 A = lp.A.copy()
-            bits = (np.arange(k)[:, None] >> np.arange(blk.n)) & 1
-            xs = np.where(bits, hi[blk.input_pos], lo[blk.input_pos])  # box corners, (2^n, n)
+            xs = np.where(corner_bits(blk.n), hi[blk.input_pos], lo[blk.input_pos])  # (2^n, n)
             A[row : row + blk.n, col : col + k] = -xs.T
             A[row + blk.n + 1, col : col + k] = -blk.f(xs)
         row += blk.n + 2
         col += k
-    return replace(
-        lp, lo=np.concatenate([lo, lp.lo[n:]]), hi=np.concatenate([hi, lp.hi[n:]]), A=A
-    )
+    box_lo, box_hi = lp.lo.copy(), lp.hi.copy()
+    box_lo[:n], box_hi[:n] = lo, hi
+    return LpProblem(lp.obj, box_lo, box_hi, A, lp.senses, lp.rhs)
 
 
 def _f_at(blocks: list[CellBlock], x: np.ndarray, fx: list, i: int) -> float:
@@ -261,42 +278,50 @@ def _exact_candidate(
             return None
         x[blk.output_pos] = fval
         same[blk.output_pos] = fval == xrel[blk.output_pos]
-    senses = np.array(lp.senses[:m])
+    upper, lower = nlp.ir.row_sides
     excess = lp.A[:m, :n] @ x - lp.rhs[:m]
     if (
-        np.any(x < nlp.var_lo - EXACT_TOL)
-        or np.any(x > nlp.var_hi + EXACT_TOL)
-        or np.any(excess[senses != GE] > EXACT_TOL)
-        or np.any(excess[senses != LE] < -EXACT_TOL)
+        (x < nlp.var_lo - EXACT_TOL).any()
+        or (x > nlp.var_hi + EXACT_TOL).any()
+        or (excess[upper] > EXACT_TOL).any()
+        or (excess[lower] < -EXACT_TOL).any()
     ):
         return None
     return x, float(lp.obj[:n] @ x)
 
 
 def _pinned_step(
-    nlp: BoxNlp, lp: LpProblem, x: np.ndarray, free: set[int], deadline: float
+    nlp: BoxNlp,
+    lp: LpProblem,
+    x: np.ndarray,
+    free: set[int],
+    deadline: float,
+    fx: Optional[list] = None,
 ) -> Optional[tuple[np.ndarray, float]]:
     """Minimize over the IR's linear part with every input fixed at x except
     those in ``free``, at most one per block.
 
     The LP is the IR's rows and objective, read from the node LP ``lp``'s
     first rows and columns, within the subproblem's bounds. A block with no
-    free input has its output pinned at f(x), within the output's bounds
-    (else lo > hi and the LP is infeasible); a free input makes f affine
-    along it, so a row ties the output to it exactly. None when the LP is
-    not optimal (``TimeLimit`` at ``deadline`` included), or with no LP when
-    a linear row misses its right-hand side over the pinned bounds
+    free input has its output pinned at f(x), read through ``_f_at`` with
+    ``fx`` (x's, one None per block when not given), within the output's
+    bounds (else lo > hi and the LP is infeasible); a free input makes f
+    affine along it, so a row ties the output to it exactly. None when the
+    LP is not optimal (``TimeLimit`` at ``deadline`` included), or with no LP
+    when a linear row misses its right-hand side over the pinned bounds
     (``_rows_exclude_box``).
     """
+    if fx is None:
+        fx = [None] * len(nlp.blocks)
     lo = nlp.var_lo.copy()
     hi = nlp.var_hi.copy()
-    rows = list(nlp.ir.rows)
-    for blk in nlp.blocks:
+    ties = []  # (output, free input, slope, constant) of each affine row
+    for i, blk in enumerate(nlp.blocks):
         free_axes = [j for j, p in enumerate(blk.input_pos) if p in free]
         fixed = [p for p in blk.input_pos if p not in free]
         lo[fixed] = hi[fixed] = x[fixed]
         if not free_axes:
-            fval = float(blk.f(x[blk.input_pos]))
+            fval = _f_at(nlp.blocks, x, fx, i)
             p = blk.output_pos
             lo[p], hi[p] = max(lo[p], fval), min(hi[p], fval)
             continue
@@ -305,15 +330,44 @@ def _pinned_step(
         ends[:, j] = (blk.a_lo[j], blk.a_lo[j] + blk.width[j])
         at_lo, at_hi = blk.f(ends)
         slope = (at_hi - at_lo) / blk.width[j]
-        const = at_lo - slope * blk.a_lo[j]
-        rows.append(([(blk.output_pos, 1.0), (blk.input_pos[j], -slope)], EQ, const))
+        ties.append((blk.output_pos, blk.input_pos[j], slope, at_lo - slope * blk.a_lo[j]))
     if _rows_exclude_box(nlp.ir, lo, hi):
         return None
-    step_lp = LpProblem.from_rows(lo.size, lp.obj[: lo.size], lo, hi, rows)
+    n, m = lo.size, len(nlp.ir.rows)
+    A = np.zeros((m + len(ties), n))
+    A[:m] = lp.A[:m, :n]
+    for r, (out, p, slope, _) in enumerate(ties, m):
+        A[r, out] = 1.0
+        A[r, p] -= slope  # a zero slope leaves +0.0
+    rhs = np.append(lp.rhs[:m], [t[3] for t in ties])
+    step_lp = LpProblem(lp.obj[:n], lo, hi, A, lp.senses[:m] + [EQ] * len(ties), rhs)
     res = solve_lp(step_lp, deadline=deadline)
     if res.status != OPTIMAL:
         return None
     return res.x.copy(), res.objective
+
+
+def _repair(
+    nlp: BoxNlp,
+    lp: LpProblem,
+    xrel: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    fx: list,
+    deadline: float,
+) -> Optional[tuple[np.ndarray, float]]:
+    """The pinned step with no free input at the node LP point xrel, its IR
+    part clipped to the node box [lo, hi]. A block whose inputs the clip left
+    as they were is pinned at f read through ``_f_at`` with xrel's ``fx``, so
+    the exact check and ``_split`` share that evaluation; f is evaluated
+    apart only at inputs the clip moved."""
+    x = np.clip(xrel[: lo.size], lo, hi)
+    same = x == xrel[: lo.size]
+    fx_x = [
+        _f_at(nlp.blocks, xrel, fx, i) if same[blk.input_pos].all() else None
+        for i, blk in enumerate(nlp.blocks)
+    ]
+    return _pinned_step(nlp, lp, x, set(), deadline, fx_x)
 
 
 def _descent_steps(blocks: list[CellBlock]) -> list[set[int]]:
@@ -420,8 +474,7 @@ def solve_box_nlp(
             fx = [None] * len(blocks)
             cand = _exact_candidate(nlp, lp, res.x, fx)
             if cand is None:
-                x = np.clip(res.x[: node.lo.size], node.lo, node.hi)
-                cand = _pinned_step(nlp, lp, x, set(), deadline)
+                cand = _repair(nlp, lp, res.x, node.lo, node.hi, fx, deadline)
                 if cand is not None:
                     cand = _coordinate_descent(nlp, lp, cand, deadline)
             if cand is not None and cand[1] < best[1] - 1e-15:

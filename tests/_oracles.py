@@ -1,7 +1,9 @@
-"""Independent oracles for tests: interpolation weights and relaxation sizes.
+"""Independent oracles for tests: interpolation weights, cell corners and
+relaxation sizes.
 
-None of these is on the solve path. They compute the interpolant and the
-relaxation's size by other routes than ``gridtab.multilinear`` and
+None of these is on the solve path. They compute the interpolant, a cell's
+corner values and the relaxation's size by other routes than
+``gridtab.multilinear``, ``LookupTable.cell_corners`` and
 ``relax.build_relaxation``, so the tests can check one against the other.
 """
 
@@ -69,6 +71,25 @@ def interpolate_recursive(table: LookupTable, x: Sequence[float]) -> float:
         w = (xj - a[k]) / (a[k + 1] - a[k])
         block = (1.0 - w) * block[k] + w * block[k + 1]
     return float(block)
+
+
+def multilinear_concat(corners: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """``gridtab.multilinear`` with the corner weights built axis by axis:
+    the weights of axes 0..j-1 times 1 - theta_j, then times theta_j. The
+    same products in the same order as the product form, so the two agree
+    bit for bit."""
+    w = np.ones(theta.shape[:-1] + (1,))
+    for j in range(theta.shape[-1]):
+        t = theta[..., j : j + 1]
+        w = np.concatenate([w * (1.0 - t), w * t], axis=-1)
+    return w @ corners
+
+
+def cell_corners_sliced(table: LookupTable, cell: Sequence[int]) -> np.ndarray:
+    """A cell's corner values cut from the table: the 2 x ... x 2 block at
+    the cell, flattened with axis 0 fastest, so corner bit j indexes axis j."""
+    block = np.asarray(table.values).reshape(table.grid.shape)[tuple(slice(t, t + 2) for t in cell)]
+    return block.flatten(order="F")
 
 
 @dataclass(frozen=True)

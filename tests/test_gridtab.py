@@ -8,15 +8,24 @@ from hypothesis import strategies as st
 from gridopt.errors import AxisTooShort, NotStrictlyIncreasing, OutOfHull
 from gridopt.gridtab import (
     HULL_SLACK,
+    corner_bits,
     find_segment,
     interpolate,
     locate,
     make_grid,
     make_table,
+    multilinear,
     product_table,
 )
 
-from _oracles import interpolate_recursive, lambda_weights, weights_1d
+from _oracles import (
+    cell_corners_sliced,
+    interpolate_recursive,
+    lambda_weights,
+    multilinear_concat,
+    weights_1d,
+)
+from _random_instances import random_table
 
 
 def axis_strategy(max_size=5):
@@ -238,3 +247,65 @@ class TestLocate:
         t = make_table(make_grid([[0.0, 1.0, 2.0], [0.0, 10.0]]), np.arange(6.0))
         with pytest.raises(ValueError, match=match):
             t.cell_corner_values(cell)
+
+
+class TestProductForm:
+    """The product-form evaluator equals the concatenation form bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_the_concatenation_form(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            corners = rng.normal(size=1 << n)
+            for shape in ((n,), (7, n), (2, 3, n)):
+                theta = rng.uniform(size=shape)
+                got = multilinear(corners, theta)
+                assert got.shape == shape[:-1]
+                assert np.array_equal(got, multilinear_concat(corners, theta))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_a_cell_corner_gets_all_the_weight(self, n):
+        corners = np.arange(1.0, (1 << n) + 1.0)
+        thetas = corner_bits(n).astype(float)
+        assert np.array_equal(multilinear(corners, thetas), corners)
+
+    def test_corner_bits_row_b_holds_the_bits_of_b(self):
+        bits = corner_bits(3)
+        assert bits.shape == (8, 3) and bits.dtype == bool and not bits.flags.writeable
+        for b in range(8):
+            assert bits[b].tolist() == [bool(b & 1), bool(b & 2), bool(b & 4)]
+        assert corner_bits(3) is bits  # built once per n
+
+
+class TestCellTabulation:
+    """Every cell's corners and bounds are tabulated once, read-only."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_tabulated_corners_equal_the_sliced_block(self, n):
+        rng = np.random.default_rng(10 + n)
+        for _ in range(5):
+            table = random_table(rng, n, max_bp=5)
+            segs = [K - 1 for K in table.grid.shape]
+            assert table.cell_corners.shape == (*segs, 1 << n)
+            for cell in np.ndindex(*segs):
+                want = cell_corners_sliced(table, cell)
+                assert np.array_equal(table.cell_corners[cell], want)
+                assert np.array_equal(table.cell_corner_values(cell), want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_tabulated_bounds_are_the_cells_breakpoints(self, n):
+        grid = random_table(np.random.default_rng(20 + n), n, max_bp=5).grid
+        segs = [K - 1 for K in grid.shape]
+        assert grid.cell_bounds.shape == (*segs, 2, n)
+        for cell in np.ndindex(*segs):
+            lo = [grid.axes[j][t] for j, t in enumerate(cell)]
+            hi = [grid.axes[j][t + 1] for j, t in enumerate(cell)]
+            assert np.array_equal(grid.cell_bounds[cell], [lo, hi])
+
+    def test_tabulations_are_built_once_and_read_only(self):
+        table = random_table(np.random.default_rng(3), 2)
+        for owner, name in ((table, "cell_corners"), (table.grid, "cell_bounds")):
+            tab = getattr(owner, name)
+            assert getattr(owner, name) is tab and not tab.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table.cell_corner_values((0, 0))[0] = 1.0

@@ -24,6 +24,7 @@ from gridopt.relax import (
     extract_fixing,
 )
 from gridopt.simplex import INFEASIBLE, OPTIMAL, solve_lp
+from gridopt.spatial import solve_box_nlp
 
 from _oracles import lambda_weights, problem_size, weights_1d
 from _random_instances import random_instance
@@ -180,6 +181,36 @@ class TestFixingAndSubproblem:
             sub = build_subproblem(ir, fixing)
             assert sub.var_lo[0] == sub.var_hi[0] == 0.0
             assert sub.var_lo[1] == sub.var_hi[1] == 0.0
+
+
+    def _inactive_excluding_zero(self):
+        """x in [1, 2] feeds f = [0, 5, 3] on breakpoints 0, 1, 2 unless z = 0,
+        which forces x = 0: min x + y is 5 at x = 2, z = 1."""
+        tab = make_table(make_grid([[0.0, 1.0, 2.0]]), [0.0, 5.0, 3.0])
+        variables = [
+            VarRef(0, CONTINUOUS, 1.0, 2.0),
+            VarRef(1, CONTINUOUS, -10.0, 10.0),
+            VarRef(2, BINARY, 0, 1),
+        ]
+        return build_problem(
+            variables, [], [InterpolantDef(tab, (0,), 1, 2)], objective=[(1.0, 0), (1.0, 1)]
+        )
+
+    def test_inactive_interpolant_keeps_bounds_that_exclude_zero(self):
+        ir = self._inactive_excluding_zero()
+        sub = build_subproblem(ir, Fixing(segments=(None,), y=(0,)))
+        assert sub.var_lo[0] == 1.0 and sub.var_hi[0] == 0.0  # crossed: no x is 0
+        assert sub.var_lo[1] == sub.var_hi[1] == 0.0
+        res = solve_box_nlp(sub)
+        assert res.status == INFEASIBLE and res.nodes == 0
+
+    def test_inactive_interpolant_excluding_zero_solves_alike(self):
+        ir = self._inactive_excluding_zero()
+        for solve in (rfe.solve_by_enumeration, rfe.solve_rfe):
+            res = solve(ir)
+            assert res.status == OPTIMAL
+            assert res.objective == pytest.approx(5.0, abs=1e-9)
+            assert res.x[0] == pytest.approx(2.0, abs=1e-9)
 
 
 class TestNoGoodCut:

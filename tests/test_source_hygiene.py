@@ -5,8 +5,8 @@ constant that nothing reads, no exception class that nothing raises, no
 environment read outside the command line, no clock read outside the
 simplex, rfe and the command line, no kept simplex tableau outside the two
 trees, no write into an LP's coefficient matrix, one simplex tableau per LP
-solve, one start path in the simplex, one pivot site in the simplex, and one
-row screen in spatial."""
+solve, one start path in the simplex, one pivot site in the simplex, one row
+screen in spatial, and one table of corner bits, in gridtab."""
 
 import ast
 from pathlib import Path
@@ -625,3 +625,38 @@ def test_second_pivot_sites_are_found(tmp_path):
         "Tab.pivot _kernels.tableau_pivot",
         "fast tableau_pivot",
     ]
+
+
+def _bit_reads(paths: list[Path]) -> list[str]:
+    """``module.function`` of every right shift, plain or augmented: the
+    operation that reads the bits of an index."""
+    found = []
+    for path in paths:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.RShift):
+                    found.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return found
+
+
+def test_only_gridtab_builds_the_corner_bits():
+    """Corner b of a cell or a box is at its upper end on axis j when bit j
+    of b is set. ``gridtab.corner_bits`` is the one table of those bits: the
+    evaluator and spatial's box writer read it from there. The other bit
+    read enumerates the binary assignments, one mask at a time."""
+    assert _bit_reads(SRC) == ["gridtab.corner_bits", "rfe._enumerate_fixings"]
+
+
+def test_bit_reads_are_found(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "import numpy as np\n"
+        "def plain(k): return (np.arange(1 << k)[:, None] >> np.arange(k)) & 1\n"
+        "def shifted_left(k): return 1 << k\n"
+        "class C:\n"
+        "    def augmented(self, b):\n"
+        "        b >>= 1\n"
+        "        return b\n"
+        "BITS = [(b >> 0) & 1 for b in range(4)]\n"
+    )
+    assert _bit_reads([mod]) == ["mod.plain", "mod.C", "mod.<module>"]

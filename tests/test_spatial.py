@@ -10,6 +10,7 @@ from gridopt.bnb import TIME_LIMIT, solve_milp
 from gridopt.gridtab import interpolate, make_grid, make_table, product_table
 from gridopt.model import (
     CONTINUOUS,
+    EQ,
     InterpolantDef,
     LinConstraint,
     VarRef,
@@ -29,7 +30,7 @@ from gridopt.spatial import (
 )
 
 from _clock import Clock
-from _random_instances import random_instance
+from _random_instances import cut_instance, random_instance
 
 
 def _fixing(*segments):
@@ -242,6 +243,22 @@ class TestOneFCallPerBlock:
         assert fx[0] > 1.0  # f at x's own inputs
 
 
+    def test_the_repair_reads_them_too(self, desk_s2_first_cell, monkeypatch):
+        # a root LP point that is no candidate: the repair pins every block at
+        # f there, and the split reads the same evaluations
+        nlp = desk_s2_first_cell
+        lp = _write_box(_node_lp(nlp), nlp.blocks, nlp.var_lo, nlp.var_hi)
+        x = solve_lp(lp).x
+        f = CellBlock.f
+        points = []
+        monkeypatch.setattr(CellBlock, "f", lambda blk, at: points.append(at.ndim) or f(blk, at))
+        fx = [None] * len(nlp.blocks)
+        assert spatial._exact_candidate(nlp, lp, x, fx) is None
+        spatial._repair(nlp, lp, x, nlp.var_lo, nlp.var_hi, fx, np.inf)
+        _split(nlp.blocks, x, fx, nlp.var_lo, nlp.var_hi)
+        assert points == [1] * len(nlp.blocks)
+
+
 DESK_S2_FIRST_CELL_OPT = -219.02002935708694  # minimization sense
 
 
@@ -291,6 +308,27 @@ class TestDeskCell:
         assert res.bound <= DESK_S2_FIRST_CELL_OPT + 1e-6
 
 
+def _node_lp_from_rows(nlp):
+    """``spatial._node_lp`` through ``LpProblem.from_rows``: the IR's rows,
+    then per block one row per input, the weights' sum and the output row."""
+    ir = nlp.ir
+    n = len(ir.variables)
+    rows = list(ir.rows)
+    col = n
+    for blk in nlp.blocks:
+        lam = range(col, col + (1 << blk.n))
+        rows += [([(p, 1.0)], EQ, 0.0) for p in blk.input_pos]
+        rows.append(([(c, 1.0) for c in lam], EQ, 1.0))
+        rows.append(([(blk.output_pos, 1.0)], EQ, 0.0))
+        col += len(lam)
+    obj = np.zeros(col)
+    for cf, v in ir.objective:
+        obj[ir.var_pos[v]] += cf
+    lo = np.append(np.full(n, np.nan), np.zeros(col - n))
+    hi = np.append(np.full(n, np.nan), np.ones(col - n))
+    return LpProblem.from_rows(col, obj, lo, hi, rows)
+
+
 class TestNodeLp:
     """One node LP per subproblem, with each popped box written into it."""
 
@@ -332,6 +370,29 @@ class TestNodeLp:
             assert lp.senses[:m] == want.senses
             np.testing.assert_array_equal(lp.obj[:n], want.obj)
         assert m > 0 and np.any(written[0] != written[1])
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: build_opo_instance(get_scenario("S1", "desk"), 0).ir,
+            lambda: build_opo_instance(get_scenario("S2", "desk"), 2).ir,
+            lambda: cut_instance(0),
+        ]
+        + [lambda s=s: random_instance(s) for s in range(20)],
+        ids=["desk-S1-0", "desk-S2-2", "cut-0"] + [f"pool-{s}" for s in range(20)],
+    )
+    def test_equals_a_build_from_rows(self, make):
+        """The node LP, written with index writes, is the LP that
+        ``LpProblem.from_rows`` makes of its rows, on about 40 cells spread
+        over the instance's enumeration."""
+        ir = make()
+        fixings = rfe._enumerate_fixings(ir)
+        for fixing in fixings[:: max(1, len(fixings) // 40)]:
+            nlp = build_subproblem(ir, fixing)
+            got, want = _node_lp(nlp), _node_lp_from_rows(nlp)
+            for name in ("A", "rhs", "obj", "lo", "hi"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            assert got.senses == want.senses
 
     def test_built_once_per_subproblem_that_reaches_an_lp(self, desk_s2_first_cell, monkeypatch):
         built = []
