@@ -8,6 +8,12 @@ previous round's frontier under its cut, cut off at the incumbent. The loop
 stops when the bound meets the incumbent within tolerance, or when the MILP
 finds nothing below the incumbent, which proves optimality.
 
+Each subproblem is solved below the incumbent, its ``cutoff``, so its
+``Infeasible`` (and the trace's ``subproblem_status``) means that nothing in
+the cell beats the incumbent it was solved under, not that the cell is
+empty; a cell whose root the previous root's duals already bound at the
+incumbent closes with no LP (``spatial.solve_box_nlp``).
+
 A subproblem that stops unproven (``NodeLimit``, or ``TimeLimit`` at the
 deadline) is still excluded, but its bound stays a floor under the global
 bound: while that floor is below the incumbent, the result is that limit
@@ -50,7 +56,7 @@ class RfeResult:
     subproblems_solved: int = 0
     milp_nodes: int = 0
     spatial_nodes: int = 0  # node LPs over all subproblems
-    cells_screened: int = 0  # subproblems closed Infeasible with no LP
+    cells_screened: int = 0  # subproblems closed Infeasible with no LP, by either screen
     log: list = field(default_factory=list)
 
 
@@ -69,8 +75,10 @@ def _closed(incumbent: float, bound: float) -> bool:
 class _Subproblems:
     """Solves cell subproblems one after another and keeps what they prove.
 
-    Each root LP starts from the previous subproblem's root basis, and every
-    LP receives ``deadline`` (a ``time.monotonic()`` reading). Every node LP
+    Each subproblem is solved below the incumbent, ``objective``. Each root
+    LP starts from the last root basis a subproblem handed on (none comes
+    from a cell closed with no LP or an infeasible root), and every LP
+    receives ``deadline`` (a ``time.monotonic()`` reading). Every node LP
     of every subproblem shares one dict of kept tableaus, so a root whose
     predecessor's root tableau is still kept (the dict holds the
     ``simplex.KEEP_TABLEAUS`` most recent) starts from a corrected copy of
@@ -86,15 +94,16 @@ class _Subproblems:
         self.limit = NODE_LIMIT  # the status of the last one that did not
         self.solved = 0
         self.nodes = 0  # spatial node LPs
-        self.screened = 0  # subproblems closed Infeasible with no LP
+        self.screened = 0  # subproblems closed Infeasible with no LP, by either screen
         self.basis = None  # previous subproblem's root basis
         self.tableaus: dict = {}  # solve_lp's kept tableaus, for every subproblem
 
     def solve(self, fixing: Fixing) -> str:
-        """Solve the fixing's subproblem; returns its status."""
+        """Solve the fixing's subproblem below the incumbent; returns its
+        status, ``Infeasible`` when nothing in the cell beats the incumbent."""
         res = solve_box_nlp(
             build_subproblem(self.ir, fixing), basis=self.basis, deadline=self.deadline,
-            tableaus=self.tableaus,
+            tableaus=self.tableaus, cutoff=self.objective,
         )
         if res.root_basis is not None:
             self.basis = res.root_basis
@@ -104,7 +113,7 @@ class _Subproblems:
         if res.status in (NODE_LIMIT, TIME_LIMIT):
             self.floor = min(self.floor, res.bound)
             self.limit = res.status
-        if res.x is not None and res.objective < self.objective - 1e-15:
+        if res.x is not None:  # below the incumbent, its cutoff
             self.objective = res.objective
             self.x = res.x.copy()
         return res.status

@@ -97,6 +97,13 @@ start. The pivot count carries over, so the 150-pivot cadence and the
 residual check bound the round-off a kept tableau brings along. A start from
 a basis over fewer rows, but not none, refactorizes.
 
+Duals (``LpBasis.duals``). An optimal solve's basis carries the row duals
+y = c_B B^-1, read from the final tableau's slack block: one product per
+optimal solve. ``dual_bound(lp, y)`` turns any y into a lower bound on an
+LP over as many rows, however its columns' coefficients, bounds and costs
+have changed, proven from A, b and the column bounds and not from a
+tableau; spatial closes a cell's root with it before its LP.
+
 Pivot choice, exactly (pricing and ratio test are array operations, and they
 choose the same pivots as a column-by-column / row-by-row scan):
 
@@ -209,14 +216,19 @@ class LpProblem:
 
 @dataclass(frozen=True, eq=False)
 class LpBasis:
-    """Final basis of an optimal solve: basic column per row and every column's status.
+    """Final basis of an optimal solve: basic column per row, every column's
+    status, and the row duals there.
 
     Columns are numbered as in the tableau: n structurals, then one slack per
-    row, so ``vstat`` has n + m entries.
+    row, so ``vstat`` has n + m entries. ``duals`` is y = c_B B^-1, one per
+    row, read from the tableau's slack block; ``dual_bound`` turns it into a
+    lower bound on any LP with these rows. The slack basis, which no solve
+    returns, has none.
     """
 
     basis: np.ndarray
     vstat: np.ndarray
+    duals: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -558,7 +570,7 @@ def _phase2(
         resid = lp.A @ x[:n] + x[n:] - lp.rhs
         if np.max(np.abs(resid), initial=0.0) > 1e-6:
             raise NumericalFailure("primal residual too large after refactorization")
-    basis = LpBasis(tab.basis, tab.vstat)
+    basis = LpBasis(tab.basis, tab.vstat, cost[tab.basis] @ tab.T[:, n:])
     if tableaus is not None:
         # tab is discarded, so T is not copied; A is held by reference, and
         # no caller writes into an LP's A once it is solved
@@ -569,6 +581,39 @@ def _phase2(
     return LpResult(
         status=OPTIMAL, x=x[:n].copy(), objective=obj, iterations=tab.pivots, basis=basis
     )
+
+
+def dual_bound(lp: LpProblem, y: np.ndarray) -> float:
+    """A lower bound on the optimum of ``lp`` from any row multipliers ``y``,
+    proven from A, b and the column bounds alone (Neumaier & Shcherbina 2004).
+
+    y is first projected onto the signs the rows allow: y_i <= 0 on a ``<=``
+    row and y_i >= 0 on a ``>=`` row, so y^T (A x - b) >= 0 at every feasible
+    x. With r = c - A^T y, computed from A, every feasible x then has
+    c x >= y^T b + r x >= y^T b + sum_j min(r_j lo_j, r_j hi_j). A column whose
+    r_j is within its float error of 0 counts as 0 and adds 0 whatever its
+    bounds, so 0 * inf gives no NaN; over finite bounds the error term covers
+    what that drops, but against an infinite one it assumes r_j is 0. Any
+    other r_j against an infinite bound makes the bound -inf. numpy has no
+    rounding-mode control, so the float error of the sums is subtracted as
+    an explicit term, (n + m + 2) eps (|y|^T |b| + w^T xbar):
+    w = |c| + |A|^T |y| bounds each |r_j| and, times (m + 1) eps, its error,
+    and xbar_j is the largest finite |bound| of column j.
+    """
+    senses = np.array(lp.senses)
+    y = np.where(senses == LE, np.minimum(y, 0.0), np.where(senses == GE, np.maximum(y, 0.0), y))
+    A = lp.A
+    r = lp.obj - A.T @ y
+    w = np.abs(lp.obj) + np.abs(A).T @ np.abs(y)
+    tol = (lp.ncols + lp.nrows + 2) * np.finfo(float).eps
+    r[np.abs(r) <= tol * w] = 0.0  # round-off of a zero
+    ends = np.where(r > 0.0, lp.lo, np.where(r < 0.0, lp.hi, 0.0))  # where r x is least
+    xbar = np.maximum(
+        np.where(np.isfinite(lp.lo), np.abs(lp.lo), 0.0),
+        np.where(np.isfinite(lp.hi), np.abs(lp.hi), 0.0),
+    )
+    err = tol * (np.abs(y) @ np.abs(lp.rhs) + w @ xbar)
+    return float(y @ lp.rhs + r @ ends - err)
 
 
 def solve_lp(

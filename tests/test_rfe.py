@@ -206,8 +206,10 @@ class TestExcludeLoop:
 def test_desk_s1_enumeration_spatial_nodes(monkeypatch):
     """The spatial search of every desk S1-0 cell, pinned by its node counts.
 
-    The screen closes 50 of the 66 cells with no LP; each of them would be
-    one infeasible root LP without it. A child waits on the heap unsolved, so
+    The screens close 57 of the 66 cells with no LP: the row screen 50 empty
+    ones, each of which would be one infeasible root LP without it, and the
+    dual screen 7 whose root the previous root's duals already bound at the
+    incumbent. A child waits on the heap unsolved, so
     it gets no LP when the incumbent prunes its parent's bound first. In the
     optimal cell, the last branched box's first child finds a candidate within
     ``spatial.GAP`` of their parent's bound, and the second child closes with
@@ -225,9 +227,9 @@ def test_desk_s1_enumeration_spatial_nodes(monkeypatch):
     res = solve_by_enumeration(build_opo_instance(get_scenario("S1", "desk"), 0).ir)
     assert res.status == "Optimal"
     assert len(nodes) == res.subproblems_solved == 66
-    assert nodes.count(0) == res.cells_screened == 50
-    assert sum(n > 0 for n in nodes) == 16
-    assert sum(nodes) == res.spatial_nodes == 43
+    assert nodes.count(0) == res.cells_screened == 57
+    assert sum(n > 0 for n in nodes) == 9
+    assert sum(nodes) == res.spatial_nodes == 36
 
 
 def test_rfe_screens_no_cell():

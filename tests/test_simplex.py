@@ -39,6 +39,7 @@ from gridopt.simplex import (
     LpProblem,
     _price,
     _ratio_test,
+    dual_bound,
     solve_lp,
 )
 
@@ -195,6 +196,88 @@ class TestAgainstScipy:
                 assert res.status == UNBOUNDED
         # the generator must actually exercise all three outcomes
         assert min(statuses.values()) > 0
+
+
+def _feasible_lp(rng, n: int, m: int) -> LpProblem:
+    """A random LP with ``<=``, ``>=`` and ``=`` rows, feasible by
+    construction, whose columns are boxed or bounded on one side only."""
+    A = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.7)
+    senses = [str(rng.choice(["<=", ">=", "="])) for _ in range(m)]
+    lo, hi = np.full(n, -2.0), np.full(n, 2.0)
+    one_sided = rng.random(n) < 0.4
+    upper = rng.random(n) < 0.5
+    lo[one_sided & upper], hi[one_sided & ~upper] = -np.inf, np.inf
+    slack = np.array([{"<=": 1.0, ">=": -1.0, "=": 0.0}[s] for s in senses]) * rng.random(m)
+    rhs = A @ rng.uniform(-1.0, 1.0, n) + slack
+    return LpProblem(obj=rng.normal(size=n), lo=lo, hi=hi, A=A, senses=senses, rhs=rhs)
+
+
+class TestDualBound:
+    """``dual_bound`` against the optimum of ``solve_lp`` and of HiGHS."""
+
+    @staticmethod
+    def _solved(count: int):
+        rng = np.random.default_rng(28)
+        while count:
+            lp = _feasible_lp(rng, int(rng.integers(1, 9)), int(rng.integers(1, 7)))
+            res = solve_lp(lp)
+            if res.status == OPTIMAL:
+                count -= 1
+                yield rng, lp, res
+
+    def test_below_the_optimum_for_any_multipliers(self):
+        for rng, lp, res in self._solved(200):
+            ref = _scipy_solve(lp)
+            assert ref.status == 0
+            for y in [res.basis.duals] + [rng.normal(size=lp.nrows) * 10 for _ in range(5)]:
+                bound = dual_bound(lp, y)
+                assert bound <= res.objective and bound <= ref.fun
+
+    def test_equals_the_optimum_at_the_optimal_duals(self):
+        """Within 1e-9 relative, unless a column with an infinite bound keeps
+        a reduced cost beyond its float error: then the bound is -inf, as its
+        Lagrangian is, and the one-sided columns are what the generator adds
+        to reach that case."""
+        finite = 0
+        for _, lp, res in self._solved(300):
+            y = res.basis.duals
+            assert y.shape == (lp.nrows,)
+            bound = dual_bound(lp, y)
+            if bound == -np.inf:
+                r = lp.obj - lp.A.T @ y
+                w = np.abs(lp.obj) + np.abs(lp.A).T @ np.abs(y)
+                live = np.abs(r) > (lp.ncols + lp.nrows + 2) * np.finfo(float).eps * w
+                toward_inf = np.where(r > 0.0, lp.lo, lp.hi)
+                assert (live & np.isinf(toward_inf)).any()
+                continue
+            finite += 1
+            assert bound == pytest.approx(res.objective, rel=1e-9, abs=1e-9)
+        assert finite >= 290
+
+    def test_projects_the_multipliers_by_row_sense(self):
+        # min 2 x0 + x1 s.t. x0 + x1 >= 1, x0 in [0, 1], x1 in [0, 5]: optimum 1
+        lp = LpProblem(
+            obj=np.array([2.0, 1.0]), lo=np.zeros(2), hi=np.array([1.0, 5.0]),
+            A=np.array([[1.0, 1.0]]), senses=[">="], rhs=np.array([1.0]),
+        )
+        assert dual_bound(lp, np.array([1.0])) == pytest.approx(1.0, abs=1e-12)
+        # a negative multiplier on a >= row is projected to 0: min c x over the box
+        assert dual_bound(lp, np.array([-3.0])) == pytest.approx(0.0, abs=1e-12)
+        lp.senses = ["<="]  # x0 + x1 <= 1 now: a positive multiplier is projected
+        assert dual_bound(lp, np.array([1.0])) == pytest.approx(0.0, abs=1e-12)
+
+    def test_zero_reduced_cost_on_an_infinite_bound(self):
+        # as above with x1 in [0, inf): at y = 1 its reduced cost 1 - 1 is 0,
+        # and the bound is the optimum; at y = 2 it is -1, toward +inf
+        lp = LpProblem(
+            obj=np.array([2.0, 1.0]), lo=np.zeros(2), hi=np.array([1.0, np.inf]),
+            A=np.array([[1.0, 1.0]]), senses=[">="], rhs=np.array([1.0]),
+        )
+        assert dual_bound(lp, np.array([1.0])) == pytest.approx(1.0, abs=1e-12)
+        assert dual_bound(lp, np.array([2.0])) == -np.inf
+        lp.lo[1] = -np.inf  # a free column with no cost and no row entry adds 0
+        lp.obj[1] = lp.A[0, 1] = 0.0
+        assert np.isfinite(dual_bound(lp, np.array([1.0])))
 
 
 # The scalar loops the simplex used before pricing and the ratio test became
@@ -999,7 +1082,8 @@ def test_desk_s1_enumeration_gives_up_no_singular_start(monkeypatch):
     cell's root basis, which is often singular on the new cell's rows. Each
     such start is repaired; none falls back to the slack basis. One basis has
     another shape (a cell with other active interpolants), so it is no start,
-    and that LP starts cold."""
+    and that LP starts cold. The 7 roots that the dual screen closes start no
+    LP (41 warm starts before it)."""
     starts, failed = [], []
     start_warm = simplex._Tableau.start_warm
 
@@ -1015,7 +1099,7 @@ def test_desk_s1_enumeration_gives_up_no_singular_start(monkeypatch):
     monkeypatch.setattr(simplex._Tableau, "start_warm", spy_start)
     res = rfe.solve_by_enumeration(build_opo_instance(get_scenario("S1", "desk"), 0).ir)
     assert res.status == OPTIMAL
-    assert len(starts) == 41
+    assert len(starts) == 34
     assert failed == []  # before the repair, 7 starts fell back
 
 

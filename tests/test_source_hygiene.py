@@ -6,7 +6,8 @@ environment read outside the command line, no clock read outside the
 simplex, rfe and the command line, no kept simplex tableau outside the two
 trees, no write into an LP's coefficient matrix, one simplex tableau per LP
 solve, one start path in the simplex, one pivot site in the simplex, one row
-screen in spatial, and one table of corner bits, in gridtab."""
+screen in spatial, one table of corner bits, in gridtab, and one dual bound,
+in the simplex, read by spatial's dual screen only."""
 
 import ast
 from pathlib import Path
@@ -660,3 +661,47 @@ def test_bit_reads_are_found(tmp_path):
         "BITS = [(b >> 0) & 1 for b in range(4)]\n"
     )
     assert _bit_reads([mod]) == ["mod.plain", "mod.C", "mod.<module>"]
+
+
+def _transposes_of_a(paths: list[Path]) -> list[str]:
+    """``module.function`` of every transpose of a coefficient matrix named
+    ``A``, plain or as an attribute (``A.T``, ``lp.A.T``): the product A^T y
+    that prices rows into columns."""
+    found = []
+    for path in paths:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                if not (isinstance(node, ast.Attribute) and node.attr == "T"):
+                    continue
+                inner = node.value
+                if (isinstance(inner, ast.Name) and inner.id == "A") or (
+                    isinstance(inner, ast.Attribute) and inner.attr == "A"
+                ):
+                    found.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return found
+
+
+def test_one_function_computes_the_dual_bound():
+    """The projected Lagrangian bound y^T b + sum_j min(r_j lo_j, r_j hi_j),
+    with r = c - A^T y and an explicit float-error term, is computed in
+    ``simplex.dual_bound`` only, and spatial's dual screen in
+    ``solve_box_nlp`` is its one caller."""
+    assert _transposes_of_a(SRC) == ["simplex.dual_bound"]
+    sites = {path.stem: _references(path, "dual_bound") for path in SRC}
+    assert {stem: refs for stem, refs in sites.items() if refs} == {
+        "spatial": ["<module> from simplex import dual_bound", "solve_box_nlp dual_bound"]
+    }
+
+
+def test_transposes_of_a_are_found(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "import numpy as np\n"
+        "def plain(A, y): return A.T @ y\n"
+        "def attribute(lp, y): return lp.obj - lp.A.T @ y\n"
+        "def other(xs, B): return xs.T, B.T, np.abs(xs).T\n"
+        "class C:\n"
+        "    def method(self, y): return np.dot(self.lp.A.T, y)\n"
+        "AT = np.eye(2).T\n"
+    )
+    assert _transposes_of_a([mod]) == ["mod.plain", "mod.attribute", "mod.C"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gridopt import rfe, spatial
-from gridopt.bnb import TIME_LIMIT, solve_milp
+from gridopt.bnb import TIME_LIMIT, prune_level, solve_milp
 from gridopt.gridtab import interpolate, make_grid, make_table, product_table
 from gridopt.model import (
     CONTINUOUS,
@@ -18,8 +18,11 @@ from gridopt.model import (
 )
 from gridopt.opo import build_opo_instance, get_scenario
 from gridopt.relax import CellBlock, Fixing, build_relaxation, build_subproblem, extract_fixing
-from gridopt.simplex import FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, solve_lp
+from gridopt.simplex import (
+    FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LpBasis, LpProblem, dual_bound, solve_lp,
+)
 from gridopt.spatial import (
+    GAP,
     NODE_LIMIT,
     _node_lp,
     _pinned_step,
@@ -306,6 +309,86 @@ class TestDeskCell:
         assert res.status == NODE_LIMIT
         assert res.nodes == 1
         assert res.bound <= DESK_S2_FIRST_CELL_OPT + 1e-6
+
+
+class TestCutoff:
+    """``cutoff`` is the caller's incumbent: ``Infeasible`` means that
+    nothing in the cell beats it."""
+
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve_lp(*args, **kwargs)
+
+        monkeypatch.setattr(spatial, "solve_lp", counted)
+        return calls
+
+    @pytest.mark.parametrize("limit", ["MAX_NODES", "MIN_BOX_WIDTH"])
+    def test_a_floor_at_the_cutoff_level_is_no_limit(self, desk_s2_first_cell, limit, monkeypatch):
+        # one node LP, or no box that can be split: the root's bound is the
+        # floor, and without a cutoff the cell is NodeLimit
+        monkeypatch.setattr(spatial, limit, {"MAX_NODES": 1, "MIN_BOX_WIDTH": 2.0}[limit])
+        alone = solve_box_nlp(desk_s2_first_cell)
+        assert alone.status == NODE_LIMIT and alone.bound < DESK_S2_FIRST_CELL_OPT
+        res = solve_box_nlp(desk_s2_first_cell, cutoff=alone.bound)  # the floor is above its level
+        assert res.status == INFEASIBLE and res.x is None and res.nodes == 1
+        res = solve_box_nlp(desk_s2_first_cell, cutoff=alone.bound + 1.0)
+        assert res.status == NODE_LIMIT and res.bound == alone.bound
+
+    def test_candidates_at_or_above_the_cutoff_are_not_taken(self, desk_s2_first_cell):
+        alone = solve_box_nlp(desk_s2_first_cell)
+        res = solve_box_nlp(desk_s2_first_cell, cutoff=alone.objective)
+        assert res.status == INFEASIBLE and res.x is None and res.objective == np.inf
+        assert 0 < res.nodes <= alone.nodes
+        res = solve_box_nlp(desk_s2_first_cell, cutoff=alone.objective + 1.0)
+        assert res.status == OPTIMAL and res.objective == alone.objective
+
+    def test_the_dual_screen_closes_a_root_with_no_lp(self, desk_s2_first_cell, lp_calls):
+        nlp = desk_s2_first_cell
+        basis = solve_box_nlp(nlp).root_basis
+        root_lp = _write_box(_node_lp(nlp), nlp.blocks, nlp.var_lo, nlp.var_hi)
+        bound = dual_bound(root_lp, basis.duals)
+        assert bound <= DESK_S2_FIRST_CELL_OPT
+        lp_calls.clear()
+        res = solve_box_nlp(nlp, basis=basis, cutoff=bound)
+        assert (res.status, res.nodes, res.root_basis, len(lp_calls)) == (INFEASIBLE, 0, None, 0)
+        # a cutoff whose level the bound misses, no cutoff, and duals over
+        # other rows: the root LP runs
+        no_duals = LpBasis(basis.basis, basis.vstat, basis.duals[:-1])
+        for start, cutoff in ((basis, bound + 1.0), (basis, np.inf), (no_duals, bound)):
+            lp_calls.clear()
+            res = solve_box_nlp(nlp, basis=start, cutoff=cutoff)
+            assert res.nodes > 0 and len(lp_calls) >= res.nodes
+
+    def test_closed_cells_hold_nothing_below_the_cutoff(self, monkeypatch):
+        """Every cell that enumerating desk S1-0 and pool seeds 0-19 closes
+        ``Infeasible`` under a finite cutoff, by the dual screen or by the
+        search, solved alone with no cutoff and no basis, is infeasible or
+        has its optimum at or above the cutoff's prune level."""
+        closed = []  # (subproblem, cutoff, nodes) of each such cell
+
+        def spy(nlp, *args, cutoff=np.inf, **kwargs):
+            res = solve_box_nlp(nlp, *args, cutoff=cutoff, **kwargs)
+            if res.status == INFEASIBLE and np.isfinite(cutoff):
+                closed.append((nlp, cutoff, res.nodes))
+            return res
+
+        monkeypatch.setattr(rfe, "solve_box_nlp", spy)
+        irs = [build_opo_instance(get_scenario("S1", "desk"), 0).ir]
+        irs += [random_instance(s) for s in range(20)]
+        for ir in irs:
+            rfe.solve_by_enumeration(ir)
+        by_dual_screen = by_search = 0
+        for nlp, cutoff, nodes in closed:
+            rows_closed = _rows_exclude_box(nlp.ir, nlp.var_lo, nlp.var_hi)
+            by_dual_screen += nodes == 0 and not rows_closed
+            by_search += nodes > 0
+            alone = solve_box_nlp(nlp)
+            assert alone.status == INFEASIBLE or alone.objective >= prune_level(cutoff, GAP)
+        assert by_dual_screen > 0 and by_search > 0
 
 
 def _node_lp_from_rows(nlp):
@@ -780,7 +863,7 @@ class TestPinnedStepScreen:
         irs += [random_instance(s) for s in range(10)]
         for ir in irs:
             rfe.solve_by_enumeration(ir)
-        assert len(statuses) == 36
+        assert len(statuses) == 28  # 36 before cells closed against the incumbent
         assert set(statuses) == {INFEASIBLE}
 
 
