@@ -30,7 +30,7 @@ class BoundsOutsideHull(GridOptError):
 
 
 class NumericalFailure(GridOptError):
-    """LP solve did not converge after refactorization retries."""
+    """LP solve failed from its start, and from the slack basis after a warm one."""
 
 
 class ProblemTooLarge(GridOptError):

@@ -4,42 +4,36 @@ The tableau is B^-1 [A I]: n structural columns, then one slack per row
 (a_i x + s_i = b_i), in [0, inf) for a ``<=`` row, (-inf, 0] for ``>=`` and
 [0, 0] for ``=``. The slack block T[:, n:] is B^-1.
 
-Every solve starts a bounded dual simplex from a basis, then runs the primal
-simplex on the objective (phase 2) as a clean-up pass that certifies
-optimality. The start is the caller's basis, from an earlier optimal solve,
-when the LP can take it (see "Warm start"), else the slack basis: each row
-enters with its slack, and each structural's status names its upper bound if
-its cost is negative, else its lower bound, placed by the rule there. This
-basis has the tableau [A I], with nothing to factorize, and its slacks take
-the residuals, in their bounds or not. It is dual feasible when every column
-with a nonzero cost is boxed (Bixby 2002; Koberstein 2005); where it is not,
-the clean-up pass pivots. Phase 1 runs only when the dual attempt fails (see
-the fallbacks below), from the slack basis: the primal loop on a cost
-recomputed before every pivot, +1 on a basic above its upper bound by more
-than 1e-7, -1 on one below its lower bound by as much, 0 elsewhere. It ends
-when no basic is violated, or with Infeasible when pricing finds no entering
-column first. Both primal loops use Dantzig pricing with a Bland fallback
-after a run of degenerate pivots. A pivot (``_kernels.tableau_pivot``, called
-from ``_Tableau.pivot`` only) divides the pivot row by the pivot and updates
-only the rows whose pivot-column entry is nonzero, since the others would
-change by exact zeros (every row at once when more than half change). The
-tableau is refactorized every 150 pivots, unless the deadline has passed
-(below); inputs beyond ~5e4 constraint nonzeros are refused. Solver state is
-per call, except for the kept tableaus in a dict the caller owns and passes
-in (below), so solves that share no such dict may run concurrently.
-``LpResult.iterations`` counts every pivot.
+Every solve starts a bounded dual simplex from a basis, the one loop that
+seeks feasibility, then runs the primal simplex on the objective (phase 2) as
+a clean-up pass that certifies optimality. The start is the caller's basis,
+from an earlier optimal solve, when the LP can take it (see "Warm start"),
+else the slack basis: each row enters with its slack, and each structural's
+status names its upper bound if its cost is negative, else its lower bound,
+placed by the rule there. This basis has the tableau [A I], with nothing to
+factorize, and its slacks take the residuals, in their bounds or not. It is
+dual feasible when every column with a nonzero cost is boxed (Bixby 2002;
+Koberstein 2005); where it is not, the clean-up pass pivots. A pivot
+(``_kernels.tableau_pivot``, called from ``_Tableau.pivot`` only) divides the
+pivot row by the pivot and updates only the rows whose pivot-column entry is
+nonzero, since the others would change by exact zeros (every row at once when
+more than half change). The tableau is refactorized every 150 pivots, unless
+the deadline has passed (below); inputs beyond ~5e4 constraint nonzeros are
+refused. Solver state is per call, except for the kept tableaus in a dict the
+caller owns and passes in (below), so solves that share no such dict may run
+concurrently. ``LpResult.iterations`` counts every pivot.
 
 Deadline (``solve_lp(lp, deadline=d)``, a ``time.monotonic()`` reading). This
 is the one place below ``rfe`` where the clock is read: once before a solve
-starts, once before each pivot (a bound flip included) of the dual, phase 1
-and phase 2 loops, and once before each 150-pivot refactorization, which is
+starts, once before each pivot (a bound flip included) of the dual and
+clean-up loops, and once before each 150-pivot refactorization, which is
 skipped once ``d`` has passed (a tableau kept past its cadence refactorizes
 at its next pivot). So a solve stops within one pivot of ``d``, or within
 one refactorization where a warm start or the residual check needs one.
 Once the reading is at or past ``d``, the solve starts no work and makes no
 pivot: it returns ``TimeLimit`` with no x and no basis, ``iterations`` the
-pivots spent, and keeps no tableau. A dual attempt stopped there does not
-fall back to phase 1.
+pivots spent, and keeps no tableau. A dual attempt stopped there is not
+retried.
 
 Column bounds reach a solve only as ``LpProblem.lo`` and ``hi``: a tree node
 solves ``dataclasses.replace(lp, lo=..., hi=...)``, which leaves ``lp``
@@ -59,8 +53,8 @@ bound, else at its finite upper bound, else free at 0. The tableau is
 refactorized from the new rows unless the basis has no row or a kept tableau
 applies (below), which is corrected for the new coefficients, so nothing of
 the old values is kept but the basis: a row the dual simplex finds infeasible
-is a Farkas certificate whatever the reduced costs, and a start that is not
-dual feasible is made optimal by the primal clean-up pass.
+is proven from A whatever the reduced costs, and a start that is not dual
+feasible is made optimal by the primal clean-up pass.
 
 A basis that is singular on the new rows (LAPACK finds a zero pivot, or
 B^-1 B misses I by more than 1e-7, since round-off can hide a zero pivot) is
@@ -68,13 +62,13 @@ repaired, not given up: Gaussian elimination over the basic columns in order
 finds those that depend on earlier ones, each leaves for the slack of a row
 no pivot covers (Bixby 1992, slack substitution), and the basis is
 refactorized once more. A dropped column is placed by the rule above, as if
-its status named no bound. The solve falls back to phase 1 from the slack
-basis, keeping the pivots already spent in ``iterations``, only when the dual
-attempt fails: the dual loop hits its iteration or degeneracy limit or cannot
-prove a row infeasible, or the attempt raises ``NumericalFailure`` anywhere
-(a basis still singular after its repair, or one too ill-conditioned for the
-residual check). A failed start does not try the dual again from the slack
-basis.
+its status named no bound. An attempt that raises ``NumericalFailure``
+anywhere (a basis still singular after its repair, one too ill-conditioned
+for the residual check, a loop at its iteration limit, or a dual row that it
+can neither pivot on nor prove infeasible) is retried once: the same dual
+simplex and clean-up from the slack basis, where B = I and nothing is
+factorized, keeping the pivots already spent in ``iterations``. A failure
+from the slack basis propagates.
 
 Kept tableaus (``solve_lp(lp, basis, tableaus=d)``). A caller may pass its
 LPs one dict, as each branch-and-bound tree does. An optimal solve stores
@@ -102,7 +96,8 @@ y = c_B B^-1, read from the final tableau's slack block: one product per
 optimal solve. ``dual_bound(lp, y)`` turns any y into a lower bound on an
 LP over as many rows, however its columns' coefficients, bounds and costs
 have changed, proven from A, b and the column bounds and not from a
-tableau; spatial closes a cell's root with it before its LP.
+tableau; spatial closes a cell's root with it before its LP, and the dual
+simplex proves a row infeasible with it (see "Pivot choice").
 
 Pivot choice, exactly (pricing and ratio test are array operations, and they
 choose the same pivots as a column-by-column / row-by-row scan):
@@ -113,10 +108,8 @@ choose the same pivots as a column-by-column / row-by-row scan):
   Dantzig pricing takes the largest |d_j|, the lowest index on ties. Bland's
   rule takes the lowest eligible index.
 - Ratio test. A basic row can block if |pivot| > 1e-7 and the bound it moves
-  toward is finite; its ratio is clamped at 0. In phase 1 a violated basic
-  blocks only while it moves back toward its bounds, at the bound it violates,
-  and leaves the basis at that bound. The step starts at the entering column's
-  range hi - lo (a bound flip, no leaving row). The blocking rows are
+  toward is finite; its ratio is clamped at 0. The step starts at the entering
+  column's range hi - lo (a bound flip, no leaving row). The blocking rows are
   then taken in row order, and row i with ratio t replaces the current choice
   if t < step - 1e-12, or if t < step + 1e-12 and its |pivot| is larger; step
   becomes t. This is not "minimum ratio, then largest pivot within 1e-12": the
@@ -130,17 +123,25 @@ choose the same pivots as a column-by-column / row-by-row scan):
   minimum |d_j| / |alpha_rj| enters, and of those within 1e-12 of the minimum
   the largest |alpha_rj|, then the lowest index. Each dual pivot computes the
   reduced costs d_j = c_j - c_B T[:, j] of these candidates only, afresh:
-  none is carried from one pivot to the next. A violated row with no
-  candidate is a Farkas certificate of infeasibility, whatever the reduced
-  costs, unless the entries too small to pivot on (but above 1e-12) could
-  close the violation over their columns' ranges; then the solve falls back.
+  none is carried from one pivot to the next.
+- Bland's rule (Bland 1977). After 2(m + N) + 1 degenerate pivots in a row
+  (a step or dual ratio of at most 1e-12), a loop keeps to it: the lowest
+  eligible index enters the primal; in the dual, the violated basic of
+  lowest column index leaves, and of the candidates within 1e-12 of the
+  minimum ratio the lowest index enters.
+- Infeasibility. A violated row with no candidate proves it when its
+  multipliers y = -alpha[n:] (the row of B^-1, refined once against B built
+  from A, so that drift prices no basic column off 0 against an infinite
+  bound) give ``dual_bound`` above 0 on the LP with a zero objective: over
+  the column box, y^T A x stays below y^T b (Farkas). Else the attempt
+  raises ``NumericalFailure``.
 """
 
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -164,7 +165,6 @@ _MAY_MOVE = np.array([[False, True], [True, False], [False, False], [True, True]
 _RC_TOL = 1e-9
 _PIV_TOL = 1e-7  # pivots below this are numerically unsafe to enter the basis
 FEAS_TOL = 1e-7
-_ZERO_TOL = 1e-12  # tableau entries below this are round-off of exact zeros
 _REFACTOR_EVERY = 150
 KEEP_TABLEAUS = 4  # final tableaus a ``tableaus`` dict holds, the most recent
 
@@ -236,7 +236,7 @@ class LpResult:
     status: str
     x: Optional[np.ndarray] = None
     objective: float = np.inf
-    iterations: int = 0  # every pivot, including those of an abandoned warm start
+    iterations: int = 0  # every pivot, a failed attempt's before a retry included
     basis: Optional[LpBasis] = None  # set when Optimal
 
 
@@ -431,15 +431,11 @@ def _price(tab: _Tableau, cost: np.ndarray, bland: bool):
     return j, (1.0 if d[j] < 0.0 else -1.0)
 
 
-def _ratio_test(tab: _Tableau, j: int, direction: float, viol: Optional[np.ndarray] = None):
+def _ratio_test(tab: _Tableau, j: int, direction: float):
     """Max step for entering column j; returns (step, leaving row or -1, whether
-    it leaves at its upper bound). ``viol``: phase 1's +1/-1/0 per row, or None."""
+    it leaves at its upper bound)."""
     coef = direction * tab.T[:, j]
     bound = np.where(coef > 0.0, tab.lo[tab.basis], tab.hi[tab.basis])
-    if viol is not None:
-        # a violated basic blocks only on its way back, at the bound it violates
-        back = np.where(viol > 0.0, tab.hi[tab.basis], tab.lo[tab.basis])
-        bound = np.where(viol == 0.0, bound, np.where(viol * coef > 0.0, back, np.inf))
     rows = ((np.abs(coef) > _PIV_TOL) & np.isfinite(bound)).nonzero()[0]
     t = (tab.xB[rows] - bound[rows]) / coef[rows]
     t[t < 0.0] = 0.0
@@ -453,32 +449,21 @@ def _ratio_test(tab: _Tableau, j: int, direction: float, viol: Optional[np.ndarr
     for i, ti, piv in zip(rows.tolist(), t.tolist(), np.abs(coef[rows]).tolist()):
         if ti < step - 1e-12 or (ti < step + 1e-12 and piv > best_piv):
             step, row, best_piv = ti, i, piv
-    if row >= 0 and viol is not None and viol[row] != 0.0:
-        return step, row, bool(viol[row] > 0.0)
     return step, row, row >= 0 and bool(coef[row] < 0.0)
 
 
-def _iterate(tab: _Tableau, cost: Optional[np.ndarray], max_iter: int) -> str:
-    """Primal simplex on ``cost``, or phase 1 (see the module docstring) if None;
-    TimeLimit before a pivot once the tableau's deadline has passed."""
-    phase1 = cost is None
-    viol = None
+def _iterate(tab: _Tableau, cost: np.ndarray, max_iter: int) -> str:
+    """Primal simplex on ``cost``; TimeLimit before a pivot once the tableau's
+    deadline has passed."""
     degen = 0
     bland = False
     degen_limit = 2 * (tab.m + tab.N)
     for _ in range(max_iter):
-        if phase1:
-            lo_b, hi_b = tab.lo[tab.basis], tab.hi[tab.basis]
-            viol = (tab.xB > hi_b + FEAS_TOL).astype(float) - (tab.xB < lo_b - FEAS_TOL)
-            if not viol.any():
-                return OPTIMAL
-            cost = np.zeros(tab.N)
-            cost[tab.basis] = viol
         pick = _price(tab, cost, bland)
         if pick is None:
-            return INFEASIBLE if phase1 else OPTIMAL
+            return OPTIMAL
         j, direction = pick
-        step, row, up = _ratio_test(tab, j, direction, viol)
+        step, row, up = _ratio_test(tab, j, direction)
         if not np.isfinite(step):
             return UNBOUNDED
         if time.monotonic() >= tab.deadline:
@@ -499,55 +484,71 @@ def _iterate(tab: _Tableau, cost: Optional[np.ndarray], max_iter: int) -> str:
     raise NumericalFailure("simplex iteration limit exceeded")
 
 
-def _dual_iterate(tab: _Tableau, cost: np.ndarray, max_iter: int) -> Optional[str]:
-    """Dual simplex until the basis is primal feasible.
+def _dual_price(tab: _Tableau, cost: np.ndarray, bland: bool):
+    """Pick a dual pivot; returns None when no basic is violated, else (row,
+    entering column or -1 if none, whether the row must rise, dual ratio)."""
+    lo_b, hi_b = tab.lo[tab.basis], tab.hi[tab.basis]
+    viol = np.maximum(lo_b - tab.xB, tab.xB - hi_b)
+    r = int(viol.argmax())
+    if not viol[r] > FEAS_TOL:
+        return None
+    if bland:  # the violated basic of lowest column index
+        r = int(np.where(viol > FEAS_TOL, tab.basis, tab.N).argmin())
+    rise = bool(tab.xB[r] < lo_b[r])
+    # orient the row so that a column helps when it moves against alpha
+    alpha = tab.T[r] if rise else -tab.T[r]
+    size = np.abs(alpha)
+    right = (tab.lo != tab.hi) & _MAY_MOVE[tab.vstat, (alpha < 0.0).view(np.int8)]
+    cols = (right & (size > _PIV_TOL)).nonzero()[0]
+    if not cols.size:
+        return r, -1, rise, 0.0
+    # reduced costs of the candidates only
+    d = cost[cols] - cost[tab.basis] @ tab.T[:, cols]
+    piv = size[cols]
+    ratio = np.abs(d) / piv
+    tmin = float(ratio.min())
+    tied = ratio <= tmin + 1e-12
+    k = tied.argmax() if bland else np.where(tied, piv, -1.0).argmax()
+    return r, int(cols[k]), rise, tmin
 
-    Returns Optimal (primal feasible), Infeasible (a row certifies it),
-    TimeLimit (the tableau's deadline passed before a pivot), or None to fall
-    back: the iteration or degeneracy limit is hit, or a row's infeasibility
-    is not proven.
-    """
+
+def _dual_iterate(tab: _Tableau, cost: np.ndarray, max_iter: int) -> str:
+    """Dual simplex until the basis is primal feasible: Optimal, Infeasible
+    (proven from A), or TimeLimit before a pivot once the tableau's deadline
+    has passed. NumericalFailure at the iteration limit or an unproven row."""
     if tab.m == 0:
         return OPTIMAL  # no basic variable to violate a bound
+    n = tab.n
     degen = 0
+    bland = False
     degen_limit = 2 * (tab.m + tab.N)
-    movable = tab.lo != tab.hi
-    span = tab.hi - tab.lo
     for _ in range(max_iter):
-        lo_b, hi_b = tab.lo[tab.basis], tab.hi[tab.basis]
-        viol = np.maximum(lo_b - tab.xB, tab.xB - hi_b)
-        r = int(viol.argmax())
-        if not viol[r] > FEAS_TOL:
+        pick = _dual_price(tab, cost, bland)
+        if pick is None:
             return OPTIMAL
-        rise = tab.xB[r] < lo_b[r]  # the leaving variable must increase
-        target = lo_b[r] if rise else hi_b[r]
-        # orient the row so that a column helps when it moves against alpha
-        alpha = tab.T[r] if rise else -tab.T[r]
-        size = np.abs(alpha)
-        right = movable & _MAY_MOVE[tab.vstat, (alpha < 0.0).view(np.int8)]
-        cols = (right & (size > _PIV_TOL)).nonzero()[0]
-        if not cols.size:
-            # Farkas: the row proves infeasibility unless the entries too small
-            # to pivot on, but above round-off, could close the violation
-            small = right & (size > _ZERO_TOL)
-            reach = float(size[small] @ span[small])
-            return INFEASIBLE if reach + FEAS_TOL < viol[r] else None
+        r, q, rise, step = pick
+        if q < 0:
+            # y = -alpha[n:], refined once so that y B = -alpha on the basis
+            sign = 1.0 if rise else -1.0
+            y = -sign * tab.T[r, n:]
+            resid = np.concatenate([y @ tab.lp.A, y])[tab.basis]  # y B
+            resid[r] += sign
+            y -= resid @ tab.T[:, n:]
+            zero = replace(tab.lp, obj=np.zeros(n), lo=tab.lo[:n], hi=tab.hi[:n])
+            if dual_bound(zero, y) > 0.0:
+                return INFEASIBLE
+            raise NumericalFailure("dual simplex row neither pivots nor proves infeasibility")
         if time.monotonic() >= tab.deadline:
             return TIME_LIMIT
-        # reduced costs of the candidates only
-        d = cost[cols] - cost[tab.basis] @ tab.T[:, cols]
-        piv = size[cols]
-        ratio = np.abs(d) / piv
-        tmin = ratio.min()
-        q = int(cols[np.where(ratio <= tmin + 1e-12, piv, -1.0).argmax()])
+        target = tab.lo[tab.basis[r]] if rise else tab.hi[tab.basis[r]]
         tab.exchange(r, q, (tab.xB[r] - target) / tab.T[r, q], not rise)
-        if tmin <= 1e-12:
+        if step <= 1e-12:
             degen += 1
             if degen > degen_limit:
-                return None
+                bland = True
         else:
             degen = 0
-    return None
+    raise NumericalFailure("dual simplex iteration limit exceeded")
 
 
 def _phase2(
@@ -627,14 +628,15 @@ def solve_lp(
     ``lp`` is read, never written. The dual simplex starts from ``basis``,
     from an earlier optimal solve, when it covers every column of ``lp`` and
     at most its rows; from the slack basis when there is none or it has
-    another shape. Phase 1 runs only when that dual attempt fails (see the
-    module docstring). ``tableaus`` is the caller's cache of final tableaus
-    by basis: an optimal solve keeps its own there, and a warm start from a
-    basis found there copies it and corrects the copy for the columns of A
-    that differ. ``lp.A`` is kept by reference, so it must not be written
-    after the solve. Deterministic for identical input and the same number
-    of BLAS threads: a multithreaded BLAS may sum in another order, and
-    round-off can then pick another pivot.
+    another shape. An attempt that raises ``NumericalFailure`` from another
+    start than the slack basis runs once more from the slack basis; one from
+    the slack basis propagates (see the module docstring). ``tableaus`` is the
+    caller's cache of final tableaus by basis: an optimal solve keeps its own
+    there, and a warm start from a basis found there copies it and corrects
+    the copy for the columns of A that differ. ``lp.A`` is kept by reference,
+    so it must not be written after the solve. Deterministic for identical
+    input and the same number of BLAS threads: a multithreaded BLAS may sum in
+    another order, and round-off can then pick another pivot.
     ``deadline`` is a ``time.monotonic()`` reading: once it has passed, the
     solve starts nothing and pivots no more, and returns ``TimeLimit``.
     """
@@ -660,20 +662,15 @@ def solve_lp(
     slack = LpBasis(np.arange(0), np.where(lp.obj < 0.0, _AT_UP, _AT_LO).astype(np.int8))
     if basis is None or basis.basis.size > m or basis.vstat.size != n + basis.basis.size:
         basis = slack  # a basis of another shape is no start
-    try:
-        tab.start_warm(basis, tableaus)
-        status = _dual_iterate(tab, cost, max_iter)
-        if status in (INFEASIBLE, TIME_LIMIT):
-            return LpResult(status=status, iterations=tab.pivots)
-        if status == OPTIMAL:
+    # a failed start runs once more from the slack basis, where B = I, with
+    # tab.pivots counting on; a failure from the slack basis propagates
+    for start in (basis, slack) if basis is not slack else (slack,):
+        try:
+            tab.start_warm(start, tableaus)
+            status = _dual_iterate(tab, cost, max_iter)
+            if status != OPTIMAL:
+                return LpResult(status=status, iterations=tab.pivots)
             return _phase2(tab, cost, max_iter, tableaus)
-    except NumericalFailure:
-        pass  # phase 1 below starts afresh; tab.pivots keeps counting
-
-    tab.start_warm(slack, None)
-    status = _iterate(tab, None, max_iter)
-    if status == UNBOUNDED:  # cannot happen: the violation is bounded below
-        raise NumericalFailure("phase-1 reported unbounded")
-    if status in (INFEASIBLE, TIME_LIMIT):
-        return LpResult(status=status, iterations=tab.pivots)
-    return _phase2(tab, cost, max_iter, tableaus)
+        except NumericalFailure:
+            if start is slack:
+                raise

@@ -145,7 +145,7 @@ class TestDeterminism:
         model = build_relaxation(build_opo_instance(get_scenario("S4", "desk"), 0).ir)
         res = solve_milp(model.to_lp(), model.binary_cols())
         assert res.status == OPTIMAL
-        assert (res.nodes, res.lp_iterations) == (49, 882)
+        assert (res.nodes, res.lp_iterations) == (49, 727)
         assert float(res.objective).hex() == "-0x1.7d76ce4f84accp+8"
 
 

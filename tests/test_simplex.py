@@ -2,11 +2,12 @@
 
 Small LPs are checked against brute-force vertex enumeration; random LPs with
 mixed senses and bound patterns against scipy's HiGHS. The array-based pricing
-and ratio test, the latter in both phases, are checked call by call against
-scalar loops. Warm starts from an earlier optimal basis, after a bound change,
-an appended row, or new coefficients and right-hand sides in the existing rows,
-are checked against HiGHS on the changed LP. Cold starts run the dual simplex
-from the slack basis, and phase 1 only when it gives up.
+and ratio test are checked call by call against scalar loops. Warm starts
+from an earlier optimal basis, after a bound change, an appended row, or new
+coefficients and right-hand sides in the existing rows, are checked against
+HiGHS on the changed LP. Every solve runs the dual simplex from its start, and
+once more from the slack basis when a warm attempt fails. Each infeasibility
+the dual reports carries multipliers that are rechecked from A.
 """
 
 import dataclasses
@@ -26,7 +27,6 @@ from gridopt.simplex import (
     _AT_LO,
     _AT_UP,
     _BASIC,
-    FEAS_TOL,
     _FREE,
     _PIV_TOL,
     _RC_TOL,
@@ -281,8 +281,7 @@ class TestDualBound:
 
 
 # The scalar loops the simplex used before pricing and the ratio test became
-# array operations, kept as the reference for every pivot choice; the ratio
-# test loop has gained phase 1's rule for violated basics.
+# array operations, kept as the reference for every pivot choice.
 
 
 def _price_loop(tab, cost: np.ndarray, bland: bool):
@@ -309,9 +308,9 @@ def _price_loop(tab, cost: np.ndarray, bland: bool):
     return best
 
 
-def _ratio_test_loop(tab, j: int, direction: float, viol=None):
+def _ratio_test_loop(tab, j: int, direction: float):
     """Max step for entering column j; returns (step, leaving row or -1, whether
-    it leaves at its upper bound). ``viol``: phase 1's +1/-1/0 per row, or None."""
+    it leaves at its upper bound)."""
     w = tab.T[:, j]
     step = np.inf
     row = -1
@@ -323,20 +322,16 @@ def _ratio_test_loop(tab, j: int, direction: float, viol=None):
         coef = direction * w[i]
         b = tab.basis[i]
         lo, hi = tab.lo[b], tab.hi[b]
-        if viol is not None and viol[i] > 0:
-            lo, hi = hi, np.inf  # above its bounds: blocks only falling back to hi
-        elif viol is not None and viol[i] < 0:
-            lo, hi = -np.inf, lo  # below: blocks only rising back to lo
         if coef > _PIV_TOL:
             if not np.isfinite(lo):
                 continue
             t = (tab.xB[i] - lo) / coef
-            at_up = viol is not None and viol[i] > 0
+            at_up = False
         elif coef < -_PIV_TOL:
             if not np.isfinite(hi):
                 continue
             t = (tab.xB[i] - hi) / coef
-            at_up = not (viol is not None and viol[i] < 0)
+            at_up = True
         else:
             continue
         t = max(t, 0.0)
@@ -346,17 +341,6 @@ def _ratio_test_loop(tab, j: int, direction: float, viol=None):
             best_piv = abs(coef)
             up = at_up
     return step, row, up
-
-
-def _violation_loop(tab) -> np.ndarray:
-    """Phase 1's row violation: +1 above the upper bound, -1 below the lower."""
-    viol = np.zeros(tab.m)
-    for i, b in enumerate(tab.basis):
-        if tab.xB[i] > tab.hi[b] + FEAS_TOL:
-            viol[i] = 1.0
-        elif tab.xB[i] < tab.lo[b] - FEAS_TOL:
-            viol[i] = -1.0
-    return viol
 
 
 def _lattice_tableau(rng, m: int, N: int):
@@ -416,37 +400,28 @@ class TestPivotRulesMatchLoops:
 
     def test_ratio_test_matches_loop(self):
         rng = np.random.default_rng(8)
-        seen = {
-            "flip": 0, "row": 0, "unbounded": 0, "tied": 0, "flip_tied": 0, "zero": 0,
-            "up": 0, "violated_block": 0, "violated_passed": 0,
-        }
+        seen = {"flip": 0, "row": 0, "unbounded": 0, "tied": 0, "flip_tied": 0, "zero": 0, "up": 0}
         for _ in range(1500):
             tab = _lattice_tableau(rng, int(rng.integers(1, 12)), int(rng.integers(12, 20)))
             for _ in range(4):
                 j = int(rng.integers(tab.N))
                 direction = float(rng.choice([-1.0, 1.0]))
-                for viol in (None, _violation_loop(tab)):
-                    step, row, up = _ratio_test(tab, j, direction, viol)
-                    assert (step, row, up) == _ratio_test_loop(tab, j, direction, viol)
-                    if not np.isfinite(step):
-                        seen["unbounded"] += 1
-                        continue
-                    seen["flip" if row == -1 else "row"] += 1
-                    seen["up"] += int(up)
-                    coef = direction * tab.T[:, j]
-                    if viol is not None:
-                        seen["violated_block"] += int(row >= 0 and viol[row] != 0.0)
-                        away = (viol * coef < 0.0) & (np.abs(coef) > _PIV_TOL)
-                        seen["violated_passed"] += int(away.any())
-                        continue
-                    seen["zero"] += int(step == 0.0)
-                    bound = np.where(coef > 0, tab.lo[tab.basis], tab.hi[tab.basis])
-                    ok = (np.abs(coef) > _PIV_TOL) & np.isfinite(bound)
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        t = np.maximum((tab.xB - bound) / coef, 0.0)
-                    seen["tied"] += int(np.count_nonzero(ok & (t == step)) > 1)
-                    flip = tab.hi[j] - tab.lo[j]
-                    seen["flip_tied"] += int(row >= 0 and flip == step)
+                step, row, up = _ratio_test(tab, j, direction)
+                assert (step, row, up) == _ratio_test_loop(tab, j, direction)
+                if not np.isfinite(step):
+                    seen["unbounded"] += 1
+                    continue
+                seen["flip" if row == -1 else "row"] += 1
+                seen["up"] += int(up)
+                seen["zero"] += int(step == 0.0)
+                coef = direction * tab.T[:, j]
+                bound = np.where(coef > 0, tab.lo[tab.basis], tab.hi[tab.basis])
+                ok = (np.abs(coef) > _PIV_TOL) & np.isfinite(bound)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    t = np.maximum((tab.xB - bound) / coef, 0.0)
+                seen["tied"] += int(np.count_nonzero(ok & (t == step)) > 1)
+                flip = tab.hi[j] - tab.lo[j]
+                seen["flip_tied"] += int(row >= 0 and flip == step)
         assert min(seen.values()) > 0, seen
 
     def _one_column(self, xB, col, lo_b, hi_b, lo_j=0.0, hi_j=np.inf):
@@ -514,7 +489,7 @@ def _optimal_lps(rng, count: int):
 
 @pytest.fixture
 def dual_outcomes(monkeypatch):
-    """Every return value of the dual simplex loop (None: fell back to phase 1)."""
+    """Every return value of the dual simplex loop."""
     seen = []
     dual = simplex._dual_iterate
 
@@ -535,6 +510,20 @@ def refactorizations(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def pivots(monkeypatch):
+    """The tableau's column count, once per pivot."""
+    calls = []
+    pivot = _kernels.tableau_pivot
+
+    def counted(T, *args):
+        calls.append(T.shape[1])
+        pivot(T, *args)
+
+    monkeypatch.setattr(_kernels, "tableau_pivot", counted)
+    return calls
+
+
 def test_slack_start_is_not_factorized(refactorizations):
     # the slack basis's tableau is [A I], so a cold solve refactorizes only at
     # the 150-pivot cadence
@@ -549,12 +538,20 @@ def test_slack_start_is_not_factorized(refactorizations):
     assert pivoted > 100
 
 
-def _phase1_solve(monkeypatch, lp: LpProblem):
-    """A cold solve of ``lp`` that runs phase 1, as one does when the dual
-    simplex gives up on the slack basis at once."""
-    with monkeypatch.context() as patch:
-        patch.setattr(simplex, "_dual_iterate", lambda *args: None)
-        return solve_lp(lp)
+def _failing_first_dual(monkeypatch, pivots: int) -> list:
+    """Give the first dual attempt on each tableau an iteration limit of
+    ``pivots``, so that it raises NumericalFailure unless it ends within them.
+    Returns (tableau, pivots spent before the call) per call of the dual."""
+    dual = simplex._dual_iterate
+    tried = []
+
+    def short_first(tab, cost, max_iter):
+        first = not any(t is tab for t, _ in tried)
+        tried.append((tab, tab.pivots))
+        return dual(tab, cost, pivots if first else max_iter)
+
+    monkeypatch.setattr(simplex, "_dual_iterate", short_first)
+    return tried
 
 
 def _assert_matches_scipy(res, lp: LpProblem) -> str:
@@ -569,14 +566,14 @@ def _assert_matches_scipy(res, lp: LpProblem) -> str:
 
 @pytest.fixture
 def loops(monkeypatch):
-    """(phase 1?, pivots taken, status) per call of the primal loop."""
+    """(pivots taken, status) per call of the primal loop, the clean-up pass."""
     seen = []
     primal = simplex._iterate
 
     def spy(tab, cost, max_iter):
         before = tab.pivots
         status = primal(tab, cost, max_iter)
-        seen.append((cost is None, tab.pivots - before, status))
+        seen.append((tab.pivots - before, status))
         return status
 
     monkeypatch.setattr(simplex, "_iterate", spy)
@@ -585,7 +582,7 @@ def loops(monkeypatch):
 
 class TestColdStart:
     """A cold solve starts the dual simplex from the slack basis, each
-    structural at the bound its cost favours; phase 1 runs only if that fails."""
+    structural at the bound its cost favours, and the clean-up pass after it."""
 
     def test_boxed_lp_never_runs_phase_1(self, loops, dual_outcomes):
         rng = np.random.default_rng(47)
@@ -598,7 +595,7 @@ class TestColdStart:
             status = _assert_matches_scipy(solve_lp(lp), lp)
             assert dual_outcomes == [status]
             # a boxed slack basis is dual feasible: the clean-up takes no pivot
-            assert loops == ([(False, 0, OPTIMAL)] if status == OPTIMAL else [])
+            assert loops == ([(0, OPTIMAL)] if status == OPTIMAL else [])
             seen[status] += 1
         assert min(seen.values()) > 0, seen
 
@@ -628,39 +625,8 @@ class TestColdStart:
         assert _assert_matches_scipy(res, lp) == OPTIMAL
         assert res.objective == pytest.approx(-3.0)
         assert dual_outcomes == [OPTIMAL]
-        ((phase1, cleanup, status),) = loops
-        assert not phase1 and cleanup > 0 and status == OPTIMAL
-
-    def test_dual_giving_up_falls_back_to_phase_1(self, monkeypatch, loops):
-        counted = []
-        pivot = _kernels.tableau_pivot
-        monkeypatch.setattr(_kernels, "tableau_pivot", lambda T, *a: counted.append(1) or pivot(T, *a))
-        dual = simplex._dual_iterate
-        spent = []
-
-        def gives_up(tab, cost, max_iter):
-            dual(tab, cost, 2)  # two pivots at most, then no answer
-            spent.append(tab.pivots)
-            return None
-
-        monkeypatch.setattr(simplex, "_dual_iterate", gives_up)
-        rng = np.random.default_rng(48)
-        for _ in range(60):
-            lp = _random_lp(rng)
-            loops.clear()
-            counted.clear()
-            res = solve_lp(lp)
-            if _scipy_solve(lp).status == 3:
-                assert res.status == UNBOUNDED
-            else:
-                _assert_matches_scipy(res, lp)
-            assert loops[0][0]  # phase 1 ran
-            assert res.iterations == len(counted)
-            # from the slack basis afresh, after the dual's pivots
-            alone = _phase1_solve(monkeypatch, lp)
-            assert res.iterations == spent[-1] + alone.iterations
-            assert res.status == alone.status and res.objective == alone.objective
-        assert sum(spent) > 0
+        ((cleanup, status),) = loops
+        assert cleanup > 0 and status == OPTIMAL
 
     def test_infeasible_is_a_farkas_row(self, loops, dual_outcomes):
         # x0 + x1 >= 3 over [0, 1]^2
@@ -678,7 +644,7 @@ class TestColdStart:
         res = solve_lp(lp)
         assert res.status == UNBOUNDED and res.objective == -np.inf
         assert dual_outcomes == [OPTIMAL]
-        assert [(phase1, status) for phase1, _, status in loops] == [(False, UNBOUNDED)]
+        assert [status for _, status in loops] == [UNBOUNDED]
 
 
 class TestWarmStart:
@@ -759,7 +725,7 @@ class TestWarmStart:
 
     def test_nonbasic_column_that_lost_its_named_bound(self, loops, dual_outcomes):
         # the column moves to its other finite bound, else free at 0, and the
-        # dual simplex starts from the basis as it is; phase 1 never runs
+        # dual simplex starts from the basis as it is, with no retry
         rng = np.random.default_rng(38)
         seen = {OPTIMAL: 0, UNBOUNDED: 0}  # a relaxed feasible LP stays feasible
         for lp, res in _optimal_lps(rng, 150):
@@ -776,8 +742,7 @@ class TestWarmStart:
             loops.clear()
             dual_outcomes.clear()
             got = solve_lp(lost, basis=res.basis)
-            assert dual_outcomes == [OPTIMAL]
-            assert not any(phase1 for phase1, _, _ in loops)
+            assert dual_outcomes == [OPTIMAL] and len(loops) == 1
             if _scipy_solve(lost).status == 3:
                 assert got.status == UNBOUNDED
             else:
@@ -823,13 +788,46 @@ class TestWarmStart:
         np.testing.assert_allclose(got.x, [1.0, 2.0, 2.0])
         assert dual_outcomes == [OPTIMAL]
 
+    def test_failed_dual_retries_from_the_slack_basis(self, monkeypatch, pivots):
+        # a warm dual that fails after its first pivot runs once more from the
+        # slack basis: the cold solve, with the failed attempt's pivots counted;
+        # a cold dual that fails is not retried
+        rng = np.random.default_rng(48)
+        retried = 0
+        for lp, res in _optimal_lps(rng, 60):
+            a = rng.normal(size=lp.ncols)
+            cut = _with_row(lp, a, ">=", float(a @ res.x) + 0.5)
+            cold = solve_lp(cut)
+            with monkeypatch.context() as patch:
+                tried = _failing_first_dual(patch, 1)
+                pivots.clear()
+                got = solve_lp(cut, basis=res.basis)
+                assert got.iterations == len(pivots)
+                if len(tried) == 2:  # retried, after the pivots of the first try
+                    spent = tried[1][1]
+                    assert spent == 1 and got.iterations == spent + cold.iterations
+                    assert got.status == cold.status and got.objective == cold.objective
+                    if cold.x is not None:
+                        np.testing.assert_array_equal(got.x, cold.x)
+                    retried += 1
+                if _scipy_solve(cut).status == 3:
+                    assert got.status == UNBOUNDED
+                else:
+                    _assert_matches_scipy(got, cut)
+            with monkeypatch.context() as patch:
+                _failing_first_dual(patch, 0)
+                with pytest.raises(NumericalFailure, match="iteration limit"):
+                    solve_lp(cut)
+        assert retried > 10
+
     @pytest.mark.parametrize("stage", ["_dual_iterate", "_phase2"])
     def test_numerical_failure_falls_back_to_cold(self, monkeypatch, refactorizations, stage):
         rng = np.random.default_rng(37)
         lp, res = next(_optimal_lps(rng, 1))
         a = rng.normal(size=lp.ncols)
         cut = _with_row(lp, a, ">=", float(a @ res.x) + 0.5)
-        cold = _phase1_solve(monkeypatch, cut)
+        cold = solve_lp(cut)
+        assert _assert_matches_scipy(cold, cut) == OPTIMAL
         real = getattr(simplex, stage)
         calls = []
         refactorizations.clear()
@@ -936,10 +934,20 @@ def _kuhn() -> LpProblem:
     )
 
 
+def _kuhn_dual() -> LpProblem:
+    """The dual of Kuhn's example, min b y subject to A^T y >= -c, y >= 0.
+    The dual simplex with its usual rules cycles on it from the slack basis."""
+    kuhn = _kuhn()
+    return LpProblem(
+        obj=kuhn.rhs, lo=np.zeros(3), hi=np.full(3, np.inf), A=kuhn.A.T.copy(),
+        senses=[">="] * 4, rhs=-kuhn.obj,
+    )
+
+
 class TestSafeguards:
     """The branches that only degenerate, ill-conditioned or stale input
-    reaches: Bland's rule, the dual's degeneracy limit, the repair that
-    leaves a basis singular, and the residual check."""
+    reaches: Bland's rule in either loop, a dual row too small to pivot on,
+    the repair that leaves a basis singular, and the residual check."""
 
     def test_primal_cycling_switches_to_bland(self, monkeypatch, loops, dual_outcomes):
         lp = _kuhn()
@@ -952,7 +960,7 @@ class TestSafeguards:
         assert _assert_matches_scipy(res, lp) == OPTIMAL
         assert res.objective == pytest.approx(-2.0)
         # the slack basis is primal feasible, so the clean-up makes every pivot
-        assert dual_outcomes == [OPTIMAL] and loops == [(False, res.iterations, OPTIMAL)]
+        assert dual_outcomes == [OPTIMAL] and loops == [(res.iterations, OPTIMAL)]
         # Dantzig pricing through 2 (m + N) + 1 degenerate pivots, then Bland's rule
         limit = 2 * (lp.nrows + lp.ncols + lp.nrows)
         assert rules == [False] * (limit + 1) + [True] * (len(rules) - limit - 1)
@@ -964,33 +972,59 @@ class TestSafeguards:
         with pytest.raises(NumericalFailure, match="iteration limit"):
             solve_lp(_kuhn())
 
-    def test_dual_cycling_gives_up_at_the_degeneracy_limit(self, monkeypatch, loops):
-        # the dual of Kuhn's example, min b y subject to A^T y >= -c, y >= 0:
-        # the dual simplex cycles on it from the slack basis
-        kuhn = _kuhn()
-        lp = LpProblem(
-            obj=kuhn.rhs, lo=np.zeros(3), hi=np.full(3, np.inf), A=kuhn.A.T.copy(),
-            senses=[">="] * 4, rhs=-kuhn.obj,
+    def test_dual_cycling_switches_to_bland(self, monkeypatch, loops, dual_outcomes):
+        lp = _kuhn_dual()
+        rules = []
+        price = simplex._dual_price
+        monkeypatch.setattr(
+            simplex, "_dual_price", lambda tab, cost, bland: rules.append(bland) or price(tab, cost, bland)
         )
-        outcomes, spent = [], []
-        dual = simplex._dual_iterate
-
-        def spy(tab, cost, max_iter):
-            outcomes.append(dual(tab, cost, max_iter))
-            spent.append(tab.pivots)
-            return outcomes[-1]
-
-        monkeypatch.setattr(simplex, "_dual_iterate", spy)
         res = solve_lp(lp)
-        # every dual pivot was degenerate, and one past 2 (m + N) it gave up
-        assert outcomes == [None] and spent == [2 * (4 + 3 + 4) + 1]
-        assert loops[0][0]  # phase 1 ran
         assert _assert_matches_scipy(res, lp) == OPTIMAL
         assert res.objective == pytest.approx(2.0)  # -(Kuhn's optimum)
-        alone = _phase1_solve(monkeypatch, lp)
-        assert res.status == alone.status and res.objective == alone.objective
-        np.testing.assert_array_equal(res.x, alone.x)
-        assert res.iterations == spent[0] + alone.iterations
+        # the dual makes every pivot, the clean-up pass none
+        assert dual_outcomes == [OPTIMAL] and loops == [(0, OPTIMAL)]
+        assert len(rules) == res.iterations + 1  # the last pick finds no violated row
+        # the usual rules through 2 (m + N) + 1 degenerate pivots, then Bland's
+        limit = 2 * (lp.nrows + lp.ncols + lp.nrows)
+        assert rules == [False] * (limit + 1) + [True] * (len(rules) - limit - 1)
+        assert len(rules) > limit + 2
+
+    def test_dual_without_bland_cycles_to_the_iteration_limit(self, monkeypatch, dual_outcomes):
+        price = simplex._dual_price
+        monkeypatch.setattr(simplex, "_dual_price", lambda tab, cost, bland: price(tab, cost, False))
+        with pytest.raises(NumericalFailure, match="iteration limit"):
+            solve_lp(_kuhn_dual())
+        assert dual_outcomes == []  # from the slack basis, the failure is not retried
+
+    def test_round_off_entry_on_an_unbounded_slack_is_certified(self, loops, dual_outcomes):
+        # -1e-9 x0 + x1 >= 3 over x0 in [0, 10], x1 in [0, 1] is infeasible.
+        # With x0 basic in the row of x0 <= 5 and x1 at its upper bound, the
+        # violated row's one entry that helps is 1e-9, on that row's slack,
+        # which may grow without bound: too small to pivot on, and over an
+        # infinite range
+        lp = LpProblem.from_rows(
+            2, [1.0, -1.0], [0.0, 0.0], [10.0, 1.0],
+            [([(0, 1.0)], "<=", 5.0), ([(0, -1e-9), (1, 1.0)], ">=", 3.0)],
+        )
+        start = LpBasis(np.array([0, 3]), np.array([_BASIC, _AT_UP, _AT_LO, _BASIC], dtype=np.int8))
+        row = _refactorized(lp, start)[1]
+        assert np.abs(row[:2]).tolist() == [0.0, 1.0] and 1e-12 < row[2] < _PIV_TOL
+        res = solve_lp(lp, basis=start)
+        assert _assert_matches_scipy(res, lp) == INFEASIBLE
+        assert dual_outcomes == [INFEASIBLE] and loops == [] and res.iterations == 0
+
+    def test_a_row_neither_pivoted_nor_proven_raises(self, dual_outcomes):
+        # -1e-8 x0 + x1 >= 3 holds at x0 = -2e8, x1 = 1. From the slack basis,
+        # x0 and x1 at their upper bounds, x0's entry is the row's one that
+        # helps, too small to pivot on, and over x0's range it closes the row
+        lp = LpProblem.from_rows(
+            2, [-1.0, -1.0], [-1e9, 0.0], [0.0, 1.0], [([(0, -1e-8), (1, 1.0)], ">=", 3.0)]
+        )
+        assert _scipy_solve(lp).status == 0
+        with pytest.raises(NumericalFailure, match="neither pivots nor proves"):
+            solve_lp(lp)
+        assert dual_outcomes == []
 
     def test_basis_still_singular_after_repair_falls_back(self, monkeypatch, dual_outcomes):
         # a repair that swaps nothing leaves the basis singular
@@ -1010,14 +1044,19 @@ class TestSafeguards:
             failed.clear()
             dual_outcomes.clear()
             got = solve_lp(lp, basis=basis)
-            assert failed == ["singular basis after repair"] and dual_outcomes == []
-            alone = _phase1_solve(monkeypatch, lp)
-            assert got.status == alone.status and got.objective == alone.objective
-            assert got.iterations == alone.iterations  # no pivot before the fallback
-            if alone.x is None:
+            # the start failed before the dual: only the retry's dual ran
+            assert failed == ["singular basis after repair"] and len(dual_outcomes) == 1
+            cold = solve_lp(lp)
+            assert got.status == cold.status and got.objective == cold.objective
+            assert got.iterations == cold.iterations  # no pivot before the retry
+            if cold.x is None:
                 assert got.x is None
             else:
-                np.testing.assert_array_equal(got.x, alone.x)
+                np.testing.assert_array_equal(got.x, cold.x)
+            if _scipy_solve(lp).status == 3:
+                assert got.status == UNBOUNDED
+            else:
+                _assert_matches_scipy(got, lp)
 
     def test_stale_kept_tableau_is_refactorized_by_the_residual_check(self, refactorizations):
         # a kept tableau whose entries drifted by 1e-4 (relative) gives an x
@@ -1038,21 +1077,21 @@ class TestSafeguards:
             np.testing.assert_allclose(got.x, fresh.x, atol=1e-9)
             _assert_matches_scipy(got, lp)
 
-    def test_residual_still_too_large_falls_back_to_phase_1(self, monkeypatch, dual_outcomes):
+    def test_residual_still_too_large_retries_from_the_slack_basis(self, monkeypatch, dual_outcomes):
         # an x that misses a row by 1e-3 before and after the refactorization
         rng = np.random.default_rng(37)
         lp, res = next(_optimal_lps(rng, 1))
         a = rng.normal(size=lp.ncols)
         cut = _with_row(lp, a, ">=", float(a @ res.x) + 0.5)
-        alone = _phase1_solve(monkeypatch, cut)
-        assert alone.status == OPTIMAL
+        cold = solve_lp(cut)
+        assert _assert_matches_scipy(cold, cut) == OPTIMAL
         solution = simplex._Tableau.solution
         calls, failed, spent = [], [], []
 
         def off(tab):
             x = solution(tab)
             calls.append(1)
-            if len(calls) <= 2:  # the dual attempt's two checks
+            if len(calls) <= 2:  # the warm attempt's two checks
                 x[tab.n] += 1e-3
                 spent.append(tab.pivots)
             return x
@@ -1070,17 +1109,86 @@ class TestSafeguards:
         monkeypatch.setattr(simplex, "_phase2", spy_phase2)
         dual_outcomes.clear()
         got = solve_lp(cut, basis=res.basis)
-        assert dual_outcomes == [OPTIMAL] and len(calls) == 3
+        # the warm attempt and the retry each ran the dual
+        assert dual_outcomes == [OPTIMAL, OPTIMAL] and len(calls) == 3
         assert failed == ["primal residual too large after refactorization"]
-        assert got.status == alone.status and got.objective == alone.objective
-        np.testing.assert_array_equal(got.x, alone.x)
-        assert got.iterations == spent[0] + alone.iterations
+        assert got.status == cold.status and got.objective == cold.objective
+        np.testing.assert_array_equal(got.x, cold.x)
+        assert got.iterations == spent[0] + cold.iterations
+
+
+class TestInfeasibilityCertificate:
+    """Each Infeasible from the dual simplex rests on row multipliers y that
+    prove it from A, b and the column bounds, rechecked here in plain numpy:
+    with y projected onto the signs the row senses allow, the largest
+    (A^T y)^T x over the column box is below y^T b."""
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        """("bound", lp, y, value) per certificate and ("dual", status) per
+        dual run, in call order."""
+        seen = []
+        bound = simplex.dual_bound
+        dual = simplex._dual_iterate
+
+        def spy_bound(lp, y):
+            seen.append(("bound", lp, y.copy(), bound(lp, y)))
+            return seen[-1][3]
+
+        def spy_dual(*args):
+            seen.append(("dual", dual(*args)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(simplex, "dual_bound", spy_bound)
+        monkeypatch.setattr(simplex, "_dual_iterate", spy_dual)
+        return seen
+
+    @staticmethod
+    def _recheck(events: list) -> int:
+        """Check that each certificate is followed by the Infeasible it
+        proves and each Infeasible follows one, and recheck every y; returns
+        how many."""
+        proven = 0
+        for before, event in zip([("start",)] + events, events):
+            if event[0] == "bound":
+                _, lp, y, value = event
+                assert value > 0.0
+                senses = np.array(lp.senses)
+                y = np.where(senses == "<=", np.minimum(y, 0.0), y)
+                y = np.where(senses == ">=", np.maximum(y, 0.0), y)
+                g = lp.A.T @ y
+                assert np.isfinite(lp.lo).all() and np.isfinite(lp.hi).all()
+                assert np.maximum(g * lp.lo, g * lp.hi).sum() < y @ lp.rhs
+            elif event[1] == INFEASIBLE:
+                assert before[0] == "bound"
+                proven += 1
+            else:
+                assert before[0] != "bound"
+        return proven
+
+    def test_random_boxed_lps_cold_and_after_a_cut(self, events):
+        rng = np.random.default_rng(66)
+        for _ in range(150):
+            lp = _random_lp(rng)
+            lp.lo, lp.hi = np.sort(rng.normal(size=(2, lp.ncols)) * 3, axis=0)
+            res = solve_lp(lp)
+            _assert_matches_scipy(res, lp)
+            if res.status == OPTIMAL:
+                a = rng.normal(size=lp.ncols)
+                cut = _with_row(lp, a, ">=", float(a @ res.x) + abs(rng.normal()))
+                _assert_matches_scipy(solve_lp(cut, basis=res.basis), cut)
+        assert self._recheck(events) > 40
+
+    def test_desk_s1_enumeration(self, events):
+        res = rfe.solve_by_enumeration(build_opo_instance(get_scenario("S1", "desk"), 0).ir)
+        assert res.status == OPTIMAL
+        assert self._recheck(events) > 2
 
 
 def test_desk_s1_enumeration_gives_up_no_singular_start(monkeypatch):
     """Enumerating desk S1-0 starts each cell's root LP from the previous
     cell's root basis, which is often singular on the new cell's rows. Each
-    such start is repaired; none falls back to the slack basis. One basis has
+    such start is repaired; none is retried from the slack basis. One basis has
     another shape (a cell with other active interpolants), so it is no start,
     and that LP starts cold. The 7 roots that the dual screen closes start no
     LP (41 warm starts before it)."""
@@ -1294,18 +1402,6 @@ class TestCorrectedTableau:
 
 
 class TestIterationsCountEveryPivot:
-    @pytest.fixture
-    def pivots(self, monkeypatch):
-        calls = []
-        pivot = _kernels.tableau_pivot
-
-        def counted(T, *args):
-            calls.append(T.shape[1])  # the tableau's column count
-            pivot(T, *args)
-
-        monkeypatch.setattr(_kernels, "tableau_pivot", counted)
-        return calls
-
     def test_cold_and_warm(self, pivots):
         rng = np.random.default_rng(35)
         checked = 0
@@ -1410,11 +1506,11 @@ class TestDeadline:
                     assert dual_outcomes == [] and loops == []  # stopped before its start
                     stopped_in.add("start")
                 elif dual_outcomes == [TIME_LIMIT]:
-                    assert loops == []  # no phase 1 after a dual stopped by the clock
+                    assert loops == []  # no retry after a dual stopped by the clock
                     stopped_in.add("dual")
                 else:
-                    ((phase1, _, status),) = loops
-                    assert not phase1 and status == TIME_LIMIT
+                    ((_, status),) = loops
+                    assert status == TIME_LIMIT
                     stopped_in.add("clean-up")
         assert stopped_in == {"start", "dual", "clean-up"}
 
@@ -1434,15 +1530,21 @@ class TestDeadline:
                     pivoted += k > 0
         assert pivoted > 10
 
-    def test_phase_1(self, pivot_clock, loops, monkeypatch):
-        monkeypatch.setattr(simplex, "_dual_iterate", lambda *args: None)
+    def test_retry_from_the_slack_basis(self, pivot_clock, monkeypatch):
+        # the warm attempt fails after one pivot, so a deadline past it stops
+        # the retry from the slack basis
         rng = np.random.default_rng(63)
-        in_phase1 = 0
-        for _ in range(30):
-            lp = _random_lp(rng)
-            for k in self._stops(pivot_clock, functools.partial(solve_lp, lp), {}, loops):
-                in_phase1 += k > 0 and loops[-1][0]  # k = 0 stops before any loop
-        assert in_phase1 > 20
+        cuts = []
+        for lp, res in _optimal_lps(rng, 30):
+            a = rng.normal(size=lp.ncols)
+            cuts.append((_with_row(lp, a, ">=", float(a @ res.x) + 0.5), res.basis))
+        tried = _failing_first_dual(monkeypatch, 1)
+        in_retry = 0
+        for cut, start in cuts:
+            solve = functools.partial(solve_lp, cut, basis=start)
+            for k in self._stops(pivot_clock, solve, {}, tried):
+                in_retry += len(tried) == 2 and tried[1][1] < k  # the retry pivoted
+        assert in_retry > 20
 
     def test_no_cadence_refactorization_past_the_deadline(
         self, pivot_clock, refactorizations, monkeypatch

@@ -432,7 +432,7 @@ def test_solve_lp_calls_are_counted(tmp_path):
 
 
 def test_each_lp_solve_builds_one_tableau():
-    """A cold start and the fallback after a failed warm start both start the
+    """A cold start and the retry after a failed warm start both start the
     one tableau from a basis: the slack basis is a start over no row."""
     assert _calls(ROOT / "src" / "gridopt" / "simplex.py", "solve_lp", "_Tableau") == 1
 
@@ -468,30 +468,32 @@ def _call_sites(path: Path, callee: str, cost_none: bool = False) -> list[str]:
 
 
 def test_the_simplex_has_one_start_path():
-    """A solve, cold or warm, runs the dual simplex from its start basis, and
-    phase 1 from the slack basis only when that fails: one call site each."""
+    """The dual simplex is the one loop that seeks feasibility, run from one
+    call site for the start basis and the retry from the slack basis alike;
+    the primal loop runs only as the clean-up pass on the objective."""
     path = ROOT / "src" / "gridopt" / "simplex.py"
     assert _call_sites(path, "_dual_iterate") == ["solve_lp"]
-    assert _call_sites(path, "_iterate", cost_none=True) == ["solve_lp"]
+    assert _call_sites(path, "_iterate") == ["_phase2"]
+    assert _call_sites(path, "_iterate", cost_none=True) == []
 
 
 def test_second_start_paths_are_found(tmp_path):
     mod = tmp_path / "mod.py"
     mod.write_text(
         "import simplex\n"
+        "def _solve_from(tab, cost):\n"
+        "    simplex._dual_iterate(tab, cost, 9)\n"
+        "    return _phase2(tab, cost)\n"
+        "def _phase2(tab, cost): return _iterate(tab, cost, 9)\n"
         "def solve_lp(tab, cost):\n"
-        "    if simplex._dual_iterate(tab, cost, 9) is None:\n"
-        "        _iterate(tab, None, 9)\n"
-        "    return _iterate(tab, cost, 9)\n"
-        "def cold(tab, cost):\n"
-        "    _dual_iterate(tab, cost, 9)\n"
-        "    return _iterate(tab, cost=None, max_iter=9)\n"
+        "    if _dual_iterate(tab, cost, 9) == 'Infeasible':\n"
+        "        return _iterate(tab, cost=None, max_iter=9)\n"
         "class Phase1:\n"
         "    def run(self, tab): return _iterate(tab, None, 9)\n"
     )
-    assert _call_sites(mod, "_dual_iterate") == ["solve_lp", "cold"]
-    assert _call_sites(mod, "_iterate", cost_none=True) == ["solve_lp", "cold", "Phase1"]
-    assert _call_sites(mod, "_iterate") == ["solve_lp", "solve_lp", "cold", "Phase1"]
+    assert _call_sites(mod, "_dual_iterate") == ["_solve_from", "solve_lp"]
+    assert _call_sites(mod, "_iterate") == ["_phase2", "solve_lp", "Phase1"]
+    assert _call_sites(mod, "_iterate", cost_none=True) == ["solve_lp", "Phase1"]
 
 
 def _tableau_passers(paths: list[Path]) -> list[str]:
@@ -684,12 +686,13 @@ def _transposes_of_a(paths: list[Path]) -> list[str]:
 def test_one_function_computes_the_dual_bound():
     """The projected Lagrangian bound y^T b + sum_j min(r_j lo_j, r_j hi_j),
     with r = c - A^T y and an explicit float-error term, is computed in
-    ``simplex.dual_bound`` only, and spatial's dual screen in
-    ``solve_box_nlp`` is its one caller."""
+    ``simplex.dual_bound`` only. Its callers are spatial's dual screen in
+    ``solve_box_nlp`` and the dual simplex's infeasibility certificate."""
     assert _transposes_of_a(SRC) == ["simplex.dual_bound"]
     sites = {path.stem: _references(path, "dual_bound") for path in SRC}
     assert {stem: refs for stem, refs in sites.items() if refs} == {
-        "spatial": ["<module> from simplex import dual_bound", "solve_box_nlp dual_bound"]
+        "simplex": ["_dual_iterate dual_bound"],
+        "spatial": ["<module> from simplex import dual_bound", "solve_box_nlp dual_bound"],
     }
 
 
