@@ -29,6 +29,7 @@ from .export import FORMATS, export_milp
 from .opo import build_opo_instance, get_scenario
 from .relax import build_relaxation
 from .rfe import RfeResult, check_time_limit, solve_by_enumeration, solve_rfe
+from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -61,9 +62,9 @@ def _report(engine: str, ir, res: RfeResult, wall: float) -> dict:
 
 
 def _status_exit(status: str) -> int:
-    if status in ("Optimal", "Unbounded"):
+    if status in (OPTIMAL, UNBOUNDED):
         return EXIT_OK
-    if status == "Infeasible":
+    if status == INFEASIBLE:
         return EXIT_INFEASIBLE
     return EXIT_LIMIT  # TimeLimit / IterationLimit / NodeLimit
 

@@ -28,6 +28,7 @@ each round and each enumerated cell, work that runs no LP.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -41,7 +42,8 @@ from .relax import Fixing, add_no_good_cut, build_relaxation, build_subproblem, 
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
 from .spatial import NODE_LIMIT, solve_box_nlp
 
-MAX_ITERATIONS = 200  # RFE rounds before the status "IterationLimit"
+MAX_ITERATIONS = 200  # RFE rounds before the status ITERATION_LIMIT
+ITERATION_LIMIT = "IterationLimit"
 
 ENUM_LIMIT = 10_000
 
@@ -62,14 +64,6 @@ class RfeResult:
 
 def _user_sense(ir: ProblemIR, v: float) -> float:
     return -v if ir.maximize else v
-
-
-def _closed(incumbent: float, bound: float) -> bool:
-    """Nothing at or above ``bound`` beats ``incumbent`` by more than bnb's gap.
-
-    False for an infinite incumbent unless the bound is +inf.
-    """
-    return bound >= prune_level(incumbent)
 
 
 class _Subproblems:
@@ -124,7 +118,7 @@ class _Subproblems:
         ``bound`` is the bound proven so far; it only matters when a
         subproblem did not close, and so may hold a better point.
         """
-        if not _closed(self.objective, self.floor):
+        if self.floor < prune_level(self.objective):
             return self.limit, max(bound, self.floor)
         return (OPTIMAL if self.x is not None else INFEASIBLE), self.objective
 
@@ -208,49 +202,35 @@ def solve_rfe(ir: ProblemIR, time_limit: Optional[float] = None) -> RfeResult:
                 "frontier": len(frontier),
             }
         )
-        if _closed(cells.objective, bound):
+        if bound >= prune_level(cells.objective):
             return out(OPTIMAL)
         add_no_good_cut(milp, fixing)
-    return out("IterationLimit")
+    return out(ITERATION_LIMIT)
 
 
 def _enumerate_fixings(ir: ProblemIR):
-    """All (binary assignment, cell choice) pairs, inactive interpolants collapsed."""
+    """All (binary assignment, cell choice) pairs, inactive interpolants collapsed;
+    EnumerationTooLarge before building the cells that would pass ENUM_LIMIT."""
     bin_ids = ir.binary_ids
-    act_of = {i: itp.activation for i, itp in enumerate(ir.interpolants)}
-    total = 0
     fixings: list[Fixing] = []
     for mask in range(1 << len(bin_ids)):
         y = tuple((mask >> b) & 1 for b in range(len(bin_ids)))
-        ymap = dict(zip(bin_ids, y))
-        active = [
-            i
-            for i in range(len(ir.interpolants))
-            if act_of[i] is None or ymap[act_of[i]] == 1
+        on = dict(zip(bin_ids, y))
+        grids = [
+            itp.table.grid if itp.activation is None or on[itp.activation] else None
+            for itp in ir.interpolants
         ]
-        combos = 1
-        for i in active:
-            combos *= ir.interpolants[i].table.grid.num_cells
-        total += combos
+        total = len(fixings) + math.prod(g.num_cells for g in grids if g is not None)
         if total > ENUM_LIMIT:
             raise EnumerationTooLarge(
                 f"{total}+ subproblems exceeds enumeration limit {ENUM_LIMIT}"
             )
-        cell_ranges = []
-        for i in range(len(ir.interpolants)):
-            if i in active:
-                shape = ir.interpolants[i].table.grid.shape
-                cell_ranges.append(_all_cells(shape))
-            else:
-                cell_ranges.append([None])
-        fixings.extend(
-            Fixing(segments=choice, y=y) for choice in itertools.product(*cell_ranges)
-        )
+        choices = [
+            (None,) if g is None else itertools.product(*(range(K - 1) for K in g.shape))
+            for g in grids
+        ]
+        fixings.extend(Fixing(segments=c, y=y) for c in itertools.product(*choices))
     return fixings
-
-
-def _all_cells(shape):
-    return list(itertools.product(*(range(K - 1) for K in shape)))
 
 
 def solve_by_enumeration(ir: ProblemIR, time_limit: Optional[float] = None) -> RfeResult:

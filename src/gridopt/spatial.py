@@ -93,8 +93,9 @@ corner columns that changed, instead of refactorizing.
 The node LP's first rows are the IR's, ``ProblemIR.rows`` over the IR
 columns, and no box write touches them: the exact check, with the IR's
 cached row sides (``ProblemIR.row_sides``), and every pinned step read the
-IR's rows and objective there. The exact check, the repair and the split
-share one evaluation of each block's f at the node LP point.
+IR's rows and objective there. A solved box that is not pruned evaluates
+each block's f at its LP point once, and the exact check, the repair and
+the split read those values.
 """
 
 from __future__ import annotations
@@ -239,26 +240,18 @@ def _write_box(
     return LpProblem(lp.obj, box_lo, box_hi, A, lp.senses, lp.rhs)
 
 
-def _f_at(blocks: list[CellBlock], x: np.ndarray, fx: list, i: int) -> float:
-    """Block i's f at its inputs' values in x: ``fx[i]``, evaluated on first
-    use. ``fx`` starts as one None per block and belongs to this x alone."""
-    if fx[i] is None:
-        fx[i] = float(blocks[i].f(x[blocks[i].input_pos]))
-    return fx[i]
-
-
 def _split(
     blocks: list[CellBlock], x: np.ndarray, fx: list, lo: np.ndarray, hi: np.ndarray
 ) -> Optional[tuple[int, float]]:
     """Variable position and split point of a node, or None if no box can be split.
 
     Blocks are tried by decreasing |y - f| at the node LP point x, f read
-    through ``_f_at`` with x's ``fx``, ties to the lowest block; the first one
+    from ``fx``, each block's f at x, ties to the lowest block; the first one
     with an input interval wider than MIN_BOX_WIDTH cell widths is split
     along its widest input in cell widths (ties to the lowest axis) at the LP
     value, clamped to the middle of the interval.
     """
-    viol = [abs(x[blk.output_pos] - _f_at(blocks, x, fx, i)) for i, blk in enumerate(blocks)]
+    viol = [abs(x[blk.output_pos] - fx[i]) for i, blk in enumerate(blocks)]
     for i in sorted(range(len(blocks)), key=lambda i: -viol[i]):
         blk = blocks[i]
         widths = (hi[blk.input_pos] - lo[blk.input_pos]) / blk.width
@@ -280,18 +273,15 @@ def _exact_candidate(
     more than EXACT_TOL and the output bounds and the IR's rows, the node
     LP ``lp``'s first rows over its IR columns, still hold within it. The
     objective is then the IR's at the point, not the LP's. A block whose
-    inputs are still xrel's reads f through ``_f_at`` with xrel's ``fx``, so
-    ``_split`` does not evaluate it again; f is evaluated apart only at
-    inputs that the clipping, or an earlier block's output, moved.
+    inputs are still xrel's reads its f from ``fx``, each block's f at xrel;
+    f is evaluated apart only at inputs that the clipping, or an earlier
+    block's output, moved.
     """
     n, m = len(nlp.var_lo), len(nlp.ir.rows)
     x = np.clip(xrel[:n], nlp.var_lo, nlp.var_hi)
     same = x == xrel[:n]
     for i, blk in enumerate(nlp.blocks):
-        if same[blk.input_pos].all():
-            fval = _f_at(nlp.blocks, xrel, fx, i)
-        else:
-            fval = float(blk.f(x[blk.input_pos]))
+        fval = fx[i] if same[blk.input_pos].all() else float(blk.f(x[blk.input_pos]))
         if abs(x[blk.output_pos] - fval) > EXACT_TOL:
             return None
         x[blk.output_pos] = fval
@@ -321,16 +311,14 @@ def _pinned_step(
 
     The LP is the IR's rows and objective, read from the node LP ``lp``'s
     first rows and columns, within the subproblem's bounds. A block with no
-    free input has its output pinned at f(x), read through ``_f_at`` with
-    ``fx`` (x's, one None per block when not given), within the output's
+    free input has its output pinned at f(x), read from ``fx``, each block's
+    f at x, or evaluated here when ``fx`` is not given, within the output's
     bounds (else lo > hi and the LP is infeasible); a free input makes f
     affine along it, so a row ties the output to it exactly. None when the
     LP is not optimal (``TimeLimit`` at ``deadline`` included), or with no LP
     when a linear row misses its right-hand side over the pinned bounds
     (``_rows_exclude_box``).
     """
-    if fx is None:
-        fx = [None] * len(nlp.blocks)
     lo = nlp.var_lo.copy()
     hi = nlp.var_hi.copy()
     ties = []  # (output, free input, slope, constant) of each affine row
@@ -339,7 +327,7 @@ def _pinned_step(
         fixed = [p for p in blk.input_pos if p not in free]
         lo[fixed] = hi[fixed] = x[fixed]
         if not free_axes:
-            fval = _f_at(nlp.blocks, x, fx, i)
+            fval = float(blk.f(x[blk.input_pos])) if fx is None else fx[i]
             p = blk.output_pos
             lo[p], hi[p] = max(lo[p], fval), min(hi[p], fval)
             continue
@@ -376,13 +364,12 @@ def _repair(
 ) -> Optional[tuple[np.ndarray, float]]:
     """The pinned step with no free input at the node LP point xrel, its IR
     part clipped to the node box [lo, hi]. A block whose inputs the clip left
-    as they were is pinned at f read through ``_f_at`` with xrel's ``fx``, so
-    the exact check and ``_split`` share that evaluation; f is evaluated
-    apart only at inputs the clip moved."""
+    as they were is pinned at its f in ``fx``, each block's f at xrel; f is
+    evaluated apart only at inputs the clip moved."""
     x = np.clip(xrel[: lo.size], lo, hi)
     same = x == xrel[: lo.size]
     fx_x = [
-        _f_at(nlp.blocks, xrel, fx, i) if same[blk.input_pos].all() else None
+        fx[i] if same[blk.input_pos].all() else float(blk.f(x[blk.input_pos]))
         for i, blk in enumerate(nlp.blocks)
     ]
     return _pinned_step(nlp, lp, x, set(), deadline, fx_x)
@@ -509,7 +496,7 @@ def solve_box_nlp(
                 best = (None, -np.inf)
             if res.status != OPTIMAL or pruned(res.objective):
                 continue
-            fx = [None] * len(blocks)
+            fx = [float(blk.f(res.x[blk.input_pos])) for blk in blocks]
             cand = _exact_candidate(nlp, lp, res.x, fx)
             if cand is None:
                 cand = _repair(nlp, lp, res.x, node.lo, node.hi, fx, deadline)

@@ -1,5 +1,7 @@
 """The fix-and-exclude driver: oracle equivalence and trace invariants."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from gridopt.model import (
     build_problem,
 )
 from gridopt.opo import build_opo_instance, get_scenario
+from gridopt.relax import Fixing
 from gridopt.rfe import solve_by_enumeration, solve_rfe
 
 from _clock import Clock
@@ -174,6 +177,63 @@ class TestEnumerationGuard:
         )
         with pytest.raises(EnumerationTooLarge):
             solve_by_enumeration(ir)
+
+    def test_limit_checked_before_any_cell_is_built(self, monkeypatch):
+        # two tables of 24^3 cells each: 191,102,976 combinations, raised on
+        # their count alone, before itertools builds a single cell tuple
+        grid = make_grid([np.linspace(0, 1, 25)] * 3)
+        tab = make_table(grid, np.zeros(grid.num_corners))
+        variables = [VarRef(j, CONTINUOUS, 0, 1) for j in range(3)]
+        variables += [VarRef(3, CONTINUOUS, -1, 1), VarRef(4, CONTINUOUS, -1, 1)]
+        interpolants = [InterpolantDef(tab, (0, 1, 2), 3), InterpolantDef(tab, (0, 1, 2), 4)]
+        ir = build_problem(variables, [], interpolants, objective=[(1.0, 3)])
+
+        def no_product(*iterables):
+            raise AssertionError("a cell tuple was built")
+
+        monkeypatch.setattr(rfe, "itertools", SimpleNamespace(product=no_product))
+        with pytest.raises(EnumerationTooLarge, match="^191102976\\+ subproblems exceeds"):
+            rfe._enumerate_fixings(ir)
+
+
+def _nested_loop_fixings(ir):
+    """Every (binary assignment, cell choice) pair, built one interpolant and
+    one axis at a time: binary b of assignment k is digit b of k in base 2,
+    and an inactive interpolant's segment is None."""
+    nb = len(ir.binary_ids)
+    fixings = []
+    for k in range(2**nb):
+        y = tuple(k // 2**b % 2 for b in range(nb))
+        choices = [()]
+        for itp in ir.interpolants:
+            if itp.activation is not None and y[ir.binary_ids.index(itp.activation)] == 0:
+                cells = [None]
+            else:
+                cells = [()]
+                for breakpoints in itp.table.grid.axes:
+                    cells = [c + (s,) for c in cells for s in range(breakpoints.size - 1)]
+            choices = [c + (cell,) for c in choices for cell in cells]
+        fixings += [Fixing(segments=c, y=y) for c in choices]
+    return fixings
+
+
+class TestEnumeration:
+    """``_enumerate_fixings`` equals the nested loops written above."""
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_pool(self, seed):
+        ir = random_instance(seed)
+        assert rfe._enumerate_fixings(ir) == _nested_loop_fixings(ir)
+
+    def test_desk_with_activation_binaries(self):
+        ir = build_opo_instance(get_scenario("S1", "desk"), 0).ir
+        fixings = rfe._enumerate_fixings(ir)
+        assert any(None in f.segments for f in fixings)  # an inactive interpolant
+        assert fixings == _nested_loop_fixings(ir)
+
+    def test_cut(self):
+        ir = cut_instance(0)
+        assert rfe._enumerate_fixings(ir) == _nested_loop_fixings(ir)
 
 
 class TestExcludeLoop:

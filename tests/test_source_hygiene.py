@@ -1,13 +1,15 @@
 """Source checks that a linter would make: no unused module-level imports, no
 import inside a function or class, no private function or method that
-nothing in ``src/gridopt`` calls, no dataclass field and no module-level
-constant that nothing reads, no exception class that nothing raises, no
-environment read outside the command line, no clock read outside the
-simplex, rfe and the command line, no kept simplex tableau outside the two
-trees, no write into an LP's coefficient matrix, one simplex tableau per LP
-solve, one start path in the simplex, one pivot site in the simplex, one row
-screen in spatial, one table of corner bits, in gridtab, and one dual bound,
-in the simplex, read by spatial's dual screen only."""
+nothing in ``src/gridopt`` calls, no public function, method or property
+that nothing in the sources, tests or benchmark reads, no dataclass field
+and no module-level constant that nothing reads, no exception class that
+nothing raises, no environment read outside the command line, no clock read
+outside the simplex, rfe and the command line, no kept simplex tableau
+outside the two trees, no write into an LP's coefficient matrix, one
+simplex tableau per LP solve, one start path in the simplex, one pivot site
+in the simplex, one row screen in spatial, one table of corner bits, in
+gridtab, and one dual bound, in the simplex, read by spatial's dual screen
+only."""
 
 import ast
 from pathlib import Path
@@ -99,43 +101,47 @@ def test_nested_imports_are_found(tmp_path):
     assert _nested_imports(mod) == ["mod.py:3", "mod.py:5", "mod.py:7"]
 
 
-def _private_defs(tree: ast.Module):
+def _defs(tree: ast.Module, public: bool = False):
     """Module-level functions and methods of module-level classes whose name
-    starts with one underscore."""
+    starts with one underscore, or, with ``public``, with none."""
     defs = []
     for node in tree.body:
         members = node.body if isinstance(node, ast.ClassDef) else [node]
         for d in members:
             if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
-                d.name.startswith("_") and not d.name.startswith("__")
+                not d.name.startswith("_")
+                if public
+                else d.name.startswith("_") and not d.name.startswith("__")
             ):
                 defs.append(d)
     return defs
 
 
-def _uncalled_private(paths: list[Path]) -> list[str]:
-    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in paths}
+def _unreferenced(defining: list[Path], reading: list[Path], public: bool = False) -> list[str]:
+    """The ``_defs`` of ``defining`` that no name or attribute in ``reading``
+    names outside the definition itself."""
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in {*defining, *reading}}
     refs = []  # (path, line, name) of every name loaded and attribute read
-    for path, tree in trees.items():
-        for node in ast.walk(tree):
+    for path in reading:
+        for node in ast.walk(trees[path]):
             if isinstance(node, ast.Name):
                 refs.append((path, node.lineno, node.id))
             elif isinstance(node, ast.Attribute):
                 refs.append((path, node.lineno, node.attr))
-    uncalled = []
-    for path, tree in trees.items():
-        for d in _private_defs(tree):
+    unreferenced = []
+    for path in defining:
+        for d in _defs(trees[path], public):
             outside = [
                 r for r in refs
                 if r[2] == d.name and not (r[0] == path and d.lineno <= r[1] <= d.end_lineno)
             ]
             if not outside:
-                uncalled.append(f"{path.name}:{d.lineno} {d.name}")
-    return uncalled
+                unreferenced.append(f"{path.name}:{d.lineno} {d.name}")
+    return unreferenced
 
 
 def test_every_private_function_is_referenced():
-    assert _uncalled_private(SRC) == []
+    assert _unreferenced(SRC, SRC) == []
 
 
 def test_self_reference_does_not_count(tmp_path):
@@ -147,7 +153,34 @@ def test_self_reference_does_not_count(tmp_path):
         "    def _method(self): return self._method()\n"
         "    def __init__(self): _used()\n"
     )
-    assert _uncalled_private([mod]) == ["mod.py:2 _recursive", "mod.py:4 _method"]
+    assert _unreferenced([mod], [mod]) == ["mod.py:2 _recursive", "mod.py:4 _method"]
+
+
+def test_every_public_function_is_read():
+    """Code off every path that the solver, its tests and the benchmark take
+    is code to delete, public or not."""
+    assert _unreferenced(SRC, READERS, public=True) == []
+
+
+def test_public_names_without_a_reader_are_found(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "def used(): pass\n"
+        "def unused(): return used()\n"
+        "def recursive(k): return recursive(k - 1)\n"
+        "class C:\n"
+        "    @property\n"
+        "    def read(self): return 1\n"
+        "    @property\n"
+        "    def unread(self): return self.unread\n"
+        "    def __init__(self): pass\n"
+        "    def _private(self): pass\n"
+    )
+    reader = tmp_path / "reader.py"
+    reader.write_text("from mod import C\nprint(C().read)\n")
+    assert _unreferenced([mod], [mod, reader], public=True) == [
+        "mod.py:2 unused", "mod.py:3 recursive", "mod.py:8 unread",
+    ]
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -139,15 +139,20 @@ def _node_point(ta, va, tb, vb):
     return np.array([*ta, ta[0] * ta[1] + va, *tb, tb[0] * tb[1] + vb])
 
 
+def _f_values(blocks, x):
+    """Each block's f at its inputs in x, as a solved node hands them on."""
+    return [float(blk.f(x[blk.input_pos])) for blk in blocks]
+
+
 class TestBranchingRule:
     def test_largest_violation_widest_coordinate_at_lp_theta(self):
         blocks = _two_blocks()
         x = _node_point((0.5, 0.5), 0.1, (0.3, 0.6), -0.3)
         lo, hi = _box(np.zeros(4), np.array([1.0, 1.0, 0.5, 1.0]))
-        assert _split(blocks, x, [None, None], lo, hi) == (4, pytest.approx(0.6))
+        assert _split(blocks, x, _f_values(blocks, x), lo, hi) == (4, pytest.approx(0.6))
         # the other block once its violation is the larger one
         x = _node_point((0.5, 0.4), -0.4, (0.3, 0.6), 0.3)
-        assert _split(blocks, x, [None, None], lo, hi) == (0, pytest.approx(0.5))
+        assert _split(blocks, x, _f_values(blocks, x), lo, hi) == (0, pytest.approx(0.5))
 
     def test_widest_in_cell_units(self):
         """An input's interval counts in widths of its cell axis."""
@@ -157,7 +162,7 @@ class TestBranchingRule:
         x = _node_point((0.5, 0.5), 0.0, (0.3, 0.6), 0.2)
         # b1's interval is the wider in x, b0's in cell widths
         lo, hi = _box(np.zeros(4), np.array([1.0, 1.0, 0.8, 2.0]))
-        assert _split(blocks, x, [None, None], lo, hi) == (3, pytest.approx(0.3))
+        assert _split(blocks, x, _f_values(blocks, x), lo, hi) == (3, pytest.approx(0.3))
 
     def test_split_clamped_to_middle_of_interval(self):
         blocks = _two_blocks()
@@ -165,15 +170,15 @@ class TestBranchingRule:
         # interval [0.2, 0.7]: the split stays in [0.3, 0.6]
         for tb1, want in ((0.68, 0.6), (0.21, 0.3), (0.45, 0.45)):
             x = _node_point((0.5, 0.5), 0.0, (0.3, tb1), 0.2)
-            assert _split(blocks, x, [None, None], lo, hi) == (4, pytest.approx(want))
+            assert _split(blocks, x, _f_values(blocks, x), lo, hi) == (4, pytest.approx(want))
 
     def test_ties_go_to_lowest_block_and_coordinate(self):
         blocks = _two_blocks()
         lo, hi = _box(np.zeros(4), np.ones(4))
         x = _node_point((0.3, 0.6), 0.2, (0.3, 0.6), 0.2)
-        assert _split(blocks, x, [None, None], lo, hi) == (0, pytest.approx(0.3))
+        assert _split(blocks, x, _f_values(blocks, x), lo, hi) == (0, pytest.approx(0.3))
         x = _node_point((0.3, 0.6), 0.0, (0.3, 0.6), 0.2)
-        assert _split(blocks, x, [None, None], lo, hi) == (3, pytest.approx(0.3))
+        assert _split(blocks, x, _f_values(blocks, x), lo, hi) == (3, pytest.approx(0.3))
 
     def test_narrow_block_passed_over(self):
         blocks = _two_blocks()
@@ -182,9 +187,9 @@ class TestBranchingRule:
             np.array([0.0, 0.0, 0.3, 0.6]),
             np.array([1.0, 1.0, 0.3, 0.6]) + 0.5 * spatial.MIN_BOX_WIDTH,
         )
-        assert _split(blocks, x, [None, None], lo, hi) == (0, pytest.approx(0.3))
+        assert _split(blocks, x, _f_values(blocks, x), lo, hi) == (0, pytest.approx(0.3))
         hi[:2] = lo[:2] = (0.3, 0.6)
-        assert _split(blocks, x, [None, None], lo, hi) is None
+        assert _split(blocks, x, _f_values(blocks, x), lo, hi) is None
 
 
 def _shared_input_nlp():
@@ -216,50 +221,73 @@ class TestSharedInput:
 
 
 class TestOneFCallPerBlock:
-    """The exact check and the split read each block's f at the node LP
-    point from one evaluation, where the exact check's clipping moved
-    nothing."""
+    """A solved node evaluates each block's f at its LP point once; the exact
+    check, the repair and the split read those values, and evaluate f apart
+    only at inputs that a clip moved."""
 
     def _root(self):
         nlp = _shared_input_nlp()
         lp = _write_box(_node_lp(nlp), nlp.blocks, nlp.var_lo, nlp.var_hi)
         return nlp, lp, solve_lp(lp).x
 
-    def test_each_block_is_evaluated_once(self, monkeypatch):
-        nlp, lp, x = self._root()
+    @staticmethod
+    def _point_calls(monkeypatch, blocks):
+        """(block index, point) of every call of f at one point, from now on."""
         f = CellBlock.f
         calls = []
-        monkeypatch.setattr(CellBlock, "f", lambda blk, at: calls.append(1) or f(blk, at))
-        fx = [None, None]
-        assert spatial._exact_candidate(nlp, lp, x, fx) is not None
-        _split(nlp.blocks, x, fx, nlp.var_lo, nlp.var_hi)
-        assert len(calls) == 2
 
-    def test_a_clipped_input_is_evaluated_apart(self):
-        nlp, lp, x = self._root()
-        x[0] += 1e-12  # above its bound 1: the exact check clips it back
-        fx = [None, None]
-        cand, _ = spatial._exact_candidate(nlp, lp, x, fx)
-        assert cand[3] == cand[4] == 1.0  # f at the clipped inputs (1, 1)
-        _split(nlp.blocks, x, fx, nlp.var_lo, nlp.var_hi)
-        assert fx == [float(blk.f(x[blk.input_pos])) for blk in nlp.blocks]
-        assert fx[0] > 1.0  # f at x's own inputs
+        def counted(blk, at):
+            if at.ndim == 1:
+                calls.append((next(i for i, b in enumerate(blocks) if b is blk), tuple(at)))
+            return f(blk, at)
 
+        monkeypatch.setattr(CellBlock, "f", counted)
+        return calls
 
-    def test_the_repair_reads_them_too(self, desk_s2_first_cell, monkeypatch):
-        # a root LP point that is no candidate: the repair pins every block at
-        # f there, and the split reads the same evaluations
+    def test_each_block_is_evaluated_once(self, desk_s2_first_cell, monkeypatch):
+        # the root LP point is no candidate: the exact check, the repair and
+        # the split all run on it, and only the node's own evaluations reach f
         nlp = desk_s2_first_cell
         lp = _write_box(_node_lp(nlp), nlp.blocks, nlp.var_lo, nlp.var_hi)
         x = solve_lp(lp).x
-        f = CellBlock.f
-        points = []
-        monkeypatch.setattr(CellBlock, "f", lambda blk, at: points.append(at.ndim) or f(blk, at))
-        fx = [None] * len(nlp.blocks)
-        assert spatial._exact_candidate(nlp, lp, x, fx) is None
+        assert spatial._exact_candidate(nlp, lp, x, _f_values(nlp.blocks, x)) is None
+        monkeypatch.setattr(spatial, "MAX_NODES", 1)  # the root is solved and split
+        monkeypatch.setattr(spatial, "_coordinate_descent", lambda nlp, lp, cand, d: cand)
+        splits = []
+        split = spatial._split
+        monkeypatch.setattr(
+            spatial, "_split", lambda *args: splits.append(args[2]) or split(*args)
+        )
+        calls = self._point_calls(monkeypatch, nlp.blocks)
+        assert solve_box_nlp(nlp).nodes == 1
+        assert calls == [(i, tuple(x[blk.input_pos])) for i, blk in enumerate(nlp.blocks)]
+        assert splits == [_f_values(nlp.blocks, x)]
+
+    def test_a_clipped_input_is_evaluated_apart(self, monkeypatch):
+        nlp, lp, x = self._root()
+        x[0] += 1e-12  # above its bound 1: the exact check and the repair clip it back
+        fx = _f_values(nlp.blocks, x)
+        assert fx[0] > 1.0  # f at x's own inputs
+        calls = self._point_calls(monkeypatch, nlp.blocks)
+        cand, _ = spatial._exact_candidate(nlp, lp, x, fx)
+        assert cand[3] == cand[4] == 1.0  # f at the clipped inputs (1, 1)
         spatial._repair(nlp, lp, x, nlp.var_lo, nlp.var_hi, fx, np.inf)
         _split(nlp.blocks, x, fx, nlp.var_lo, nlp.var_hi)
-        assert points == [1] * len(nlp.blocks)
+        assert calls == [(0, (1.0, 1.0)), (1, (1.0, 1.0))] * 2
+        assert fx == _f_values(nlp.blocks, x)
+
+    def test_the_repair_reads_them_too(self, monkeypatch):
+        # with nothing clipped the repair pins every block at the node's
+        # values; a pinned step given none evaluates its pinned blocks itself
+        nlp, lp, x = self._root()
+        fx = _f_values(nlp.blocks, x)
+        calls = self._point_calls(monkeypatch, nlp.blocks)
+        given = spatial._repair(nlp, lp, x, nlp.var_lo, nlp.var_hi, fx, np.inf)
+        assert calls == []
+        own = _pinned_step(nlp, lp, x, set(), np.inf)
+        assert calls == [(0, (1.0, 1.0)), (1, (1.0, 1.0))]
+        assert given[1] == own[1] == -2.0
+        np.testing.assert_array_equal(given[0], own[0])
 
 
 DESK_S2_FIRST_CELL_OPT = -219.02002935708694  # minimization sense
