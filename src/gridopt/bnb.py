@@ -47,9 +47,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .model import GE, LE
 from .simplex import (
-    FEAS_TOL, INFEASIBLE, OPTIMAL, TIME_LIMIT, UNBOUNDED, LpBasis, LpProblem, solve_lp,
+    FEAS_TOL, GE, INFEASIBLE, LE, OPTIMAL, TIME_LIMIT, UNBOUNDED, LpBasis, LpProblem, solve_lp,
 )
 
 INT_TOL = 1e-6

@@ -1,10 +1,12 @@
 """Textual export of the MILP relaxation in MPS and LP formats.
 
-An export holds the relaxation as it stands: all structural, weight, and
-segment columns, and every row in ``milp.rows``, the exclusion cuts added so
-far (``relax.add_no_good_cut``) included. The CLI exports a fresh relaxation,
-which has none. Names are sanitized and de-duplicated so the files load in
-standard MILP solvers.
+An export holds the relaxation's LP as it stands (``MilpModel.to_lp``): all
+structural, weight, and segment columns, and every row, the exclusion cuts
+added so far (``relax.add_no_good_cut``) included. The CLI exports a fresh
+relaxation, which has none. MPS columns are read from the columns of A and
+LP-format rows from its rows, terms in column order; a coefficient that is
+exactly 0 is not written. Names are sanitized and de-duplicated so the files
+load in standard MILP solvers.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import io
 import math
 import re
+
+import numpy as np
 
 from .model import EQ, GE, LE
 from .relax import MilpModel
@@ -41,83 +45,79 @@ def _num(v: float) -> str:
 
 
 def write_mps(milp: MilpModel, fh) -> None:
+    lp = milp.to_lp()
     cols = _clean_names(milp.names, "x")
-    rows = _clean_names([r.name for r in milp.rows], "r")
+    rows = _clean_names(milp.row_names, "r")
     fh.write(f"NAME          {milp.ir.name or 'problem'}\n")
     fh.write("ROWS\n N  OBJ\n")
-    for name, r in zip(rows, milp.rows):
-        fh.write(f" {_SENSE_MPS[r.sense]}  {name}\n")
-    by_col: dict[int, list[tuple[str, float]]] = {j: [] for j in range(milp.ncols)}
-    for c, coef in milp.obj.items():
-        by_col[c].append(("OBJ", coef))
-    for name, r in zip(rows, milp.rows):
-        for c, coef in r.terms:
-            by_col[c].append((name, coef))
+    for name, sense in zip(rows, lp.senses):
+        fh.write(f" {_SENSE_MPS[sense]}  {name}\n")
     fh.write("COLUMNS\n")
     in_int = False
     marker = 0
-    for j in range(milp.ncols):
+    for j, col in enumerate(cols):
         if milp.is_binary[j] != in_int:
             kind = "'INTORG'" if milp.is_binary[j] else "'INTEND'"
             fh.write(f"    MARKER{marker}  'MARKER'  {kind}\n")
             marker += 1
             in_int = milp.is_binary[j]
-        for rname, coef in by_col[j]:
-            fh.write(f"    {cols[j]}  {rname}  {_num(coef)}\n")
-        if not by_col[j]:
-            fh.write(f"    {cols[j]}  OBJ  0\n")
+        entries = [("OBJ", lp.obj[j])] if lp.obj[j] != 0.0 else []
+        entries += [(rows[i], lp.A[i, j]) for i in np.flatnonzero(lp.A[:, j])]
+        for rname, coef in entries or [("OBJ", 0.0)]:
+            fh.write(f"    {col}  {rname}  {_num(coef)}\n")
     if in_int:
         fh.write(f"    MARKER{marker}  'MARKER'  'INTEND'\n")
     fh.write("RHS\n")
-    for name, r in zip(rows, milp.rows):
-        if r.rhs != 0.0:
-            fh.write(f"    RHS  {name}  {_num(r.rhs)}\n")
+    for name, b in zip(rows, lp.rhs):
+        if b != 0.0:
+            fh.write(f"    RHS  {name}  {_num(b)}\n")
     fh.write("BOUNDS\n")
-    for j in range(milp.ncols):
-        lo, hi = milp.lo[j], milp.hi[j]
+    for j, col in enumerate(cols):
+        lo, hi = lp.lo[j], lp.hi[j]
         if milp.is_binary[j]:
-            fh.write(f" BV BND  {cols[j]}\n")
+            fh.write(f" BV BND  {col}\n")
             continue
         if lo == hi:
-            fh.write(f" FX BND  {cols[j]}  {_num(lo)}\n")
+            fh.write(f" FX BND  {col}  {_num(lo)}\n")
             continue
         if math.isinf(lo) and math.isinf(hi):
-            fh.write(f" FR BND  {cols[j]}\n")
+            fh.write(f" FR BND  {col}\n")
             continue
         if math.isinf(lo):
-            fh.write(f" MI BND  {cols[j]}\n")
+            fh.write(f" MI BND  {col}\n")
         elif lo != 0.0:
-            fh.write(f" LO BND  {cols[j]}  {_num(lo)}\n")
+            fh.write(f" LO BND  {col}  {_num(lo)}\n")
         if not math.isinf(hi):
-            fh.write(f" UP BND  {cols[j]}  {_num(hi)}\n")
+            fh.write(f" UP BND  {col}  {_num(hi)}\n")
     fh.write("ENDATA\n")
 
 
 def write_lp(milp: MilpModel, fh) -> None:
+    lp = milp.to_lp()
     cols = _clean_names(milp.names, "x")
-    rows = _clean_names([r.name for r in milp.rows], "r")
+    rows = _clean_names(milp.row_names, "r")
 
-    def expr(terms) -> str:
+    def expr(coefs) -> str:
         parts = []
-        for c, coef in terms:
-            sign = "+" if coef >= 0 else "-"
-            parts.append(f"{sign} {_num(abs(coef))} {cols[c]}")
+        for c in np.flatnonzero(coefs):
+            sign = "+" if coefs[c] >= 0 else "-"
+            parts.append(f"{sign} {_num(abs(coefs[c]))} {cols[c]}")
         return " ".join(parts) if parts else "0 " + cols[0]
 
     fh.write("Minimize\n obj: ")
-    fh.write(expr(sorted(milp.obj.items())))
+    fh.write(expr(lp.obj))
     fh.write("\nSubject To\n")
-    for name, r in zip(rows, milp.rows):
-        fh.write(f" {name}: {expr(r.terms)} {_SENSE_LP[r.sense]} {_num(r.rhs)}\n")
+    for name, a, sense, b in zip(rows, lp.A, lp.senses, lp.rhs):
+        fh.write(f" {name}: {expr(a)} {_SENSE_LP[sense]} {_num(b)}\n")
     fh.write("Bounds\n")
-    for j in range(milp.ncols):
-        lo, hi = milp.lo[j], milp.hi[j]
+    for j, col in enumerate(cols):
         if milp.is_binary[j]:
             continue
+        lo, hi = lp.lo[j], lp.hi[j]
         lo_s = "-inf" if math.isinf(lo) else _num(lo)
         hi_s = "+inf" if math.isinf(hi) else _num(hi)
-        fh.write(f" {lo_s} <= {cols[j]} <= {hi_s}\n")
-    binaries = [cols[j] for j in range(milp.ncols) if milp.is_binary[j]]
+        fh.write(f" {lo_s} <= {col} <= {hi_s}\n")
+    binaries = [col for j, col in enumerate(cols) if milp.is_binary[j]]
     if binaries:
         fh.write("Binary\n " + " ".join(binaries) + "\n")
     fh.write("End\n")

@@ -1,8 +1,9 @@
 """Intermediate representation of the mixed-integer interpolation problem.
 
 Holds variables, linear constraints, and interpolant bindings, validated by
-:func:`build_problem`; the MILP relaxation is built from it. The IR is
-immutable after construction.
+:func:`build_problem`; the MILP relaxation is built from it. Its linear
+part, the objective, bounds and rows, is one read-only LP (``ProblemIR.lp``).
+The IR is immutable after construction.
 """
 
 from __future__ import annotations
@@ -16,13 +17,10 @@ import numpy as np
 
 from .errors import BoundsOutsideHull, DanglingVariable, DimensionMismatch
 from .gridtab import LookupTable
+from .simplex import EQ, GE, LE, LpProblem
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
-
-LE = "<="
-EQ = "="
-GE = ">="
 
 
 @dataclass(frozen=True)
@@ -96,37 +94,31 @@ class ProblemIR:
         )
 
     @cached_property
-    def dense_rows(self) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
-        """``rows`` as a dense (rows, variables) coefficient matrix, the
-        senses and the right-hand sides, the arrays read-only: the LP that
-        ``LpProblem.from_rows`` makes of them."""
-        A = np.zeros((len(self.rows), len(self.variables)))
-        for i, (terms, _, _) in enumerate(self.rows):
-            for p, cf in terms:
-                A[i, p] += cf
-        rhs = np.array([b for _, _, b in self.rows], dtype=float)
-        for a in (A, rhs):
+    def lp(self) -> LpProblem:
+        """The IR's linear part as one LP over the variables by position: the
+        objective, the variables' bounds and ``rows``, its arrays read-only
+        and its senses a tuple. Spatial's LPs copy or read it and the
+        relaxation takes its objective and bounds from it; none writes it."""
+        obj = np.zeros(len(self.variables))
+        for cf, v in self.objective:
+            obj[self.var_pos[v]] += cf
+        lp = LpProblem.from_rows(
+            obj.size, obj, [v.lo for v in self.variables], [v.hi for v in self.variables], self.rows
+        )
+        lp.senses = tuple(lp.senses)
+        for a in (lp.obj, lp.lo, lp.hi, lp.A, lp.rhs):
             a.setflags(write=False)
-        return A, tuple(s for _, s, _ in self.rows), rhs
+        return lp
 
     @cached_property
     def row_sides(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only masks of the rows with an upper side (``<=`` and ``=``)
         and of those with a lower side (``>=`` and ``=``)."""
-        senses = np.array(self.dense_rows[1], dtype=object)
+        senses = np.array(self.lp.senses, dtype=object)
         upper, lower = senses != GE, senses != LE
         for a in (upper, lower):
             a.setflags(write=False)
         return upper, lower
-
-    @cached_property
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """The variables' lower and upper bounds by position, read-only."""
-        lo = np.array([v.lo for v in self.variables], dtype=float)
-        hi = np.array([v.hi for v in self.variables], dtype=float)
-        for a in (lo, hi):
-            a.setflags(write=False)
-        return lo, hi
 
     @cached_property
     def input_pos(self) -> tuple[np.ndarray, ...]:

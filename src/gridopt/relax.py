@@ -3,8 +3,10 @@
 The relaxation replaces each interpolant's weight products by their convex
 envelope: per-axis convex-combination weights, corner weights coupled through
 marginalization rows, and one binary per consecutive-breakpoint segment
-realizing the SOS2 condition. Cuts are plain linear rows appended to the model;
-the model is otherwise immutable once built.
+realizing the SOS2 condition. The relaxation is built once, as one
+``LpProblem`` that bnb solves as it stands (``MilpModel.to_lp``). A cut is
+one linear row: the model takes a copy of that LP with the row appended, and
+is otherwise immutable once built.
 
 This module is the only one that turns a MILP point into a cell and a cell
 into a subproblem. A fixing reads each axis's segment from the segment
@@ -16,7 +18,7 @@ corner and widths, and the function values at its corners.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -24,14 +26,6 @@ import numpy as np
 from .gridtab import Grid, multilinear
 from .model import BINARY, EQ, GE, LE, ProblemIR
 from .simplex import LpProblem
-
-
-@dataclass
-class Row:
-    terms: list[tuple[int, float]]  # (column, coefficient)
-    sense: str
-    rhs: float
-    name: str = ""
 
 
 @dataclass
@@ -47,45 +41,26 @@ class InterpBlock:
 
 @dataclass
 class MilpModel:
-    """The relaxation's columns and rows. Its first columns are the IR
-    variables, each at its position ``ir.var_pos``."""
+    """The relaxation as one LP, with its columns' and rows' names and which
+    columns are binary. Its first columns are the IR variables, each at its
+    position ``ir.var_pos``; its rows are the interpolant rows, the IR's
+    rows, then the cuts. A cut swaps in a new LP (``add_no_good_cut``), so
+    an LP once handed out is never written."""
 
-    names: list[str]
-    lo: list[float]
-    hi: list[float]
-    is_binary: list[bool]
-    obj: dict[int, float]
-    rows: list[Row]  # the interpolant rows, the IR's rows, then the cuts
+    lp: LpProblem
+    names: list[str]  # per column
+    row_names: list[str]
+    is_binary: np.ndarray  # per column
     blocks: list[InterpBlock]
     ir: ProblemIR
     cuts: list[int] = field(default_factory=list)  # row indices
 
-    @property
-    def ncols(self) -> int:
-        return len(self.names)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def nonzeros(self) -> int:
-        return sum(len(r.terms) for r in self.rows)
-
     def binary_cols(self) -> list[int]:
-        return [j for j, b in enumerate(self.is_binary) if b]
+        return np.flatnonzero(self.is_binary).tolist()
 
     def to_lp(self) -> LpProblem:
-        obj = np.zeros(self.ncols)
-        for col, coef in self.obj.items():
-            obj[col] += coef
-        return LpProblem.from_rows(
-            self.ncols,
-            obj,
-            self.lo,
-            self.hi,
-            [(r.terms, r.sense, r.rhs) for r in self.rows],
-        )
+        """The relaxation's LP as it stands: built once, not per call."""
+        return self.lp
 
 
 @dataclass(frozen=True)
@@ -127,86 +102,74 @@ class BoxNlp:
 
 
 def build_relaxation(ir: ProblemIR) -> MilpModel:
-    """Assemble the MILP relaxation of the IR in extended weight space."""
-    names: list[str] = []
-    lo: list[float] = []
-    hi: list[float] = []
-    isbin: list[bool] = []
+    """Assemble the MILP relaxation of the IR in extended weight space, as
+    one LP: the IR columns take their objective and bounds from ``ir.lp``,
+    and every weight and segment column is in [0, 1] with no cost."""
+    names = [v.name or f"v{v.id}" for v in ir.variables]
+    isbin = [v.kind == BINARY for v in ir.variables]
+    rows: list = []  # (terms, sense, rhs), as LpProblem.from_rows takes them
+    row_names: list[str] = []
 
-    def add_col(name, l, h, binary=False) -> int:
+    def add_col(name, binary=False) -> int:
         names.append(name)
-        lo.append(float(l))
-        hi.append(float(h))
         isbin.append(binary)
         return len(names) - 1
 
-    pos = ir.var_pos
-    for v in ir.variables:
-        add_col(v.name or f"v{v.id}", v.lo, v.hi, v.kind == BINARY)
+    def add_row(name, terms, sense, rhs) -> None:
+        rows.append((terms, sense, rhs))
+        row_names.append(name)
 
-    rows: list[Row] = []
+    pos = ir.var_pos
     blocks: list[InterpBlock] = []
     for i, itp in enumerate(ir.interpolants):
         grid = itp.table.grid
         sizes = grid.shape
         act = pos[itp.activation] if itp.activation is not None else None
-        xi_cols = [
-            [add_col(f"xi{i}_{j}_{k}", 0.0, 1.0) for k in range(K)]
-            for j, K in enumerate(sizes)
-        ]
+        xi_cols = [[add_col(f"xi{i}_{j}_{k}") for k in range(K)] for j, K in enumerate(sizes)]
         lam_cols = np.array(
-            [add_col(f"lam{i}_{k}", 0.0, 1.0) for k in range(grid.num_corners)],
-            dtype=np.int64,
+            [add_col(f"lam{i}_{k}") for k in range(grid.num_corners)], dtype=np.int64
         )
         seg_cols = [
-            [add_col(f"s{i}_{j}_{t}", 0.0, 1.0, binary=True) for t in range(K - 1)]
+            [add_col(f"s{i}_{j}_{t}", binary=True) for t in range(K - 1)]
             for j, K in enumerate(sizes)
         ]
         lam_grid = lam_cols.reshape(sizes)
         for j, K in enumerate(sizes):
             axis = grid.axes[j]
-            rows.append(
-                Row(
-                    [(pos[itp.inputs[j]], 1.0)]
-                    + [(xi_cols[j][k], -float(axis[k])) for k in range(K)],
-                    EQ,
-                    0.0,
-                    f"link{i}_{j}",
-                )
+            add_row(
+                f"link{i}_{j}",
+                [(pos[itp.inputs[j]], 1.0)] + [(xi_cols[j][k], -float(axis[k])) for k in range(K)],
+                EQ,
+                0.0,
             )
             conv = [(xi_cols[j][k], 1.0) for k in range(K)]
             if act is None:
-                rows.append(Row(conv, EQ, 1.0, f"conv{i}_{j}"))
+                add_row(f"conv{i}_{j}", conv, EQ, 1.0)
             else:
-                rows.append(Row(conv + [(act, -1.0)], EQ, 0.0, f"conv{i}_{j}"))
+                add_row(f"conv{i}_{j}", conv + [(act, -1.0)], EQ, 0.0)
             for k in range(K):
                 margin = [(xi_cols[j][k], 1.0)] + [
                     (int(c), -1.0) for c in np.take(lam_grid, k, axis=j).ravel()
                 ]
-                rows.append(Row(margin, EQ, 0.0, f"marg{i}_{j}_{k}"))
+                add_row(f"marg{i}_{j}_{k}", margin, EQ, 0.0)
             segsum = [(seg_cols[j][t], 1.0) for t in range(K - 1)]
             if act is None:
-                rows.append(Row(segsum, EQ, 1.0, f"seg{i}_{j}"))
+                add_row(f"seg{i}_{j}", segsum, EQ, 1.0)
             else:
-                rows.append(Row(segsum + [(act, -1.0)], EQ, 0.0, f"seg{i}_{j}"))
+                add_row(f"seg{i}_{j}", segsum + [(act, -1.0)], EQ, 0.0)
             for k in range(K):
                 terms = [(xi_cols[j][k], 1.0)]
                 if k - 1 >= 0:
                     terms.append((seg_cols[j][k - 1], -1.0))
                 if k <= K - 2:
                     terms.append((seg_cols[j][k], -1.0))
-                rows.append(Row(terms, LE, 0.0, f"sos{i}_{j}_{k}"))
-        rows.append(
-            Row(
-                [(pos[itp.output], 1.0)]
-                + [
-                    (int(lam_cols[k]), -float(itp.table.values[k]))
-                    for k in range(grid.num_corners)
-                ],
-                EQ,
-                0.0,
-                f"out{i}",
-            )
+                add_row(f"sos{i}_{j}_{k}", terms, LE, 0.0)
+        add_row(
+            f"out{i}",
+            [(pos[itp.output], 1.0)]
+            + [(int(lam_cols[k]), -float(itp.table.values[k])) for k in range(grid.num_corners)],
+            EQ,
+            0.0,
         )
         blocks.append(
             InterpBlock(
@@ -217,24 +180,18 @@ def build_relaxation(ir: ProblemIR) -> MilpModel:
                 lam_cols=lam_cols,
             )
         )
+    for row, c in zip(ir.rows, ir.constraints):
+        add_row(c.name, *row)
 
-    for (terms, sense, rhs), c in zip(ir.rows, ir.constraints):
-        rows.append(Row(list(terms), sense, rhs, c.name))
-
-    obj: dict[int, float] = {}
-    for coef, v in ir.objective:
-        obj[pos[v]] = obj.get(pos[v], 0.0) + coef
-
-    return MilpModel(
-        names=names,
-        lo=lo,
-        hi=hi,
-        is_binary=isbin,
-        obj=obj,
-        rows=rows,
-        blocks=blocks,
-        ir=ir,
+    k = len(names) - len(ir.variables)  # the weight and segment columns
+    lp = LpProblem.from_rows(
+        len(names),
+        np.concatenate([ir.lp.obj, np.zeros(k)]),
+        np.concatenate([ir.lp.lo, np.zeros(k)]),
+        np.concatenate([ir.lp.hi, np.ones(k)]),
+        rows,
     )
+    return MilpModel(lp, names, row_names, np.array(isbin), blocks, ir)
 
 
 def extract_fixing(milp: MilpModel, solution: np.ndarray) -> Fixing:
@@ -260,28 +217,32 @@ def add_no_good_cut(milp: MilpModel, fixing: Fixing) -> int:
 
     The row requires at least one chosen segment or binary to change. Segments
     of inactive interpolants are omitted; their exclusion rides on the
-    activation binary's term.
+    activation binary's term. The model takes a new LP whose A is the old one
+    with the row stacked below, so the LP it held, and any tableau kept with
+    that LP's A, stay as they were.
     """
-    terms: list[tuple[int, float]] = []
+    lp = milp.lp
+    row = np.zeros(lp.ncols)
     ones = 0
     for blk, segs in zip(milp.blocks, fixing.segments):
         if segs is None:
             continue
         for j, t in enumerate(segs):
-            terms.append((blk.seg_cols[j][t], -1.0))
+            row[blk.seg_cols[j][t]] = -1.0
             ones += 1
     for vid, val in zip(milp.ir.binary_ids, fixing.y):
         col = milp.ir.var_pos[vid]
         if val == 1:
-            terms.append((col, -1.0))
+            row[col] = -1.0
             ones += 1
         else:
-            terms.append((col, 1.0))
-    row = Row(terms, GE, 1.0 - ones, f"cut{len(milp.cuts)}")
-    milp.rows.append(row)
-    idx = len(milp.rows) - 1
-    milp.cuts.append(idx)
-    return idx
+            row[col] = 1.0
+    milp.lp = replace(
+        lp, A=np.vstack([lp.A, row]), senses=[*lp.senses, GE], rhs=np.append(lp.rhs, 1.0 - ones)
+    )
+    milp.row_names.append(f"cut{len(milp.cuts)}")
+    milp.cuts.append(lp.nrows)
+    return lp.nrows
 
 
 def build_subproblem(ir: ProblemIR, fixing: Fixing) -> BoxNlp:
@@ -292,10 +253,10 @@ def build_subproblem(ir: ProblemIR, fixing: Fixing) -> BoxNlp:
     inputs and output are 0, as in the relaxation: each of their bounds is
     intersected with 0, so one that excludes 0 leaves a crossed box, which
     ``spatial.solve_box_nlp`` closes ``Infeasible``. The bounds start from
-    the IR's (``ProblemIR.bounds``) and a cell's data is read from its
-    grid's and table's tabulation.
+    the IR's (``ir.lp``) and a cell's data is read from its grid's and
+    table's tabulation.
     """
-    var_lo, var_hi = (b.copy() for b in ir.bounds)
+    var_lo, var_hi = ir.lp.lo.copy(), ir.lp.hi.copy()
     var_lo[ir.binary_pos] = var_hi[ir.binary_pos] = fixing.y
     blocks: list[CellBlock] = []
     for itp, inputs, segs in zip(ir.interpolants, ir.input_pos, fixing.segments):

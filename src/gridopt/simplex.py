@@ -148,7 +148,10 @@ import numpy as np
 
 from . import _kernels
 from .errors import NumericalFailure, ProblemTooLarge
-from .model import GE, LE
+
+LE = "<="  # row senses
+EQ = "="
+GE = ">="
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
@@ -175,7 +178,7 @@ class LpProblem:
     lo: np.ndarray
     hi: np.ndarray
     A: np.ndarray  # dense (m, ncols)
-    senses: list[str]
+    senses: Sequence[str]
     rhs: np.ndarray
 
     @classmethod

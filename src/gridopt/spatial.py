@@ -77,10 +77,11 @@ LP that returns ``TimeLimit`` stops the search the same way, as
 ``TimeLimit``, and a pinned step that does gives no candidate.
 
 A subproblem that passes the row screen builds its node LP once, since
-every box has the same rows and columns: the IR's rows are copied in as one
-block from ``ProblemIR.dense_rows``, and each interpolant's rows are written by index,
-with no loop over rows or terms. A popped box's LP is made from the LP of the
-box popped before it (``_write_box``): it takes the box as its column bounds,
+every box has the same rows and columns: the IR's LP (``ProblemIR.lp``)
+is copied in as its first rows and columns, objective included, and each
+interpolant's rows are written by index, with no loop over rows or terms.
+A popped box's LP is made from the LP of the box popped before it
+(``_write_box``): it takes the box as its column bounds,
 and it shares that LP's A unless some interpolant's inputs' bounds differ;
 then it takes a copy of A with the corner coefficients, -x and -f(x) at the
 box corners, of each such interpolant written in, the corners placed by
@@ -90,10 +91,9 @@ interpolants that read it, which is why the parent's basis is a good start.
 Every node LP passes the simplex one dict of kept tableaus, so a child whose
 parent's tableau is still kept starts from a copy of it, corrected for the
 corner columns that changed, instead of refactorizing.
-The node LP's first rows are the IR's, ``ProblemIR.rows`` over the IR
-columns, and no box write touches them: the exact check, with the IR's
-cached row sides (``ProblemIR.row_sides``), and every pinned step read the
-IR's rows and objective there. A solved box that is not pruned evaluates
+The exact check, with the IR's cached row sides (``ProblemIR.row_sides``),
+and every pinned step read the IR's rows and objective from ``ProblemIR.lp``
+itself, not from a node LP. A solved box that is not pruned evaluates
 each block's f at its LP point once, and the exact check, the repair and
 the split read those values.
 """
@@ -169,24 +169,22 @@ def _rows_exclude_box(ir: ProblemIR, var_lo: np.ndarray, var_hi: np.ndarray) -> 
 def _node_lp(nlp: BoxNlp) -> LpProblem:
     """The node LP over (ir vars, corner weights), with no box written yet.
 
-    Its first ``len(ir.rows)`` rows are the IR's rows over the IR columns
-    (``ProblemIR.dense_rows``), with the IR objective; ``_exact_candidate``
-    and ``_pinned_step`` read them there. Each block then gets one weight in
-    [0, 1] per corner of its inputs' box, and rows that make its inputs and
-    output the weighted sums of the corners and of f there: the convex hull
-    of f's graph over the box ``_write_box`` writes. The IR columns' bounds
+    Its first rows and columns, and its objective there, are a copy of the
+    IR's LP (``ProblemIR.lp``). Each block then gets one weight in [0, 1]
+    per corner of its inputs' box, and rows that make its inputs and output
+    the weighted sums of the corners and of f there: the convex hull of f's
+    graph over the box ``_write_box`` writes. The IR columns' bounds
     are NaN until then, so the first write, which finds them all changed,
     writes the corners of every block.
     """
-    ir = nlp.ir
-    A_ir, senses, rhs_ir = ir.dense_rows
-    m, n = A_ir.shape
+    ir_lp = nlp.ir.lp
+    m, n = ir_lp.A.shape
     nrows = m + sum(blk.n + 2 for blk in nlp.blocks)
     ncols = n + sum(1 << blk.n for blk in nlp.blocks)
     A = np.zeros((nrows, ncols))
-    A[:m, :n] = A_ir
+    A[:m, :n] = ir_lp.A
     rhs = np.zeros(nrows)
-    rhs[:m] = rhs_ir
+    rhs[:m] = ir_lp.rhs
     rows, cols = [], []  # the 1.0 of each input's and output's row, on its IR column
     row, col = m, n
     for blk in nlp.blocks:
@@ -199,11 +197,10 @@ def _node_lp(nlp: BoxNlp) -> LpProblem:
         col += k
     A[rows, cols] = 1.0
     obj = np.zeros(ncols)
-    for cf, v in ir.objective:
-        obj[ir.var_pos[v]] += cf
+    obj[:n] = ir_lp.obj
     lo, hi = np.zeros(ncols), np.ones(ncols)
     lo[:n] = hi[:n] = np.nan
-    return LpProblem(obj, lo, hi, A, list(senses) + [EQ] * (nrows - m), rhs)
+    return LpProblem(obj, lo, hi, A, list(ir_lp.senses) + [EQ] * (nrows - m), rhs)
 
 
 def _write_box(
@@ -264,20 +261,19 @@ def _split(
 
 
 def _exact_candidate(
-    nlp: BoxNlp, lp: LpProblem, xrel: np.ndarray, fx: list
+    nlp: BoxNlp, xrel: np.ndarray, fx: list
 ) -> Optional[tuple[np.ndarray, float]]:
     """The node LP point as a candidate, if it already satisfies the IR.
 
     The IR part of xrel is clipped to the subproblem's bounds and each output
     is set to f at its inputs; the point is taken when no output moved by
-    more than EXACT_TOL and the output bounds and the IR's rows, the node
-    LP ``lp``'s first rows over its IR columns, still hold within it. The
-    objective is then the IR's at the point, not the LP's. A block whose
-    inputs are still xrel's reads its f from ``fx``, each block's f at xrel;
-    f is evaluated apart only at inputs that the clipping, or an earlier
-    block's output, moved.
+    more than EXACT_TOL and the output bounds and the IR's rows, read from
+    ``ProblemIR.lp``, still hold within it. The objective is then the IR's
+    at the point, not the node LP's. A block whose inputs are still xrel's
+    reads its f from ``fx``, each block's f at xrel; f is evaluated apart
+    only at inputs that the clipping, or an earlier block's output, moved.
     """
-    n, m = len(nlp.var_lo), len(nlp.ir.rows)
+    n = len(nlp.var_lo)
     x = np.clip(xrel[:n], nlp.var_lo, nlp.var_hi)
     same = x == xrel[:n]
     for i, blk in enumerate(nlp.blocks):
@@ -286,8 +282,9 @@ def _exact_candidate(
             return None
         x[blk.output_pos] = fval
         same[blk.output_pos] = fval == xrel[blk.output_pos]
+    ir_lp = nlp.ir.lp
     upper, lower = nlp.ir.row_sides
-    excess = lp.A[:m, :n] @ x - lp.rhs[:m]
+    excess = ir_lp.A @ x - ir_lp.rhs
     if (
         (x < nlp.var_lo - EXACT_TOL).any()
         or (x > nlp.var_hi + EXACT_TOL).any()
@@ -295,29 +292,23 @@ def _exact_candidate(
         or (excess[lower] < -EXACT_TOL).any()
     ):
         return None
-    return x, float(lp.obj[:n] @ x)
+    return x, float(ir_lp.obj @ x)
 
 
 def _pinned_step(
-    nlp: BoxNlp,
-    lp: LpProblem,
-    x: np.ndarray,
-    free: set[int],
-    deadline: float,
-    fx: Optional[list] = None,
+    nlp: BoxNlp, x: np.ndarray, free: set[int], deadline: float, fx: Optional[list] = None
 ) -> Optional[tuple[np.ndarray, float]]:
     """Minimize over the IR's linear part with every input fixed at x except
     those in ``free``, at most one per block.
 
-    The LP is the IR's rows and objective, read from the node LP ``lp``'s
-    first rows and columns, within the subproblem's bounds. A block with no
-    free input has its output pinned at f(x), read from ``fx``, each block's
-    f at x, or evaluated here when ``fx`` is not given, within the output's
-    bounds (else lo > hi and the LP is infeasible); a free input makes f
-    affine along it, so a row ties the output to it exactly. None when the
-    LP is not optimal (``TimeLimit`` at ``deadline`` included), or with no LP
-    when a linear row misses its right-hand side over the pinned bounds
-    (``_rows_exclude_box``).
+    The LP is the IR's rows and objective, read from ``ProblemIR.lp``,
+    within the subproblem's bounds. A block with no free input has its output
+    pinned at f(x), read from ``fx``, each block's f at x, or evaluated here
+    when ``fx`` is not given, within the output's bounds (else lo > hi and
+    the LP is infeasible); a free input makes f affine along it, so a row
+    ties the output to it exactly. None when the LP is not optimal
+    (``TimeLimit`` at ``deadline`` included), or with no LP when a linear row
+    misses its right-hand side over the pinned bounds (``_rows_exclude_box``).
     """
     lo = nlp.var_lo.copy()
     hi = nlp.var_hi.copy()
@@ -339,14 +330,15 @@ def _pinned_step(
         ties.append((blk.output_pos, blk.input_pos[j], slope, at_lo - slope * blk.a_lo[j]))
     if _rows_exclude_box(nlp.ir, lo, hi):
         return None
-    n, m = lo.size, len(nlp.ir.rows)
+    ir_lp = nlp.ir.lp
+    n, m = lo.size, ir_lp.nrows
     A = np.zeros((m + len(ties), n))
-    A[:m] = lp.A[:m, :n]
+    A[:m] = ir_lp.A
     for r, (out, p, slope, _) in enumerate(ties, m):
         A[r, out] = 1.0
         A[r, p] -= slope  # a zero slope leaves +0.0
-    rhs = np.append(lp.rhs[:m], [t[3] for t in ties])
-    step_lp = LpProblem(lp.obj[:n], lo, hi, A, lp.senses[:m] + [EQ] * len(ties), rhs)
+    rhs = np.append(ir_lp.rhs, [t[3] for t in ties])
+    step_lp = LpProblem(ir_lp.obj, lo, hi, A, list(ir_lp.senses) + [EQ] * len(ties), rhs)
     res = solve_lp(step_lp, deadline=deadline)
     if res.status != OPTIMAL:
         return None
@@ -354,13 +346,7 @@ def _pinned_step(
 
 
 def _repair(
-    nlp: BoxNlp,
-    lp: LpProblem,
-    xrel: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    fx: list,
-    deadline: float,
+    nlp: BoxNlp, xrel: np.ndarray, lo: np.ndarray, hi: np.ndarray, fx: list, deadline: float
 ) -> Optional[tuple[np.ndarray, float]]:
     """The pinned step with no free input at the node LP point xrel, its IR
     part clipped to the node box [lo, hi]. A block whose inputs the clip left
@@ -372,7 +358,7 @@ def _repair(
         fx[i] if same[blk.input_pos].all() else float(blk.f(x[blk.input_pos]))
         for i, blk in enumerate(nlp.blocks)
     ]
-    return _pinned_step(nlp, lp, x, set(), deadline, fx_x)
+    return _pinned_step(nlp, x, set(), deadline, fx_x)
 
 
 def _descent_steps(blocks: list[CellBlock]) -> list[set[int]]:
@@ -395,7 +381,7 @@ def _descent_steps(blocks: list[CellBlock]) -> list[set[int]]:
 
 
 def _coordinate_descent(
-    nlp: BoxNlp, lp: LpProblem, best: tuple[np.ndarray, float], deadline: float
+    nlp: BoxNlp, best: tuple[np.ndarray, float], deadline: float
 ) -> tuple[np.ndarray, float]:
     """Improve a candidate by re-optimizing a few input variables at a time.
 
@@ -407,7 +393,7 @@ def _coordinate_descent(
     for _ in range(3):
         improved = False
         for free in steps:
-            cand = _pinned_step(nlp, lp, best[0], free, deadline)
+            cand = _pinned_step(nlp, best[0], free, deadline)
             if cand is not None and cand[1] < best[1] - 1e-12:
                 best = cand
                 improved = True
@@ -497,11 +483,11 @@ def solve_box_nlp(
             if res.status != OPTIMAL or pruned(res.objective):
                 continue
             fx = [float(blk.f(res.x[blk.input_pos])) for blk in blocks]
-            cand = _exact_candidate(nlp, lp, res.x, fx)
+            cand = _exact_candidate(nlp, res.x, fx)
             if cand is None:
-                cand = _repair(nlp, lp, res.x, node.lo, node.hi, fx, deadline)
+                cand = _repair(nlp, res.x, node.lo, node.hi, fx, deadline)
                 if cand is not None:
-                    cand = _coordinate_descent(nlp, lp, cand, deadline)
+                    cand = _coordinate_descent(nlp, cand, deadline)
             if cand is not None and cand[1] < min(best[1], cutoff) - 1e-15:
                 best = cand
             node = Node(res.objective, node.lo, node.hi, res.x, res.basis)

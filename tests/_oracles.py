@@ -1,5 +1,5 @@
-"""Independent oracles for tests: interpolation weights, cell corners and
-relaxation sizes.
+"""Independent oracles for tests: interpolation weights, cell corners,
+relaxation sizes and row violations.
 
 None of these is on the solve path. They compute the interpolant, a cell's
 corner values and the relaxation's size by other routes than
@@ -104,21 +104,28 @@ class SizeRecord:
     rows: int
     cols: int
     nonzeros: int
+    zero_terms: int  # of the nonzeros, those whose coefficient is exactly 0
 
 
 def problem_size(ir: ProblemIR) -> SizeRecord:
     """Closed-form size of the relaxation that build_relaxation creates.
 
     Nonzeros are structural: one per stored coefficient, table zeros included.
+    Of these, ``zero_terms`` count a coefficient that is exactly 0: a
+    constraint's, a breakpoint at 0 in a linking row, a table value of 0 in
+    an output row. A dense matrix holds none of them.
     """
     n_xi = n_lambda = n_seg = 0
     rows = len(ir.constraints)
     nnz = sum(len(c.terms) for c in ir.constraints)
+    zeros = sum(cf == 0.0 for c in ir.constraints for cf, _ in c.terms)
     for itp in ir.interpolants:
         sizes = itp.table.grid.shape
         prod = int(np.prod(sizes))
         act = 1 if itp.activation is not None else 0
-        for K in sizes:
+        zeros += int(np.sum(itp.table.values == 0.0))
+        for K, axis in zip(sizes, itp.table.grid.axes):
+            zeros += int(np.sum(np.asarray(axis) == 0.0))
             n_xi += K
             n_seg += K - 1
             rows += 3 + 2 * K
@@ -134,4 +141,13 @@ def problem_size(ir: ProblemIR) -> SizeRecord:
     return SizeRecord(
         n_xi=n_xi, n_lambda=n_lambda, n_y=ir.num_binaries, n_segment=n_seg,
         n_vars=n_vars, rows=rows, cols=n_vars + n_xi + n_lambda + n_seg, nonzeros=nnz,
+        zero_terms=zeros,
     )
+
+
+def row_violations(lp, z: np.ndarray) -> np.ndarray:
+    """How far z misses each row of ``lp``: above a ``<=`` right-hand side,
+    below a ``>=`` one, off an ``=`` one; at most 0 where the row holds."""
+    excess = lp.A @ z - lp.rhs
+    senses = np.array(lp.senses)
+    return np.where(senses == "<=", excess, np.where(senses == ">=", -excess, np.abs(excess)))

@@ -30,7 +30,9 @@ from gridopt.relax import add_no_good_cut, build_relaxation, extract_fixing
 from gridopt.rfe import solve_by_enumeration, solve_rfe
 from gridopt.simplex import INFEASIBLE, OPTIMAL, solve_lp
 
-from _oracles import interpolate_recursive, lambda_weights, problem_size, weights_1d
+from _oracles import (
+    interpolate_recursive, lambda_weights, problem_size, row_violations, weights_1d,
+)
 from _random_instances import random_instance
 
 N_CRIT1_INSTANCES = 50
@@ -74,11 +76,12 @@ def test_criterion_2_relaxation_validity(crit1_runs):
     for seed in range(10):
         ir = random_instance(seed + 500)
         milp = build_relaxation(ir)
+        lp = milp.to_lp()
         pos = {v.id: i for i, v in enumerate(ir.variables)}
         pts = 1000
         for _ in range(pts // 100):  # batched: 100 lifted points per batch
             for _ in range(100):
-                z = np.zeros(milp.ncols)
+                z = np.zeros(lp.ncols)
                 for v in ir.variables:
                     if v.kind == BINARY:
                         z[milp.ir.var_pos[v.id]] = 1.0
@@ -96,15 +99,8 @@ def test_criterion_2_relaxation_validity(crit1_runs):
                         z[blk.lam_cols[blk.grid.flat_index(kidx)]] = w
                     z[milp.ir.var_pos[itp.output]] = interpolate(itp.table, x)
                 n_user = len(ir.constraints)
-                for row in milp.rows[: milp.nrows - n_user]:
-                    lhs = sum(coef * z[c] for c, coef in row.terms)
-                    viol = {
-                        "<=": lhs - row.rhs,
-                        ">=": row.rhs - lhs,
-                        "=": abs(lhs - row.rhs),
-                    }[row.sense]
-                    if viol > 1e-9:
-                        ok = False
+                if np.any(row_violations(lp, z)[: lp.nrows - n_user] > 1e-9):
+                    ok = False
     # bound validity: the MILP optimum never exceeds the true optimum
     for seed, ir, rfe, oracle, _ in crit1_runs:
         if oracle.status != "Optimal":
@@ -130,18 +126,16 @@ def test_criterion_3_mccormick_coincidence():
         variables, [], [InterpolantDef(tab, (0, 1), 2)], objective=[(1.0, 2)]
     )
     milp = build_relaxation(ir)
+    lp = milp.to_lp()
     rng = np.random.default_rng(42)
     for _ in range(20):
         xv, yv = rng.uniform(0, 1, 2)
-        lo = np.array(milp.lo)
-        hi = np.array(milp.hi)
+        lo = lp.lo.copy()
+        hi = lp.hi.copy()
         lo[milp.ir.var_pos[0]] = hi[milp.ir.var_pos[0]] = xv
         lo[milp.ir.var_pos[1]] = hi[milp.ir.var_pos[1]] = yv
-        lp_min = milp.to_lp()
-        res_min = solve_lp(dataclasses.replace(lp_min, lo=lo, hi=hi))
-        lp_max = milp.to_lp()
-        lp_max.obj = -lp_max.obj
-        res_max = solve_lp(dataclasses.replace(lp_max, lo=lo, hi=hi))
+        res_min = solve_lp(dataclasses.replace(lp, lo=lo, hi=hi))
+        res_max = solve_lp(dataclasses.replace(lp, obj=-lp.obj, lo=lo, hi=hi))
         if abs(res_min.objective - max(0.0, xv + yv - 1.0)) > 1e-8:
             ok = False
         if abs(-res_max.objective - min(xv, yv)) > 1e-8:

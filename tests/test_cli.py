@@ -282,7 +282,133 @@ def _bounds_ir():
     return build_problem(variables, cons, objective=[(1.0, 1)])
 
 
+def _parse_mps(text: str, cols: dict, rows: dict):
+    """The objective, A, senses, right-hand sides, column bounds and binary
+    mask an MPS file states, over the given column and row indices by name.
+    Each entry is checked to appear once, and columns and rows in order."""
+    sense = {"L": "<=", "G": ">=", "E": "="}
+    n, m = len(cols), len(rows)
+    obj, A, rhs = np.zeros(n), np.zeros((m, n)), np.zeros(m)
+    lo, hi = np.zeros(n), np.full(n, np.inf)
+    senses, marked, bv, seen = [], np.zeros(n, bool), np.zeros(n, bool), set()
+    order = []  # columns as COLUMNS meets them
+    section, in_int = None, False
+    for line in text.splitlines():
+        if not line.startswith(" "):
+            section = line.split()[0]
+            continue
+        f = line.split()
+        if section == "ROWS":
+            if f[0] != "N":
+                assert rows[f[1]] == len(senses)
+                senses.append(sense[f[0]])
+        elif section == "COLUMNS" and f[1] == "'MARKER'":
+            in_int = f[2] == "'INTORG'"
+        elif section == "COLUMNS":
+            j = cols[f[0]]
+            if order[-1:] != [j]:
+                order.append(j)
+            assert (j, f[1]) not in seen
+            seen.add((j, f[1]))
+            marked[j] = in_int
+            if f[1] == "OBJ":
+                obj[j] = float(f[2])
+            else:
+                A[rows[f[1]], j] = float(f[2])
+        elif section == "RHS":
+            rhs[rows[f[1]]] = float(f[2])
+        elif section == "BOUNDS":
+            j, value = cols[f[2]], float(f[3]) if len(f) > 3 else None
+            if f[0] == "BV":
+                bv[j], hi[j] = True, 1.0
+            elif f[0] == "FX":
+                lo[j] = hi[j] = value
+            elif f[0] in ("FR", "MI"):
+                lo[j] = -np.inf
+            elif f[0] == "LO":
+                lo[j] = value
+            else:
+                assert f[0] == "UP"
+                hi[j] = value
+    assert order == list(range(n))
+    np.testing.assert_array_equal(marked, bv)
+    return obj, A, senses, rhs, lo, hi, bv
+
+
+def _parse_lp(text: str, cols: dict, rows: dict):
+    """The same as ``_parse_mps`` from an LP-format file; each expression's
+    terms are checked to come in column order."""
+    n, m = len(cols), len(rows)
+    lo, hi = np.zeros(n), np.full(n, np.inf)
+    binary = np.zeros(n, bool)
+    A, senses, rhs = np.zeros((m, n)), [], np.zeros(m)
+
+    def expr(tokens: list) -> np.ndarray:
+        coefs = np.zeros(n)
+        if tokens[0] == "0":  # "0 <first column>": no term
+            return coefs
+        js = [cols[name] for name in tokens[2::3]]
+        assert js == sorted(set(js))
+        coefs[js] = [float(v) if s == "+" else -float(v) for s, v in zip(tokens[::3], tokens[1::3])]
+        return coefs
+
+    lines = text.splitlines()
+    section = None
+    for line in lines:
+        if not line.startswith(" "):
+            section = line
+            continue
+        f = line.split()
+        if section == "Minimize":
+            assert f[0] == "obj:"
+            obj = expr(f[1:])
+        elif section == "Subject To":
+            i = rows[f[0].rstrip(":")]
+            assert i == len(senses)
+            A[i] = expr(f[1:-2])
+            senses.append(f[-2])
+            rhs[i] = float(f[-1])
+        elif section == "Bounds":
+            j = cols[f[2]]
+            lo[j], hi[j] = float(f[0]), float(f[4])
+        else:
+            assert section == "Binary"
+            for name in f:
+                binary[cols[name]] = True
+                hi[cols[name]] = 1.0
+    assert lines[-1] == "End"
+    return obj, A, senses, rhs, lo, hi, binary
+
+
+def _desk_after_one_cut():
+    milp = build_relaxation(build_opo_instance(get_scenario("S1", "desk"), 0).ir)
+    add_no_good_cut(milp, extract_fixing(milp, solve_milp(milp.to_lp(), milp.binary_cols()).x))
+    return milp
+
+
 class TestExport:
+    @pytest.mark.parametrize("fmt", ["mps", "lp"])
+    @pytest.mark.parametrize(
+        "make",
+        [_desk_after_one_cut, lambda: build_relaxation(cut_instance(0)),
+         lambda: build_relaxation(_bounds_ir())],
+        ids=["desk-S1-0-cut", "cut-0", "bounds"],
+    )
+    def test_the_file_is_the_lp_the_solver_sees(self, fmt, make):
+        """Read back, an export states exactly the relaxation's LP and its
+        binary columns: every coefficient, sense, right-hand side and bound,
+        bit for bit, since ``.17g`` round-trips a float64."""
+        milp = make()
+        lp = milp.to_lp()
+        cols = {name: j for j, name in enumerate(_clean_names(milp.names, "x"))}
+        rows = {name: i for i, name in enumerate(_clean_names(milp.row_names, "r"))}
+        parse = _parse_mps if fmt == "mps" else _parse_lp
+        obj, A, senses, rhs, lo, hi, binary = parse(export_milp(milp, fmt), cols, rows)
+        for got, want in ((obj, lp.obj), (A, lp.A), (rhs, lp.rhs), (lo, lp.lo), (hi, lp.hi)):
+            np.testing.assert_array_equal(got, want)
+        assert senses == list(lp.senses)
+        np.testing.assert_array_equal(binary, milp.is_binary)
+
     def test_mps_column_count_matches_size(self, s1_path, tmp_path):
         out = tmp_path / "m.mps"
         assert main(["export", str(s1_path), "--format", "mps", "-o", str(out)]) == 0
@@ -324,7 +450,7 @@ class TestExport:
         assert "cut0" not in export_milp(milp, fmt)
         add_no_good_cut(milp, extract_fixing(milp, solve_milp(milp.to_lp(), milp.binary_cols()).x))
         (cut,) = milp.cuts
-        assert milp.rows[cut].name == "cut0"
+        assert milp.row_names[cut] == "cut0"
         assert "cut0" in export_milp(milp, fmt)
 
     def test_library_rejects_unsupported_format(self):

@@ -1,4 +1,4 @@
-"""IR construction, validation, and relaxation size accounting."""
+"""IR construction, validation, the IR's LP, and relaxation size accounting."""
 
 import numpy as np
 import pytest
@@ -13,9 +13,12 @@ from gridopt.model import (
     VarRef,
     build_problem,
 )
+from gridopt.opo import build_opo_instance, get_scenario
 from gridopt.relax import build_relaxation
+from gridopt.simplex import LpProblem
 
 from _oracles import problem_size
+from _random_instances import random_instance
 
 
 def _table(shape):
@@ -199,16 +202,44 @@ class TestBuildProblem:
         assert ir.rows is ir.rows  # translated once per IR
 
 
+class TestIrLp:
+    """``ProblemIR.lp``: the IR's linear part as one LP, built once per IR."""
+
+    def test_built_once_and_read_only(self):
+        ir = build_opo_instance(get_scenario("S1"), 0).ir
+        lp = ir.lp
+        assert lp is ir.lp
+        assert isinstance(lp.senses, tuple)
+        for a in (lp.obj, lp.lo, lp.hi, lp.A, lp.rhs):
+            assert a.size > 0
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+
+    def test_is_the_rows_the_objective_and_the_bounds(self):
+        irs = [random_instance(seed) for seed in range(50)]
+        for ir in irs + [build_opo_instance(get_scenario("S1"), 0).ir]:
+            obj = np.zeros(len(ir.variables))
+            for cf, v in ir.objective:
+                obj[ir.var_pos[v]] += cf
+            lo = [v.lo for v in ir.variables]
+            hi = [v.hi for v in ir.variables]
+            want = LpProblem.from_rows(obj.size, obj, lo, hi, ir.rows)
+            for name in ("obj", "lo", "hi", "A", "rhs"):
+                np.testing.assert_array_equal(getattr(ir.lp, name), getattr(want, name))
+            assert ir.lp.senses == tuple(want.senses)
+
+
 class TestProblemSize:
     @pytest.mark.parametrize("shape", [(2,), (3, 4), (2, 3, 4)])
     @pytest.mark.parametrize("activation", [False, True])
     def test_size_matches_built_relaxation(self, shape, activation):
         ir = _simple_ir(shape, activation)
         sz = problem_size(ir)
-        milp = build_relaxation(ir)
-        assert milp.ncols == sz.cols
-        assert milp.nrows == sz.rows
-        assert milp.nonzeros == sz.nonzeros
+        lp = build_relaxation(ir).to_lp()
+        assert lp.ncols == sz.cols
+        assert lp.nrows == sz.rows
+        assert sz.zero_terms > 0  # a breakpoint and a table value at 0
+        assert np.count_nonzero(lp.A) == sz.nonzeros - sz.zero_terms
 
     def test_sum_product_identities(self):
         # |xi| is the sum and |lambda| the product of the axis sizes

@@ -26,14 +26,14 @@ from gridopt.relax import (
 from gridopt.simplex import INFEASIBLE, OPTIMAL, solve_lp
 from gridopt.spatial import solve_box_nlp
 
-from _oracles import lambda_weights, problem_size, weights_1d
+from _oracles import lambda_weights, problem_size, row_violations, weights_1d
 from _random_instances import random_instance
 
 
 def lift_point(milp, ir, x_by_pos):
     """Embed a feasible point of the original problem into relaxation space."""
     pos = {v.id: i for i, v in enumerate(ir.variables)}
-    z = np.zeros(milp.ncols)
+    z = np.zeros(milp.to_lp().ncols)
     for v in ir.variables:
         z[milp.ir.var_pos[v.id]] = x_by_pos[pos[v.id]]
     for blk, itp in zip(milp.blocks, ir.interpolants):
@@ -48,15 +48,6 @@ def lift_point(milp, ir, x_by_pos):
         for kidx, w in lambda_weights(blk.grid, pt).items():
             z[blk.lam_cols[blk.grid.flat_index(kidx)]] = w
     return z
-
-
-def row_violation(row, z):
-    lhs = sum(coef * z[c] for c, coef in row.terms)
-    if row.sense == "<=":
-        return lhs - row.rhs
-    if row.sense == ">=":
-        return row.rhs - lhs
-    return abs(lhs - row.rhs)
 
 
 class TestRelaxationValidity:
@@ -85,8 +76,8 @@ class TestRelaxationValidity:
             # interpolation-block rows only; the instance's own linear rows
             # transfer unchanged and are not part of the lifting claim
             n_user = len(ir.constraints)
-            for row in milp.rows[: milp.nrows - n_user]:
-                assert row_violation(row, z) <= 1e-9
+            lp = milp.to_lp()
+            assert np.all(row_violations(lp, z)[: lp.nrows - n_user] <= 1e-9)
 
 
 class TestEnvelopeTightness:
@@ -108,20 +99,18 @@ class TestEnvelopeTightness:
         rng = np.random.default_rng(9)
         x_col = milp.ir.var_pos[0]
         y_col = milp.ir.var_pos[1]
+        lp = milp.to_lp()
         for _ in range(20):
             xv, yv = rng.uniform(0, 1, 2)
-            lo = np.array(milp.lo)
-            hi = np.array(milp.hi)
+            lo = lp.lo.copy()
+            hi = lp.hi.copy()
             lo[x_col] = hi[x_col] = xv
             lo[y_col] = hi[y_col] = yv
-            lp = milp.to_lp()
             for sign, mccormick in (
                 (1.0, max(0.0, xv + yv - 1.0)),  # envelope floor
                 (-1.0, min(xv, yv)),  # envelope ceiling
             ):
-                lp2 = milp.to_lp()
-                lp2.obj = sign * lp2.obj
-                res = solve_lp(dataclasses.replace(lp2, lo=lo, hi=hi))
+                res = solve_lp(dataclasses.replace(lp, obj=sign * lp.obj, lo=lo, hi=hi))
                 assert res.status == OPTIMAL
                 assert sign * res.objective == pytest.approx(mccormick, abs=1e-8)
 
@@ -253,17 +242,17 @@ class TestNoGoodCut:
         milp = build_relaxation(ir)
         (blk,) = milp.blocks
         xi = np.array([5e-8, 1.0 - 5e-8, 0.0])
-        z = np.zeros(milp.ncols)
+        z = np.zeros(milp.to_lp().ncols)
         z[blk.xi_cols[0]] = xi
         z[blk.lam_cols] = xi
         z[blk.seg_cols[0][1]] = 1.0
         z[milp.ir.var_pos[0]] = xi @ g.axes[0]
         z[milp.ir.var_pos[1]] = xi @ tab.values
-        assert max(row_violation(row, z) for row in milp.rows) <= 1e-7
+        assert max(row_violations(milp.to_lp(), z)) <= 1e-7
         fixing = extract_fixing(milp, z)
         assert fixing.segments == ((1,),)
-        cut = milp.rows[add_no_good_cut(milp, fixing)]
-        assert row_violation(cut, z) >= 1.0 - 1e-12
+        cut = add_no_good_cut(milp, fixing)
+        assert row_violations(milp.to_lp(), z)[cut] >= 1.0 - 1e-12
 
     @pytest.mark.parametrize("seed", range(10))
     def test_every_rfe_cut_excludes_its_milp_point(self, seed, monkeypatch):
@@ -276,8 +265,9 @@ class TestNoGoodCut:
 
         def extract(milp, x):
             fixing = extract_fixing(milp, x)
-            trial = dataclasses.replace(milp, rows=list(milp.rows), cuts=[])
-            violations.append(row_violation(trial.rows[add_no_good_cut(trial, fixing)], x))
+            trial = dataclasses.replace(milp, row_names=list(milp.row_names), cuts=[])
+            cut = add_no_good_cut(trial, fixing)
+            violations.append(row_violations(trial.to_lp(), x)[cut])
             return fixing
 
         monkeypatch.setattr(rfe, "extract_fixing", extract)
@@ -299,13 +289,49 @@ class TestNoGoodCut:
             assert res2.objective >= res.objective - 1e-9
 
 
+class TestRelaxationLp:
+    """The relaxation is one LP, built once. A cut swaps in a copy with its
+    row appended, so an LP handed out before the cut, and a tableau kept
+    with that LP's A, stay as they were."""
+
+    def test_to_lp_builds_nothing(self):
+        milp = build_relaxation(random_instance(4))
+        assert milp.to_lp() is milp.to_lp()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_cut_leaves_the_lp_before_it_as_it_was(self, seed):
+        milp = build_relaxation(random_instance(seed))
+        before = milp.to_lp()
+        A, senses, rhs = before.A.copy(), list(before.senses), before.rhs.copy()
+        cut = add_no_good_cut(milp, extract_fixing(milp, np.zeros(before.ncols)))
+        np.testing.assert_array_equal(before.A, A)
+        assert before.senses == senses
+        np.testing.assert_array_equal(before.rhs, rhs)
+        after = milp.to_lp()
+        assert after.A is not before.A and cut == before.nrows == after.nrows - 1
+        np.testing.assert_array_equal(after.A[:cut], A)
+        assert after.senses == senses + [">="] and milp.cuts == [cut]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_subproblem_leaves_the_ir_lp_bounds(self, seed):
+        ir = random_instance(seed)
+        lo, hi = ir.lp.lo.copy(), ir.lp.hi.copy()
+        milp = build_relaxation(ir)
+        for x in (np.zeros(milp.to_lp().ncols), np.ones(milp.to_lp().ncols)):
+            build_subproblem(ir, extract_fixing(milp, x))
+        np.testing.assert_array_equal(ir.lp.lo, lo)
+        np.testing.assert_array_equal(ir.lp.hi, hi)
+
+
 class TestSizeAgreement:
     @pytest.mark.parametrize("seed", range(6))
     def test_built_model_matches_size_record(self, seed):
         ir = random_instance(seed)
         sz = problem_size(ir)
-        milp = build_relaxation(ir)
-        assert (milp.ncols, milp.nrows, milp.nonzeros) == (sz.cols, sz.rows, sz.nonzeros)
+        lp = build_relaxation(ir).to_lp()
+        assert (lp.ncols, lp.nrows, np.count_nonzero(lp.A)) == (
+            sz.cols, sz.rows, sz.nonzeros - sz.zero_terms
+        )
 
 
 def _shuffled_ids_ir():
@@ -333,16 +359,20 @@ class TestIrColumnsAndRows:
     def test_ir_columns_and_rows_are_the_irs(self, make):
         ir = make()
         milp = build_relaxation(ir)
+        lp = milp.to_lp()
         for v in ir.variables:
             j = ir.var_pos[v.id]
             assert milp.names[j] == (v.name or f"v{v.id}")
-            assert (milp.lo[j], milp.hi[j]) == (v.lo, v.hi)
+            assert (lp.lo[j], lp.hi[j]) == (v.lo, v.hi)
             assert milp.is_binary[j] == (v.kind == BINARY)
         m = len(ir.rows)
         assert m == len(ir.constraints) > 0
-        tail = milp.rows[milp.nrows - m :]  # after the interpolant rows
-        for row, (terms, sense, rhs), c in zip(tail, ir.rows, ir.constraints):
-            assert row.terms == list(terms)
-            assert (row.sense, row.rhs, row.name) == (sense, rhs, c.name)
-        assert all(r.name.startswith(("link", "conv", "marg", "seg", "sos", "out"))
-                   for r in milp.rows[: milp.nrows - m])
+        first = lp.nrows - m  # after the interpolant rows
+        for i, (terms, sense, rhs), c in zip(range(first, lp.nrows), ir.rows, ir.constraints):
+            want = np.zeros(lp.ncols)
+            for p, cf in terms:
+                want[p] = cf
+            np.testing.assert_array_equal(lp.A[i], want)
+            assert (lp.senses[i], lp.rhs[i], milp.row_names[i]) == (sense, rhs, c.name)
+        assert all(name.startswith(("link", "conv", "marg", "seg", "sos", "out"))
+                   for name in milp.row_names[:first])

@@ -8,8 +8,8 @@ outside the simplex, rfe and the command line, no kept simplex tableau
 outside the two trees, no write into an LP's coefficient matrix, one
 simplex tableau per LP solve, one start path in the simplex, one pivot site
 in the simplex, one row screen in spatial, one table of corner bits, in
-gridtab, and one dual bound, in the simplex, read by spatial's dual screen
-only."""
+gridtab, one dual bound, in the simplex, read by spatial's dual screen
+only, and one translation of rows into a matrix per model."""
 
 import ast
 from pathlib import Path
@@ -660,6 +660,41 @@ def test_second_pivot_sites_are_found(tmp_path):
         "Tab _kernels.tableau_pivot",
         "Tab.pivot _kernels.tableau_pivot",
         "fast tableau_pivot",
+    ]
+
+
+def _from_rows_sites(paths: list[Path]) -> list[str]:
+    """``module.site form`` of every place that names ``from_rows``, a call
+    or a reference that a call may go through, the site as ``_references``
+    gives it."""
+    return [f"{path.stem}.{ref}" for path in paths for ref in _references(path, "from_rows")]
+
+
+def test_each_model_turns_its_rows_into_a_matrix_once():
+    """The IR's linear part and the relaxation are each one LP, made by one
+    ``LpProblem.from_rows``: spatial's LPs copy or read the IR's, and a cut
+    appends its row to a copy of the relaxation's, so no rows are turned
+    into a matrix again."""
+    assert _from_rows_sites(SRC) == [
+        "model.ProblemIR.lp LpProblem.from_rows",
+        "relax.build_relaxation LpProblem.from_rows",
+    ]
+
+
+def test_from_rows_sites_are_found(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "from simplex import LpProblem\n"
+        "class Model:\n"
+        "    def lp(self): return LpProblem.from_rows(1, [0.0], [0.0], [1.0], self.rows)\n"
+        "def to_lp(rows):\n"
+        "    build = LpProblem.from_rows\n"
+        "    return build(1, [0.0], [0.0], [1.0], rows)\n"
+        "def other(lp): return lp.A\n"
+    )
+    assert _from_rows_sites([mod]) == [
+        "mod.Model.lp LpProblem.from_rows",
+        "mod.to_lp LpProblem.from_rows",
     ]
 
 

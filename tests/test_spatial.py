@@ -228,7 +228,7 @@ class TestOneFCallPerBlock:
     def _root(self):
         nlp = _shared_input_nlp()
         lp = _write_box(_node_lp(nlp), nlp.blocks, nlp.var_lo, nlp.var_hi)
-        return nlp, lp, solve_lp(lp).x
+        return nlp, solve_lp(lp).x
 
     @staticmethod
     def _point_calls(monkeypatch, blocks):
@@ -250,9 +250,9 @@ class TestOneFCallPerBlock:
         nlp = desk_s2_first_cell
         lp = _write_box(_node_lp(nlp), nlp.blocks, nlp.var_lo, nlp.var_hi)
         x = solve_lp(lp).x
-        assert spatial._exact_candidate(nlp, lp, x, _f_values(nlp.blocks, x)) is None
+        assert spatial._exact_candidate(nlp, x, _f_values(nlp.blocks, x)) is None
         monkeypatch.setattr(spatial, "MAX_NODES", 1)  # the root is solved and split
-        monkeypatch.setattr(spatial, "_coordinate_descent", lambda nlp, lp, cand, d: cand)
+        monkeypatch.setattr(spatial, "_coordinate_descent", lambda nlp, cand, d: cand)
         splits = []
         split = spatial._split
         monkeypatch.setattr(
@@ -264,14 +264,14 @@ class TestOneFCallPerBlock:
         assert splits == [_f_values(nlp.blocks, x)]
 
     def test_a_clipped_input_is_evaluated_apart(self, monkeypatch):
-        nlp, lp, x = self._root()
+        nlp, x = self._root()
         x[0] += 1e-12  # above its bound 1: the exact check and the repair clip it back
         fx = _f_values(nlp.blocks, x)
         assert fx[0] > 1.0  # f at x's own inputs
         calls = self._point_calls(monkeypatch, nlp.blocks)
-        cand, _ = spatial._exact_candidate(nlp, lp, x, fx)
+        cand, _ = spatial._exact_candidate(nlp, x, fx)
         assert cand[3] == cand[4] == 1.0  # f at the clipped inputs (1, 1)
-        spatial._repair(nlp, lp, x, nlp.var_lo, nlp.var_hi, fx, np.inf)
+        spatial._repair(nlp, x, nlp.var_lo, nlp.var_hi, fx, np.inf)
         _split(nlp.blocks, x, fx, nlp.var_lo, nlp.var_hi)
         assert calls == [(0, (1.0, 1.0)), (1, (1.0, 1.0))] * 2
         assert fx == _f_values(nlp.blocks, x)
@@ -279,12 +279,12 @@ class TestOneFCallPerBlock:
     def test_the_repair_reads_them_too(self, monkeypatch):
         # with nothing clipped the repair pins every block at the node's
         # values; a pinned step given none evaluates its pinned blocks itself
-        nlp, lp, x = self._root()
+        nlp, x = self._root()
         fx = _f_values(nlp.blocks, x)
         calls = self._point_calls(monkeypatch, nlp.blocks)
-        given = spatial._repair(nlp, lp, x, nlp.var_lo, nlp.var_hi, fx, np.inf)
+        given = spatial._repair(nlp, x, nlp.var_lo, nlp.var_hi, fx, np.inf)
         assert calls == []
-        own = _pinned_step(nlp, lp, x, set(), np.inf)
+        own = _pinned_step(nlp, x, set(), np.inf)
         assert calls == [(0, (1.0, 1.0)), (1, (1.0, 1.0))]
         assert given[1] == own[1] == -2.0
         np.testing.assert_array_equal(given[0], own[0])
@@ -458,8 +458,8 @@ class TestNodeLp:
         assert np.any(reused.A != _node_lp(nlp).A)  # the corners were written
 
     def test_box_writes_leave_the_ir_rows_as_built(self, desk_s2_first_cell):
-        # the exact check and every pinned step read the IR's rows and
-        # objective from the node LP's first rows and columns
+        # the node LP's first rows and columns stay a copy of the IR's LP,
+        # objective included, whatever box is written
         nlp = desk_s2_first_cell
         ir = nlp.ir
         n, m = len(ir.variables), len(ir.rows)
@@ -840,7 +840,7 @@ class TestPinnedStepScreen:
         g = make_grid([[0.0, 1.0]])
         nlp = _single_cell_nlp(make_table(g, [0.0, 2.0]), [LinConstraint(((1.0, 1),), "<=", cap)])
         assert not _rows_exclude_box(nlp.ir, nlp.var_lo, nlp.var_hi)
-        got = _pinned_step(nlp, _node_lp(nlp), np.array([0.5, 0.0]), set(), np.inf)
+        got = _pinned_step(nlp, np.array([0.5, 0.0]), set(), np.inf)
         assert len(lp_calls) == (0 if screened else 1)
         if screened:
             assert got is None
@@ -853,7 +853,7 @@ class TestPinnedStepScreen:
         g = make_grid([[0.0, 1.0]])
         nlp = _single_cell_nlp(make_table(g, [0.0, 2.0]), [LinConstraint(((1.0, 1),), "<=", 1.5)])
         x = np.array([0.5, 0.0])
-        assert _pinned_step(nlp, _node_lp(nlp), x, set(), time.monotonic()) is None
+        assert _pinned_step(nlp, x, set(), time.monotonic()) is None
         assert len(lp_calls) == 1
 
     def test_screened_steps_are_infeasible_lps(self, monkeypatch):
